@@ -232,7 +232,6 @@ class _Worker:
             val_buf[t] = v[0]
             self.episode_return += res.reward
             done = res.terminated or res.truncated
-            truncated_here = res.truncated or (t == T - 1 and not res.terminated)
             term_buf[t] = res.terminated
             ends_buf[t] = done or t == T - 1
             if res.terminated:

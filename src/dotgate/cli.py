@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__, config as cfgmod, nn
 from .agents import train_ppo, train_td
-from .env import EnvConfig, GateEnv, PulseSchedule, replay_schedule
-from .sim import EPS_BOUNDS, TUN_BOUNDS
+from .env import EnvConfig, GateEnv, PulseSchedule, replay_schedule, schedule_params
 
 OUTPUT_DIR_ENV_VAR = "PULSECTL_OUTPUT_DIR"
 
@@ -180,16 +179,14 @@ def export_plots(run_dir) -> list[Path]:
 
 
 def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None = None) -> dict:
-    """Replay a schedule (or sweep a constant pulse) through the simulator."""
-    schedule = PulseSchedule.from_csv(schedule_path)
-    for step, e0, e1, tun in schedule.rows:
-        if not EPS_BOUNDS[0] <= e0 <= EPS_BOUNDS[1]:
-            raise ValueError(f"step {step}: eps0={e0} outside {EPS_BOUNDS}")
-        if not EPS_BOUNDS[0] <= e1 <= EPS_BOUNDS[1]:
-            raise ValueError(f"step {step}: eps1={e1} outside {EPS_BOUNDS}")
-        if not TUN_BOUNDS[0] <= tun <= TUN_BOUNDS[1]:
-            raise ValueError(f"step {step}: tunnel={tun} outside {TUN_BOUNDS}")
+    """Replay a schedule (or sweep a constant pulse) through the simulator.
 
+    Every row is validated, also in sweep mode, which evolves only the first
+    row's controls; out of bounds or non-finite controls raise ValueError
+    naming the row (as ``step t``, counted from 0) and the control.
+    """
+    schedule = PulseSchedule.from_csv(schedule_path)
+    schedule_params(schedule, env_config).validate()
     if sweep_duration is not None:
         if not schedule.rows:
             raise ValueError("sweep needs at least one schedule row for the controls")

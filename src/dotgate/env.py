@@ -160,9 +160,9 @@ class GateEnv:
         self._live = False
 
     def reset(self, seed: int = 0) -> np.ndarray:
+        """Start a new episode.  The dynamics are deterministic, so ``seed``
+        changes nothing; it is accepted for a uniform agent interface."""
         cfg = self.config
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
         self.eps = list(cfg.eps_init)
         self.tun = cfg.tun_init
         self.u_acc = np.eye(sim.DIM_FULL, dtype=complex)
@@ -198,8 +198,7 @@ class GateEnv:
         params = sim.HamiltonianParams(
             eps=(self.eps[0], self.eps[1]), tun=self.tun, u=cfg.u, ez=cfg.ez
         )
-        h = sim.build_hamiltonian(params)
-        u_step = sim.evolve_step(h, cfg.dt)
+        u_step = sim.step_unitaries(sim.build_hamiltonian(params), cfg.dt)
         self.u_acc = sim.accumulate(u_step, self.u_acc)
         self.steps += 1
         self.schedule.rows.append((self.steps - 1, self.eps[0], self.eps[1], self.tun))
@@ -272,22 +271,40 @@ class GateEnv:
         return PulseSchedule(rows=list(self.schedule.rows))
 
 
+def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
+    """Batched Hamiltonian parameters of every schedule row, unvalidated.
+
+    Validation (``.validate()`` or ``sim.build_hamiltonian``) names a bad
+    control by its row as ``step t``, counting rows from 0 as the step column
+    of an exported schedule does.
+    """
+    controls = np.array([row[1:] for row in schedule.rows], dtype=float).reshape(-1, 3)
+    return sim.HamiltonianParams(
+        eps=controls[:, :2], tun=controls[:, 2], u=config.u, ez=config.ez
+    )
+
+
 def replay_schedule(
     schedule: PulseSchedule, config: EnvConfig = EnvConfig()
 ) -> tuple[sim.FidelityReport, list[float]]:
     """Re-evolve a stored schedule through the simulator alone.
 
-    Follows the exact environment pipeline (same operation order), so the
-    returned final fidelity matches the producing episode bitwise.
-    Returns the final report and the per-step fidelity trace.
+    All step propagators come from one batched Hamiltonian build and one
+    batched ``sim.step_unitaries`` call, whose rows equal the environment's
+    unbatched calls bit for bit; the rest follows the environment pipeline
+    in the same operation order, so the returned final fidelity matches the
+    producing episode bitwise.  Out of bounds or non-finite controls raise
+    ValueError naming the step.  Returns the final report and the per-step
+    fidelity trace.
     """
+    u_steps = sim.step_unitaries(
+        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+    )
     u_acc = np.eye(sim.DIM_FULL, dtype=complex)
     trace = []
     report = sim.gate_fidelity(sim.project_to_computational(u_acc))
-    for _step, e0, e1, tun in schedule.rows:
-        params = sim.HamiltonianParams(eps=(e0, e1), tun=tun, u=config.u, ez=config.ez)
-        h = sim.build_hamiltonian(params)
-        u_acc = sim.accumulate(sim.evolve_step(h, config.dt), u_acc)
+    for u_step in u_steps:
+        u_acc = sim.accumulate(u_step, u_acc)
         u4, _ = sim.try_phase_compensate(sim.project_to_computational(u_acc))
         report = sim.gate_fidelity(u4)
         trace.append(report.fidelity)

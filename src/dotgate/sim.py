@@ -13,6 +13,16 @@ single-qubit virtual-Z phases yields the effective two-qubit gate, scored
 against CZ with a fidelity that penalizes both leakage and distance from
 the target.
 
+H conserves the particle number N and the spin S_z, so it never couples
+states of different (N, S_z).  Those sectors are read off the occupation
+table and packed, by one fixed basis permutation, into four 4x4 diagonal
+slots ({3,6,9,12}, {1,4}+{2,8}, {7,13}+{11,14}, {0,5,10,15}); H is real
+there, so each slot is a real symmetric 4x4 matrix.  The Hamiltonian
+build and the propagator take a leading batch axis of steps: T steps cost
+one stacked ``eigh`` over a (T, 4, 4, 4) array and one scatter into dense
+(T, 16, 16) step unitaries.  Dense 16x16 matrices are only assembled from
+the slots, never diagonalized.
+
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
 """
@@ -82,10 +92,79 @@ def _hopping_operator() -> np.ndarray:
 
 _HOP = _hopping_operator()
 
-# Per-basis-state occupation numbers (n_up, n_down) for each dot and
-# double-occupancy indicators, used for the diagonal Hamiltonian terms.
-_N_UP = (_OCC[:, 0], _OCC[:, 2])
-_N_DOWN = (_OCC[:, 1], _OCC[:, 3])
+# -- (N, S_z) sectors packed into 4x4 slots ---------------------------------
+
+SLOT_DIM = 4
+CONTROL_NAMES = ("eps0", "eps1", "tunnel")
+
+
+def _sectors() -> tuple[tuple[int, ...], ...]:
+    """Basis states grouped by (N, 2*S_z), in ascending label order."""
+    n_up = _OCC[:, 0] + _OCC[:, 2]
+    n_down = _OCC[:, 1] + _OCC[:, 3]
+    labels = [(int(n), int(m)) for n, m in zip(n_up + n_down, n_up - n_down)]
+    return tuple(
+        tuple(s for s in range(DIM_FULL) if labels[s] == key)
+        for key in sorted(set(labels))
+    )
+
+
+def _pack_slots(sectors) -> np.ndarray:
+    """First-fit decreasing: each sector, largest first, goes into the first
+    slot with room.  Row k of the result lists the states of slot k."""
+    slots: list[list[int]] = []
+    for sector in sorted(sectors, key=len, reverse=True):
+        for slot in slots:
+            if len(slot) + len(sector) <= SLOT_DIM:
+                slot.extend(sector)
+                break
+        else:
+            slots.append(list(sector))
+    return np.array(slots)
+
+
+SECTORS = _sectors()
+SLOTS = _pack_slots(SECTORS)  # (N_SLOTS, SLOT_DIM) full-space indices
+N_SLOTS = len(SLOTS)
+_SLOT_ROWS, _SLOT_COLS = SLOTS[:, :, None], SLOTS[:, None, :]
+
+
+def _slot_terms() -> np.ndarray:
+    """Slot matrices of the seven Hamiltonian terms, flattened to (7, 64).
+
+    Row order matches the coefficients (eps0, eps1, tunnel, ez0, ez1, u0,
+    u1): dot occupation, hopping, half the spin polarization and double
+    occupancy of each dot.
+    """
+    up, down = _OCC[:, 0::2], _OCC[:, 1::2]  # (state, dot)
+    diagonals = [up[:, 0] + down[:, 0], up[:, 1] + down[:, 1]]
+    diagonals += [0.5 * (up[:, d] - down[:, d]) for d in range(2)]
+    diagonals += [up[:, d] * down[:, d] for d in range(2)]
+    eye = np.eye(SLOT_DIM)
+    terms = [f[SLOTS][:, :, None] * eye for f in diagonals]
+    terms.insert(2, -_HOP[_SLOT_ROWS, _SLOT_COLS])
+    return np.stack(terms).reshape(len(terms), -1)
+
+
+_TERMS = _slot_terms()
+
+# Slot entries that join two states of one sector, and where they sit in
+# the dense matrix.  Entries between the sectors sharing a slot are left
+# out, so the dense scatter holds exact zeros there.
+_SECTOR_OF = np.array(
+    [next(k for k, sector in enumerate(SECTORS) if s in sector) for s in range(DIM_FULL)]
+)
+_SLOT_POS = np.flatnonzero(
+    _SECTOR_OF[SLOTS][:, :, None] == _SECTOR_OF[SLOTS][:, None, :]
+)
+_DENSE_POS = (_SLOT_ROWS * DIM_FULL + _SLOT_COLS).ravel()[_SLOT_POS]
+
+_CONTROL_LO = np.array([EPS_BOUNDS[0], EPS_BOUNDS[0], TUN_BOUNDS[0]])
+_CONTROL_HI = np.array([EPS_BOUNDS[1], EPS_BOUNDS[1], TUN_BOUNDS[1]])
+_CONTROL_BOUNDS = (EPS_BOUNDS, EPS_BOUNDS, TUN_BOUNDS)
+
+_COMP = np.asarray(COMPUTATIONAL_INDICES)
+_COMP_ROWS, _COMP_COLS = _COMP[:, None], _COMP[None, :]
 
 
 @dataclass(frozen=True)
@@ -96,25 +175,43 @@ class HamiltonianParams:
     tun: tunnel coupling between the dots.
     u:   Hubbard repulsion of each dot.
     ez:  Zeeman splitting (qubit resonance frequency) of each dot.
+
+    For a batch of T steps, eps has shape (T, 2) and tun shape (T,); u and
+    ez are shared by all steps.
     """
 
-    eps: tuple[float, float]
-    tun: float
+    eps: tuple[float, float] | np.ndarray
+    tun: float | np.ndarray
     u: tuple[float, float]
     ez: tuple[float, float]
 
     def validate(self) -> None:
-        for i, e in enumerate(self.eps):
-            if not EPS_BOUNDS[0] <= e <= EPS_BOUNDS[1]:
-                raise ValueError(f"eps[{i}]={e} outside {EPS_BOUNDS} GHz")
-        if not TUN_BOUNDS[0] <= self.tun <= TUN_BOUNDS[1]:
-            raise ValueError(f"tun={self.tun} outside {TUN_BOUNDS} GHz")
-        for i, ui in enumerate(self.u):
-            if ui < 0:
-                raise ValueError(f"u[{i}]={ui} must be >= 0")
-        for i, ez in enumerate(self.ez):
-            if ez < 0:
-                raise ValueError(f"ez[{i}]={ez} must be >= 0")
+        self._checked_controls()
+
+    def _checked_controls(self) -> np.ndarray:
+        """(T, 3) rows (eps0, eps1, tunnel), T = 1 without a batch axis.
+
+        Rejects non-finite or out-of-bounds controls, naming the control
+        and, for a batch, the step (row).
+        """
+        controls = np.empty((np.size(self.tun), len(CONTROL_NAMES)))
+        controls[:, :2] = self.eps
+        controls[:, 2] = self.tun
+        ok = (controls >= _CONTROL_LO) & (controls <= _CONTROL_HI)
+        if not ok.all():
+            t, k = np.argwhere(~ok)[0]
+            value = controls[t, k]
+            problem = (
+                "is not finite" if not np.isfinite(value)
+                else f"outside {_CONTROL_BOUNDS[k]} GHz"
+            )
+            step = f"step {t}: " if np.ndim(self.tun) else ""
+            raise ValueError(f"{step}{CONTROL_NAMES[k]}={value} {problem}")
+        for name, values in (("u", self.u), ("ez", self.ez)):
+            for i, v in enumerate(values):
+                if not v >= 0:
+                    raise ValueError(f"{name}[{i}]={v} must be >= 0")
+        return controls
 
 
 @dataclass(frozen=True)
@@ -130,24 +227,57 @@ class FidelityReport:
     overlap: float
 
 
+def _scatter(blocks: np.ndarray) -> np.ndarray:
+    """Dense (..., 16, 16) matrices holding the same-sector slot entries."""
+    lead = blocks.shape[:-3]
+    dense = np.zeros((*lead, DIM_FULL * DIM_FULL), dtype=blocks.dtype)
+    dense[..., _DENSE_POS] = blocks.reshape(*lead, N_SLOTS * SLOT_DIM**2)[..., _SLOT_POS]
+    return dense.reshape(*lead, DIM_FULL, DIM_FULL)
+
+
 def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
-    """Assemble the 16x16 Hamiltonian H_eps + H_Z + H_U + H_T (GHz)."""
-    params.validate()
-    diag = np.zeros(DIM_FULL)
-    for dot in range(2):
-        n_up, n_dn = _N_UP[dot], _N_DOWN[dot]
-        diag += params.eps[dot] * (n_up + n_dn)
-        diag += 0.5 * params.ez[dot] * (n_up - n_dn)
-        diag += params.u[dot] * (n_up * n_dn)
-    h = np.diag(diag).astype(complex)
-    h -= params.tun * _HOP
-    return h
+    """Assemble H_eps + H_Z + H_U + H_T (GHz) as real 16x16 matrices.
+
+    Returns (16, 16), or (T, 16, 16) when params carry a batch axis.  The
+    seven terms are summed slot by slot, elementwise in a fixed order, so
+    each step's bits do not depend on the batch size.
+    """
+    controls = params._checked_controls()
+    coef = np.empty((len(controls), len(_TERMS)))
+    coef[:, :3] = controls
+    coef[:, 3:] = (params.ez[0], params.ez[1], params.u[0], params.u[1])
+    blocks = (coef[:, :, None] * _TERMS).sum(axis=1)
+    h = _scatter(blocks.reshape(-1, N_SLOTS, SLOT_DIM, SLOT_DIM))
+    return h if np.ndim(params.tun) else h[0]
+
+
+def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
+    """Step propagators exp(-i 2*pi h dt) of (..., 16, 16) Hamiltonians.
+
+    h must be Hermitian and conserve N and S_z, as every ``build_hamiltonian``
+    output does: entries outside the four slots are not read.  One ``eigh``
+    over the stacked (..., 4, 4, 4) slot blocks (real-symmetric for real h),
+    then one scatter, gives complex (..., 16, 16) unitaries; each matrix of a
+    stack equals its own unstacked result bit for bit.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt={dt} must be positive")
+    blocks = h[..., _SLOT_ROWS, _SLOT_COLS]
+    try:
+        energies, vectors = np.linalg.eigh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition failed for {blocks.shape} slot blocks: {exc}"
+        ) from exc
+    phases = np.exp(-2j * np.pi * dt * energies)
+    return _scatter((vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
 
 
 def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """Unitary exp(-i 2*pi h dt) via eigendecomposition of the Hermitian h.
+    """Unitary exp(-i 2*pi h dt) of any dense Hermitian h, by ``eigh``.
 
     h in GHz, dt in ns; the 2*pi converts linear frequencies to angular.
+    The simulator uses ``step_unitaries``, which works in the sector slots.
     """
     if dt <= 0:
         raise ValueError(f"dt={dt} must be positive")
@@ -176,22 +306,17 @@ def project_to_computational(u16: np.ndarray) -> np.ndarray:
     """
     if u16.shape != (DIM_FULL, DIM_FULL):
         raise ValueError(f"expected {DIM_FULL}x{DIM_FULL} matrix, got {u16.shape}")
-    idx = np.asarray(COMPUTATIONAL_INDICES)
-    return u16[np.ix_(idx, idx)]
+    return u16[_COMP_ROWS, _COMP_COLS]
 
 
-def _compensation_phases(u4: np.ndarray) -> np.ndarray:
-    """Diagonal phases e^{i lambda_ab} removing global + single-qubit Z."""
-    phi00 = np.angle(u4[0, 0])
-    phi01 = np.angle(u4[1, 1])
-    phi10 = np.angle(u4[2, 2])
-    lam = np.array([
-        -phi00,
-        -phi01,
-        -phi10,
-        -(phi10 + phi01 - phi00),
-    ])
-    return np.exp(1j * lam)
+def _compensation_phases(d) -> np.ndarray:
+    """Column of phases e^{i lambda_ab} removing global + single-qubit Z.
+
+    d holds u4[0,0], u4[1,1], u4[2,2] as Python complex numbers.  With
+    z_k = conj(d_k)/|d_k|, the phases are (z0, z1, z2, z1*z2/z0).
+    """
+    z0, z1, z2 = (x.conjugate() / abs(x) for x in d)
+    return np.array([[z0], [z1], [z2], [z1 * z2 / z0]])
 
 
 def phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL) -> np.ndarray:
@@ -209,7 +334,7 @@ def phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL) -> np.ndarray:
             f"|u4[{k},{k}]|={mags[k]:.3e} below {tol}; gate too far from "
             "diagonal-equivalent to compensate"
         )
-    return _compensation_phases(u4)[:, None] * u4
+    return _compensation_phases(u4.diagonal()[:3].tolist()) * u4
 
 
 def try_phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL):
@@ -218,9 +343,10 @@ def try_phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL):
     Returns (matrix, compensated_flag).  Used mid-episode where a
     degenerate state should not abort the run.
     """
-    if np.any(np.abs(np.diag(u4)[:3]) < tol):
+    d = u4.diagonal()[:3].tolist()
+    if min(abs(x) for x in d) < tol:
         return u4, False
-    return _compensation_phases(u4)[:, None] * u4, True
+    return _compensation_phases(d) * u4, True
 
 
 def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityReport:
@@ -229,8 +355,9 @@ def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityRep
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrix, got {u_final.shape}")
     if u_target.shape != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} target, got {u_target.shape}")
-    unitarity = float(np.real(np.trace(u_final.conj().T @ u_final)))
-    overlap = float(np.abs(np.trace(u_target.conj().T @ u_final)) ** 2)
+    # vdot conjugates its first argument: Tr(A^dag B) = vdot(A, B).
+    unitarity = float(np.vdot(u_final, u_final).real)
+    overlap = float(abs(np.vdot(u_target, u_final)) ** 2)
     d = DIM_COMP
     return FidelityReport(
         fidelity=(unitarity + overlap) / (d * (d + 1)),

@@ -21,6 +21,38 @@ def occupation_energy(state: int, eps, u, ez) -> float:
     return total
 
 
+def jw_annihilators() -> list[np.ndarray]:
+    """Jordan-Wigner annihilation operators of the four modes (16x16, real).
+
+    Mode m is bit 3 - m of the big-endian basis index; the sign counts the
+    occupied modes before m.  Built here, apart from the package.
+    """
+    ops = []
+    for m in range(4):
+        a = np.zeros((16, 16))
+        for s in range(16):
+            bits = [(s >> (3 - k)) & 1 for k in range(4)]
+            if bits[m]:
+                a[s ^ (1 << (3 - m)), s] = (-1.0) ** sum(bits[:m])
+        ops.append(a)
+    return ops
+
+
+_JW = jw_annihilators()
+NUMBER_OP = sum(a.T @ a for a in _JW)
+SZ_OP = 0.5 * (_JW[0].T @ _JW[0] - _JW[1].T @ _JW[1]
+               + _JW[2].T @ _JW[2] - _JW[3].T @ _JW[3])
+
+
+def dense_hamiltonian(eps, tun, u, ez) -> np.ndarray:
+    """Dense 16x16 Hamiltonian from the occupation energies and JW hopping."""
+    h = np.diag([occupation_energy(s, eps, u, ez) for s in range(16)]).astype(complex)
+    for spin in range(2):
+        hop = _JW[spin].T @ _JW[2 + spin]  # c_dot0^dag c_dot1, one spin
+        h -= tun * (hop + hop.T)
+    return h
+
+
 def taylor_expm(a: np.ndarray, terms: int = 20) -> np.ndarray:
     """Truncated power series for exp(a); only valid for small norm."""
     result = np.eye(a.shape[0], dtype=complex)
@@ -44,43 +76,66 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def stacked_forward(arrays, x):
+    """nn.forward of one input x through a stack of B parameter sets.
+
+    arrays are the six MlpParameters.as_list() arrays, each with a leading
+    axis of length B (broadcast views are fine).  Returns y of shape
+    (B, out_dim).
+    """
+    weights, biases = arrays[:3], arrays[3:]
+    h = np.asarray(x, dtype=float)
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        h = (h[..., None, :] @ w)[..., 0, :] + b
+        if layer < 2:
+            h = np.tanh(h)
+    return h
+
+
+# Entries perturbed per stacked forward: caps the stack of 2 * _FD_CHUNK
+# parameter copies, which for a wide layer would otherwise take several GB.
+_FD_CHUNK = 256
+
+
 def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1e-8):
     """Check every analytic parameter gradient against central differences.
 
     Loss is the fixed linear functional L = loss_weights . y, so dL/dy is
-    exact and any mismatch isolates the backward pass.  Returns the worst
-    relative error seen.
+    exact and any mismatch isolates the backward pass.  The +h and -h
+    forwards of up to ``_FD_CHUNK`` entries run as one stacked forward.
+    Returns the worst relative error seen.
     """
     y, cache = nn.forward(params, x)
     grads = nn.backward(params, cache, loss_weights)
-
-    arrays = [a.copy() for a in params.as_list()]
-
-    def loss_now():
-        p = nn.MlpParameters.from_list(arrays)
-        out, _ = nn.forward(p, x)
-        return float(loss_weights @ out)
+    arrays = params.as_list()
 
     worst = 0.0
-    analytic = grads.as_list()
-    for ai, g in enumerate(analytic):
+    for ai, g in enumerate(grads.as_list()):
         arr = arrays[ai]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
-            f_plus = loss_now()
-            arr[idx] = orig - h
-            f_minus = loss_now()
-            arr[idx] = orig
-            fd = (f_plus - f_minus) / (2 * h)
-            diff = abs(fd - g[idx])
-            if diff < abs_floor:
-                continue
-            err = diff / max(abs(fd), abs(g[idx]))
-            worst = max(worst, err)
-            assert err < rel_tol, (
-                f"array {ai} index {idx}: analytic {g[idx]}, fd {fd}, rel {err}"
+        for start in range(0, arr.size, _FD_CHUNK):
+            entries = np.arange(start, min(start + _FD_CHUNK, arr.size))
+            n = 2 * len(entries)
+            # Row 2k holds entry k shifted by +h, row 2k+1 by -h.
+            shifted = np.repeat(arr.reshape(1, -1), n, axis=0)
+            shifted[np.arange(n), np.repeat(entries, 2)] += np.tile([h, -h], len(entries))
+            stack = [np.broadcast_to(a, (n, *a.shape)) for a in arrays]
+            stack[ai] = shifted.reshape(n, *arr.shape)
+            f = stacked_forward(stack, x) @ loss_weights
+            fd = (f[0::2] - f[1::2]) / (2 * h)
+            analytic = g.ravel()[entries]
+            diff = np.abs(fd - analytic)
+            checked = diff >= abs_floor
+            err = np.zeros_like(diff)
+            err[checked] = diff[checked] / np.maximum(
+                np.abs(fd[checked]), np.abs(analytic[checked])
             )
+            if err.size:
+                worst = max(worst, float(err.max()))
+            bad = np.flatnonzero(err >= rel_tol)
+            if bad.size:
+                k = bad[0]
+                idx = tuple(int(i) for i in np.unravel_index(entries[k], arr.shape))
+                raise AssertionError(
+                    f"array {ai} index {idx}: analytic {analytic[k]}, fd {fd[k]}, rel {err[k]}"
+                )
     return worst

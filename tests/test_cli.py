@@ -206,6 +206,24 @@ class TestReplay:
         with pytest.raises(ValueError, match="eps0"):
             cli.run_replay(path, EnvConfig())
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_schedule_rejected(self, tmp_path, value):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            f"step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n1,170,{value},2.5\n"
+        )
+        with pytest.raises(ValueError, match="step 1: eps1=.* not finite"):
+            cli.run_replay(path, EnvConfig())
+        assert cli.main(["replay", str(path)]) == 1
+
+    def test_sweep_validates_every_row(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n1,170,70,5.5\n"
+        )
+        with pytest.raises(ValueError, match="step 1: tunnel=5.5 outside"):
+            cli.run_replay(path, EnvConfig(), sweep_duration=30)
+
     def test_cli_replay_command(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")

@@ -249,6 +249,25 @@ class TestReplay:
         assert report.fidelity == last.info["fidelity"]
         assert len(trace) == env.steps
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_replay_matches_every_step_of_random_episodes(self, mode):
+        rng = np.random.default_rng(24 if mode == "discrete" else 25)
+        env = GateEnv()
+        for _ in range(20):
+            env.reset(0)
+            fidelities = []
+            for _ in range(80):
+                if mode == "discrete":
+                    res = env.step_discrete(int(rng.integers(27)))
+                else:
+                    res = env.step_continuous(rng.uniform(-1.2, 1.2, 3))
+                fidelities.append(res.info["fidelity"])
+                if res.terminated or res.truncated:
+                    break
+            report, trace = replay_schedule(env.export_schedule())
+            assert trace == fidelities
+            assert report == env.fidelity_report
+
     def test_empty_schedule_is_identity(self):
         report, trace = replay_schedule(PulseSchedule())
         assert report.fidelity == pytest.approx(0.4, abs=1e-12)

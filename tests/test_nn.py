@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dotgate import nn
-from helpers import finite_diff_check
+from helpers import finite_diff_check, stacked_forward
 
 
 def zero_params(in_dim, out_dim, hidden=64):
@@ -123,6 +123,20 @@ class TestBackward:
             x = rng.normal(size=in_dim)
             w = rng.normal(size=out_dim)
             finite_diff_check(p, x, w)
+
+    def test_stacked_forward_matches_forward(self):
+        rng = np.random.default_rng(45)
+        nets = [nn.init_mlp(5, 3, seed=46 + k) for k in range(4)]
+        nets = [
+            nn.MlpParameters.from_list([a + rng.normal(size=a.shape) for a in p.as_list()])
+            for p in nets
+        ]
+        x = rng.normal(size=5)
+        stack = [np.stack(arrays) for arrays in zip(*(p.as_list() for p in nets))]
+        y = stacked_forward(stack, x)
+        for p, row in zip(nets, y):
+            expected, _ = nn.forward(p, x)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
     def test_batched_gradients_sum(self):
         rng = np.random.default_rng(43)

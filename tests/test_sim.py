@@ -2,11 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dotgate import sim
-from helpers import occupation_energy, random_hermitian, random_unitary, taylor_expm
+from dotgate import cli, sim
+from dotgate.env import EnvConfig
+from helpers import (
+    NUMBER_OP,
+    SZ_OP,
+    dense_hamiltonian,
+    occupation_energy,
+    random_hermitian,
+    random_unitary,
+    taylor_expm,
+)
 
 PAPER_PARAMS = dict(eps=(170.0, 70.0), u=(845.2, 845.2), ez=(18.4, 19.7))
+U, EZ = PAPER_PARAMS["u"], PAPER_PARAMS["ez"]
+
+
+def random_controls(rng, n):
+    return np.column_stack([
+        rng.uniform(*sim.EPS_BOUNDS, n),
+        rng.uniform(*sim.EPS_BOUNDS, n),
+        rng.uniform(*sim.TUN_BOUNDS, n),
+    ])
+
+
+def propagate(controls, dt=1.0, u=U, ez=EZ):
+    """Step unitaries of a (T, 3) batch of (eps0, eps1, tunnel) rows."""
+    params = sim.HamiltonianParams(eps=controls[:, :2], tun=controls[:, 2], u=u, ez=ez)
+    return sim.step_unitaries(sim.build_hamiltonian(params), dt)
+
+
+def sector_labels():
+    """(N, 2 S_z) of each basis state, from the helper operators."""
+    return [(NUMBER_OP[s, s], 2 * SZ_OP[s, s]) for s in range(16)]
 
 
 def occupations(state):
@@ -232,3 +263,142 @@ class TestGateFidelity:
             p = sim.project_to_computational(random_unitary(rng, 16))
             rep = sim.gate_fidelity(p)
             assert 0.0 <= rep.fidelity <= 1.0 + 1e-12
+
+
+class TestSectors:
+    def test_slot_layout(self):
+        expected = [[3, 6, 9, 12], [1, 4, 2, 8], [7, 13, 11, 14], [0, 5, 10, 15]]
+        assert sim.SLOTS.tolist() == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        eps0=st.floats(*sim.EPS_BOUNDS),
+        eps1=st.floats(*sim.EPS_BOUNDS),
+        tun=st.floats(*sim.TUN_BOUNDS),
+        u=st.tuples(st.floats(0, 2000), st.floats(0, 2000)),
+        ez=st.tuples(st.floats(0, 100), st.floats(0, 100)),
+    )
+    def test_hamiltonian_conserves_n_and_sz(self, eps0, eps1, tun, u, ez):
+        members = sorted(s for sector in sim.SECTORS for s in sector)
+        assert members == list(range(16))
+        labels = sector_labels()
+        for sector in sim.SECTORS:
+            assert len({labels[s] for s in sector}) == 1
+        assert len({labels[sector[0]] for sector in sim.SECTORS}) == len(sim.SECTORS)
+        h = sim.build_hamiltonian(
+            sim.HamiltonianParams(eps=(eps0, eps1), tun=tun, u=u, ez=ez)
+        )
+        for j in range(16):
+            for k in range(16):
+                if labels[j] != labels[k]:
+                    assert h[j, k] == 0
+        assert np.array_equal(h @ NUMBER_OP, NUMBER_OP @ h)
+        assert np.array_equal(h @ SZ_OP, SZ_OP @ h)
+
+
+class TestStepUnitaries:
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(30)
+        controls = random_controls(rng, 500)
+        worst = 0.0
+        for (e0, e1, tun), u_step in zip(controls, propagate(controls)):
+            oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, U, EZ), 1.0)
+            worst = max(worst, float(np.max(np.abs(u_step - oracle))))
+        assert worst <= 1e-10
+
+    def test_random_constants_match_dense_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            u, ez = tuple(rng.uniform(0, 2000, 2)), tuple(rng.uniform(0, 100, 2))
+            controls = random_controls(rng, 1)
+            (e0, e1, tun), = controls
+            dt = rng.uniform(0.1, 2.0)
+            u_step = propagate(controls, dt, u, ez)[0]
+            oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, u, ez), dt)
+            assert np.max(np.abs(u_step - oracle)) <= 1e-10
+
+    def test_stacked_call_equals_single_rows_bitwise(self):
+        controls = random_controls(np.random.default_rng(32), 200)
+        stacked = propagate(controls)
+        for t, (e0, e1, tun) in enumerate(controls):
+            assert np.array_equal(stacked[t], propagate(controls[t : t + 1])[0])
+            params = sim.HamiltonianParams(eps=(e0, e1), tun=tun, u=U, ez=EZ)
+            single = sim.step_unitaries(sim.build_hamiltonian(params), 1.0)
+            assert np.array_equal(stacked[t], single)
+
+    def test_unitary_with_exact_zeros_between_sectors(self):
+        u = propagate(random_controls(np.random.default_rng(33), 1))[0]
+        labels = sector_labels()
+        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
+        for j in range(16):
+            for k in range(16):
+                if labels[j] != labels[k]:
+                    assert u[j, k] == 0
+
+    def test_complex_conserving_hamiltonian(self):
+        # A diagonal gauge D H D^dag keeps every sector but makes H complex.
+        rng = np.random.default_rng(34)
+        (e0, e1, tun), = random_controls(rng, 1)
+        gauge = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
+        h = gauge[:, None] * dense_hamiltonian((e0, e1), tun, U, EZ) * gauge.conj()
+        u_step = sim.step_unitaries(h, 1.0)
+        assert np.max(np.abs(u_step - sim.evolve_step(h, 1.0))) <= 1e-10
+        assert np.max(np.abs(u_step.conj().T @ u_step - np.eye(16))) < 1e-12
+
+    def test_empty_batch(self):
+        assert propagate(np.empty((0, 3))).shape == (0, 16, 16)
+
+    @pytest.mark.parametrize(
+        "column,value,problem",
+        [(0, 751.0, "outside"), (1, np.nan, "not finite"),
+         (2, -0.1, "outside"), (2, np.inf, "not finite")],
+    )
+    def test_bad_control_names_step_and_control(self, column, value, problem):
+        controls = np.tile([170.0, 70.0, 2.5], (4, 1))
+        controls[2, column] = value
+        name = sim.CONTROL_NAMES[column]
+        with pytest.raises(ValueError, match=f"step 2: {name}=.*{problem}"):
+            propagate(controls)
+
+    def test_bad_dt_and_constants(self):
+        with pytest.raises(ValueError, match="dt"):
+            sim.step_unitaries(np.zeros((16, 16)), 0.0)
+        with pytest.raises(ValueError, match="ez"):
+            propagate(np.array([[0.0, 0.0, 1.0]]), ez=(np.nan, 1.0))
+
+
+class TestExchangeOracle:
+    """Superexchange J = 4 t^2 U / (U^2 - de^2) (Burkard, Loss & DiVincenzo,
+    PRB 59, 2070 (1999)) against the eigenvalues of the slot blocks."""
+
+    def slot_eigen(self, state, h):
+        """Eigen-decomposition of the slot holding state, and its position."""
+        k, i = np.argwhere(sim.SLOTS == state)[0]
+        slot = sim.SLOTS[k]
+        energies, vectors = np.linalg.eigh(h[np.ix_(slot, slot)])
+        return k, i, energies, vectors
+
+    def test_exchange_coupling_and_cz_time(self, tmp_path):
+        eps, tun = (170.0, 70.0), 2.5
+        h = sim.build_hamiltonian(sim.HamiltonianParams(eps=eps, tun=tun, u=U, ez=EZ))
+        single = []
+        for state in (5, 10):
+            _, i, energies, vectors = self.slot_eigen(state, h)
+            single.append(energies[np.argmax(np.abs(vectors[i]))])
+        k, i6, energies, vectors = self.slot_eigen(6, h)
+        _, i9, _, _ = self.slot_eigen(9, h)
+        weight = vectors[i6] ** 2 + vectors[i9] ** 2
+        pair = energies[np.argsort(weight)[-2:]]
+        j_slots = single[0] + single[1] - pair.sum()
+
+        detuning = eps[0] - eps[1]
+        j_analytic = 4 * tun**2 * U[0] / (U[0] ** 2 - detuning**2)
+        assert j_analytic == pytest.approx(0.0300, abs=5e-5)
+        assert j_slots == pytest.approx(j_analytic, rel=1e-3)
+        assert 1 / (2 * j_slots) == pytest.approx(16.67, abs=0.01)
+
+        path = tmp_path / "const.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")
+        trace = cli.run_replay(path, EnvConfig(), sweep_duration=30)["fidelity_trace"]
+        first = next(k for k, f in enumerate(trace) if f > 0.999)
+        assert first + 1 == 17
