@@ -1,16 +1,23 @@
 """Proximal policy optimization over the continuous action space.
 
-Each iteration, n_envs rollout workers collect fixed-length 200-step
-segments (environments reset internally on episode end) under a shared
-snapshot of the policy.  Advantages come from generalized advantage
-estimation with per-episode resets, are pooled across workers, and
+Each iteration collects a fixed-length segment of ``horizon`` steps from
+each of n_envs episodes, stepped in lockstep as the rows of one
+``VecGateEnv`` under a snapshot of the policy: one batched policy forward,
+one Hamiltonian build, one propagator call, one gate pipeline and one
+value forward per step.  A finished row is reset on its own and keeps
+going.  The value of a successor state is also the value of the next
+step's state, so the value net runs once per step; only the reset state
+and the states carried over from the last iteration are valued at the
+start of each iteration.  Advantages come from generalized advantage
+estimation with per-episode resets, are pooled across rows, and
 normalized over the whole iteration batch.  The policy head outputs the
 three control means; the standard deviation is a learned state-
 independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.
 
-Workers are merged in index order from per-worker seeded generators, so
-training is a pure function of (config, seed).
+Each row draws its action noise from its own seeded generator, and rows
+are pooled in index order, so training is a pure function of (config,
+seed).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..env import GateEnv, PulseSchedule
+from ..env import PulseSchedule, VecGateEnv
 
 
 N_CONTROLS = 3
@@ -60,11 +67,12 @@ class PpoConfig:
 
 @dataclass
 class Trajectory:
-    """One worker's fixed-length segment of experience.
+    """A fixed-length segment of experience, time on the leading axis.
 
-    next_values[t] is the value estimate of the successor state: zero
-    where the episode terminated, and the bootstrap value of the final
-    state where it was truncated (including the segment end).
+    Arrays are (T, ...) for one episode stream or (T, n_envs, ...) for a
+    lockstep batch.  next_values[t] is the value estimate of the successor
+    state: zero where the episode terminated, and the bootstrap value of the
+    final state where it was truncated (including the segment end).
     """
 
     observations: np.ndarray
@@ -105,19 +113,18 @@ class PpoResult:
 def gae(traj: Trajectory, gamma: float, lam: float):
     """Generalized advantage estimation with per-episode resets.
 
-    Returns raw (un-normalized) advantages and the value-regression
+    Works along the leading (time) axis, for every column of a batch at
+    once.  Returns raw (un-normalized) advantages and the value-regression
     returns A + V; normalization happens over the pooled iteration batch.
     """
     n = len(traj.rewards)
     if n == 0:
         raise ValueError("empty trajectory")
     deltas = traj.rewards + gamma * traj.next_values - traj.values
-    advantages = np.empty(n)
-    running = 0.0
+    advantages = np.empty_like(deltas)
+    running = np.zeros_like(deltas[0])
     for t in range(n - 1, -1, -1):
-        if traj.episode_ends[t]:
-            running = 0.0
-        running = deltas[t] + gamma * lam * running
+        running = deltas[t] + gamma * lam * np.where(traj.episode_ends[t], 0.0, running)
         advantages[t] = running
     return advantages, advantages + traj.values
 
@@ -192,67 +199,77 @@ def ppo_loss(
     return losses, (g_policy, g_log_std, g_value)
 
 
-class _Worker:
-    """Private environment plus seeded action noise for one rollout slot."""
+class _Rollout:
+    """n_envs episodes stepped in lockstep, one seeded noise stream per row.
 
-    def __init__(self, env: GateEnv, seed_seq: np.random.SeedSequence, index: int):
+    The episodes and their returns carry over from one iteration's segment
+    to the next.
+    """
+
+    def __init__(self, env: VecGateEnv, seed_seqs):
         self.env = env
-        self.rng = np.random.default_rng(seed_seq)
-        self.index = index
-        self.obs = env.reset(seed=index)
-        self.episode_return = 0.0
+        self.rngs = [np.random.default_rng(s) for s in seed_seqs]
+        self.obs = env.reset()
+        self.reset_obs = self.obs[0]
+        self.episode_return = np.zeros(env.n_envs)
 
     def collect(self, policy, log_std, value_net, cfg: PpoConfig):
-        """Roll one fixed-length segment; returns (Trajectory, episode infos)."""
-        T = cfg.horizon
-        obs_dim = self.env.config.obs_dim
-        obs_buf = np.empty((T, obs_dim))
-        act_buf = np.empty((T, N_CONTROLS))
-        logp_buf = np.empty(T)
-        rew_buf = np.empty(T)
-        val_buf = np.empty(T)
-        next_val_buf = np.empty(T)
-        term_buf = np.zeros(T, dtype=bool)
-        ends_buf = np.zeros(T, dtype=bool)
-        episodes = []
+        """Roll one fixed-length segment per row.
+
+        Returns a (T, n_envs) Trajectory and each row's finished episodes,
+        rows in index order.
+        """
+        T, n = cfg.horizon, self.env.n_envs
+        obs_buf = np.empty((T, *self.obs.shape))
+        act_buf = np.empty((T, n, N_CONTROLS))
+        logp_buf = np.empty((T, n))
+        rew_buf = np.empty((T, n))
+        val_buf = np.empty((T, n))
+        next_val_buf = np.empty((T, n))
+        term_buf = np.empty((T, n), dtype=bool)
+        ends_buf = np.empty((T, n), dtype=bool)
+        episodes = [[] for _ in range(n)]
+        v, _ = nn.forward(value_net, np.vstack([self.reset_obs, self.obs]))
+        v_reset, values = v[0, 0], v[1:, 0]
         for t in range(T):
             out, _ = nn.forward(policy, self.obs)
             if cfg.state_dependent_std:
-                mean, ls = out[:N_CONTROLS], out[N_CONTROLS:]
+                mean, ls = out[:, :N_CONTROLS], out[:, N_CONTROLS:]
             else:
                 mean, ls = out, log_std
-            action = mean + np.exp(ls) * self.rng.standard_normal(N_CONTROLS)
-            logp, _, _ = nn.gaussian_logprob(mean, ls, action)
-            v, _ = nn.forward(value_net, self.obs)
-            res = self.env.step_continuous(action)
+            noise = np.stack([rng.standard_normal(N_CONTROLS) for rng in self.rngs])
+            actions = mean + np.exp(ls) * noise
+            logp, _, _ = nn.gaussian_logprob(mean, ls, actions)
+            res = self.env.step_continuous(actions)
+            v_next, _ = nn.forward(value_net, res.observation)
+            v_next = v_next[:, 0]
+            done = res.terminated | res.truncated
             obs_buf[t] = self.obs
-            act_buf[t] = action
+            act_buf[t] = actions
             logp_buf[t] = logp
             rew_buf[t] = res.reward
-            val_buf[t] = v[0]
-            self.episode_return += res.reward
-            done = res.terminated or res.truncated
+            val_buf[t] = values
+            next_val_buf[t] = np.where(res.terminated, 0.0, v_next)
             term_buf[t] = res.terminated
-            ends_buf[t] = done or t == T - 1
-            if res.terminated:
-                next_val_buf[t] = 0.0
-            else:
-                v_next, _ = nn.forward(value_net, res.observation)
-                next_val_buf[t] = v_next[0]
-            if done:
-                episodes.append(
+            ends_buf[t] = done
+            self.episode_return += res.reward
+            for i in np.flatnonzero(done):
+                episodes[i].append(
                     {
-                        "return": self.episode_return,
-                        "fidelity": res.info["fidelity"],
-                        "duration": res.info["gate_duration"],
-                        "terminated": res.terminated,
-                        "schedule": self.env.export_schedule(),
+                        "return": float(self.episode_return[i]),
+                        "fidelity": float(res.info["fidelity"][i]),
+                        "duration": float(res.info["gate_duration"][i]),
+                        "terminated": bool(res.terminated[i]),
+                        "schedule": self.env.export_schedule(i),
                     }
                 )
-                self.obs = self.env.reset(seed=self.index)
-                self.episode_return = 0.0
-            else:
-                self.obs = res.observation
+            self.obs = res.observation
+            values = v_next
+            if done.any():
+                self.obs = self.env.reset(done)
+                self.episode_return[done] = 0.0
+                values = np.where(done, v_reset, v_next)
+        ends_buf[-1] = True
         traj = Trajectory(
             observations=obs_buf,
             actions=act_buf,
@@ -263,7 +280,12 @@ class _Worker:
             terminated=term_buf,
             episode_ends=ends_buf,
         )
-        return traj, episodes
+        return traj, [ep for row in episodes for ep in row]
+
+
+def _pool(x: np.ndarray) -> np.ndarray:
+    """(T, n_envs, ...) samples to (n_envs * T, ...), row by row."""
+    return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])
 
 
 def train_ppo(
@@ -274,16 +296,16 @@ def train_ppo(
 ) -> PpoResult:
     """Iterate rollout collection and clipped-surrogate updates.
 
-    env_factory() must build a fresh continuous-mode environment per
-    worker.  Stops at iterations_max, or earlier once some episode
-    reaches both the target fidelity and the target duration (when
-    stop_on_target is set).
+    env_factory() builds a ``GateEnv``; it is called once, and its config
+    sets up the n_envs rollout rows.  Stops at iterations_max, or earlier
+    once some episode reaches both the target fidelity and the target
+    duration (when stop_on_target is set).
     """
     cfg.validate()
     ss = np.random.SeedSequence(seed)
-    policy_seed, value_seed, shuffle_seed, *worker_seeds = ss.spawn(3 + cfg.n_envs)
-    probe_env = env_factory()
-    obs_dim = probe_env.config.obs_dim
+    policy_seed, value_seed, shuffle_seed, *row_seeds = ss.spawn(3 + cfg.n_envs)
+    env_config = env_factory().config
+    obs_dim = env_config.obs_dim
     policy_out = 2 * N_CONTROLS if cfg.state_dependent_std else N_CONTROLS
     policy = nn.init_mlp(obs_dim, policy_out, seed=policy_seed)
     log_std = np.full(N_CONTROLS, cfg.log_std_init)
@@ -293,32 +315,21 @@ def train_ppo(
     adam_value = nn.init_adam(value_net, lr=cfg.lr, lr_decay=cfg.lr_decay)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
-    workers = [
-        _Worker(env_factory(), wseed, i) for i, wseed in enumerate(worker_seeds)
-    ]
+    rollout = _Rollout(VecGateEnv(env_config, cfg.n_envs), row_seeds)
     result = PpoResult(policy=policy, log_std=log_std, value=value_net)
 
     for iteration in range(cfg.iterations_max):
         t0 = time.perf_counter()
-        all_traj, all_episodes = [], []
-        for worker in workers:
-            traj, episodes = worker.collect(policy, log_std, value_net, cfg)
-            all_traj.append(traj)
-            all_episodes.extend(episodes)
-
-        adv_parts, ret_parts = [], []
-        for traj in all_traj:
-            adv, ret = gae(traj, cfg.gamma, cfg.lam)
-            adv_parts.append(adv)
-            ret_parts.append(ret)
-        advantages = np.concatenate(adv_parts)
+        traj, all_episodes = rollout.collect(policy, log_std, value_net, cfg)
+        advantages, returns = gae(traj, cfg.gamma, cfg.lam)
+        advantages = _pool(advantages)
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         pooled = {
-            "observations": np.concatenate([t.observations for t in all_traj]),
-            "actions": np.concatenate([t.actions for t in all_traj]),
-            "log_probs": np.concatenate([t.log_probs for t in all_traj]),
+            "observations": _pool(traj.observations),
+            "actions": _pool(traj.actions),
+            "log_probs": _pool(traj.log_probs),
             "advantages": advantages,
-            "returns": np.concatenate(ret_parts),
+            "returns": _pool(returns),
         }
 
         n = len(advantages)

@@ -19,8 +19,8 @@ from .agents import TdConfig, PpoConfig
 
 ALGORITHMS = ("qlearning", "sarsa", "ppo")
 
-# YAML/JSON keys may use the spec-facing names; map onto dataclass fields.
-_ENV_ALIASES = {"lambda": "lam"}
+# Keys of every section may use the spec-facing names; map onto dataclass fields.
+_SECTION_KEY_ALIASES = {"lambda": "lam"}
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _build_section(cls, section: dict, name: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in section.items():
-        field_name = _ENV_ALIASES.get(key, key)
+        field_name = _SECTION_KEY_ALIASES.get(key, key)
         if field_name not in fields:
             raise ValueError(f"unknown key {name}.{key}")
         if isinstance(value, list):

@@ -10,11 +10,19 @@ at the step cap.
 Rewards: -1 per step, an extra -1 when a control hits its bound, and a
 fidelity-scaled bonus at the terminal step (larger when the gate also
 clears the high-fidelity tier).
+
+``VecGateEnv`` steps a batch of episodes in lockstep and holds the one
+implementation of the transition: propagation, gate pipeline, reward,
+termination and observation, all batch-first.  ``GateEnv`` is a one-row
+``VecGateEnv`` with the discrete action interface added, and
+``replay_schedule`` runs the same gate pipeline over all steps of a
+schedule at once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +83,9 @@ class EnvConfig:
 
 @dataclass
 class StepResult:
+    """One step's outcome; from ``VecGateEnv`` every field and info value is
+    an array over the rows."""
+
     observation: np.ndarray
     reward: float
     terminated: bool
@@ -138,137 +149,233 @@ def decode_action(index: int, delta: float) -> tuple[float, float, float]:
     return tuple(deltas)
 
 
-def compute_reward(
-    fidelity: float, boundary_hit: bool, terminated: bool, config: EnvConfig
-) -> float:
-    """Step penalty, boundary penalty, and fidelity-scaled terminal bonus."""
-    r = config.r_step
-    if boundary_hit:
-        r += config.r_boundary
-    if terminated:
-        scale = config.r_bonus if fidelity > config.f_bonus else config.r_success
-        r += scale * fidelity
-    return r
+def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
+    """Step penalty, boundary penalty, and fidelity-scaled terminal bonus.
+
+    Elementwise over arrays of steps; scalar arguments give a scalar.
+    """
+    scale = np.where(fidelity > config.f_bonus, config.r_bonus, config.r_success)
+    # A False flag times a finite term adds an exact zero.
+    return config.r_step + config.r_boundary * boundary_hit + terminated * scale * fidelity
 
 
-class GateEnv:
-    """Mutable episode state: controls, accumulated unitary, step counter."""
+def _gate(u_acc: np.ndarray):
+    """Gate pipeline of (B, 16, 16) accumulated unitaries.
 
-    def __init__(self, config: EnvConfig = EnvConfig()):
+    Returns the projected, compensated (B, 4, 4) gates, the (B,) compensation
+    flags and the fidelity report of (B,) arrays.  Each row's bits do not
+    depend on the other rows.
+    """
+    u_gate, compensated = sim.compensate(sim.project_to_computational(u_acc))
+    return u_gate, compensated, sim.gate_fidelity(u_gate)
+
+
+def _put(rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """A C-order copy of old whose selected rows come from new."""
+    out = old.copy()
+    out[rows] = new[rows]
+    return out
+
+
+class VecGateEnv:
+    """n_envs episodes advanced in lockstep as the rows of one batch.
+
+    Each row holds its own controls, accumulated unitary and step counter.
+    A step runs one Hamiltonian build, one propagator call, one stacked
+    accumulate and one gate pipeline over all rows.  A row's numbers do not
+    depend on the other rows, so every row equals a ``GateEnv`` episode
+    driven by the same actions, bit for bit.  A finished row must be reset,
+    with ``reset(rows)``, before the next step.
+    """
+
+    def __init__(self, config: EnvConfig, n_envs: int):
         config.validate()
+        if n_envs < 1:
+            raise ValueError(f"n_envs={n_envs} must be >= 1")
         self.config = config
+        self.n_envs = n_envs
+        self._lo, self._hi = (
+            np.array(b) for b in zip(config.eps_bounds, config.eps_bounds, config.tun_bounds)
+        )
+        self._rows = np.arange(n_envs)
+        self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
         self._live = False
 
-    def reset(self, seed: int = 0) -> np.ndarray:
-        """Start a new episode.  The dynamics are deterministic, so ``seed``
-        changes nothing; it is accepted for a uniform agent interface."""
+    @functools.cached_property
+    def _initial(self):
+        """Controls, unitaries, fidelity report and observations of fresh
+        episodes in every row; never modified, only replaced row by row."""
         cfg = self.config
-        self.eps = list(cfg.eps_init)
-        self.tun = cfg.tun_init
-        self.u_acc = np.eye(sim.DIM_FULL, dtype=complex)
-        self.steps = 0
-        self.delta = cfg.step_sizes[0]
-        self.schedule = PulseSchedule()
-        self._done = False
-        self._live = True
-        self._update_gate()
-        return self._observation()
+        controls = np.tile([*cfg.eps_init, cfg.tun_init], (self.n_envs, 1))
+        u_acc = np.tile(np.eye(sim.DIM_FULL, dtype=complex), (self.n_envs, 1, 1))
+        u_gate, _, report = _gate(u_acc)
+        return controls, u_acc, report, self._observations(u_gate, u_acc, report)
 
-    # -- internal pipeline ------------------------------------------------
+    def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Start new episodes in ``rows``, a boolean mask (default: all rows).
 
-    def _update_gate(self) -> None:
-        u4 = sim.project_to_computational(self.u_acc)
-        self.u_gate, self.compensated = sim.try_phase_compensate(u4)
-        self.fidelity_report = sim.gate_fidelity(self.u_gate)
+        Returns the observations of all rows.  Arrays handed out earlier are
+        not modified.
+        """
+        if rows is None:
+            self.controls, self.u_acc, self.report, self.observation = self._initial
+            self.steps = np.zeros(self.n_envs, dtype=int)
+            self._done = np.zeros(self.n_envs, dtype=bool)
+            self._live = True
+            return self.observation
+        if not self._live:
+            raise RuntimeError("environment not reset")
+        controls, u_acc, report, observation = self._initial
+        self.controls = _put(rows, controls, self.controls)
+        self.u_acc = _put(rows, u_acc, self.u_acc)
+        self.steps = np.where(rows, 0, self.steps)
+        self.report = sim.FidelityReport(*(
+            _put(rows, getattr(report, f), getattr(self.report, f))
+            for f in ("fidelity", "unitarity_trace", "overlap")
+        ))
+        self.observation = _put(rows, observation, self.observation)
+        self._done = self._done & ~rows
+        return self.observation
 
-    def _observation(self) -> np.ndarray:
-        if self.config.obs_mode == "computational4":
-            u = self.u_gate
-        else:
-            u = self.u_acc
-        flat = u.ravel()
-        features = np.empty(2 * flat.size + 1)
-        features[0:-1:2] = flat.real
-        features[1:-1:2] = flat.imag
-        features[-1] = self.fidelity_report.fidelity
-        return features
-
-    def _apply_step(self, boundary_hit: bool, adapt_delta: bool) -> StepResult:
-        cfg = self.config
-        params = sim.HamiltonianParams(
-            eps=(self.eps[0], self.eps[1]), tun=self.tun, u=cfg.u, ez=cfg.ez
-        )
-        u_step = sim.step_unitaries(sim.build_hamiltonian(params), cfg.dt)
-        self.u_acc = sim.accumulate(u_step, self.u_acc)
-        self.steps += 1
-        self.schedule.rows.append((self.steps - 1, self.eps[0], self.eps[1], self.tun))
-        self._update_gate()
-        fid = self.fidelity_report.fidelity
-
-        if adapt_delta:
-            if fid > cfg.step_thresholds[1]:
-                self.delta = min(self.delta, cfg.step_sizes[2])
-            elif fid > cfg.step_thresholds[0]:
-                self.delta = min(self.delta, cfg.step_sizes[1])
-
-        terminated = fid > cfg.f_terminal
-        truncated = (not terminated) and self.steps >= cfg.max_steps
-        reward = compute_reward(fid, boundary_hit, terminated, cfg)
-        self._done = terminated or truncated
-        info = {
-            "fidelity": fid,
-            "gate_duration": self.steps * cfg.dt,
-            "eps0": self.eps[0],
-            "eps1": self.eps[1],
-            "tunnel": self.tun,
-            "boundary_hit": boundary_hit,
-            "compensated": self.compensated,
-        }
-        return StepResult(self._observation(), reward, terminated, truncated, info)
+    def _observations(self, u_gate, u_acc, report) -> np.ndarray:
+        """Interleaved real and imaginary parts of each row's gate (or, for
+        full16, accumulated unitary), then the row's fidelity."""
+        u = u_gate if self.config.obs_mode == "computational4" else u_acc
+        flat = u.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
+        return np.concatenate([flat, report.fidelity[:, None]], axis=1)
 
     def _check_live(self) -> None:
         if not self._live:
             raise RuntimeError("environment not reset")
-        if self._done:
+        if self._done.any():
             raise RuntimeError("step called on a finished episode; reset first")
+
+    def advance(self, controls: np.ndarray, boundary_hit: np.ndarray) -> StepResult:
+        """Hold in-bounds (n_envs, 3) controls (eps0, eps1, tunnel) for one dt.
+
+        Returns a StepResult whose fields, and info values, are (n_envs,)
+        arrays, with (n_envs, obs_dim) observations.
+        """
+        self._check_live()
+        cfg = self.config
+        params = sim.HamiltonianParams(
+            eps=controls[:, :2], tun=controls[:, 2], u=cfg.u, ez=cfg.ez
+        )
+        u_step = sim.step_unitaries(sim.build_hamiltonian(params), cfg.dt)
+        self.u_acc = sim.accumulate(u_step, self.u_acc)
+        self._history[self._rows, self.steps] = controls
+        self.controls = controls
+        self.steps = self.steps + 1
+        u_gate, compensated, self.report = _gate(self.u_acc)
+        self.observation = self._observations(u_gate, self.u_acc, self.report)
+        fid = self.report.fidelity
+        terminated = fid > cfg.f_terminal
+        at_cap = self.steps >= cfg.max_steps
+        truncated = at_cap & ~terminated
+        self._done = terminated | at_cap
+        info = {
+            "fidelity": fid,
+            "gate_duration": self.steps * cfg.dt,
+            "eps0": controls[:, 0],
+            "eps1": controls[:, 1],
+            "tunnel": controls[:, 2],
+            "boundary_hit": boundary_hit,
+            "compensated": compensated,
+        }
+        reward = compute_reward(fid, boundary_hit, terminated, cfg)
+        return StepResult(self.observation, reward, terminated, truncated, info)
+
+    def step_continuous(self, actions) -> StepResult:
+        """One (n_envs, 3) continuous action per row, see ``GateEnv``."""
+        actions = np.asarray(actions, dtype=float)
+        if actions.shape != (self.n_envs, 3):
+            raise ValueError(
+                f"continuous actions must have shape ({self.n_envs}, 3), got {actions.shape}"
+            )
+        if not np.all(np.isfinite(actions)):
+            row = int(np.argwhere(~np.isfinite(actions))[0, 0])
+            raise ValueError(f"continuous action {actions[row]} of row {row} is not finite")
+        clipped = np.clip(actions, -1.0, 1.0)
+        boundary_hit = np.any(clipped != actions, axis=-1)
+        return self.advance(self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo), boundary_hit)
+
+    def export_schedule(self, row: int) -> PulseSchedule:
+        """The controls applied so far in the episode of one row."""
+        n = int(self.steps[row])
+        if n == 0:
+            raise RuntimeError("no steps taken yet")
+        return PulseSchedule(
+            rows=[(t, *c) for t, c in enumerate(self._history[row, :n].tolist())]
+        )
+
+
+class GateEnv:
+    """One episode: the single row of a one-row ``VecGateEnv``, plus the
+    discrete action interface with its adaptive step size."""
+
+    def __init__(self, config: EnvConfig = EnvConfig()):
+        self._batch = VecGateEnv(config, 1)
+        self.config = config
+
+    def reset(self, seed: int = 0) -> np.ndarray:
+        """Start a new episode.  The dynamics are deterministic, so ``seed``
+        changes nothing; it is accepted for a uniform agent interface."""
+        self.delta = self.config.step_sizes[0]
+        return self._batch.reset()[0]
+
+    @property
+    def steps(self) -> int:
+        return int(self._batch.steps[0])
+
+    @property
+    def u_acc(self) -> np.ndarray:
+        return self._batch.u_acc[0]
+
+    @property
+    def fidelity_report(self) -> sim.FidelityReport:
+        return self._batch.report.row(0)
+
+    @staticmethod
+    def _row(res: StepResult) -> StepResult:
+        return StepResult(
+            res.observation[0], res.reward.item(), res.terminated.item(),
+            res.truncated.item(), {k: v.item() for k, v in res.info.items()},
+        )
 
     # -- public action interfaces -----------------------------------------
 
     def step_discrete(self, action: int) -> StepResult:
-        self._check_live()
+        """Move each control by -delta, 0 or +delta (``decode_action``),
+        clipped to its bounds; a clip counts as a boundary hit.  delta shrinks
+        to the next step size once the fidelity passes each step threshold."""
+        self._batch._check_live()
         cfg = self.config
-        d_eps0, d_eps1, d_tun = decode_action(action, self.delta)
+        controls = self._batch.controls[0].tolist()
+        bounds = (cfg.eps_bounds, cfg.eps_bounds, cfg.tun_bounds)
         boundary_hit = False
-        for k, d in ((0, d_eps0), (1, d_eps1)):
-            raw = self.eps[k] + d
-            clipped = min(max(raw, cfg.eps_bounds[0]), cfg.eps_bounds[1])
-            boundary_hit |= clipped != raw
-            self.eps[k] = clipped
-        raw = self.tun + d_tun
-        clipped = min(max(raw, cfg.tun_bounds[0]), cfg.tun_bounds[1])
-        boundary_hit |= clipped != raw
-        self.tun = clipped
-        return self._apply_step(boundary_hit, adapt_delta=True)
+        for k, (d, (lo, hi)) in enumerate(zip(decode_action(action, self.delta), bounds)):
+            raw = controls[k] + d
+            controls[k] = min(max(raw, lo), hi)
+            boundary_hit |= controls[k] != raw
+        res = self._row(self._batch.advance(np.array([controls]), np.array([boundary_hit])))
+        fid = res.info["fidelity"]
+        if fid > cfg.step_thresholds[1]:
+            self.delta = min(self.delta, cfg.step_sizes[2])
+        elif fid > cfg.step_thresholds[0]:
+            self.delta = min(self.delta, cfg.step_sizes[1])
+        return res
 
     def step_continuous(self, action) -> StepResult:
-        self._check_live()
-        cfg = self.config
+        """Set each control to the point of its bounds given by an action
+        component in [-1, 1]; components outside are clipped, which counts
+        as a boundary hit."""
         action = np.asarray(action, dtype=float)
         if action.shape != (3,):
             raise ValueError(f"continuous action must have 3 components, got {action.shape}")
-        clipped = np.clip(action, -1.0, 1.0)
-        boundary_hit = bool(np.any(clipped != action))
-        ranges = (cfg.eps_bounds, cfg.eps_bounds, cfg.tun_bounds)
-        values = [
-            lo + (a + 1.0) * 0.5 * (hi - lo) for a, (lo, hi) in zip(clipped, ranges)
-        ]
-        self.eps[0], self.eps[1], self.tun = values
-        return self._apply_step(boundary_hit, adapt_delta=False)
+        return self._row(self._batch.step_continuous(action[None]))
 
     def export_schedule(self) -> PulseSchedule:
-        if not self.schedule.rows:
-            raise RuntimeError("no steps taken yet")
-        return PulseSchedule(rows=list(self.schedule.rows))
+        return self._batch.export_schedule(0)
 
 
 def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
@@ -290,9 +397,9 @@ def replay_schedule(
     """Re-evolve a stored schedule through the simulator alone.
 
     All step propagators come from one batched Hamiltonian build and one
-    batched ``sim.step_unitaries`` call, whose rows equal the environment's
-    unbatched calls bit for bit; the rest follows the environment pipeline
-    in the same operation order, so the returned final fidelity matches the
+    batched ``sim.step_unitaries`` call, and the gate pipeline runs once over
+    all accumulated unitaries.  Every row of these calls equals the
+    environment's row bit for bit, so the returned fidelities match the
     producing episode bitwise.  Out of bounds or non-finite controls raise
     ValueError naming the step.  Returns the final report and the per-step
     fidelity trace.
@@ -300,12 +407,10 @@ def replay_schedule(
     u_steps = sim.step_unitaries(
         sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
     )
-    u_acc = np.eye(sim.DIM_FULL, dtype=complex)
-    trace = []
-    report = sim.gate_fidelity(sim.project_to_computational(u_acc))
-    for u_step in u_steps:
-        u_acc = sim.accumulate(u_step, u_acc)
-        u4, _ = sim.try_phase_compensate(sim.project_to_computational(u_acc))
-        report = sim.gate_fidelity(u4)
-        trace.append(report.fidelity)
-    return report, trace
+    # Row 0 is the identity before the first step.
+    u_acc = np.empty((len(u_steps) + 1, sim.DIM_FULL, sim.DIM_FULL), dtype=complex)
+    u_acc[0] = np.eye(sim.DIM_FULL)
+    for t, u_step in enumerate(u_steps):
+        u_acc[t + 1] = sim.accumulate(u_step, u_acc[t])
+    _, _, report = _gate(u_acc)
+    return report.row(-1), report.fidelity[1:].tolist()

@@ -21,7 +21,9 @@ there, so each slot is a real symmetric 4x4 matrix.  The Hamiltonian
 build and the propagator take a leading batch axis of steps: T steps cost
 one stacked ``eigh`` over a (T, 4, 4, 4) array and one scatter into dense
 (T, 16, 16) step unitaries.  Dense 16x16 matrices are only assembled from
-the slots, never diagonalized.
+the slots, never diagonalized.  The gate pipeline (projection, virtual-Z
+compensation, fidelity) takes the same leading batch axis, and every batched
+function gives each row the bits it would get alone.
 
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
@@ -165,6 +167,8 @@ _CONTROL_BOUNDS = (EPS_BOUNDS, EPS_BOUNDS, TUN_BOUNDS)
 
 _COMP = np.asarray(COMPUTATIONAL_INDICES)
 _COMP_ROWS, _COMP_COLS = _COMP[:, None], _COMP[None, :]
+# Diagonal entries 0, 1, 2 of a flattened 4x4: they fix the virtual-Z phases.
+_DIAG3 = slice(0, 2 * DIM_COMP + 3, DIM_COMP + 1)
 
 
 @dataclass(frozen=True)
@@ -220,11 +224,18 @@ class FidelityReport:
 
     fidelity = (unitarity_trace + overlap) / (d*(d+1)) with d = 4, where
     unitarity_trace = Tr(U^dag U) and overlap = |Tr(U_target^dag U)|^2.
+    The report of a stack of gates holds arrays over the stack.
     """
 
-    fidelity: float
-    unitarity_trace: float
-    overlap: float
+    fidelity: float | np.ndarray
+    unitarity_trace: float | np.ndarray
+    overlap: float | np.ndarray
+
+    def row(self, i: int) -> "FidelityReport":
+        """The report of gate i of a stacked report."""
+        return FidelityReport(
+            float(self.fidelity[i]), float(self.unitarity_trace[i]), float(self.overlap[i])
+        )
 
 
 def _scatter(blocks: np.ndarray) -> np.ndarray:
@@ -301,66 +312,79 @@ def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:
 def project_to_computational(u16: np.ndarray) -> np.ndarray:
     """Extract the 4x4 block over the computational indices {5,6,9,10}.
 
-    The result is generally sub-unitary: amplitude outside the block is
-    leakage and is simply dropped.
+    Takes (16, 16) or a stack (..., 16, 16).  The result is generally
+    sub-unitary: amplitude outside the block is leakage and is simply dropped.
     """
-    if u16.shape != (DIM_FULL, DIM_FULL):
-        raise ValueError(f"expected {DIM_FULL}x{DIM_FULL} matrix, got {u16.shape}")
-    return u16[_COMP_ROWS, _COMP_COLS]
+    if u16.shape[-2:] != (DIM_FULL, DIM_FULL):
+        raise ValueError(f"expected {DIM_FULL}x{DIM_FULL} matrices, got {u16.shape}")
+    return u16[..., _COMP_ROWS, _COMP_COLS]
 
 
-def _compensation_phases(d) -> np.ndarray:
-    """Column of phases e^{i lambda_ab} removing global + single-qubit Z.
+def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
+    """Remove the global phase and one virtual-Z per qubit where possible.
 
-    d holds u4[0,0], u4[1,1], u4[2,2] as Python complex numbers.  With
-    z_k = conj(d_k)/|d_k|, the phases are (z0, z1, z2, z1*z2/z0).
+    Takes (4, 4) or a stack (..., 4, 4) and returns (gates, ok).  With
+    z_k = conj(d_k)/|d_k| for the diagonal entries d_0, d_1, d_2, row k is
+    multiplied by (z_0, z_1, z_2, z_1 z_2 conj(z_0))[k]; afterwards entries
+    0, 1, 2 of the diagonal have zero argument, so a gate diagonal-equivalent
+    to CZ becomes exactly diag(1, 1, 1, -1).  ok is False for a gate with some
+    |d_k| below tol, which is returned unchanged.  All operations are
+    elementwise, so a gate's bits do not depend on the stack it is in.
     """
-    z0, z1, z2 = (x.conjugate() / abs(x) for x in d)
-    return np.array([[z0], [z1], [z2], [z1 * z2 / z0]])
+    if u4.shape[-2:] != (DIM_COMP, DIM_COMP):
+        raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrices, got {u4.shape}")
+    d = u4.reshape(*u4.shape[:-2], DIM_COMP * DIM_COMP)[..., _DIAG3]
+    mag = np.abs(d)
+    ok = mag.min(axis=-1) >= tol
+    z = d.conj() / np.maximum(mag, tol)  # finite also for the gates left unchanged
+    z3 = z[..., 1:2] * z[..., 2:3] * z[..., 0:1].conj()
+    out = np.empty(u4.shape, dtype=complex)  # C order, whatever u4's layout
+    np.multiply(np.concatenate([z, z3], axis=-1)[..., None], u4, out=out)
+    if not ok.all():
+        out[~ok] = u4[~ok]
+    return out, ok
 
 
 def phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL) -> np.ndarray:
-    """Remove the global phase and one virtual-Z per qubit from u4.
-
-    Afterwards the diagonal entries 0, 1, 2 have zero argument, so a gate
-    that is diagonal-equivalent to CZ becomes exactly diag(1, 1, 1, -1).
-    """
+    """``compensate`` one 4x4 gate, raising if it cannot be compensated."""
     if u4.shape != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrix, got {u4.shape}")
-    mags = np.abs(np.diag(u4)[:3])
-    if np.any(mags < tol):
+    out, ok = compensate(u4, tol)
+    if not ok:
+        mags = np.abs(np.diag(u4)[:3])
         k = int(np.argmin(mags))
         raise CompensationDegenerate(
             f"|u4[{k},{k}]|={mags[k]:.3e} below {tol}; gate too far from "
             "diagonal-equivalent to compensate"
         )
-    return _compensation_phases(u4.diagonal()[:3].tolist()) * u4
+    return out
 
 
 def try_phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL):
-    """Compensate if possible; otherwise return u4 unchanged.
-
-    Returns (matrix, compensated_flag).  Used mid-episode where a
-    degenerate state should not abort the run.
-    """
-    d = u4.diagonal()[:3].tolist()
-    if min(abs(x) for x in d) < tol:
-        return u4, False
-    return _compensation_phases(d) * u4, True
+    """``compensate`` one 4x4 gate; returns (matrix, compensated) with a bool
+    flag, and u4 unchanged where it cannot be compensated."""
+    out, ok = compensate(u4, tol)
+    return out, bool(ok)
 
 
 def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityReport:
-    """Fidelity of a projected, compensated 4x4 gate against the target."""
-    if u_final.shape != (DIM_COMP, DIM_COMP):
+    """Fidelity of a projected, compensated 4x4 gate against the target.
+
+    For a stack (..., 4, 4) the report's fields are arrays over the stack.
+    Each sum runs over one gate's own 16 entries, so a gate's bits do not
+    depend on the stack it is in.
+    """
+    if u_final.shape[-2:] != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrix, got {u_final.shape}")
     if u_target.shape != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} target, got {u_target.shape}")
-    # vdot conjugates its first argument: Tr(A^dag B) = vdot(A, B).
-    unitarity = float(np.vdot(u_final, u_final).real)
-    overlap = float(abs(np.vdot(u_target, u_final)) ** 2)
+    # C order makes each sum run over one gate's own contiguous entries.
+    u = np.ascontiguousarray(u_final).reshape(*u_final.shape[:-2], DIM_COMP * DIM_COMP)
+    ri = u.view(float)  # (re, im) pairs
+    unitarity = (ri * ri).sum(axis=-1)
+    overlap = np.abs((u * u_target.ravel().conj()).sum(axis=-1)) ** 2  # |Tr(T^dag U)|^2
     d = DIM_COMP
-    return FidelityReport(
-        fidelity=(unitarity + overlap) / (d * (d + 1)),
-        unitarity_trace=unitarity,
-        overlap=overlap,
-    )
+    fidelity = (unitarity + overlap) / (d * (d + 1))
+    if u_final.ndim == 2:
+        return FidelityReport(float(fidelity), float(unitarity), float(overlap))
+    return FidelityReport(fidelity, unitarity, overlap)

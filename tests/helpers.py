@@ -1,5 +1,7 @@
 """Shared independent oracles used across test modules."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from dotgate import nn
@@ -97,19 +99,29 @@ def stacked_forward(arrays, x):
 _FD_CHUNK = 256
 
 
+class FdReport(NamedTuple):
+    """Worst |fd - analytic| over all entries, and worst relative error
+    |fd - analytic| / max(|fd|, |analytic|) over entries whose magnitude
+    max(|fd|, |analytic|) exceeds abs_floor."""
+
+    worst_abs: float
+    worst_rel: float
+
+
 def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1e-8):
     """Check every analytic parameter gradient against central differences.
 
     Loss is the fixed linear functional L = loss_weights . y, so dL/dy is
     exact and any mismatch isolates the backward pass.  The +h and -h
     forwards of up to ``_FD_CHUNK`` entries run as one stacked forward.
-    Returns the worst relative error seen.
+    An entry fails when |fd - analytic| >= abs_floor and its relative error
+    is >= rel_tol.  Returns an FdReport.
     """
     y, cache = nn.forward(params, x)
     grads = nn.backward(params, cache, loss_weights)
     arrays = params.as_list()
 
-    worst = 0.0
+    worst_abs = worst_rel = 0.0
     for ai, g in enumerate(grads.as_list()):
         arr = arrays[ai]
         for start in range(0, arr.size, _FD_CHUNK):
@@ -124,13 +136,14 @@ def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1
             fd = (f[0::2] - f[1::2]) / (2 * h)
             analytic = g.ravel()[entries]
             diff = np.abs(fd - analytic)
+            magnitude = np.maximum(np.abs(fd), np.abs(analytic))
             checked = diff >= abs_floor
             err = np.zeros_like(diff)
-            err[checked] = diff[checked] / np.maximum(
-                np.abs(fd[checked]), np.abs(analytic[checked])
-            )
-            if err.size:
-                worst = max(worst, float(err.max()))
+            err[checked] = diff[checked] / magnitude[checked]
+            large = magnitude > abs_floor
+            worst_abs = max(worst_abs, float(diff.max()))
+            if large.any():
+                worst_rel = max(worst_rel, float((diff[large] / magnitude[large]).max()))
             bad = np.flatnonzero(err >= rel_tol)
             if bad.size:
                 k = bad[0]
@@ -138,4 +151,4 @@ def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1
                 raise AssertionError(
                     f"array {ai} index {idx}: analytic {analytic[k]}, fd {fd[k]}, rel {err[k]}"
                 )
-    return worst
+    return FdReport(worst_abs, worst_rel)

@@ -1,5 +1,7 @@
 """TD targets, epsilon-greedy, GAE, PPO loss, and small training runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from dotgate.agents import (
     train_ppo,
     train_td,
 )
-from dotgate.agents.ppo import _Worker
-from dotgate.env import GateEnv
+from dotgate.agents.ppo import _Rollout
+from dotgate.env import EnvConfig, GateEnv, VecGateEnv, replay_schedule
 
 
 class TestEpsilonGreedy:
@@ -302,12 +304,53 @@ class TestTrainPpo:
         policy = nn.init_mlp(33, 3, seed=80)
         value = nn.init_mlp(33, 1, seed=81)
         log_std = np.full(3, np.log(0.5))
-        worker = _Worker(GateEnv(), np.random.SeedSequence(82), 0)
-        traj, episodes = worker.collect(policy, log_std, value, cfg)
-        assert len(traj.rewards) == 50
-        assert traj.episode_ends[-1]
-        # 4 workers x 50 steps pool to 200 samples
-        assert cfg.n_envs * cfg.horizon == 200
+        seeds = np.random.SeedSequence(82).spawn(cfg.n_envs)
+        rollout = _Rollout(VecGateEnv(EnvConfig(), cfg.n_envs), seeds)
+        traj, episodes = rollout.collect(policy, log_std, value, cfg)
+        assert traj.rewards.shape == (50, 4)
+        assert traj.observations.shape == (50, 4, 33)
+        assert traj.episode_ends[-1].all()
+        for ep in episodes:
+            assert len(ep["schedule"]) == ep["duration"]
+        # GAE over the (T, n_envs) batch equals GAE of each row alone.
+        adv, ret = gae(traj, cfg.gamma, cfg.lam)
+        for i in range(cfg.n_envs):
+            row = Trajectory(*(
+                getattr(traj, f.name)[:, i] for f in dataclasses.fields(Trajectory)
+            ))
+            adv_i, ret_i = gae(row, cfg.gamma, cfg.lam)
+            assert np.array_equal(adv_i, adv[:, i])
+            assert np.array_equal(ret_i, ret[:, i])
+
+    def test_value_net_runs_once_per_sample(self, monkeypatch):
+        cfg = PpoConfig(horizon=30, n_envs=3)
+        policy = nn.init_mlp(33, 3, seed=83)
+        value = nn.init_mlp(33, 1, seed=84)
+        rows = {"policy": 0, "value": 0}
+        forward = nn.forward
+
+        def counting_forward(p, x):
+            rows["value" if p is value else "policy"] += np.atleast_2d(x).shape[0]
+            return forward(p, x)
+
+        monkeypatch.setattr(nn, "forward", counting_forward)
+        seeds = np.random.SeedSequence(85).spawn(cfg.n_envs)
+        rollout = _Rollout(VecGateEnv(EnvConfig(), cfg.n_envs), seeds)
+        for _ in range(2):
+            rollout.collect(policy, np.full(3, np.log(0.5)), value, cfg)
+        samples = 2 * cfg.horizon * cfg.n_envs
+        assert rows["policy"] == samples
+        assert rows["value"] / samples <= 1 + 2 / cfg.horizon
+
+    def test_best_schedule_replays_exactly(self):
+        cfg = PpoConfig(horizon=40, n_envs=3, iterations_max=2, epochs_per_iter=1,
+                        stop_on_target=False)
+        env_config = EnvConfig(max_steps=25)
+        result = train_ppo(lambda: GateEnv(env_config), cfg, seed=19)
+        assert sum(s.episodes for s in result.stats) >= cfg.n_envs
+        report, trace = replay_schedule(result.best_schedule, env_config)
+        assert report.fidelity == result.best_fidelity
+        assert len(trace) == result.best_duration
 
     def test_smoke_run_and_determinism(self):
         cfg = PpoConfig(horizon=40, n_envs=2, iterations_max=3, epochs_per_iter=2,

@@ -10,6 +10,7 @@ from dotgate.env import (
     EnvConfig,
     GateEnv,
     PulseSchedule,
+    VecGateEnv,
     compute_reward,
     decode_action,
     replay_schedule,
@@ -272,6 +273,75 @@ class TestReplay:
         report, trace = replay_schedule(PulseSchedule())
         assert report.fidelity == pytest.approx(0.4, abs=1e-12)
         assert trace == []
+
+
+class TestVecGateEnv:
+    # Continuous action that holds the initial controls (170, 70, 2.5) GHz.
+    HOLD = np.array([170.0 / 750.0, 70.0 / 750.0, 0.0])
+
+    def test_rows_equal_single_episodes_bitwise(self):
+        # Row 0 holds the initial controls and terminates after ~17 ns; the
+        # other rows add noise of growing width, so they truncate at the cap
+        # and the widest hits the bounds most steps.
+        cfg = EnvConfig(max_steps=25)
+        scales = np.array([0.0, 1e-3, 0.05, 0.3, 2.0])
+        n = len(scales)
+        rng = np.random.default_rng(26)
+        venv = VecGateEnv(cfg, n)
+        envs = [GateEnv(cfg) for _ in range(n)]
+        initial = GateEnv(cfg).reset()
+        obs = venv.reset()
+        for i, env in enumerate(envs):
+            assert np.array_equal(env.reset(), obs[i])
+        fidelities = [[] for _ in range(n)]
+        seen = {"terminated": 0, "truncated": 0, "boundary_hit": 0}
+        for _ in range(120):
+            actions = self.HOLD + scales[:, None] * rng.standard_normal((n, 3))
+            res = venv.step_continuous(actions)
+            for i, env in enumerate(envs):
+                single = env.step_continuous(actions[i])
+                assert res.observation[i].tobytes() == single.observation.tobytes()
+                assert res.reward[i] == single.reward
+                assert res.terminated[i] == single.terminated
+                assert res.truncated[i] == single.truncated
+                assert {k: v[i] for k, v in res.info.items()} == single.info
+                fidelities[i].append(single.info["fidelity"])
+                if single.terminated or single.truncated:
+                    assert venv.export_schedule(i).rows == env.export_schedule().rows
+                    report, trace = replay_schedule(env.export_schedule(), cfg)
+                    assert trace == fidelities[i]
+                    assert report == env.fidelity_report
+                    fidelities[i] = []
+                    env.reset()
+            for key in ("terminated", "truncated"):
+                seen[key] += int(getattr(res, key).sum())
+            seen["boundary_hit"] += int(res.info["boundary_hit"].sum())
+            done = res.terminated | res.truncated
+            if done.any():
+                obs = venv.reset(done)
+                assert all(np.array_equal(row, initial) for row in obs[done])
+                assert np.array_equal(obs[~done], res.observation[~done])
+        assert min(seen.values()) > 0, seen
+
+    def test_finished_row_must_be_reset(self):
+        venv = VecGateEnv(EnvConfig(max_steps=1), 2)
+        with pytest.raises(RuntimeError, match="reset"):
+            venv.step_continuous(np.zeros((2, 3)))
+        venv.reset()
+        res = venv.step_continuous(np.zeros((2, 3)))
+        assert res.truncated.all()
+        with pytest.raises(RuntimeError, match="reset"):
+            venv.step_continuous(np.zeros((2, 3)))
+        venv.reset(np.array([True, True]))
+        venv.step_continuous(np.zeros((2, 3)))
+
+    def test_bad_actions_rejected(self):
+        venv = VecGateEnv(EnvConfig(), 2)
+        venv.reset()
+        with pytest.raises(ValueError, match="shape"):
+            venv.step_continuous(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            venv.step_continuous([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
 
 
 class TestInvariants:

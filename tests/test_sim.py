@@ -265,6 +265,31 @@ class TestGateFidelity:
             assert 0.0 <= rep.fidelity <= 1.0 + 1e-12
 
 
+class TestStackedGatePipeline:
+    def test_stacked_rows_equal_single_gates_bitwise(self):
+        rng = np.random.default_rng(35)
+        u16 = np.stack([random_unitary(rng, 16) for _ in range(64)])
+        u16[3, 6, 6] = 0.0  # a gate that cannot be compensated
+        u4 = sim.project_to_computational(u16)
+        gates, ok = sim.compensate(u4)
+        report = sim.gate_fidelity(gates)
+        assert ok.tolist() == [i != 3 for i in range(64)]
+        for i in range(64):
+            assert np.array_equal(u4[i], sim.project_to_computational(u16[i]))
+            single, flag = sim.try_phase_compensate(u4[i])
+            assert flag is bool(ok[i])
+            assert np.array_equal(gates[i], single)
+            assert report.row(i) == sim.gate_fidelity(single)
+        for size in (1, 2, 7):
+            for start in range(0, 64 - size, 5):
+                part = slice(start, start + size)
+                g, k = sim.compensate(u4[part])
+                assert np.array_equal(g, gates[part]) and np.array_equal(k, ok[part])
+                r = sim.gate_fidelity(g)
+                assert np.array_equal(r.fidelity, report.fidelity[part])
+                assert np.array_equal(r.overlap, report.overlap[part])
+
+
 class TestSectors:
     def test_slot_layout(self):
         expected = [[3, 6, 9, 12], [1, 4, 2, 8], [7, 13, 11, 14], [0, 5, 10, 15]]
