@@ -13,7 +13,9 @@ estimation with per-episode resets, are pooled across rows, and
 normalized over the whole iteration batch.  The policy head outputs the
 three control means; the standard deviation is a learned state-
 independent log-std vector.  Updates run several epochs of shuffled
-minibatches on the clipped surrogate plus a value regression term.
+minibatches on the clipped surrogate plus a value regression term.  The
+policy net, the log-std vector and the value net are views of one packed
+parameter vector, so each minibatch is one Adam step over all three.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -288,6 +290,17 @@ def _pool(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])
 
 
+def _unpack(flat: np.ndarray, shapes):
+    """Policy net, log-std vector and value net as views of the packed vector."""
+    views = nn.unpack(flat, shapes)
+    k = len(views) // 2
+    return (
+        nn.MlpParameters.from_list(views[:k]),
+        views[k],
+        nn.MlpParameters.from_list(views[k + 1:]),
+    )
+
+
 def train_ppo(
     env_factory,
     cfg: PpoConfig = PpoConfig(),
@@ -310,9 +323,12 @@ def train_ppo(
     policy = nn.init_mlp(obs_dim, policy_out, seed=policy_seed)
     log_std = np.full(N_CONTROLS, cfg.log_std_init)
     value_net = nn.init_mlp(obs_dim, 1, seed=value_seed)
-    adam_policy = nn.init_adam(policy, lr=cfg.lr, lr_decay=cfg.lr_decay)
-    adam_log_std = nn.init_adam([log_std], lr=cfg.lr, lr_decay=cfg.lr_decay)
-    adam_value = nn.init_adam(value_net, lr=cfg.lr, lr_decay=cfg.lr_decay)
+    parts = [*policy.as_list(), log_std, *value_net.as_list()]
+    shapes = [a.shape for a in parts]
+    flat = nn.pack(parts)
+    policy, log_std, value_net = _unpack(flat, shapes)
+    grad = np.empty_like(flat)
+    adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     rollout = _Rollout(VecGateEnv(env_config, cfg.n_envs), row_seeds)
@@ -337,17 +353,17 @@ def train_ppo(
         n_batches = 0
         for _ in range(cfg.epochs_per_iter):
             perm = shuffle_rng.permutation(n)
+            shuffled = {k: v[perm] for k, v in pooled.items()}
             for start in range(0, n, cfg.minibatch):
-                idx = perm[start:start + cfg.minibatch]
-                batch = {k: v[idx] for k, v in pooled.items()}
+                batch = {k: v[start:start + cfg.minibatch] for k, v in shuffled.items()}
                 losses, (g_p, g_ls, g_v) = ppo_loss(
                     batch, policy, log_std, value_net, cfg
                 )
-                policy, adam_policy = nn.adam_step(policy, g_p, adam_policy)
-                (log_std,), adam_log_std = nn.adam_update(
-                    [log_std], [g_ls], adam_log_std
+                np.concatenate(
+                    [*g_p.as_list(), g_ls, *g_v.as_list()], axis=None, out=grad
                 )
-                value_net, adam_value = nn.adam_step(value_net, g_v, adam_value)
+                (flat,), adam = nn.adam_update([flat], [grad], adam)
+                policy, log_std, value_net = _unpack(flat, shapes)
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1

@@ -92,18 +92,17 @@ def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> f
     return r + gamma * q_next_at_a
 
 
-def _update(params, adam, obs, action, target_value, alpha):
-    """One Adam step regressing Q(s, action) toward the mixed target."""
+def _update(params, obs, action, target_value, alpha) -> nn.GradientSet:
+    """Gradient of the MSE regressing Q(s, action) toward the mixed target."""
     q, cache = nn.forward(params, obs)
     target = q.copy()
     target[action] = (1.0 - alpha) * q[action] + alpha * target_value
     _, dq = nn.mse_loss(q, target)
-    grads = nn.backward(params, cache, dq)
-    return nn.adam_step(params, grads, adam)
+    return nn.backward(params, cache, dq)
 
 
-def _replay_update(params, target_params, adam, buffer, idx, cfg: TdConfig):
-    """Batched Q-learning regression over sampled replay transitions."""
+def _replay_update(params, target_params, buffer, idx, cfg: TdConfig) -> nn.GradientSet:
+    """Gradient of the batched Q-learning regression over replay samples."""
     obs = np.stack([buffer[i][0] for i in idx])
     actions = [buffer[i][1] for i in idx]
     q, cache = nn.forward(params, obs)
@@ -114,8 +113,7 @@ def _replay_update(params, target_params, adam, buffer, idx, cfg: TdConfig):
         y = td_target_qlearning(reward, cfg.gamma, q_next[row], terminated)
         target[row, action] = (1.0 - cfg.alpha) * q[row, action] + cfg.alpha * y
     _, dq = nn.mse_loss(q, target)
-    grads = nn.backward(params, cache, dq)
-    return nn.adam_step(params, grads, adam)
+    return nn.backward(params, cache, dq)
 
 
 def train_td(
@@ -139,7 +137,11 @@ def train_td(
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
     params = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
-    adam = nn.init_adam(params, lr=cfg.lr, lr_decay=cfg.lr_decay)
+    shapes = [a.shape for a in params.as_list()]
+    flat = nn.pack(params.as_list())
+    params = nn.MlpParameters.from_list(nn.unpack(flat, shapes))
+    grad = np.empty_like(flat)
+    adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     target_params = params
     buffer: deque = deque(maxlen=cfg.replay_capacity or 1)
     n_updates = 0
@@ -176,18 +178,23 @@ def train_td(
                 y = td_target_sarsa(
                     res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
                 )
+            grads = None
             if cfg.replay_capacity > 0:
                 buffer.append(
                     (obs, action, res.reward, res.observation, res.terminated)
                 )
                 if len(buffer) >= cfg.replay_batch:
                     idx = rng.integers(len(buffer), size=cfg.replay_batch)
-                    params, adam = _replay_update(
+                    grads = _replay_update(
                         params, target_params if cfg.target_sync_every > 0 else params,
-                        adam, buffer, idx, cfg,
+                        buffer, idx, cfg,
                     )
             else:
-                params, adam = _update(params, adam, obs, action, y, cfg.alpha)
+                grads = _update(params, obs, action, y, cfg.alpha)
+            if grads is not None:
+                np.concatenate(grads.as_list(), axis=None, out=grad)
+                (flat,), adam = nn.adam_update([flat], [grad], adam)
+                params = nn.MlpParameters.from_list(nn.unpack(flat, shapes))
             n_updates += 1
             if cfg.target_sync_every > 0 and n_updates % cfg.target_sync_every == 0:
                 target_params = params

@@ -1,14 +1,22 @@
 """Minimal neural machinery for the learning agents.
 
 A fixed-topology multilayer perceptron (two tanh hidden layers of 64,
-linear output) with hand-written reverse-mode gradients, a functional
-Adam optimizer, and the small loss / log-density functions the agents
-need.  Everything is plain numpy; parameters are treated as immutable
-values and updates return fresh arrays.
+linear output) with hand-written reverse-mode gradients, an Adam
+optimizer, and the small loss / log-density functions the agents need.
+Everything is plain numpy.
+
+A learner keeps all its trainable arrays in one contiguous float64
+vector (``pack``), and its networks are views of that vector
+(``unpack``), so one Adam call updates everything.  Parameters are
+treated as immutable values: ``adam_update`` returns a fresh vector and
+leaves the old one, and every view of it, untouched.  The optimizer's
+moments are the exception: they live in the ``AdamState`` and are
+updated in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +64,15 @@ class GradientSet:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and hyperparameters."""
+    """First/second moment accumulators, scratch space and hyperparameters.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    ``m``, ``v`` and ``scratch`` have the shape of the parameter array and
+    are overwritten by every ``adam_update``.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
     lr: float = 0.001
     beta1: float = 0.9
@@ -131,54 +144,81 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> GradientSet:
     )
 
 
-def init_adam(
-    arrays, lr: float = 0.001, lr_decay: float = 0.01, **hyper
-) -> AdamState:
-    """Fresh zero-moment state shaped like the given parameter arrays."""
-    if isinstance(arrays, MlpParameters):
-        arrays = arrays.as_list()
+def pack(arrays) -> np.ndarray:
+    """The arrays' entries, each raveled in C order, as one fresh vector."""
+    return np.concatenate(arrays, axis=None, dtype=float)
+
+
+def unpack(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of ``flat`` with the given shapes.
+
+    The inverse of ``pack``: ``unpack(pack(arrays), [a.shape for a in
+    arrays])`` holds the arrays' values.
+    """
+    views = []
+    start = 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    if start != flat.size:
+        raise ValueError(f"shapes hold {start} entries, vector has {flat.size}")
+    return views
+
+
+def _only(arrays, what: str) -> np.ndarray:
+    if len(arrays) != 1:
+        raise ValueError(f"expected one packed {what} array, got {len(arrays)}")
+    return arrays[0]
+
+
+def init_adam(arrays, lr: float = 0.001, lr_decay: float = 0.01, **hyper) -> AdamState:
+    """Fresh zero-moment state for ``[params]``, one (packed) parameter array."""
+    shape = np.shape(_only(arrays, "parameter"))
     return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        lr=lr,
-        lr_decay=lr_decay,
-        **hyper,
+        m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty(shape),
+        lr=lr, lr_decay=lr_decay, **hyper,
     )
 
 
 def adam_update(arrays, grads, s: AdamState):
-    """One bias-corrected Adam step over a list of parameter arrays.
+    """One bias-corrected Adam step (Kingma & Ba, arXiv:1412.6980).
 
-    Effective rate decays as lr / (1 + lr_decay * updates_so_far).
-    Returns (new_arrays, new_state); inputs are not mutated.
+    ``arrays`` and ``grads`` are one-element lists holding the packed
+    parameters and their gradient (``benchmarks/tracing.py`` counts the
+    updated entries as the sizes of the items of ``arrays``).  Effective
+    rate decays as lr / (1 + lr_decay * updates_so_far).  Returns
+    ([new_params], s): the parameters are a fresh array, the inputs are
+    not mutated, and ``s`` is the same state with its moments and step
+    count advanced in place.  The arithmetic is the textbook expression,
+    operation for operation, so the result does not depend on how the
+    parameters were packed.
     """
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError(
-                f"non-finite gradient (max |g| = {max(np.max(np.abs(x)) for x in grads)})"
-            )
+    a = _only(arrays, "parameter")
+    g = _only(grads, "gradient")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"non-finite gradient (max |g| = {np.max(np.abs(g))})")
     t = s.t + 1
     lr_t = s.lr / (1.0 + s.lr_decay * (t - 1))
-    new_arrays, new_m, new_v = [], [], []
-    for a, g, m, v in zip(arrays, grads, s.m, s.v):
-        m = s.beta1 * m + (1.0 - s.beta1) * g
-        v = s.beta2 * v + (1.0 - s.beta2) * g**2
-        m_hat = m / (1.0 - s.beta1**t)
-        v_hat = v / (1.0 - s.beta2**t)
-        new_arrays.append(a - lr_t * m_hat / (np.sqrt(v_hat) + s.eps))
-        new_m.append(m)
-        new_v.append(v)
-    state = AdamState(
-        m=new_m, v=new_v, t=t, lr=s.lr, beta1=s.beta1, beta2=s.beta2,
-        eps=s.eps, lr_decay=s.lr_decay,
-    )
-    return new_arrays, state
-
-
-def adam_step(p: MlpParameters, g: GradientSet, s: AdamState):
-    """Adam over a whole network; returns (new_params, new_state)."""
-    arrays, state = adam_update(p.as_list(), g.as_list(), s)
-    return MlpParameters.from_list(arrays), state
+    m, v, tmp = s.m, s.v, s.scratch
+    # m = beta1 * m + (1 - beta1) * g, and the same for v on g**2, in place.
+    np.multiply(s.beta1, m, out=m)
+    np.multiply(1.0 - s.beta1, g, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(s.beta2, v, out=v)
+    np.square(g, out=tmp)
+    np.multiply(1.0 - s.beta2, tmp, out=tmp)
+    np.add(v, tmp, out=v)
+    # step = lr_t * m_hat / (sqrt(v_hat) + eps), built in the result array.
+    np.divide(v, 1.0 - s.beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, s.eps, out=tmp)
+    new = np.divide(m, 1.0 - s.beta1**t)
+    np.multiply(lr_t, new, out=new)
+    np.divide(new, tmp, out=new)
+    np.subtract(a, new, out=new)
+    s.t = t
+    return [new], s
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

@@ -1,5 +1,7 @@
 """Network forward/backward, Adam, and the loss/log-density functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,16 +157,26 @@ class TestBackward:
             assert np.max(np.abs(a - b)) < 1e-12
 
 
+def packed(p) -> np.ndarray:
+    return nn.pack(p.as_list())
+
+
+def unpacked(flat: np.ndarray, like: nn.MlpParameters) -> nn.MlpParameters:
+    return nn.MlpParameters.from_list(nn.unpack(flat, [a.shape for a in like.as_list()]))
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = nn.init_mlp(4, 2, seed=50)
-        s = nn.init_adam(p)
+        flat = packed(p)
+        s = nn.init_adam([flat])
         zeros = nn.GradientSet(
             weights=tuple(np.zeros_like(w) for w in p.weights),
             biases=tuple(np.zeros_like(b) for b in p.biases),
             d_input=np.zeros(4),
         )
-        p2, s2 = nn.adam_step(p, zeros, s)
+        (flat2,), s2 = nn.adam_update([flat], [packed(zeros)], s)
+        p2 = unpacked(flat2, p)
         assert s2.t == 1
         for a, b in zip(p.as_list(), p2.as_list()):
             assert np.array_equal(a, b)
@@ -180,13 +192,15 @@ class TestAdam:
         outs = []
         for _ in range(2):
             p = nn.init_mlp(4, 2, seed=51)
-            s = nn.init_adam(p)
+            s = nn.init_adam([packed(p)])
             rng = np.random.default_rng(52)
             for _ in range(10):
                 x = rng.normal(size=4)
                 y, cache = nn.forward(p, x)
                 loss, dy = nn.mse_loss(y, np.zeros(2))
-                p, s = nn.adam_step(p, nn.backward(p, cache, dy), s)
+                g = packed(nn.backward(p, cache, dy))
+                (flat,), s = nn.adam_update([packed(p)], [g], s)
+                p = unpacked(flat, p)
             outs.append([a.tobytes() for a in p.as_list()])
         assert outs[0] == outs[1]
 
@@ -212,6 +226,127 @@ class TestAdam:
         s = nn.init_adam([theta])
         with pytest.raises(ValueError, match="non-finite"):
             nn.adam_update([theta], [np.array([np.nan])], s)
+
+    def test_more_than_one_array_rejected(self):
+        theta = np.zeros(2)
+        with pytest.raises(ValueError, match="one packed parameter array, got 2"):
+            nn.init_adam([theta, theta])
+        s = nn.init_adam([theta])
+        with pytest.raises(ValueError, match="one packed gradient array, got 2"):
+            nn.adam_update([theta], [theta, theta], s)
+
+
+def reference_adam(arrays, grads, m, v, t, lr, lr_decay,
+                   beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a loop of fresh-array expressions over separate arrays.
+
+    The oracle the packed in-place update must match bit for bit; returns
+    (new_arrays, new_m, new_v, t).
+    """
+    t += 1
+    lr_t = lr / (1.0 + lr_decay * (t - 1))
+    new_arrays, new_m, new_v = [], [], []
+    for a, g, m_i, v_i in zip(arrays, grads, m, v):
+        m_i = beta1 * m_i + (1.0 - beta1) * g
+        v_i = beta2 * v_i + (1.0 - beta2) * g**2
+        m_hat = m_i / (1.0 - beta1**t)
+        v_hat = v_i / (1.0 - beta2**t)
+        new_arrays.append(a - lr_t * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_arrays, new_m, new_v, t
+
+
+class TestPackedAdam:
+    def test_pack_unpack_round_trip(self):
+        arrays = [np.arange(6.0).reshape(2, 3), np.array([7.0]), np.ones((2, 1, 2))]
+        flat = nn.pack(arrays)
+        assert flat.shape == (11,) and flat.dtype == np.float64
+        views = nn.unpack(flat, [a.shape for a in arrays])
+        for a, view in zip(arrays, views):
+            assert np.array_equal(a, view) and np.shares_memory(view, flat)
+        with pytest.raises(ValueError, match="shapes hold 10 entries, vector has 11"):
+            nn.unpack(flat, [(2, 3), (4,)])
+
+    def test_matches_per_array_reference_bitwise(self):
+        rng = np.random.default_rng(60)
+        shapes = [(7, 5), (5,), (5, 3), (3,), (2, 2, 2), (1,)]
+        # small entries, so that a step's last bits survive the subtraction
+        arrays = [rng.normal(size=sh) * 10.0 ** rng.uniform(-6, 0, size=sh) for sh in shapes]
+        m = [np.zeros(sh) for sh in shapes]
+        v = [np.zeros(sh) for sh in shapes]
+        t = 0
+        lr, lr_decay = 0.003, 0.3
+        flat = nn.pack(arrays)
+        s = nn.init_adam([flat], lr=lr, lr_decay=lr_decay)
+        for step in range(60):
+            # magnitudes over eight decades, and about a quarter exact zeros
+            grads = [
+                rng.normal(size=sh) * 10.0 ** rng.uniform(-4, 4, size=sh)
+                * (rng.random(sh) > 0.25)
+                for sh in shapes
+            ]
+            before = flat.copy()
+            (new_flat,), s = nn.adam_update([flat], [nn.pack(grads)], s)
+            arrays, m, v, t = reference_adam(arrays, grads, m, v, t, lr, lr_decay)
+            assert np.array_equal(flat, before), "input parameters were mutated"
+            assert new_flat is not flat
+            assert s.t == t == step + 1
+            for got, want in ((new_flat, arrays), (s.m, m), (s.v, v)):
+                assert got.tobytes() == nn.pack(want).tobytes(), f"step {step}"
+            flat = new_flat
+
+    def test_ppo_parts_packed_match_three_separate_states(self):
+        from dotgate.agents import PpoConfig, ppo
+
+        rng = np.random.default_rng(61)
+        cfg = PpoConfig(entropy_coef=0.01)
+        lr, lr_decay = cfg.lr, 0.05
+        policy = nn.init_mlp(6, 3, seed=62)
+        value = nn.init_mlp(6, 1, seed=63)
+        log_std = np.full(3, cfg.log_std_init)
+        parts = [policy.as_list(), [log_std], value.as_list()]
+        states = [([np.zeros_like(a) for a in p], [np.zeros_like(a) for a in p], 0)
+                  for p in parts]
+        shapes = [a.shape for p in parts for a in p]
+        flat = nn.pack([a for p in parts for a in p])
+        s = nn.init_adam([flat], lr=lr, lr_decay=lr_decay)
+        for step in range(50):
+            n = 32
+            batch = {
+                "observations": rng.normal(size=(n, 6)),
+                "actions": rng.normal(size=(n, 3)),
+                "log_probs": rng.normal(size=n) - 3.0,
+                "advantages": rng.normal(size=n),
+                "returns": rng.normal(size=n),
+            }
+            p_policy, p_log_std, p_value = ppo._unpack(flat, shapes)
+            _, (g_p, g_ls, g_v) = ppo.ppo_loss(batch, p_policy, p_log_std, p_value, cfg)
+            grads = [g_p.as_list(), [g_ls], g_v.as_list()]
+            (flat,), s = nn.adam_update([flat], [nn.pack([g for gs in grads for g in gs])], s)
+            for i, (arrays, gs) in enumerate(zip(parts, grads)):
+                m, v, t = states[i]
+                arrays, m, v, t = reference_adam(arrays, gs, m, v, t, lr, lr_decay)
+                parts[i], states[i] = arrays, (m, v, t)
+            want = nn.pack([a for p in parts for a in p])
+            assert flat.tobytes() == want.tobytes(), f"step {step}"
+
+    def test_update_allocates_only_its_result(self):
+        from dotgate.env import N_ACTIONS
+
+        p = nn.init_mlp(513, N_ACTIONS, seed=64)
+        flat = packed(p)
+        assert flat.size > 38_000
+        grad = np.random.default_rng(65).normal(size=flat.size)
+        s = nn.init_adam([flat])
+        nn.adam_update([flat], [grad], s)
+        tracemalloc.start()
+        try:
+            (new,), s = nn.adam_update([flat], [grad], s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * flat.nbytes, f"peak {peak} B for a {flat.nbytes} B vector"
 
 
 class TestMseLoss:
