@@ -152,7 +152,7 @@ def train_td(
     for episode in range(cfg.episodes_max):
         t0 = time.perf_counter()
         eps = max(cfg.epsilon_min, cfg.epsilon_init * cfg.epsilon_decay**episode)
-        obs = env.reset(seed=seed)
+        obs = env.reset()
         q, _ = nn.forward(params, obs)
         action = epsilon_greedy(q, eps, rng)
         ep_return = 0.0

@@ -160,7 +160,7 @@ def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
 
 
 def _gate(u_acc: np.ndarray):
-    """Gate pipeline of (B, 16, 16) accumulated unitaries.
+    """Gate pipeline of (B, 4, 4, 4) accumulated slot unitaries.
 
     Returns the projected, compensated (B, 4, 4) gates, the (B,) compensation
     flags and the fidelity report of (B,) arrays.  Each row's bits do not
@@ -207,7 +207,7 @@ class VecGateEnv:
         episodes in every row; never modified, only replaced row by row."""
         cfg = self.config
         controls = np.tile([*cfg.eps_init, cfg.tun_init], (self.n_envs, 1))
-        u_acc = np.tile(np.eye(sim.DIM_FULL, dtype=complex), (self.n_envs, 1, 1))
+        u_acc = np.tile(sim.IDENTITY, (self.n_envs, 1, 1, 1))
         u_gate, _, report = _gate(u_acc)
         return controls, u_acc, report, self._observations(u_gate, u_acc, report)
 
@@ -239,8 +239,8 @@ class VecGateEnv:
 
     def _observations(self, u_gate, u_acc, report) -> np.ndarray:
         """Interleaved real and imaginary parts of each row's gate (or, for
-        full16, accumulated unitary), then the row's fidelity."""
-        u = u_gate if self.config.obs_mode == "computational4" else u_acc
+        full16, dense accumulated unitary), then the row's fidelity."""
+        u = u_gate if self.config.obs_mode == "computational4" else sim.dense(u_acc)
         flat = u.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
         return np.concatenate([flat, report.fidelity[:, None]], axis=1)
 
@@ -317,9 +317,8 @@ class GateEnv:
         self._batch = VecGateEnv(config, 1)
         self.config = config
 
-    def reset(self, seed: int = 0) -> np.ndarray:
-        """Start a new episode.  The dynamics are deterministic, so ``seed``
-        changes nothing; it is accepted for a uniform agent interface."""
+    def reset(self) -> np.ndarray:
+        """Start a new episode."""
         self.delta = self.config.step_sizes[0]
         return self._batch.reset()[0]
 
@@ -329,7 +328,8 @@ class GateEnv:
 
     @property
     def u_acc(self) -> np.ndarray:
-        return self._batch.u_acc[0]
+        """The dense 16x16 accumulated unitary."""
+        return sim.dense(self._batch.u_acc[0])
 
     @property
     def fidelity_report(self) -> sim.FidelityReport:
@@ -408,8 +408,8 @@ def replay_schedule(
         sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
     )
     # Row 0 is the identity before the first step.
-    u_acc = np.empty((len(u_steps) + 1, sim.DIM_FULL, sim.DIM_FULL), dtype=complex)
-    u_acc[0] = np.eye(sim.DIM_FULL)
+    u_acc = np.empty((len(u_steps) + 1, *sim.SLOT_SHAPE), dtype=complex)
+    u_acc[0] = sim.IDENTITY
     for t, u_step in enumerate(u_steps):
         u_acc[t + 1] = sim.accumulate(u_step, u_acc[t])
     _, _, report = _gate(u_acc)

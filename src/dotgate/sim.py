@@ -16,14 +16,13 @@ the target.
 H conserves the particle number N and the spin S_z, so it never couples
 states of different (N, S_z).  Those sectors are read off the occupation
 table and packed, by one fixed basis permutation, into four 4x4 diagonal
-slots ({3,6,9,12}, {1,4}+{2,8}, {7,13}+{11,14}, {0,5,10,15}); H is real
-there, so each slot is a real symmetric 4x4 matrix.  The Hamiltonian
-build and the propagator take a leading batch axis of steps: T steps cost
-one stacked ``eigh`` over a (T, 4, 4, 4) array and one scatter into dense
-(T, 16, 16) step unitaries.  Dense 16x16 matrices are only assembled from
-the slots, never diagonalized.  The gate pipeline (projection, virtual-Z
-compensation, fidelity) takes the same leading batch axis, and every batched
-function gives each row the bits it would get alone.
+slots ({3,6,9,12}, {1,4}+{2,8}, {7,13}+{11,14}, {0,5,10,15}).  The step
+path keeps every operator in that (..., 4, 4, 4) slot form: real H blocks,
+one stacked ``eigh`` into slot unitaries, slot-by-slot accumulation, and a
+gate read straight from the slots; entries between two sectors sharing a
+slot stay exact zeros.  ``dense`` gives the 16x16 view (full16 observation,
+checks against the dense reference ``evolve_step``).  Every function takes
+a leading batch axis and gives each row the bits it would get alone.
 
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
@@ -51,30 +50,14 @@ TUN_BOUNDS = (0.0, 5.0)
 PHASE_TOL = 1e-8
 
 
-class CompensationDegenerate(Exception):
-    """A diagonal entry needed for virtual-Z compensation is (near) zero."""
-
-
-def _mode_bit(mode: int) -> int:
-    return 1 << (N_MODES - 1 - mode)
-
-
-def _occupations() -> np.ndarray:
-    """occ[s, m] = occupation of mode m in basis state s."""
-    occ = np.zeros((DIM_FULL, N_MODES), dtype=np.int64)
-    for s in range(DIM_FULL):
-        for m in range(N_MODES):
-            occ[s, m] = (s >> (N_MODES - 1 - m)) & 1
-    return occ
-
-
-_OCC = _occupations()
+# _OCC[s, m] = occupation of mode m in basis state s.
+_OCC = (np.arange(DIM_FULL)[:, None] >> np.arange(N_MODES - 1, -1, -1)) & 1
 
 
 def _annihilation(mode: int) -> np.ndarray:
     """Jordan-Wigner annihilation operator for one mode (16x16, real)."""
     a = np.zeros((DIM_FULL, DIM_FULL))
-    bit = _mode_bit(mode)
+    bit = 1 << (N_MODES - 1 - mode)
     for s in range(DIM_FULL):
         if s & bit:
             parity = int(_OCC[s, :mode].sum())
@@ -128,7 +111,11 @@ def _pack_slots(sectors) -> np.ndarray:
 SECTORS = _sectors()
 SLOTS = _pack_slots(SECTORS)  # (N_SLOTS, SLOT_DIM) full-space indices
 N_SLOTS = len(SLOTS)
-_SLOT_ROWS, _SLOT_COLS = SLOTS[:, :, None], SLOTS[:, None, :]
+SLOT_SHAPE = (N_SLOTS, SLOT_DIM, SLOT_DIM)
+
+# The identity operator in slot form.
+IDENTITY = np.tile(np.eye(SLOT_DIM, dtype=complex), (N_SLOTS, 1, 1))
+IDENTITY.flags.writeable = False
 
 
 def _slot_terms() -> np.ndarray:
@@ -144,29 +131,39 @@ def _slot_terms() -> np.ndarray:
     diagonals += [up[:, d] * down[:, d] for d in range(2)]
     eye = np.eye(SLOT_DIM)
     terms = [f[SLOTS][:, :, None] * eye for f in diagonals]
-    terms.insert(2, -_HOP[_SLOT_ROWS, _SLOT_COLS])
+    terms.insert(2, -_HOP[SLOTS[:, :, None], SLOTS[:, None, :]])
     return np.stack(terms).reshape(len(terms), -1)
 
 
 _TERMS = _slot_terms()
 
-# Slot entries that join two states of one sector, and where they sit in
-# the dense matrix.  Entries between the sectors sharing a slot are left
-# out, so the dense scatter holds exact zeros there.
 _SECTOR_OF = np.array(
     [next(k for k, sector in enumerate(SECTORS) if s in sector) for s in range(DIM_FULL)]
 )
-_SLOT_POS = np.flatnonzero(
-    _SECTOR_OF[SLOTS][:, :, None] == _SECTOR_OF[SLOTS][:, None, :]
-)
-_DENSE_POS = (_SLOT_ROWS * DIM_FULL + _SLOT_COLS).ravel()[_SLOT_POS]
+# Slot entries between two sectors that share a slot: held at exact zero.
+_CROSS_SECTOR = _SECTOR_OF[SLOTS][:, :, None] != _SECTOR_OF[SLOTS][:, None, :]
+
+
+def _placement(states) -> tuple[np.ndarray, np.ndarray]:
+    """Where the matrix over ``states`` (full-space indices) sits in a slot
+    stack: the flattened slot positions of its same-sector entries, and
+    their flattened positions in the matrix.  Its other entries are zero."""
+    flat_pos = np.full((DIM_FULL, DIM_FULL), -1)
+    flat_pos[SLOTS[:, :, None], SLOTS[:, None, :]] = np.where(
+        _CROSS_SECTOR, -1, np.arange(N_SLOTS * SLOT_DIM**2).reshape(SLOT_SHAPE)
+    )
+    source = flat_pos[np.ix_(states, states)].ravel()
+    target = np.flatnonzero(source >= 0)
+    return source[target], target
+
+
+_DENSE_PLACEMENT = _placement(range(DIM_FULL))
+_COMP_PLACEMENT = _placement(COMPUTATIONAL_INDICES)
 
 _CONTROL_LO = np.array([EPS_BOUNDS[0], EPS_BOUNDS[0], TUN_BOUNDS[0]])
 _CONTROL_HI = np.array([EPS_BOUNDS[1], EPS_BOUNDS[1], TUN_BOUNDS[1]])
 _CONTROL_BOUNDS = (EPS_BOUNDS, EPS_BOUNDS, TUN_BOUNDS)
 
-_COMP = np.asarray(COMPUTATIONAL_INDICES)
-_COMP_ROWS, _COMP_COLS = _COMP[:, None], _COMP[None, :]
 # Diagonal entries 0, 1, 2 of a flattened 4x4: they fix the virtual-Z phases.
 _DIAG3 = slice(0, 2 * DIM_COMP + 3, DIM_COMP + 1)
 
@@ -189,11 +186,9 @@ class HamiltonianParams:
     u: tuple[float, float]
     ez: tuple[float, float]
 
-    def validate(self) -> None:
-        self._checked_controls()
-
-    def _checked_controls(self) -> np.ndarray:
-        """(T, 3) rows (eps0, eps1, tunnel), T = 1 without a batch axis.
+    def validate(self) -> np.ndarray:
+        """The checked (T, 3) rows (eps0, eps1, tunnel), T = 1 without a
+        batch axis.
 
         Rejects non-finite or out-of-bounds controls, naming the control
         and, for a batch, the step (row).
@@ -238,50 +233,64 @@ class FidelityReport:
         )
 
 
-def _scatter(blocks: np.ndarray) -> np.ndarray:
-    """Dense (..., 16, 16) matrices holding the same-sector slot entries."""
-    lead = blocks.shape[:-3]
-    dense = np.zeros((*lead, DIM_FULL * DIM_FULL), dtype=blocks.dtype)
-    dense[..., _DENSE_POS] = blocks.reshape(*lead, N_SLOTS * SLOT_DIM**2)[..., _SLOT_POS]
-    return dense.reshape(*lead, DIM_FULL, DIM_FULL)
+def _check_slots(u: np.ndarray) -> None:
+    if u.shape[-3:] != SLOT_SHAPE:
+        raise ValueError(f"expected (..., 4, 4, 4) slot stacks of 16x16 matrices, got {u.shape}")
+
+
+def _place(u: np.ndarray, placement, dim: int) -> np.ndarray:
+    """(..., dim, dim) matrices holding the placed entries of slot stacks."""
+    _check_slots(u)
+    source, target = placement
+    lead = u.shape[:-3]
+    out = np.zeros((*lead, dim * dim), dtype=u.dtype)
+    out[..., target] = u.reshape(*lead, N_SLOTS * SLOT_DIM**2)[..., source]
+    return out.reshape(*lead, dim, dim)
+
+
+def dense(u: np.ndarray) -> np.ndarray:
+    """Dense (..., 16, 16) matrices of (..., 4, 4, 4) slot stacks."""
+    return _place(u, _DENSE_PLACEMENT, DIM_FULL)
 
 
 def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
-    """Assemble H_eps + H_Z + H_U + H_T (GHz) as real 16x16 matrices.
+    """Assemble H_eps + H_Z + H_U + H_T (GHz) as real slot blocks.
 
-    Returns (16, 16), or (T, 16, 16) when params carry a batch axis.  The
+    Returns (4, 4, 4), or (T, 4, 4, 4) when params carry a batch axis.  The
     seven terms are summed slot by slot, elementwise in a fixed order, so
     each step's bits do not depend on the batch size.
     """
-    controls = params._checked_controls()
+    controls = params.validate()
     coef = np.empty((len(controls), len(_TERMS)))
     coef[:, :3] = controls
     coef[:, 3:] = (params.ez[0], params.ez[1], params.u[0], params.u[1])
-    blocks = (coef[:, :, None] * _TERMS).sum(axis=1)
-    h = _scatter(blocks.reshape(-1, N_SLOTS, SLOT_DIM, SLOT_DIM))
+    h = (coef[:, :, None] * _TERMS).sum(axis=1).reshape(-1, *SLOT_SHAPE)
     return h if np.ndim(params.tun) else h[0]
 
 
 def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
-    """Step propagators exp(-i 2*pi h dt) of (..., 16, 16) Hamiltonians.
+    """Step propagators exp(-i 2*pi h dt) of (..., 4, 4, 4) slot Hamiltonians.
 
-    h must be Hermitian and conserve N and S_z, as every ``build_hamiltonian``
-    output does: entries outside the four slots are not read.  One ``eigh``
-    over the stacked (..., 4, 4, 4) slot blocks (real-symmetric for real h),
-    then one scatter, gives complex (..., 16, 16) unitaries; each matrix of a
-    stack equals its own unstacked result bit for bit.
+    Each slot of h must be Hermitian, as every ``build_hamiltonian`` output
+    is.  One ``eigh`` over the stack (real-symmetric for real h) gives
+    complex slot unitaries.  ``eigh`` may mix degenerate eigenvectors of the
+    two sectors in a slot, so the entries between them are reset to exact
+    zeros.  Each matrix of a stack equals its own unstacked result bit for
+    bit.
     """
     if not dt > 0:
         raise ValueError(f"dt={dt} must be positive")
-    blocks = h[..., _SLOT_ROWS, _SLOT_COLS]
+    _check_slots(h)
     try:
-        energies, vectors = np.linalg.eigh(blocks)
+        energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for {blocks.shape} slot blocks: {exc}"
+            f"eigendecomposition failed for {h.shape} slot blocks: {exc}"
         ) from exc
     phases = np.exp(-2j * np.pi * dt * energies)
-    return _scatter((vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2))
+    u = (vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    np.copyto(u, 0, where=_CROSS_SECTOR)
+    return u
 
 
 def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
@@ -303,21 +312,21 @@ def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:
-    """Left-multiply the newest step onto the accumulated unitary."""
+    """Left-multiply the newest step onto the accumulated unitary, slot by
+    slot for (..., 4, 4, 4) slot stacks."""
     if u_step.shape != u_acc.shape:
         raise ValueError(f"shape mismatch: {u_step.shape} vs {u_acc.shape}")
     return u_step @ u_acc
 
 
-def project_to_computational(u16: np.ndarray) -> np.ndarray:
-    """Extract the 4x4 block over the computational indices {5,6,9,10}.
+def project_to_computational(u: np.ndarray) -> np.ndarray:
+    """The 4x4 block over the computational indices {5,6,9,10}, read from
+    (..., 4, 4, 4) slot stacks.
 
-    Takes (16, 16) or a stack (..., 16, 16).  The result is generally
-    sub-unitary: amplitude outside the block is leakage and is simply dropped.
+    The result is generally sub-unitary: amplitude outside the block is
+    leakage and is simply dropped.
     """
-    if u16.shape[-2:] != (DIM_FULL, DIM_FULL):
-        raise ValueError(f"expected {DIM_FULL}x{DIM_FULL} matrices, got {u16.shape}")
-    return u16[..., _COMP_ROWS, _COMP_COLS]
+    return _place(u, _COMP_PLACEMENT, DIM_COMP)
 
 
 def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
@@ -345,21 +354,7 @@ def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
     return out, ok
 
 
-def phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL) -> np.ndarray:
-    """``compensate`` one 4x4 gate, raising if it cannot be compensated."""
-    if u4.shape != (DIM_COMP, DIM_COMP):
-        raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrix, got {u4.shape}")
-    out, ok = compensate(u4, tol)
-    if not ok:
-        mags = np.abs(np.diag(u4)[:3])
-        k = int(np.argmin(mags))
-        raise CompensationDegenerate(
-            f"|u4[{k},{k}]|={mags[k]:.3e} below {tol}; gate too far from "
-            "diagonal-equivalent to compensate"
-        )
-    return out
-
-
+# benchmarks/tracing.py wraps this name.
 def try_phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL):
     """``compensate`` one 4x4 gate; returns (matrix, compensated) with a bool
     flag, and u4 unchanged where it cannot be compensated."""

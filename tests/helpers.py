@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dotgate import nn
+from dotgate import nn, sim
 
 
 def occupation_energy(state: int, eps, u, ez) -> float:
@@ -76,6 +76,29 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_slot_stack(rng, shape=(), unitary=True) -> np.ndarray:
+    """Random N- and S_z-conserving operators in slot form, (*shape, 4, 4, 4).
+
+    Each (N, S_z) sector gets a random unitary block (with unitary=False, a
+    random complex block) at its positions in its slot; entries between
+    different sectors are zero.
+    """
+    u = np.zeros((*shape, *sim.SLOT_SHAPE), dtype=complex)
+    for lead in np.ndindex(*shape):
+        for k, slot in enumerate(sim.SLOTS):
+            for sector in sim.SECTORS:
+                pos = [i for i, s in enumerate(slot) if s in sector]
+                if not pos:
+                    continue
+                n = len(pos)
+                block = (
+                    random_unitary(rng, n) if unitary
+                    else rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                )
+                u[(*lead, k, *np.ix_(pos, pos))] = block
+    return u
 
 
 def stacked_forward(arrays, x):

@@ -54,7 +54,7 @@ def test_criterion_3_unitarity_and_replay():
     worst_replay = 0.0
     env = GateEnv()
     for _ in range(100):
-        env.reset(0)
+        env.reset()
         last = None
         for _ in range(200):
             last = env.step_discrete(int(rng.integers(27)))

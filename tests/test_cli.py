@@ -180,7 +180,7 @@ class TestValidate:
 class TestReplay:
     def test_one_step_schedule_matches_environment(self, tmp_path):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         res = env.step_discrete(0)
         path = tmp_path / "s.csv"
         env.export_schedule().to_csv(path)

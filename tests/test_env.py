@@ -43,17 +43,17 @@ class TestConfig:
 
 class TestReset:
     def test_identity_observation_fidelity(self):
-        obs = GateEnv().reset(seed=0)
+        obs = GateEnv().reset()
         assert obs[-1] == pytest.approx(0.4, abs=1e-12)
 
     def test_feature_lengths(self):
-        assert len(GateEnv(EnvConfig()).reset(0)) == 33
-        assert len(GateEnv(EnvConfig(obs_mode="full16")).reset(0)) == 513
+        assert len(GateEnv(EnvConfig()).reset()) == 33
+        assert len(GateEnv(EnvConfig(obs_mode="full16")).reset()) == 513
 
-    def test_same_seed_same_observation(self):
+    def test_reset_twice_same_observation(self):
         env = GateEnv()
-        a = env.reset(seed=42)
-        b = env.reset(seed=42)
+        a = env.reset()
+        b = env.reset()
         assert np.array_equal(a, b)
 
 
@@ -98,7 +98,7 @@ class TestComputeReward:
 class TestStepDiscrete:
     def test_no_change_step(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         res = env.step_discrete(0)
         assert res.info["eps0"] == 170.0
         assert res.info["eps1"] == 70.0
@@ -108,7 +108,7 @@ class TestStepDiscrete:
 
     def test_tunnel_clipped_at_zero_with_penalty(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         env.step_discrete(ACTION_TUN_DOWN)  # 2.5 -> 1.5
         env.step_discrete(ACTION_TUN_DOWN)  # 1.5 -> 0.5
         res = env.step_discrete(ACTION_TUN_DOWN)  # 0.5 -> clip at 0
@@ -118,7 +118,7 @@ class TestStepDiscrete:
 
     def test_truncation_at_step_cap(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         # kill the exchange so fidelity never reaches the terminal band
         for _ in range(3):
             res = env.step_discrete(ACTION_TUN_DOWN)
@@ -129,7 +129,7 @@ class TestStepDiscrete:
 
     def test_no_change_policy_terminates(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         results = run_actions(env, [0] * 200)
         last = results[-1]
         assert last.terminated
@@ -138,7 +138,7 @@ class TestStepDiscrete:
 
     def test_step_after_terminal_rejected(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         run_actions(env, [0] * 200)
         with pytest.raises(RuntimeError, match="reset"):
             env.step_discrete(0)
@@ -150,7 +150,7 @@ class TestStepDiscrete:
     def test_adaptive_step_size_monotone(self):
         # strict terminal so the episode survives past the 0.99 band
         env = GateEnv(EnvConfig(f_terminal=0.9999, f_bonus=0.99999))
-        env.reset(0)
+        env.reset()
         deltas = []
         for _ in range(40):
             res = env.step_discrete(0)
@@ -165,7 +165,7 @@ class TestStepDiscrete:
 class TestStepContinuous:
     def test_midpoint_action(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         res = env.step_continuous((0.0, 0.0, 0.0))
         assert res.info["eps0"] == 0.0
         assert res.info["eps1"] == 0.0
@@ -174,7 +174,7 @@ class TestStepContinuous:
 
     def test_endpoint_action(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         res = env.step_continuous((1.0, -1.0, 1.0))
         assert res.info["eps0"] == 750.0
         assert res.info["eps1"] == -750.0
@@ -182,14 +182,14 @@ class TestStepContinuous:
 
     def test_out_of_range_clipped_with_boundary_flag(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         res = env.step_continuous((0.0, 0.0, 1.7))
         assert res.info["tunnel"] == 5.0
         assert res.info["boundary_hit"]
 
     def test_wrong_length_rejected(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         with pytest.raises(ValueError, match="3"):
             env.step_continuous((0.0, 0.0))
 
@@ -197,14 +197,14 @@ class TestStepContinuous:
 class TestSchedule:
     def test_single_no_change_record(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         env.step_discrete(0)
         sched = env.export_schedule()
         assert sched.rows == [(0, 170.0, 70.0, 2.5)]
 
     def test_one_record_per_step(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         n = 0
         for a in [1, 2, 9, 18, 0, 4]:
             res = env.step_discrete(a)
@@ -215,13 +215,13 @@ class TestSchedule:
 
     def test_export_before_any_step_rejected(self):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         with pytest.raises(RuntimeError):
             env.export_schedule()
 
     def test_csv_round_trip(self, tmp_path):
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         for a in [1, 5, 22, 0]:
             env.step_discrete(a)
         sched = env.export_schedule()
@@ -240,7 +240,7 @@ class TestReplay:
     def test_replay_matches_episode_exactly(self):
         rng = np.random.default_rng(20)
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         last = None
         for _ in range(50):
             last = env.step_discrete(int(rng.integers(27)))
@@ -255,7 +255,7 @@ class TestReplay:
         rng = np.random.default_rng(24 if mode == "discrete" else 25)
         env = GateEnv()
         for _ in range(20):
-            env.reset(0)
+            env.reset()
             fidelities = []
             for _ in range(80):
                 if mode == "discrete":
@@ -348,7 +348,7 @@ class TestInvariants:
     def test_control_containment_fuzz(self):
         rng = np.random.default_rng(21)
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         cfg = env.config
         for _ in range(10_000):
             res = env.step_discrete(int(rng.integers(27)))
@@ -362,32 +362,32 @@ class TestInvariants:
             )
             assert res.reward == expected_r
             if res.terminated or res.truncated:
-                env.reset(0)
+                env.reset()
 
     def test_bitwise_determinism(self):
         actions = list(np.random.default_rng(22).integers(0, 27, 150))
         streams = []
         for _ in range(2):
             env = GateEnv()
-            env.reset(seed=7)
+            env.reset()
             stream = []
             for a in actions:
                 res = env.step_discrete(int(a))
                 stream.append((res.observation.tobytes(), res.reward,
                                res.terminated, res.truncated))
                 if res.terminated or res.truncated:
-                    env.reset(seed=7)
+                    env.reset()
             streams.append(stream)
         assert streams[0] == streams[1]
 
     def test_observation_feature_ranges(self):
         rng = np.random.default_rng(23)
         env = GateEnv()
-        env.reset(0)
+        env.reset()
         for _ in range(300):
             res = env.step_discrete(int(rng.integers(27)))
             assert np.all(res.observation[:-1] >= -1 - 1e-9)
             assert np.all(res.observation[:-1] <= 1 + 1e-9)
             assert 0.0 <= res.observation[-1] <= 1.0
             if res.terminated or res.truncated:
-                env.reset(0)
+                env.reset()

@@ -13,7 +13,7 @@ from helpers import (
     dense_hamiltonian,
     occupation_energy,
     random_hermitian,
-    random_unitary,
+    random_slot_stack,
     taylor_expm,
 )
 
@@ -30,9 +30,28 @@ def random_controls(rng, n):
 
 
 def propagate(controls, dt=1.0, u=U, ez=EZ):
-    """Step unitaries of a (T, 3) batch of (eps0, eps1, tunnel) rows."""
+    """Slot-form step unitaries of a (T, 3) batch of (eps0, eps1, tunnel) rows."""
     params = sim.HamiltonianParams(eps=controls[:, :2], tun=controls[:, 2], u=u, ez=ez)
     return sim.step_unitaries(sim.build_hamiltonian(params), dt)
+
+
+def dense_hamiltonian_of(params):
+    """The dense 16x16 view of ``build_hamiltonian``."""
+    return sim.dense(sim.build_hamiltonian(params))
+
+
+def slot_position(state):
+    """(slot, position in the slot) of a full-space basis state."""
+    k, i = np.argwhere(sim.SLOTS == state)[0]
+    return k, i
+
+
+def slot_entries():
+    """(slot, row, column, row state, column state) of every slot entry."""
+    for k, slot in enumerate(sim.SLOTS):
+        for i, a in enumerate(slot):
+            for j, b in enumerate(slot):
+                yield k, i, j, a, b
 
 
 def sector_labels():
@@ -48,10 +67,11 @@ class TestBuildHamiltonian:
     def test_all_zero_params_gives_zero_matrix(self):
         p = sim.HamiltonianParams(eps=(0, 0), tun=0, u=(0, 0), ez=(0, 0))
         assert np.all(sim.build_hamiltonian(p) == 0)
+        assert np.all(dense_hamiltonian_of(p) == 0)
 
     def test_diagonal_entries_match_occupation_oracle(self):
         p = sim.HamiltonianParams(tun=0.0, **PAPER_PARAMS)
-        h = sim.build_hamiltonian(p)
+        h = dense_hamiltonian_of(p)
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
         for s in range(16):
             expected = occupation_energy(s, p.eps, p.u, p.ez)
@@ -70,19 +90,22 @@ class TestBuildHamiltonian:
                 ez=tuple(rng.uniform(0, 30, 2)),
             )
             h = sim.build_hamiltonian(p)
+            assert np.array_equal(h, h.swapaxes(-1, -2))
+            h = sim.dense(h)
             assert np.array_equal(h, h.conj().T)
 
     def test_particle_number_block_structure(self):
+        # The dense view is zero between sectors by construction; the slot
+        # blocks hold every entry H can have.
         p = sim.HamiltonianParams(tun=2.5, **PAPER_PARAMS)
         h = sim.build_hamiltonian(p)
-        for j in range(16):
-            for k in range(16):
-                if sum(occupations(j)) != sum(occupations(k)):
-                    assert h[j, k] == 0
+        for k, i, j, a, b in slot_entries():
+            if sum(occupations(a)) != sum(occupations(b)):
+                assert h[k, i, j] == 0
 
     def test_tunneling_couples_same_spin_single_particle_states(self):
         p = sim.HamiltonianParams(eps=(0, 0), tun=1.5, u=(0, 0), ez=(0, 0))
-        h = sim.build_hamiltonian(p)
+        h = dense_hamiltonian_of(p)
         # dot0-up occupied (1000 = 8) <-> dot1-up occupied (0010 = 2)
         assert h[8, 2] == pytest.approx(-1.5)
         assert h[2, 8] == pytest.approx(-1.5)
@@ -140,74 +163,103 @@ class TestEvolveStep:
 
 class TestAccumulate:
     def test_identity_factor(self):
-        rng = np.random.default_rng(3)
-        u = random_unitary(rng, 16)
-        assert np.array_equal(sim.accumulate(np.eye(16, dtype=complex), u), u)
-        assert np.array_equal(sim.accumulate(u, np.eye(16, dtype=complex)), u)
+        u = random_slot_stack(np.random.default_rng(3))
+        assert np.array_equal(sim.accumulate(sim.IDENTITY, u), u)
+        assert np.array_equal(sim.accumulate(u, sim.IDENTITY), u)
+        assert np.array_equal(sim.dense(sim.IDENTITY), np.eye(16))
 
     def test_product_matches_direct_multiply(self):
         rng = np.random.default_rng(4)
-        a, b = random_unitary(rng, 16), random_unitary(rng, 16)
+        a, b = random_slot_stack(rng), random_slot_stack(rng)
         prod = sim.accumulate(a, b)
         assert np.array_equal(prod, a @ b)
-        assert np.max(np.abs(prod.conj().T @ prod - np.eye(16))) < 1e-10
+        dense = sim.dense(prod)
+        assert np.max(np.abs(dense.conj().T @ dense - np.eye(16))) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             sim.accumulate(np.eye(16), np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(), (1,), (8,)])
+    def test_slot_product_equals_dense_product_bitwise(self, shape):
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            a = random_slot_stack(rng, shape, unitary=False)
+            b = random_slot_stack(rng, shape, unitary=False)
+            assert np.array_equal(
+                sim.dense(sim.accumulate(a, b)),
+                sim.accumulate(sim.dense(a), sim.dense(b)),
+            )
+
 
 class TestProjection:
     def test_identity_projects_to_identity(self):
-        assert np.array_equal(
-            sim.project_to_computational(np.eye(16, dtype=complex)), np.eye(4)
-        )
+        assert np.array_equal(sim.project_to_computational(sim.IDENTITY), np.eye(4))
 
     def test_full_leakage_gives_zero_block(self):
-        u = np.ones((16, 16), dtype=complex)
-        u[list(sim.COMPUTATIONAL_INDICES), :] = 0
+        u = np.ones(sim.SLOT_SHAPE, dtype=complex)
+        for state in sim.COMPUTATIONAL_INDICES:
+            u[slot_position(state)] = 0
         assert np.all(sim.project_to_computational(u) == 0)
 
     def test_projected_norm_bounded_for_random_unitaries(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = sim.project_to_computational(random_unitary(rng, 16))
+            p = sim.project_to_computational(random_slot_stack(rng))
             assert np.real(np.trace(p.conj().T @ p)) <= 4 + 1e-10
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="16"):
-            sim.project_to_computational(np.eye(4))
+            sim.project_to_computational(np.eye(16, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (8,)])
+    def test_reads_dense_computational_block_bitwise(self, shape):
+        rng = np.random.default_rng(37)
+        comp = np.array(sim.COMPUTATIONAL_INDICES)
+        for _ in range(50):
+            u = random_slot_stack(rng, shape, unitary=False)
+            assert np.array_equal(
+                sim.project_to_computational(u),
+                sim.dense(u)[..., comp[:, None], comp[None, :]],
+            )
 
 
 class TestPhaseCompensation:
     def test_identity_unchanged(self):
-        assert np.allclose(sim.phase_compensate(np.eye(4, dtype=complex)), np.eye(4))
+        out, ok = sim.compensate(np.eye(4, dtype=complex))
+        assert ok
+        assert np.allclose(out, np.eye(4))
 
     def test_virtual_z_phase_algebra(self):
         u = np.diag(np.exp(1j * np.array([0.3, 0.5, 0.7, 1.2])))
-        out = sim.phase_compensate(u)
+        out, ok = sim.compensate(u)
+        assert ok
         expected = np.diag([1, 1, 1, np.exp(1j * 0.3)])
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_global_phase_times_cz_recovers_cz(self):
         for alpha in (0.0, 0.9, -2.4):
             u = np.exp(1j * alpha) * sim.CZ
-            assert np.allclose(sim.phase_compensate(u), sim.CZ, atol=1e-12)
+            out, ok = sim.compensate(u)
+            assert ok
+            assert np.allclose(out, sim.CZ, atol=1e-12)
 
     def test_degenerate_diagonal_raises(self):
         u = np.eye(4, dtype=complex)
         u[1, 1] = 1e-9
-        with pytest.raises(sim.CompensationDegenerate):
-            sim.phase_compensate(u)
+        out, ok = sim.compensate(u)
+        assert not ok
+        assert np.array_equal(out, u)
 
     def test_idempotence(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            u = sim.project_to_computational(random_unitary(rng, 16))
+            u = sim.project_to_computational(random_slot_stack(rng))
             if np.any(np.abs(np.diag(u)[:3]) < sim.PHASE_TOL):
                 continue
-            once = sim.phase_compensate(u)
-            twice = sim.phase_compensate(once)
+            once, ok = sim.compensate(u)
+            twice, ok_twice = sim.compensate(once)
+            assert ok and ok_twice
             assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_fixed_point_of_virtual_z_orbit(self):
@@ -215,13 +267,14 @@ class TestPhaseCompensation:
         # diagonal must not change the compensated result.
         rng = np.random.default_rng(9)
         for _ in range(50):
-            u = sim.project_to_computational(random_unitary(rng, 16))
+            u = sim.project_to_computational(random_slot_stack(rng))
             if np.any(np.abs(np.diag(u)[:3]) < sim.PHASE_TOL):
                 continue
             g, a, b = rng.uniform(-np.pi, np.pi, 3)
             d = np.diag(np.exp(1j * np.array([g, g + b, g + a, g + a + b])))
-            base = sim.phase_compensate(u)
-            orbit = sim.phase_compensate(d @ u)
+            base, ok = sim.compensate(u)
+            orbit, ok_orbit = sim.compensate(d @ u)
+            assert ok and ok_orbit
             assert np.max(np.abs(orbit - base)) < 1e-10
 
     def test_try_compensate_falls_back_without_error(self):
@@ -253,14 +306,14 @@ class TestGateFidelity:
     def test_report_invariant_holds(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            p = sim.project_to_computational(random_unitary(rng, 16))
+            p = sim.project_to_computational(random_slot_stack(rng))
             rep = sim.gate_fidelity(p)
             assert rep.fidelity == (rep.unitarity_trace + rep.overlap) / 20.0
 
     def test_bounds_for_projected_matrices(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            p = sim.project_to_computational(random_unitary(rng, 16))
+            p = sim.project_to_computational(random_slot_stack(rng))
             rep = sim.gate_fidelity(p)
             assert 0.0 <= rep.fidelity <= 1.0 + 1e-12
 
@@ -268,8 +321,9 @@ class TestGateFidelity:
 class TestStackedGatePipeline:
     def test_stacked_rows_equal_single_gates_bitwise(self):
         rng = np.random.default_rng(35)
-        u16 = np.stack([random_unitary(rng, 16) for _ in range(64)])
-        u16[3, 6, 6] = 0.0  # a gate that cannot be compensated
+        u16 = random_slot_stack(rng, (64,))
+        k, i = slot_position(6)
+        u16[3, k, i, i] = 0.0  # a gate that cannot be compensated
         u4 = sim.project_to_computational(u16)
         gates, ok = sim.compensate(u4)
         report = sim.gate_fidelity(gates)
@@ -310,13 +364,13 @@ class TestSectors:
         for sector in sim.SECTORS:
             assert len({labels[s] for s in sector}) == 1
         assert len({labels[sector[0]] for sector in sim.SECTORS}) == len(sim.SECTORS)
-        h = sim.build_hamiltonian(
+        slots = sim.build_hamiltonian(
             sim.HamiltonianParams(eps=(eps0, eps1), tun=tun, u=u, ez=ez)
         )
-        for j in range(16):
-            for k in range(16):
-                if labels[j] != labels[k]:
-                    assert h[j, k] == 0
+        for k, i, j, a, b in slot_entries():
+            if labels[a] != labels[b]:
+                assert slots[k, i, j] == 0
+        h = sim.dense(slots)
         assert np.array_equal(h @ NUMBER_OP, NUMBER_OP @ h)
         assert np.array_equal(h @ SZ_OP, SZ_OP @ h)
 
@@ -326,7 +380,7 @@ class TestStepUnitaries:
         rng = np.random.default_rng(30)
         controls = random_controls(rng, 500)
         worst = 0.0
-        for (e0, e1, tun), u_step in zip(controls, propagate(controls)):
+        for (e0, e1, tun), u_step in zip(controls, sim.dense(propagate(controls))):
             oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, U, EZ), 1.0)
             worst = max(worst, float(np.max(np.abs(u_step - oracle))))
         assert worst <= 1e-10
@@ -338,7 +392,7 @@ class TestStepUnitaries:
             controls = random_controls(rng, 1)
             (e0, e1, tun), = controls
             dt = rng.uniform(0.1, 2.0)
-            u_step = propagate(controls, dt, u, ez)[0]
+            u_step = sim.dense(propagate(controls, dt, u, ez)[0])
             oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, u, ez), dt)
             assert np.max(np.abs(u_step - oracle)) <= 1e-10
 
@@ -352,13 +406,39 @@ class TestStepUnitaries:
             assert np.array_equal(stacked[t], single)
 
     def test_unitary_with_exact_zeros_between_sectors(self):
-        u = propagate(random_controls(np.random.default_rng(33), 1))[0]
+        slots = propagate(random_controls(np.random.default_rng(33), 1))[0]
+        u = sim.dense(slots)
         labels = sector_labels()
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
-        for j in range(16):
-            for k in range(16):
-                if labels[j] != labels[k]:
-                    assert u[j, k] == 0
+        for k, i, j, a, b in slot_entries():
+            if labels[a] != labels[b]:
+                assert slots[k, i, j] == 0
+
+    def test_mixed_degenerate_eigenvectors_stay_in_their_sectors(self, monkeypatch):
+        # With ez = 0 and no detuning, the sectors {1,4} and {2,8} of slot 1
+        # have the same spectrum (-1, -1, 1, 1).  An eigh that returns each
+        # degenerate pair rotated into a mix of both sectors is still a valid
+        # decomposition; the step unitary must not leak between the sectors.
+        h = sim.build_hamiltonian(
+            sim.HamiltonianParams(eps=(0, 0), tun=1.0, u=(0, 0), ez=(0, 0))
+        )
+        eigh = np.linalg.eigh
+
+        def mixing_eigh(a):
+            energies, vectors = eigh(a)
+            vectors = vectors.copy()
+            c, s = np.cos(0.3), np.sin(0.3)
+            for j in (0, 2):
+                x, y = vectors[1, :, j].copy(), vectors[1, :, j + 1].copy()
+                vectors[1, :, j], vectors[1, :, j + 1] = c * x + s * y, c * y - s * x
+            return energies, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", mixing_eigh)
+        u = sim.step_unitaries(h, 1.0)
+        monkeypatch.undo()
+        assert np.all(u[1, :2, 2:] == 0) and np.all(u[1, 2:, :2] == 0)
+        oracle = sim.evolve_step(sim.dense(h), 1.0)
+        assert np.max(np.abs(sim.dense(u) - oracle)) <= 1e-12
 
     def test_complex_conserving_hamiltonian(self):
         # A diagonal gauge D H D^dag keeps every sector but makes H complex.
@@ -366,12 +446,13 @@ class TestStepUnitaries:
         (e0, e1, tun), = random_controls(rng, 1)
         gauge = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
         h = gauge[:, None] * dense_hamiltonian((e0, e1), tun, U, EZ) * gauge.conj()
-        u_step = sim.step_unitaries(h, 1.0)
+        u_step = sim.dense(sim.step_unitaries(h[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]], 1.0))
         assert np.max(np.abs(u_step - sim.evolve_step(h, 1.0))) <= 1e-10
         assert np.max(np.abs(u_step.conj().T @ u_step - np.eye(16))) < 1e-12
 
     def test_empty_batch(self):
-        assert propagate(np.empty((0, 3))).shape == (0, 16, 16)
+        assert propagate(np.empty((0, 3))).shape == (0, *sim.SLOT_SHAPE)
+        assert sim.dense(propagate(np.empty((0, 3)))).shape == (0, 16, 16)
 
     @pytest.mark.parametrize(
         "column,value,problem",
@@ -387,7 +468,7 @@ class TestStepUnitaries:
 
     def test_bad_dt_and_constants(self):
         with pytest.raises(ValueError, match="dt"):
-            sim.step_unitaries(np.zeros((16, 16)), 0.0)
+            sim.step_unitaries(np.zeros(sim.SLOT_SHAPE), 0.0)
         with pytest.raises(ValueError, match="ez"):
             propagate(np.array([[0.0, 0.0, 1.0]]), ez=(np.nan, 1.0))
 
@@ -398,9 +479,8 @@ class TestExchangeOracle:
 
     def slot_eigen(self, state, h):
         """Eigen-decomposition of the slot holding state, and its position."""
-        k, i = np.argwhere(sim.SLOTS == state)[0]
-        slot = sim.SLOTS[k]
-        energies, vectors = np.linalg.eigh(h[np.ix_(slot, slot)])
+        k, i = slot_position(state)
+        energies, vectors = np.linalg.eigh(h[k])
         return k, i, energies, vectors
 
     def test_exchange_coupling_and_cz_time(self, tmp_path):
