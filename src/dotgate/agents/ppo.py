@@ -14,8 +14,10 @@ normalized over the whole iteration batch.  The policy head outputs the
 three control means; the standard deviation is a learned state-
 independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.  The
-policy net, the log-std vector and the value net are views of one packed
-parameter vector, so each minibatch is one Adam step over all three.
+policy net, the log-std vector and the value net are built from one packed
+parameter vector (``nn.LiveRows``, which leaves out the first-layer rows of
+inputs that are always zero), so each minibatch is one Adam step over all
+three.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -137,12 +139,15 @@ def ppo_loss(
     log_std: np.ndarray,
     p_value: nn.MlpParameters,
     cfg: PpoConfig,
+    live=slice(None),
 ):
     """Clipped-surrogate + value loss with exact gradients.
 
     batch holds observations, actions, old log-probs, normalized
     advantages, and returns.  Returns (loss components, gradients for
-    the policy net, the log-std vector, and the value net).
+    the policy net, the log-std vector, and the value net).  The networks'
+    first-layer gradients hold the rows of the ``live`` inputs (default:
+    all of them).
     """
     obs = batch["observations"]
     actions = batch["actions"]
@@ -178,11 +183,11 @@ def ppo_loss(
              coeff[:, None] * d_log_std - cfg.entropy_coef / n],
             axis=1,
         )
-        g_policy = nn.backward(p_policy, cache_p, upstream)
+        g_policy = nn.backward(*nn.narrow(p_policy, cache_p, live), upstream)
         g_log_std = np.zeros_like(log_std)
     else:
         entropy = float(np.sum(log_std + 0.5 * (1.0 + nn.LOG_2PI)))
-        g_policy = nn.backward(p_policy, cache_p, coeff[:, None] * d_mean)
+        g_policy = nn.backward(*nn.narrow(p_policy, cache_p, live), coeff[:, None] * d_mean)
         g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
         g_log_std -= cfg.entropy_coef * np.ones_like(log_std)
 
@@ -190,7 +195,7 @@ def ppo_loss(
     v = v[:, 0]
     raw_value_loss, dv = nn.mse_loss(v, returns)
     value_loss = cfg.value_coef * raw_value_loss
-    g_value = nn.backward(p_value, cache_v, cfg.value_coef * dv[:, None])
+    g_value = nn.backward(*nn.narrow(p_value, cache_v, live), cfg.value_coef * dv[:, None])
 
     losses = {
         "policy_loss": policy_loss,
@@ -290,17 +295,6 @@ def _pool(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])
 
 
-def _unpack(flat: np.ndarray, shapes):
-    """Policy net, log-std vector and value net as views of the packed vector."""
-    views = nn.unpack(flat, shapes)
-    k = len(views) // 2
-    return (
-        nn.MlpParameters.from_list(views[:k]),
-        views[k],
-        nn.MlpParameters.from_list(views[k + 1:]),
-    )
-
-
 def train_ppo(
     env_factory,
     cfg: PpoConfig = PpoConfig(),
@@ -320,13 +314,14 @@ def train_ppo(
     env_config = env_factory().config
     obs_dim = env_config.obs_dim
     policy_out = 2 * N_CONTROLS if cfg.state_dependent_std else N_CONTROLS
-    policy = nn.init_mlp(obs_dim, policy_out, seed=policy_seed)
-    log_std = np.full(N_CONTROLS, cfg.log_std_init)
-    value_net = nn.init_mlp(obs_dim, 1, seed=value_seed)
-    parts = [*policy.as_list(), log_std, *value_net.as_list()]
-    shapes = [a.shape for a in parts]
-    flat = nn.pack(parts)
-    policy, log_std, value_net = _unpack(flat, shapes)
+    live = env_config.live_features
+    trainable = nn.LiveRows([
+        nn.init_mlp(obs_dim, policy_out, seed=policy_seed),
+        np.full(N_CONTROLS, cfg.log_std_init),
+        nn.init_mlp(obs_dim, 1, seed=value_seed),
+    ], live)
+    flat = trainable.pack()
+    policy, log_std, value_net = trainable.unpack(flat)
     grad = np.empty_like(flat)
     adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -357,13 +352,13 @@ def train_ppo(
             for start in range(0, n, cfg.minibatch):
                 batch = {k: v[start:start + cfg.minibatch] for k, v in shuffled.items()}
                 losses, (g_p, g_ls, g_v) = ppo_loss(
-                    batch, policy, log_std, value_net, cfg
+                    batch, policy, log_std, value_net, cfg, live
                 )
                 np.concatenate(
                     [*g_p.as_list(), g_ls, *g_v.as_list()], axis=None, out=grad
                 )
                 (flat,), adam = nn.adam_update([flat], [grad], adam)
-                policy, log_std, value_net = _unpack(flat, shapes)
+                policy, log_std, value_net = trainable.unpack(flat)
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1

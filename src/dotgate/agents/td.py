@@ -92,17 +92,19 @@ def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> f
     return r + gamma * q_next_at_a
 
 
-def _update(params, obs, action, target_value, alpha) -> nn.GradientSet:
-    """Gradient of the MSE regressing Q(s, action) toward the mixed target."""
+def _update(params, obs, action, target_value, alpha, live) -> nn.GradientSet:
+    """Gradient of the MSE regressing Q(s, action) toward the mixed target,
+    with the first layer narrowed to the ``live`` input rows."""
     q, cache = nn.forward(params, obs)
     target = q.copy()
     target[action] = (1.0 - alpha) * q[action] + alpha * target_value
     _, dq = nn.mse_loss(q, target)
-    return nn.backward(params, cache, dq)
+    return nn.backward(*nn.narrow(params, cache, live), dq)
 
 
-def _replay_update(params, target_params, buffer, idx, cfg: TdConfig) -> nn.GradientSet:
-    """Gradient of the batched Q-learning regression over replay samples."""
+def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> nn.GradientSet:
+    """Gradient of the batched Q-learning regression over replay samples,
+    with the first layer narrowed to the ``live`` input rows."""
     obs = np.stack([buffer[i][0] for i in idx])
     actions = [buffer[i][1] for i in idx]
     q, cache = nn.forward(params, obs)
@@ -113,7 +115,7 @@ def _replay_update(params, target_params, buffer, idx, cfg: TdConfig) -> nn.Grad
         y = td_target_qlearning(reward, cfg.gamma, q_next[row], terminated)
         target[row, action] = (1.0 - cfg.alpha) * q[row, action] + cfg.alpha * y
     _, dq = nn.mse_loss(q, target)
-    return nn.backward(params, cache, dq)
+    return nn.backward(*nn.narrow(params, cache, live), dq)
 
 
 def train_td(
@@ -127,6 +129,8 @@ def train_td(
 
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
+    Only the first-layer rows of the observation's live features are
+    trained (see ``nn.LiveRows``).
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -136,10 +140,10 @@ def train_td(
     ss = np.random.SeedSequence(seed)
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
-    params = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
-    shapes = [a.shape for a in params.as_list()]
-    flat = nn.pack(params.as_list())
-    params = nn.MlpParameters.from_list(nn.unpack(flat, shapes))
+    live = env.config.live_features
+    trainable = nn.LiveRows([nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)], live)
+    flat = trainable.pack()
+    (params,) = trainable.unpack(flat)
     grad = np.empty_like(flat)
     adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     target_params = params
@@ -187,14 +191,14 @@ def train_td(
                     idx = rng.integers(len(buffer), size=cfg.replay_batch)
                     grads = _replay_update(
                         params, target_params if cfg.target_sync_every > 0 else params,
-                        buffer, idx, cfg,
+                        buffer, idx, cfg, live,
                     )
             else:
-                grads = _update(params, obs, action, y, cfg.alpha)
+                grads = _update(params, obs, action, y, cfg.alpha, live)
             if grads is not None:
                 np.concatenate(grads.as_list(), axis=None, out=grad)
                 (flat,), adam = nn.adam_update([flat], [grad], adam)
-                params = nn.MlpParameters.from_list(nn.unpack(flat, shapes))
+                (params,) = trainable.unpack(flat)
             n_updates += 1
             if cfg.target_sync_every > 0 and n_updates % cfg.target_sync_every == 0:
                 target_params = params

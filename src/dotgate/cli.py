@@ -183,8 +183,11 @@ def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None 
 
     Every row is validated, also in sweep mode, which evolves only the first
     row's controls; out of bounds or non-finite controls raise ValueError
-    naming the row (as ``step t``, counted from 0) and the control.
+    naming the row (as ``step t``, counted from 0) and the control.  A
+    sweep duration below 1 ns raises ValueError naming it.
     """
+    if sweep_duration is not None and sweep_duration < 1:
+        raise ValueError(f"sweep duration {sweep_duration} must be >= 1 ns")
     schedule = PulseSchedule.from_csv(schedule_path)
     schedule_params(schedule, env_config).validate()
     if sweep_duration is not None:

@@ -61,6 +61,14 @@ class EnvConfig:
             raise ValueError(f"eps_bounds not ordered: {self.eps_bounds}")
         if self.tun_bounds[0] >= self.tun_bounds[1]:
             raise ValueError(f"tun_bounds not ordered: {self.tun_bounds}")
+        for name, bounds, physical in (
+            ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS),
+            ("tun_bounds", self.tun_bounds, sim.TUN_BOUNDS),
+        ):
+            if not physical[0] <= bounds[0] <= bounds[1] <= physical[1]:
+                raise ValueError(
+                    f"{name}={bounds} outside the physical range {physical} GHz"
+                )
         for i, e in enumerate(self.eps_init):
             if not self.eps_bounds[0] <= e <= self.eps_bounds[1]:
                 raise ValueError(f"eps_init[{i}]={e} outside {self.eps_bounds}")
@@ -79,6 +87,19 @@ class EnvConfig:
     @property
     def obs_dim(self) -> int:
         return 33 if self.obs_mode == "computational4" else 513
+
+    @property
+    def live_features(self) -> np.ndarray:
+        """Indices of the observation entries that can be nonzero, ascending.
+
+        H conserves (N, S_z), so every entry of the observed matrix between
+        two sectors is an exact zero on every step.  The live features are
+        the (re, im) pairs of the same-sector entries, plus the fidelity:
+        13 of 33 for computational4, 73 of 513 for full16.
+        """
+        entries = sim.COMP_ENTRIES if self.obs_mode == "computational4" else sim.DENSE_ENTRIES
+        pairs = np.stack([2 * entries, 2 * entries + 1], axis=-1).ravel()
+        return np.append(pairs, self.obs_dim - 1)
 
 
 @dataclass

@@ -5,13 +5,24 @@ linear output) with hand-written reverse-mode gradients, an Adam
 optimizer, and the small loss / log-density functions the agents need.
 Everything is plain numpy.
 
-A learner keeps all its trainable arrays in one contiguous float64
-vector (``pack``), and its networks are views of that vector
-(``unpack``), so one Adam call updates everything.  Parameters are
-treated as immutable values: ``adam_update`` returns a fresh vector and
-leaves the old one, and every view of it, untouched.  The optimizer's
-moments are the exception: they live in the ``AdamState`` and are
-updated in place.
+A learner keeps all its trainable entries in one contiguous float64
+vector, so one Adam call updates everything.  ``LiveRows`` builds that
+vector and hands the networks back from it.  A network's first layer
+is trained only in the rows of its *live inputs*, the observation
+entries that can be nonzero: [W1[live], W2, W3, b1, b2, b3].  The other
+inputs are exact zeros on every call, so their W1 rows would get a +-0
+gradient, Adam would keep their moments at 0, and they would never
+move; they stay at their ``init_mlp`` values.  The backward runs on the
+network and cache narrowed to the live inputs (``narrow``), whose first-
+layer gradient rows are the same products as the full-width ones, so
+leaving the dead rows out changes no bit of a run.  The forward stays
+full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
+and is not bitwise equal.  Checkpoints hold the full networks.
+
+Parameters are treated as immutable values: ``adam_update`` returns a
+fresh vector and leaves the old one, and every network built from it,
+untouched.  The optimizer's moments are the exception: they live in the
+``AdamState`` and are updated in place.
 """
 
 from __future__ import annotations
@@ -164,6 +175,68 @@ def unpack(flat: np.ndarray, shapes) -> list[np.ndarray]:
     if start != flat.size:
         raise ValueError(f"shapes hold {start} entries, vector has {flat.size}")
     return views
+
+
+def narrow(p: MlpParameters, cache, live):
+    """The network and forward cache restricted to the inputs ``live``.
+
+    ``backward`` of the pair gives the first-layer gradient rows of
+    ``live`` alone, bit for bit equal to those of the full-width backward;
+    every other weight and bias gradient is unchanged.
+    """
+    x, h1, h2 = cache
+    w1, w2, w3 = p.weights
+    return MlpParameters((w1[live], w2, w3), p.biases), (x[..., live], h1, h2)
+
+
+class LiveRows:
+    """The trainable entries of networks and plain arrays as one vector.
+
+    ``parts`` are the initial values, in packing order: networks, which
+    contribute [W1[live], W2, W3, b1, b2, b3], and plain arrays, which
+    contribute all their entries.  A network's dead first-layer rows keep
+    their values from ``parts`` (see the module docstring).
+    """
+
+    def __init__(self, parts, live):
+        self.parts = tuple(parts)
+        self.live = live
+        self.shapes = [a.shape for a in self._trainable()]
+
+    def _trainable(self) -> list[np.ndarray]:
+        """The initial parts' trainable arrays, in packing order."""
+        arrays = []
+        for part in self.parts:
+            if isinstance(part, MlpParameters):
+                w1, w2, w3 = part.weights
+                arrays += [w1[self.live], w2, w3, *part.biases]
+            else:
+                arrays.append(part)
+        return arrays
+
+    def pack(self) -> np.ndarray:
+        """The initial parts' trainable entries as one fresh vector."""
+        return pack(self._trainable())
+
+    def unpack(self, flat: np.ndarray) -> list:
+        """The parts held by ``flat``, full width.
+
+        Plain arrays and every network array but W1 are views of ``flat``;
+        a network's W1 is a fresh array of the initial dead rows and
+        ``flat``'s live rows.
+        """
+        views = iter(unpack(flat, self.shapes))
+        parts = []
+        for part in self.parts:
+            if isinstance(part, MlpParameters):
+                w1 = part.weights[0].copy()
+                w1[self.live] = next(views)
+                w2, w3, b1, b2, b3 = (next(views) for _ in range(5))
+                part = MlpParameters((w1, w2, w3), (b1, b2, b3))
+            else:
+                part = next(views)
+            parts.append(part)
+        return parts
 
 
 def _only(arrays, what: str) -> np.ndarray:

@@ -159,6 +159,12 @@ def _placement(states) -> tuple[np.ndarray, np.ndarray]:
 
 _DENSE_PLACEMENT = _placement(range(DIM_FULL))
 _COMP_PLACEMENT = _placement(COMPUTATIONAL_INDICES)
+# Flattened positions of the entries that can be nonzero, the same-sector
+# ones, in a dense 16x16 matrix and in the computational 4x4 block.
+DENSE_ENTRIES = _DENSE_PLACEMENT[1]
+COMP_ENTRIES = _COMP_PLACEMENT[1]
+DENSE_ENTRIES.flags.writeable = False
+COMP_ENTRIES.flags.writeable = False
 
 _CONTROL_LO = np.array([EPS_BOUNDS[0], EPS_BOUNDS[0], TUN_BOUNDS[0]])
 _CONTROL_HI = np.array([EPS_BOUNDS[1], EPS_BOUNDS[1], TUN_BOUNDS[1]])

@@ -424,3 +424,41 @@ class TestTrainPpo:
         if result.best_fidelity > cfg.target_fidelity:
             assert len(result.stats) <= 50
             assert result.best_schedule is not None
+
+
+def dead_rows(env_config: EnvConfig) -> np.ndarray:
+    return np.setdiff1d(np.arange(env_config.obs_dim), env_config.live_features)
+
+
+class TestLiveRowTraining:
+    """Learners train only the first-layer rows of the live features; the
+    other rows leave training at their ``init_mlp`` values, bit for bit."""
+
+    @pytest.mark.parametrize("flags", [
+        {},
+        {"replay_capacity": 200, "replay_batch": 32, "target_sync_every": 25},
+    ])
+    def test_td_dead_rows_keep_init(self, flags):
+        from dotgate.env import N_ACTIONS
+
+        env_config = EnvConfig(obs_mode="full16")
+        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0, **flags)
+        result = train_td(GateEnv(env_config), "qlearning", cfg, seed=31)
+        net_seed, _ = np.random.SeedSequence(31).spawn(2)
+        init = nn.init_mlp(env_config.obs_dim, N_ACTIONS, seed=net_seed)
+        dead, live = dead_rows(env_config), env_config.live_features
+        w1 = result.params.weights[0]
+        assert w1[dead].tobytes() == init.weights[0][dead].tobytes()
+        assert not np.array_equal(w1[live], init.weights[0][live])
+
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    def test_ppo_dead_rows_keep_init(self, obs_mode):
+        env_config = EnvConfig(obs_mode=obs_mode)
+        cfg = PpoConfig(horizon=30, n_envs=2, iterations_max=2, stop_on_target=False)
+        result = train_ppo(lambda: GateEnv(env_config), cfg, seed=32)
+        policy_seed, value_seed = np.random.SeedSequence(32).spawn(2)
+        dead, live = dead_rows(env_config), env_config.live_features
+        for net, seed, out_dim in ((result.policy, policy_seed, 3), (result.value, value_seed, 1)):
+            init = nn.init_mlp(env_config.obs_dim, out_dim, seed=seed)
+            assert net.weights[0][dead].tobytes() == init.weights[0][dead].tobytes()
+            assert not np.array_equal(net.weights[0][live], init.weights[0][live])

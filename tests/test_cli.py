@@ -176,6 +176,19 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.yaml")]) == 1
 
+    @pytest.mark.parametrize("physics, message", [
+        ({"eps_bounds": [-1000.0, 1000.0]},
+         "eps_bounds=(-1000.0, 1000.0) outside the physical range (-750.0, 750.0)"),
+        ({"tun_bounds": [0.0, 9.0], "tun_init": 8.0},
+         "tun_bounds=(0.0, 9.0) outside the physical range (0.0, 5.0)"),
+    ])
+    def test_bounds_outside_physical_range(self, tmp_path, capsys, physics, message):
+        path = write_config(
+            tmp_path / "c.yaml", {"algorithm": "qlearning", "seed": 1, "physics": physics}
+        )
+        assert cli.main(["validate", path]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestReplay:
     def test_one_step_schedule_matches_environment(self, tmp_path):
@@ -223,6 +236,15 @@ class TestReplay:
         )
         with pytest.raises(ValueError, match="step 1: tunnel=5.5 outside"):
             cli.run_replay(path, EnvConfig(), sweep_duration=30)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sweep_duration_below_one_rejected(self, tmp_path, capsys, n):
+        path = tmp_path / "s.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")
+        with pytest.raises(ValueError, match=f"sweep duration {n} must be >= 1"):
+            cli.run_replay(path, EnvConfig(), sweep_duration=n)
+        assert cli.main(["replay", str(path), "--sweep-duration", str(n)]) == 1
+        assert f"sweep duration {n}" in capsys.readouterr().err
 
     def test_cli_replay_command(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

@@ -40,6 +40,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="tun_init"):
             EnvConfig(tun_init=7.0).validate()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps_bounds": (-1000.0, 1000.0)},
+         r"eps_bounds=\(-1000.0, 1000.0\) outside the physical range \(-750.0, 750.0\)"),
+        ({"eps_bounds": (-700.0, 751.0)}, r"eps_bounds=.* outside the physical range"),
+        ({"tun_bounds": (0.0, 9.0), "tun_init": 8.0},
+         r"tun_bounds=\(0.0, 9.0\) outside the physical range \(0.0, 5.0\)"),
+        ({"tun_bounds": (-1.0, 4.0)}, r"tun_bounds=.* outside the physical range"),
+    ])
+    def test_bounds_outside_physical_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EnvConfig(**kwargs).validate()
+
+    def test_bounds_inside_physical_range(self):
+        EnvConfig(eps_bounds=(-750.0, 750.0), tun_bounds=(0.0, 5.0)).validate()
+        EnvConfig(eps_bounds=(-100.0, 600.0), tun_bounds=(1.0, 4.0)).validate()
+
 
 class TestReset:
     def test_identity_observation_fidelity(self):
@@ -391,3 +407,87 @@ class TestInvariants:
             assert 0.0 <= res.observation[-1] <= 1.0
             if res.terminated or res.truncated:
                 env.reset()
+
+
+def dead_features(cfg: EnvConfig) -> np.ndarray:
+    dead = np.ones(cfg.obs_dim, dtype=bool)
+    dead[cfg.live_features] = False
+    return dead
+
+
+class TestLiveFeatures:
+    """Observation entries outside ``live_features`` are exact zeros."""
+
+    MODES = ("computational4", "full16")
+
+    @pytest.mark.parametrize("mode, n_live", [("computational4", 13), ("full16", 73)])
+    def test_re_im_pairs_of_sector_entries_plus_fidelity(self, mode, n_live):
+        cfg = EnvConfig(obs_mode=mode)
+        live = cfg.live_features
+        assert len(live) == n_live
+        assert live[-1] == cfg.obs_dim - 1
+        assert np.all(np.diff(live) > 0)
+        re, im = live[:-1:2], live[1:-1:2]
+        assert np.all(re % 2 == 0) and np.array_equal(im, re + 1)
+        dim = 4 if mode == "computational4" else 16
+        states = sim.COMPUTATIONAL_INDICES if dim == 4 else range(16)
+        sector = [next(k for k, sec in enumerate(sim.SECTORS) if s in sec) for s in states]
+        i, j = np.divmod(re // 2, dim)
+        assert all(sector[a] == sector[b] for a, b in zip(i, j))
+        assert len(re) == sum(sector[a] == sector[b] for a in range(dim) for b in range(dim))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_discrete_episodes(self, mode):
+        cfg = EnvConfig(obs_mode=mode, max_steps=40)
+        dead = dead_features(cfg)
+        rng = np.random.default_rng(27)
+        env = GateEnv(cfg)
+        obs = env.reset()
+        assert np.all(obs[dead] == 0)
+        seen = {"boundary_hit": 0, "reset": 0}
+        for _ in range(300):
+            res = env.step_discrete(int(rng.integers(27)))
+            assert np.all(res.observation[dead] == 0)
+            seen["boundary_hit"] += res.info["boundary_hit"]
+            if res.terminated or res.truncated:
+                assert np.all(env.reset()[dead] == 0)
+                seen["reset"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_continuous_rows_with_auto_resets(self, mode):
+        cfg = EnvConfig(obs_mode=mode, max_steps=15)
+        dead = dead_features(cfg)
+        rng = np.random.default_rng(28)
+        scales = np.array([0.05, 0.5, 2.0])
+        venv = VecGateEnv(cfg, len(scales))
+        assert np.all(venv.reset()[:, dead] == 0)
+        seen = {"boundary_hit": 0, "reset": 0}
+        for _ in range(100):
+            actions = scales[:, None] * rng.standard_normal((len(scales), 3))
+            res = venv.step_continuous(actions)
+            assert np.all(res.observation[:, dead] == 0)
+            seen["boundary_hit"] += int(res.info["boundary_hit"].sum())
+            done = res.terminated | res.truncated
+            if done.any():
+                assert np.all(venv.reset(done)[:, dead] == 0)
+                seen["reset"] += int(done.sum())
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gate_whose_compensation_fails(self, mode):
+        # Start from SWAP of the full-space states 6 (down, up) and 9 (up,
+        # down), then step at zero tunnelling: the step is diagonal, so the
+        # gate keeps zeros on its diagonal and cannot be compensated.
+        cfg = EnvConfig(obs_mode=mode)
+        dead = dead_features(cfg)
+        order = np.arange(16)
+        order[[6, 9]] = 9, 6
+        swap = np.eye(16, dtype=complex)[order]
+        venv = VecGateEnv(cfg, 2)
+        venv.reset()
+        venv.u_acc = np.tile(swap[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]], (2, 1, 1, 1))
+        res = venv.step_continuous([[0.1, -0.2, -1.0], [0.3, 0.1, -1.0]])
+        assert not res.info["compensated"].any()
+        assert np.all(res.observation[:, dead] == 0)
+        assert np.any(res.observation[:, ~dead] != 0)

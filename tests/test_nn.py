@@ -308,7 +308,7 @@ class TestPackedAdam:
         parts = [policy.as_list(), [log_std], value.as_list()]
         states = [([np.zeros_like(a) for a in p], [np.zeros_like(a) for a in p], 0)
                   for p in parts]
-        shapes = [a.shape for p in parts for a in p]
+        trainable = nn.LiveRows([policy, log_std, value], np.arange(6))
         flat = nn.pack([a for p in parts for a in p])
         s = nn.init_adam([flat], lr=lr, lr_decay=lr_decay)
         for step in range(50):
@@ -320,7 +320,7 @@ class TestPackedAdam:
                 "advantages": rng.normal(size=n),
                 "returns": rng.normal(size=n),
             }
-            p_policy, p_log_std, p_value = ppo._unpack(flat, shapes)
+            p_policy, p_log_std, p_value = trainable.unpack(flat)
             _, (g_p, g_ls, g_v) = ppo.ppo_loss(batch, p_policy, p_log_std, p_value, cfg)
             grads = [g_p.as_list(), [g_ls], g_v.as_list()]
             (flat,), s = nn.adam_update([flat], [nn.pack([g for gs in grads for g in gs])], s)
@@ -347,6 +347,98 @@ class TestPackedAdam:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * flat.nbytes, f"peak {peak} B for a {flat.nbytes} B vector"
+
+
+def live_inputs(obs_mode: str, rng, rows=None):
+    """The mode's live features and random inputs that are exact zeros at
+    every other feature, as the environment's observations are."""
+    from dotgate.env import EnvConfig
+
+    cfg = EnvConfig(obs_mode=obs_mode)
+    live = cfg.live_features
+    x = np.zeros(cfg.obs_dim if rows is None else (rows, cfg.obs_dim))
+    x[..., live] = rng.uniform(-1.0, 1.0, size=(*x.shape[:-1], len(live)))
+    return live, x
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    @pytest.mark.parametrize("rows", [None, 1, 32, 64])
+    @pytest.mark.parametrize("out_dim", [27, 3, 1])
+    def test_narrowed_backward_equals_full_width_rows_bitwise(self, obs_mode, rows, out_dim):
+        rng = np.random.default_rng(80 + out_dim)
+        live, x = live_inputs(obs_mode, rng, rows)
+        p = nn.init_mlp(x.shape[-1], out_dim, seed=81)
+        _, cache = nn.forward(p, x)
+        dy = rng.normal(size=(*x.shape[:-1], out_dim))
+        full = nn.backward(p, cache, dy)
+        narrow = nn.backward(*nn.narrow(p, cache, live), dy)
+        dead = np.ones(x.shape[-1], dtype=bool)
+        dead[live] = False
+        assert np.all(full.weights[0][dead] == 0)
+        assert narrow.weights[0].tobytes() == full.weights[0][live].tobytes()
+        for got, want in zip(narrow.as_list()[1:], full.as_list()[1:]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_pack_unpack(self):
+        live = np.array([0, 2, 3])
+        policy = nn.init_mlp(5, 3, seed=82)
+        log_std = np.array([0.1, 0.2, 0.3])
+        value = nn.init_mlp(5, 1, seed=83)
+        trainable = nn.LiveRows([policy, log_std, value], live)
+        flat = trainable.pack()
+        assert flat.size == len(nn.pack([*policy.as_list(), log_std, *value.as_list()])) - 2 * 2 * 64
+        parts = trainable.unpack(flat)
+        for got, want in zip(parts, [policy, log_std, value]):
+            got, want = (x.as_list() if isinstance(x, nn.MlpParameters) else [x]
+                         for x in (got, want))
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        for net, init in ((parts[0], policy), (parts[2], value)):
+            w1, *rest = net.as_list()
+            assert not np.shares_memory(w1, flat) and not np.shares_memory(w1, init.weights[0])
+            assert all(np.shares_memory(a, flat) for a in rest)
+        assert np.shares_memory(parts[1], flat)
+        moved = trainable.unpack(flat + 1.0)
+        for net, init in ((moved[0], policy), (moved[2], value)):
+            assert np.array_equal(net.weights[0][[1, 4]], init.weights[0][[1, 4]])
+            assert np.array_equal(net.weights[0][live], init.weights[0][live] + 1.0)
+        assert np.array_equal(parts[0].weights[0], policy.weights[0]), "unpack mutated a part"
+
+    def test_live_row_training_equals_full_width_training_bitwise(self):
+        rng = np.random.default_rng(84)
+        live, _ = live_inputs("full16", rng)
+        init = [nn.init_mlp(513, 4, seed=85), np.zeros(2)]
+        full_shapes = [a.shape for a in [*init[0].as_list(), init[1]]]
+        full = nn.pack([*init[0].as_list(), init[1]])
+        s_full = nn.init_adam([full], lr=0.01, lr_decay=0.1)
+        trainable = nn.LiveRows(init, live)
+        flat = trainable.pack()
+        s_live = nn.init_adam([flat], lr=0.01, lr_decay=0.1)
+        for step in range(30):
+            rows = None if step % 2 else int(rng.integers(1, 65))
+            _, x = live_inputs("full16", rng, rows)
+            target = rng.normal(size=(*x.shape[:-1], 4))
+            c = rng.normal(size=2)
+
+            *arrays, extra = nn.unpack(full, full_shapes)
+            p = nn.MlpParameters.from_list(arrays)
+            y, cache = nn.forward(p, x)
+            _, dy = nn.mse_loss(y, target)
+            g = nn.backward(p, cache, dy)
+            (full,), s_full = nn.adam_update([full], [nn.pack([*g.as_list(), extra - c])], s_full)
+
+            p, extra = trainable.unpack(flat)
+            y, cache = nn.forward(p, x)
+            _, dy = nn.mse_loss(y, target)
+            g = nn.backward(*nn.narrow(p, cache, live), dy)
+            (flat,), s_live = nn.adam_update([flat], [nn.pack([*g.as_list(), extra - c])], s_live)
+
+        p, extra = trainable.unpack(flat)
+        assert nn.pack([*p.as_list(), extra]).tobytes() == full.tobytes()
+        dead = np.setdiff1d(np.arange(513), live)
+        assert p.weights[0][dead].tobytes() == init[0].weights[0][dead].tobytes()
+        assert not np.array_equal(p.weights[0][live], init[0].weights[0][live])
 
 
 class TestMseLoss:
