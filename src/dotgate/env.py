@@ -32,6 +32,7 @@ from . import sim
 N_ACTIONS = 27  # 3 choices (hold / up / down) per control, 3 controls
 
 SCHEDULE_CSV_HEADER = ["step", "eps0_ghz", "eps1_ghz", "tunnel_ghz"]
+_CSV_TYPES = (int, float, float, float)
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,8 @@ class EnvConfig:
                 raise ValueError(f"eps_init[{i}]={e} outside {self.eps_bounds}")
         if not self.tun_bounds[0] <= self.tun_init <= self.tun_bounds[1]:
             raise ValueError(f"tun_init={self.tun_init} outside {self.tun_bounds}")
+        # Checks u and ez here, so that a step can fail only on its controls.
+        _hamiltonian_params(np.array([*self.eps_init, self.tun_init]), self).validate()
         if not 0 < self.f_terminal <= self.f_bonus < 1:
             raise ValueError(
                 f"need 0 < f_terminal <= f_bonus < 1, got "
@@ -145,11 +148,18 @@ class PulseSchedule:
             for line in reader:
                 if not line:
                     continue
+                where = f"line {reader.line_num}"
                 if len(line) != 4:
-                    raise ValueError(f"bad schedule row: {line!r}")
-                rows.append(
-                    (int(line[0]), float(line[1]), float(line[2]), float(line[3]))
-                )
+                    raise ValueError(f"{where}: bad schedule row: {line!r}")
+                row = []
+                for name, parse, text in zip(SCHEDULE_CSV_HEADER, _CSV_TYPES, line):
+                    try:
+                        row.append(parse(text))
+                    except ValueError:
+                        raise ValueError(
+                            f"{where}, column {name}: cannot parse {text!r} as {parse.__name__}"
+                        ) from None
+                rows.append(tuple(row))
         return cls(rows=rows)
 
 
@@ -275,14 +285,22 @@ class VecGateEnv:
         """Hold in-bounds (n_envs, 3) controls (eps0, eps1, tunnel) for one dt.
 
         Returns a StepResult whose fields, and info values, are (n_envs,)
-        arrays, with (n_envs, obs_dim) observations.
+        arrays, with (n_envs, obs_dim) observations.  Out of bounds or
+        non-finite controls raise ValueError naming the row and the control.
         """
         self._check_live()
         cfg = self.config
-        params = sim.HamiltonianParams(
-            eps=controls[:, :2], tun=controls[:, 2], u=cfg.u, ez=cfg.ez
-        )
-        u_step = sim.step_unitaries(sim.build_hamiltonian(params), cfg.dt)
+        try:
+            h = sim.build_hamiltonian(_hamiltonian_params(controls, cfg))
+        except ValueError:
+            # The batched message counts lockstep rows as steps; name the row.
+            for row, c in enumerate(controls):
+                try:
+                    _hamiltonian_params(c, cfg).validate()
+                except ValueError as exc:
+                    raise ValueError(f"row {row}: {exc}") from None
+            raise
+        u_step = sim.step_unitaries(h, cfg.dt)
         self.u_acc = sim.accumulate(u_step, self.u_acc)
         self._history[self._rows, self.steps] = controls
         self.controls = controls
@@ -399,6 +417,14 @@ class GateEnv:
         return self._batch.export_schedule(0)
 
 
+def _hamiltonian_params(controls: np.ndarray, config: EnvConfig) -> sim.HamiltonianParams:
+    """Unvalidated Hamiltonian parameters of (..., 3) controls (eps0, eps1,
+    tunnel) under the config's constants."""
+    return sim.HamiltonianParams(
+        eps=controls[..., :2], tun=controls[..., 2], u=config.u, ez=config.ez
+    )
+
+
 def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
     """Batched Hamiltonian parameters of every schedule row, unvalidated.
 
@@ -407,9 +433,7 @@ def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.Hamiltoni
     of an exported schedule does.
     """
     controls = np.array([row[1:] for row in schedule.rows], dtype=float).reshape(-1, 3)
-    return sim.HamiltonianParams(
-        eps=controls[:, :2], tun=controls[:, 2], u=config.u, ez=config.ez
-    )
+    return _hamiltonian_params(controls, config)
 
 
 def replay_schedule(
@@ -417,21 +441,29 @@ def replay_schedule(
 ) -> tuple[sim.FidelityReport, list[float]]:
     """Re-evolve a stored schedule through the simulator alone.
 
-    All step propagators come from one batched Hamiltonian build and one
-    batched ``sim.step_unitaries`` call, and the gate pipeline runs once over
-    all accumulated unitaries.  Every row of these calls equals the
-    environment's row bit for bit, so the returned fidelities match the
-    producing episode bitwise.  Out of bounds or non-finite controls raise
-    ValueError naming the step.  Returns the final report and the per-step
-    fidelity trace.
+    Every row is validated first: out of bounds or non-finite controls raise
+    ValueError naming the step.  A piecewise-constant pulse repeats its step
+    propagator, so consecutive rows with bit-identical controls form a run,
+    and one batched Hamiltonian build and one batched ``sim.step_unitaries``
+    call cover the first row of each run: a constant sweep costs one build
+    and one ``eigh``.  The steps are accumulated in order into one stack and
+    the gate pipeline runs once over all accumulated unitaries.  Every row of
+    these calls equals the environment's row bit for bit, so the returned
+    fidelities match the producing episode bitwise.  Returns the final report
+    and the per-step fidelity trace.
     """
-    u_steps = sim.step_unitaries(
-        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+    controls = schedule_params(schedule, config).validate()
+    # Compare bits, not values, so that -0.0 and 0.0 start different runs.
+    bits = controls.view(np.int64)
+    starts = np.ones(len(controls), dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    u_runs = sim.step_unitaries(
+        sim.build_hamiltonian(_hamiltonian_params(controls[starts], config)), config.dt
     )
     # Row 0 is the identity before the first step.
-    u_acc = np.empty((len(u_steps) + 1, *sim.SLOT_SHAPE), dtype=complex)
+    u_acc = np.empty((len(controls) + 1, *sim.SLOT_SHAPE), dtype=complex)
     u_acc[0] = sim.IDENTITY
-    for t, u_step in enumerate(u_steps):
-        u_acc[t + 1] = sim.accumulate(u_step, u_acc[t])
+    for t, run in enumerate(np.cumsum(starts).tolist()):
+        sim.accumulate(u_runs[run - 1], u_acc[t], out=u_acc[t + 1])
     _, _, report = _gate(u_acc)
     return report.row(-1), report.fidelity[1:].tolist()

@@ -63,11 +63,10 @@ class MlpParameters:
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Partial derivatives mirroring MlpParameters, plus the input grad."""
+    """Partial derivatives mirroring MlpParameters."""
 
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
-    d_input: np.ndarray
 
     def as_list(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
@@ -131,7 +130,7 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> GradientSet:
     dL_dy = np.asarray(dL_dy, dtype=float)
     if dL_dy.shape != (*x.shape[:-1], p.out_dim):
         raise ValueError(f"dL_dy shape {dL_dy.shape} inconsistent with cache")
-    w1, w2, w3 = p.weights
+    _, w2, w3 = p.weights
 
     batched = x.ndim == 2
     x2 = x if batched else x[None, :]
@@ -147,12 +146,7 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> GradientSet:
     g = (g @ w2.T) * (1.0 - h1_2**2)
     dw1 = x2.T @ g
     db1 = g.sum(axis=0)
-    d_input = g @ w1.T
-    if not batched:
-        d_input = d_input[0]
-    return GradientSet(
-        weights=(dw1, dw2, dw3), biases=(db1, db2, db3), d_input=d_input
-    )
+    return GradientSet(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
 
 
 def pack(arrays) -> np.ndarray:

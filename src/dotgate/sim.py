@@ -317,12 +317,16 @@ def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
-def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:
+def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Left-multiply the newest step onto the accumulated unitary, slot by
-    slot for (..., 4, 4, 4) slot stacks."""
+    slot for (..., 4, 4, 4) slot stacks.
+
+    With ``out`` the product is written there, as in ``np.matmul``, and
+    ``out`` is returned; its bits equal those of ``u_step @ u_acc``.
+    """
     if u_step.shape != u_acc.shape:
         raise ValueError(f"shape mismatch: {u_step.shape} vs {u_acc.shape}")
-    return u_step @ u_acc
+    return np.matmul(u_step, u_acc, out=out)
 
 
 def project_to_computational(u: np.ndarray) -> np.ndarray:

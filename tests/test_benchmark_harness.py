@@ -62,8 +62,12 @@ def test_traced_runs_and_uninstall_restores_originals(tracing, tmp_path):
         assert getattr(owner, attr) is fn, f"{attr} not restored"
 
 
-@pytest.mark.parametrize("workload,seed", [("ppo_train", 201), ("td_full16", 101)])
+@pytest.mark.parametrize(
+    "workload,seed", [("ppo_train", 201), ("td_full16", 101), ("replay_sweep", 0)]
+)
 def test_setup_probe_reaches_first_hamiltonian_build(workload, seed):
+    # run.py creates the gitignored output directory the replay probe writes to.
+    (BENCHMARKS / "out").mkdir(exist_ok=True)
     proc = subprocess.run(
         [sys.executable, str(BENCHMARKS / "probe_setup.py"), workload, str(seed)],
         capture_output=True, text=True, timeout=120,

@@ -219,6 +219,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="eps0"):
             cli.run_replay(path, EnvConfig())
 
+    def test_unparsable_field_names_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n1,abc,70,2.5\n")
+        assert cli.main(["replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 3, column eps0_ghz: cannot parse 'abc' as float" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_schedule_rejected(self, tmp_path, value):
         path = tmp_path / "s.csv"

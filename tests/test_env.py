@@ -14,6 +14,7 @@ from dotgate.env import (
     compute_reward,
     decode_action,
     replay_schedule,
+    schedule_params,
 )
 
 ACTION_TUN_DOWN = 18  # base-3 digits (0, 0, 2)
@@ -49,6 +50,14 @@ class TestConfig:
         ({"tun_bounds": (-1.0, 4.0)}, r"tun_bounds=.* outside the physical range"),
     ])
     def test_bounds_outside_physical_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EnvConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"u": (-1.0, 845.2)}, r"u\[0\]=-1.0 must be >= 0"),
+        ({"ez": (18.4, float("nan"))}, r"ez\[1\]=nan must be >= 0"),
+    ])
+    def test_bad_physical_constants(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             EnvConfig(**kwargs).validate()
 
@@ -245,6 +254,18 @@ class TestSchedule:
         sched.to_csv(path)
         assert PulseSchedule.from_csv(path).rows == sched.rows
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,170,70,2.5\n1,abc,70,2.5\n", "line 3, column eps0_ghz: cannot parse 'abc' as float"),
+        ("0.5,170,70,2.5\n", "line 2, column step: cannot parse '0.5' as int"),
+        ("0,170,70,2.5\n\n2,170,70,\n", "line 4, column tunnel_ghz: cannot parse '' as float"),
+        ("0,170,70\n", r"line 2: bad schedule row: \['0', '170', '70'\]"),
+    ])
+    def test_csv_bad_field_names_line_and_column(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n" + text)
+        with pytest.raises(ValueError, match=message):
+            PulseSchedule.from_csv(path)
+
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n0,1,2,3\n")
@@ -289,6 +310,82 @@ class TestReplay:
         report, trace = replay_schedule(PulseSchedule())
         assert report.fidelity == pytest.approx(0.4, abs=1e-12)
         assert trace == []
+
+
+def replay_per_row(schedule, config=EnvConfig()):
+    """Reference replay: one propagator per schedule row, accumulated by @."""
+    u_steps = sim.step_unitaries(
+        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+    )
+    u_acc = np.empty((len(u_steps) + 1, *sim.SLOT_SHAPE), dtype=complex)
+    u_acc[0] = sim.IDENTITY
+    for t, u_step in enumerate(u_steps):
+        u_acc[t + 1] = u_step @ u_acc[t]
+    report = sim.gate_fidelity(sim.compensate(sim.project_to_computational(u_acc))[0])
+    return report.row(-1), report.fidelity[1:].tolist()
+
+
+def schedule_of(controls):
+    return PulseSchedule(rows=[(t, *c) for t, c in enumerate(np.asarray(controls).tolist())])
+
+
+def runs_schedule():
+    """Runs of equal rows, with tunnel 0.0 and -0.0 in neighbouring runs."""
+    runs = [((170.0, 70.0, 0.0), 5), ((170.0, 70.0, -0.0), 3), ((170.0, 70.0, 0.0), 4),
+            ((-0.0, 0.0, 2.5), 2), ((0.0, 0.0, 2.5), 1), ((-750.0, -300.0, 5.0), 6)]
+    return schedule_of([c for c, n in runs for _ in range(n)]), len(runs)
+
+
+class TestReplayRuns:
+    """Replay builds one propagator per run of bit-identical rows."""
+
+    @staticmethod
+    def count_step_rows(monkeypatch):
+        rows = []
+        step_unitaries = sim.step_unitaries
+
+        def counted(h, dt):
+            rows.append(len(h))
+            return step_unitaries(h, dt)
+
+        monkeypatch.setattr(sim, "step_unitaries", counted)
+        return rows
+
+    @pytest.mark.parametrize("name", ["sweep", "runs", "distinct", "empty"])
+    def test_equals_per_row_replay_bitwise(self, name):
+        rng = np.random.default_rng(27)
+        schedule = {
+            "sweep": schedule_of([(170.0, 70.0, 2.5)] * 200),
+            "runs": runs_schedule()[0],
+            "distinct": schedule_of(
+                rng.uniform([-750.0, -750.0, 0.0], [750.0, 750.0, 5.0], (60, 3))
+            ),
+            "empty": PulseSchedule(),
+        }[name]
+        report, trace = replay_schedule(schedule)
+        want_report, want_trace = replay_per_row(schedule)
+        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+        assert report == want_report
+        assert len(trace) == len(schedule)
+
+    def test_sweep_builds_one_propagator(self, monkeypatch):
+        rows = self.count_step_rows(monkeypatch)
+        replay_schedule(schedule_of([(170.0, 70.0, 2.5)] * 200))
+        assert rows == [1]
+
+    def test_signed_zeros_start_new_runs(self, monkeypatch):
+        rows = self.count_step_rows(monkeypatch)
+        schedule, n_runs = runs_schedule()
+        replay_schedule(schedule)
+        assert rows == [n_runs]
+
+    def test_bad_row_inside_a_run_named_by_schedule_index(self):
+        schedule = schedule_of([(170.0, 70.0, 2.5)] * 10 + [(800.0, 70.0, 2.5)] * 5)
+        with pytest.raises(ValueError, match=r"step 10: eps0=800.0 outside"):
+            replay_schedule(schedule)
+        schedule = schedule_of([(170.0, 70.0, 2.5)] * 3 + [(170.0, 70.0, np.nan)] * 4)
+        with pytest.raises(ValueError, match=r"step 3: tunnel=nan is not finite"):
+            replay_schedule(schedule)
 
 
 class TestVecGateEnv:
@@ -358,6 +455,20 @@ class TestVecGateEnv:
             venv.step_continuous(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="row 1 is not finite"):
             venv.step_continuous([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
+
+    @pytest.mark.parametrize("controls, message", [
+        ([[900.0, 70.0, 2.5]], r"^row 0: eps0=900.0 outside \(-750.0, 750.0\) GHz$"),
+        ([[170.0, 70.0, 2.5], [170.0, 70.0, 2.5], [900.0, 70.0, 2.5]],
+         r"^row 2: eps0=900.0 outside \(-750.0, 750.0\) GHz$"),
+        ([[170.0, 70.0, 2.5], [170.0, 70.0, np.inf], [170.0, -800.0, 2.5]],
+         r"^row 1: tunnel=inf is not finite$"),
+    ])
+    def test_bad_controls_named_by_row(self, controls, message):
+        controls = np.array(controls)
+        venv = VecGateEnv(EnvConfig(), len(controls))
+        venv.reset()
+        with pytest.raises(ValueError, match=message):
+            venv.advance(controls, np.zeros(len(controls), dtype=bool))
 
 
 class TestInvariants:

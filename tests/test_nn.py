@@ -99,7 +99,6 @@ class TestBackward:
         _, cache = nn.forward(p, np.ones(5))
         g = nn.backward(p, cache, np.zeros(3))
         assert all(np.all(a == 0) for a in g.as_list())
-        assert np.all(g.d_input == 0)
 
     def test_single_linear_layer_hand_derivative(self):
         # zero hidden weights make the network y = b3 + 0; instead route a
@@ -173,7 +172,6 @@ class TestAdam:
         zeros = nn.GradientSet(
             weights=tuple(np.zeros_like(w) for w in p.weights),
             biases=tuple(np.zeros_like(b) for b in p.biases),
-            d_input=np.zeros(4),
         )
         (flat2,), s2 = nn.adam_update([flat], [packed(zeros)], s)
         p2 = unpacked(flat2, p)
