@@ -67,6 +67,14 @@ class PpoConfig:
             raise ValueError(f"gamma={self.gamma} outside (0, 1]")
         if self.horizon < 1 or self.n_envs < 1:
             raise ValueError("horizon and n_envs must be >= 1")
+        if self.epochs_per_iter < 1:
+            raise ValueError(f"epochs_per_iter={self.epochs_per_iter} must be >= 1")
+        if self.minibatch < 1:
+            raise ValueError(f"minibatch={self.minibatch} must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr={self.lr} must be > 0")
+        if not self.lr_decay >= 0:
+            raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
 
 
 @dataclass
@@ -183,11 +191,11 @@ def ppo_loss(
              coeff[:, None] * d_log_std - cfg.entropy_coef / n],
             axis=1,
         )
-        g_policy = nn.backward(*nn.narrow(p_policy, cache_p, live), upstream)
+        g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), upstream)
         g_log_std = np.zeros_like(log_std)
     else:
         entropy = float(np.sum(log_std + 0.5 * (1.0 + nn.LOG_2PI)))
-        g_policy = nn.backward(*nn.narrow(p_policy, cache_p, live), coeff[:, None] * d_mean)
+        g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean)
         g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
         g_log_std -= cfg.entropy_coef * np.ones_like(log_std)
 
@@ -195,7 +203,7 @@ def ppo_loss(
     v = v[:, 0]
     raw_value_loss, dv = nn.mse_loss(v, returns)
     value_loss = cfg.value_coef * raw_value_loss
-    g_value = nn.backward(*nn.narrow(p_value, cache_v, live), cfg.value_coef * dv[:, None])
+    g_value = nn.backward(p_value, nn.narrow(cache_v, live), cfg.value_coef * dv[:, None])
 
     losses = {
         "policy_loss": policy_loss,
@@ -358,7 +366,9 @@ def train_ppo(
                     [*g_p.as_list(), g_ls, *g_v.as_list()], axis=None, out=grad
                 )
                 (flat,), adam = nn.adam_update([flat], [grad], adam)
-                policy, log_std, value_net = trainable.unpack(flat)
+                policy, log_std, value_net = trainable.unpack(
+                    flat, out=[policy, log_std, value_net]
+                )
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1

@@ -47,6 +47,23 @@ class TdConfig:
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
         if self.episodes_max < 1:
             raise ValueError("episodes_max must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr={self.lr} must be > 0")
+        if not self.lr_decay >= 0:
+            raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
+        if self.replay_capacity < 0:
+            raise ValueError(f"replay_capacity={self.replay_capacity} must be >= 0 (0: off)")
+        if self.replay_batch < 1:
+            raise ValueError(f"replay_batch={self.replay_batch} must be >= 1")
+        if 0 < self.replay_capacity < self.replay_batch:
+            raise ValueError(
+                f"replay_batch={self.replay_batch} exceeds replay_capacity="
+                f"{self.replay_capacity}, so no update would ever run"
+            )
+        if self.target_sync_every < 0:
+            raise ValueError(
+                f"target_sync_every={self.target_sync_every} must be >= 0 (0: off)"
+            )
 
 
 @dataclass
@@ -94,12 +111,15 @@ def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> f
 
 def _update(params, obs, action, target_value, alpha, live) -> nn.GradientSet:
     """Gradient of the MSE regressing Q(s, action) toward the mixed target,
-    with the first layer narrowed to the ``live`` input rows."""
+    with the first layer narrowed to the ``live`` input rows.
+
+    The target equals Q(s) except at ``action``, so the MSE gradient
+    2 (q - target) / n is zero everywhere else."""
     q, cache = nn.forward(params, obs)
-    target = q.copy()
-    target[action] = (1.0 - alpha) * q[action] + alpha * target_value
-    _, dq = nn.mse_loss(q, target)
-    return nn.backward(*nn.narrow(params, cache, live), dq)
+    mixed = (1.0 - alpha) * q[action] + alpha * target_value
+    dq = np.zeros_like(q)
+    dq[action] = 2.0 * (q[action] - mixed) / q.size
+    return nn.backward(params, nn.narrow(cache, live), dq)
 
 
 def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> nn.GradientSet:
@@ -115,7 +135,7 @@ def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> n
         y = td_target_qlearning(reward, cfg.gamma, q_next[row], terminated)
         target[row, action] = (1.0 - cfg.alpha) * q[row, action] + cfg.alpha * y
     _, dq = nn.mse_loss(q, target)
-    return nn.backward(*nn.narrow(params, cache, live), dq)
+    return nn.backward(params, nn.narrow(cache, live), dq)
 
 
 def train_td(
@@ -130,7 +150,8 @@ def train_td(
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
     Only the first-layer rows of the observation's live features are
-    trained (see ``nn.LiveRows``).
+    trained (see ``nn.LiveRows``).  Each update refreshes the Q-network in
+    place; the target network is a separate snapshot of the parameters.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -146,7 +167,8 @@ def train_td(
     (params,) = trainable.unpack(flat)
     grad = np.empty_like(flat)
     adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
-    target_params = params
+    sync = cfg.target_sync_every > 0
+    target_params = trainable.unpack(flat)[0] if sync else None
     buffer: deque = deque(maxlen=cfg.replay_capacity or 1)
     n_updates = 0
 
@@ -170,7 +192,7 @@ def train_td(
             if algo == "qlearning":
                 bootstrap_q, _ = (
                     nn.forward(target_params, res.observation)
-                    if cfg.target_sync_every > 0
+                    if sync
                     else (q_next, None)
                 )
                 y = td_target_qlearning(
@@ -190,7 +212,7 @@ def train_td(
                 if len(buffer) >= cfg.replay_batch:
                     idx = rng.integers(len(buffer), size=cfg.replay_batch)
                     grads = _replay_update(
-                        params, target_params if cfg.target_sync_every > 0 else params,
+                        params, target_params if sync else params,
                         buffer, idx, cfg, live,
                     )
             else:
@@ -198,10 +220,10 @@ def train_td(
             if grads is not None:
                 np.concatenate(grads.as_list(), axis=None, out=grad)
                 (flat,), adam = nn.adam_update([flat], [grad], adam)
-                (params,) = trainable.unpack(flat)
+                (params,) = trainable.unpack(flat, out=[params])
             n_updates += 1
-            if cfg.target_sync_every > 0 and n_updates % cfg.target_sync_every == 0:
-                target_params = params
+            if sync and n_updates % cfg.target_sync_every == 0:
+                (target_params,) = trainable.unpack(flat)
             if done:
                 break
             obs = res.observation

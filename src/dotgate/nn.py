@@ -13,16 +13,22 @@ entries that can be nonzero: [W1[live], W2, W3, b1, b2, b3].  The other
 inputs are exact zeros on every call, so their W1 rows would get a +-0
 gradient, Adam would keep their moments at 0, and they would never
 move; they stay at their ``init_mlp`` values.  The backward runs on the
-network and cache narrowed to the live inputs (``narrow``), whose first-
+forward cache whose input is narrowed to the live features (``narrow``);
+it never reads W1, so the network itself is not narrowed, and the first-
 layer gradient rows are the same products as the full-width ones, so
 leaving the dead rows out changes no bit of a run.  The forward stays
 full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
 and is not bitwise equal.  Checkpoints hold the full networks.
 
-Parameters are treated as immutable values: ``adam_update`` returns a
-fresh vector and leaves the old one, and every network built from it,
-untouched.  The optimizer's moments are the exception: they live in the
-``AdamState`` and are updated in place.
+Parameters are treated as values: ``adam_update`` returns a fresh vector
+and leaves the old one, and every array viewing it, untouched.  Two
+things are updated in place instead.  The optimizer's moments live in
+the ``AdamState``.  And a full-width W1 is not part of the packed vector:
+``LiveRows.unpack(flat)`` builds a fresh one, while
+``LiveRows.unpack(flat, out=parts)`` writes ``flat``'s live rows into the
+W1 arrays of ``parts``, an earlier unpack the caller no longer reads.  A
+network that must keep its values across updates (TD's target network)
+is therefore taken with a plain ``unpack``.
 """
 
 from __future__ import annotations
@@ -171,16 +177,16 @@ def unpack(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def narrow(p: MlpParameters, cache, live):
-    """The network and forward cache restricted to the inputs ``live``.
+def narrow(cache, live):
+    """The forward cache with its input restricted to the features ``live``.
 
-    ``backward`` of the pair gives the first-layer gradient rows of
-    ``live`` alone, bit for bit equal to those of the full-width backward;
-    every other weight and bias gradient is unchanged.
+    ``backward(p, narrow(cache, live), dy)`` gives the first-layer gradient
+    rows of ``live`` alone, bit for bit equal to those of the full-width
+    backward; every other weight and bias gradient is unchanged.  The
+    backward reads no W1, so ``p`` stays full width.
     """
     x, h1, h2 = cache
-    w1, w2, w3 = p.weights
-    return MlpParameters((w1[live], w2, w3), p.biases), (x[..., live], h1, h2)
+    return x[..., live], h1, h2
 
 
 class LiveRows:
@@ -189,7 +195,9 @@ class LiveRows:
     ``parts`` are the initial values, in packing order: networks, which
     contribute [W1[live], W2, W3, b1, b2, b3], and plain arrays, which
     contribute all their entries.  A network's dead first-layer rows keep
-    their values from ``parts`` (see the module docstring).
+    their values from ``parts`` (see the module docstring).  ``unpack``
+    builds fresh W1 arrays, or, with ``out=``, refreshes those of an
+    earlier unpack in place.
     """
 
     def __init__(self, parts, live):
@@ -212,18 +220,27 @@ class LiveRows:
         """The initial parts' trainable entries as one fresh vector."""
         return pack(self._trainable())
 
-    def unpack(self, flat: np.ndarray) -> list:
+    def unpack(self, flat: np.ndarray, out=None) -> list:
         """The parts held by ``flat``, full width.
 
-        Plain arrays and every network array but W1 are views of ``flat``;
-        a network's W1 is a fresh array of the initial dead rows and
-        ``flat``'s live rows.
+        Plain arrays and every network array but W1 are views of ``flat``.
+        A network's W1 holds the initial dead rows and ``flat``'s live
+        rows.  Without ``out`` it is a fresh array.  ``out`` is the list of
+        parts an earlier ``unpack`` of this ``LiveRows`` returned, which the
+        caller no longer reads: each network's W1 is then taken from it and
+        overwritten in its live rows only, so no full-width W1 is copied.
+        Every network built on those W1 arrays changes with them.  ``out``
+        must not hold the initial parts (their W1 is what ``pack`` reads)
+        or arrays that view ``flat``; that, or a network of the wrong
+        shape, raises ``ValueError``.
         """
+        if out is not None:
+            self._check_out(out, flat)
         views = iter(unpack(flat, self.shapes))
         parts = []
-        for part in self.parts:
+        for i, part in enumerate(self.parts):
             if isinstance(part, MlpParameters):
-                w1 = part.weights[0].copy()
+                w1 = part.weights[0].copy() if out is None else out[i].weights[0]
                 w1[self.live] = next(views)
                 w2, w3, b1, b2, b3 = (next(views) for _ in range(5))
                 part = MlpParameters((w1, w2, w3), (b1, b2, b3))
@@ -231,6 +248,25 @@ class LiveRows:
                 part = next(views)
             parts.append(part)
         return parts
+
+    def _check_out(self, out, flat: np.ndarray) -> None:
+        """Raise unless every network of ``out`` has a W1 ``unpack`` may overwrite."""
+        if len(out) != len(self.parts):
+            raise ValueError(f"out holds {len(out)} parts, expected {len(self.parts)}")
+        for i, (part, given) in enumerate(zip(self.parts, out)):
+            if not isinstance(part, MlpParameters):
+                continue
+            if not isinstance(given, MlpParameters):
+                raise ValueError(f"out[{i}] is not a network")
+            init, w1 = part.weights[0], given.weights[0]
+            if w1.shape != init.shape or w1.dtype != init.dtype:
+                raise ValueError(
+                    f"out[{i}] has W1 {w1.dtype}{w1.shape}, expected {init.dtype}{init.shape}"
+                )
+            if np.may_share_memory(w1, init):
+                raise ValueError(f"out[{i}] holds the initial parts' W1")
+            if np.may_share_memory(w1, flat):
+                raise ValueError(f"out[{i}] has a W1 that views flat")
 
 
 def _only(arrays, what: str) -> np.ndarray:

@@ -462,3 +462,66 @@ class TestLiveRowTraining:
             init = nn.init_mlp(env_config.obs_dim, out_dim, seed=seed)
             assert net.weights[0][dead].tobytes() == init.weights[0][dead].tobytes()
             assert not np.array_equal(net.weights[0][live], init.weights[0][live])
+
+
+@pytest.mark.parametrize("cfg, match", [
+    (TdConfig(replay_capacity=16, replay_batch=32), "replay_batch=32 exceeds replay_capacity=16"),
+    (TdConfig(replay_capacity=100, replay_batch=0), "replay_batch=0"),
+    (TdConfig(replay_batch=0), "replay_batch=0"),
+    (TdConfig(replay_capacity=-1), "replay_capacity=-1"),
+    (TdConfig(lr=-1), "lr=-1"),
+    (TdConfig(lr=0.0), "lr=0.0"),
+    (TdConfig(lr_decay=-0.5), "lr_decay=-0.5"),
+    (TdConfig(target_sync_every=-3), "target_sync_every=-3"),
+    (PpoConfig(minibatch=0), "minibatch=0"),
+    (PpoConfig(epochs_per_iter=0), "epochs_per_iter=0"),
+    (PpoConfig(lr=-1), "lr=-1"),
+    (PpoConfig(lr_decay=-0.5), "lr_decay=-0.5"),
+])
+def test_validate_rejects_settings_that_break_learning(cfg, match):
+    with pytest.raises(ValueError, match=rf"^{match}\b"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("cfg", [
+    TdConfig(), TdConfig(replay_capacity=32, replay_batch=32, target_sync_every=1),
+    PpoConfig(), PpoConfig(minibatch=1, epochs_per_iter=1, lr_decay=0.0),
+])
+def test_validate_accepts_edge_settings(cfg):
+    cfg.validate()
+
+
+class TestInPlaceRefresh:
+    """Refreshing the networks in place (``LiveRows.unpack(flat, out=)``)
+    runs exactly as a fresh unpack per update.  TD's target network must
+    stay a snapshot that no in-place refresh reaches."""
+
+    @staticmethod
+    def fingerprint(result, nets):
+        stats = [{k: v for k, v in vars(s).items() if k != "wall_ms"} for s in result.stats]
+        arrays = [a for n in nets for a in (n.as_list() if isinstance(n, nn.MlpParameters) else [n])]
+        return repr(stats).encode() + b"".join(a.tobytes() for a in arrays)
+
+    @pytest.mark.parametrize("run", [
+        lambda: TestInPlaceRefresh.td({"target_sync_every": 7}),
+        lambda: TestInPlaceRefresh.td(
+            {"replay_capacity": 100, "replay_batch": 16, "target_sync_every": 25}),
+        lambda: TestInPlaceRefresh.ppo(),
+    ], ids=["td_target_sync", "td_replay_target_sync", "ppo"])
+    def test_equals_fresh_unpack(self, run, monkeypatch):
+        in_place = run()
+        plain = nn.LiveRows.unpack
+        monkeypatch.setattr(nn.LiveRows, "unpack", lambda self, flat, out=None: plain(self, flat))
+        assert run() == in_place
+
+    @classmethod
+    def td(cls, flags):
+        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0, **flags)
+        result = train_td(GateEnv(EnvConfig(obs_mode="full16")), "qlearning", cfg, seed=33)
+        return cls.fingerprint(result, [result.params])
+
+    @classmethod
+    def ppo(cls):
+        cfg = PpoConfig(horizon=30, n_envs=2, iterations_max=2, stop_on_target=False)
+        result = train_ppo(GateEnv, cfg, seed=34)
+        return cls.fingerprint(result, [result.policy, result.log_std, result.value])

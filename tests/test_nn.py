@@ -370,7 +370,7 @@ class TestLiveRows:
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(*x.shape[:-1], out_dim))
         full = nn.backward(p, cache, dy)
-        narrow = nn.backward(*nn.narrow(p, cache, live), dy)
+        narrow = nn.backward(p, nn.narrow(cache, live), dy)
         dead = np.ones(x.shape[-1], dtype=bool)
         dead[live] = False
         assert np.all(full.weights[0][dead] == 0)
@@ -403,6 +403,65 @@ class TestLiveRows:
             assert np.array_equal(net.weights[0][live], init.weights[0][live] + 1.0)
         assert np.array_equal(parts[0].weights[0], policy.weights[0]), "unpack mutated a part"
 
+    def test_unpack_out_equals_plain_unpack_and_reuses_w1(self):
+        live = np.array([0, 2, 3])
+        trainable = nn.LiveRows(
+            [nn.init_mlp(5, 3, seed=86), np.array([0.1, 0.2, 0.3]), nn.init_mlp(5, 1, seed=87)],
+            live,
+        )
+        parts = trainable.unpack(trainable.pack())
+        flat = trainable.pack() + 1.0
+        want = trainable.unpack(flat)
+        got = trainable.unpack(flat, out=parts)
+        for g, w, old in zip(got, want, parts):
+            if isinstance(g, nn.MlpParameters):
+                assert [a.tobytes() for a in g.as_list()] == [a.tobytes() for a in w.as_list()]
+                assert g.weights[0] is old.weights[0]
+                assert all(np.shares_memory(a, flat) for a in g.as_list()[1:])
+            else:
+                assert g.tobytes() == w.tobytes() and np.shares_memory(g, flat)
+
+    def test_unpack_out_allocates_less_than_one_w1(self):
+        from dotgate.env import N_ACTIONS, EnvConfig
+
+        p = nn.init_mlp(513, N_ACTIONS, seed=88)
+        trainable = nn.LiveRows([p], EnvConfig(obs_mode="full16").live_features)
+        flat = trainable.pack()
+        parts = trainable.unpack(flat)
+        peaks = {}
+        for mode in ("plain", "out"):
+            tracemalloc.start()
+            try:
+                parts = trainable.unpack(flat, out=parts if mode == "out" else None)
+                _, peaks[mode] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        w1_bytes = p.weights[0].nbytes
+        assert peaks["plain"] >= w1_bytes, peaks
+        assert peaks["out"] < w1_bytes, peaks
+
+    @pytest.mark.parametrize("bad", ["initial", "wrong_shape", "views_flat", "not_network",
+                                     "too_few"])
+    def test_unpack_rejects_bad_out(self, bad):
+        policy, value = nn.init_mlp(5, 3, seed=89), nn.init_mlp(5, 1, seed=90)
+        trainable = nn.LiveRows([policy, np.zeros(3), value], np.array([0, 2, 3]))
+        flat = trainable.pack()
+        out = trainable.unpack(flat)
+        w1 = flat[:policy.weights[0].size].reshape(policy.weights[0].shape)
+        out, match = {
+            "initial": (list(trainable.parts), r"out\[0\] holds the initial parts"),
+            "wrong_shape": ([out[0], out[1], nn.init_mlp(4, 1, seed=91)], r"out\[2\] has W1"),
+            "views_flat": ([nn.MlpParameters((w1, *policy.weights[1:]), policy.biases),
+                            *out[1:]], r"out\[0\] has a W1 that views flat"),
+            "not_network": ([out[0], out[1], out[1]], r"out\[2\] is not a network"),
+            "too_few": (out[:2], r"out holds 2 parts, expected 3"),
+        }[bad]
+        before = flat.copy()
+        with pytest.raises(ValueError, match=match):
+            trainable.unpack(flat, out=out)
+        assert np.array_equal(flat, before)
+        assert np.array_equal(trainable.parts[0].weights[0], policy.weights[0])
+
     def test_live_row_training_equals_full_width_training_bitwise(self):
         rng = np.random.default_rng(84)
         live, _ = live_inputs("full16", rng)
@@ -429,7 +488,7 @@ class TestLiveRows:
             p, extra = trainable.unpack(flat)
             y, cache = nn.forward(p, x)
             _, dy = nn.mse_loss(y, target)
-            g = nn.backward(*nn.narrow(p, cache, live), dy)
+            g = nn.backward(p, nn.narrow(cache, live), dy)
             (flat,), s_live = nn.adam_update([flat], [nn.pack([*g.as_list(), extra - c])], s_live)
 
         p, extra = trainable.unpack(flat)
