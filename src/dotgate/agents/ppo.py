@@ -14,10 +14,10 @@ normalized over the whole iteration batch.  The policy head outputs the
 three control means; the standard deviation is a learned state-
 independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.  The
-policy net, the log-std vector and the value net are built from one packed
-parameter vector (``nn.LiveRows``, which leaves out the first-layer rows of
-inputs that are always zero), so each minibatch is one Adam step over all
-three.
+policy net, the log-std vector and the value net are built once on one
+packed parameter vector (``nn.LiveRows``, which leaves out the first-layer
+rows of inputs that are always zero), so each minibatch is one in-place Adam
+step over all three followed by a refresh of the two first layers.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -328,10 +328,9 @@ def train_ppo(
         np.full(N_CONTROLS, cfg.log_std_init),
         nn.init_mlp(obs_dim, 1, seed=value_seed),
     ], live)
-    flat = trainable.pack()
-    policy, log_std, value_net = trainable.unpack(flat)
-    grad = np.empty_like(flat)
-    adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
+    policy, log_std, value_net = trainable.parts
+    grad = np.empty_like(trainable.flat)
+    adam = nn.init_adam([trainable.flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     rollout = _Rollout(VecGateEnv(env_config, cfg.n_envs), row_seeds)
@@ -365,10 +364,8 @@ def train_ppo(
                 np.concatenate(
                     [*g_p.as_list(), g_ls, *g_v.as_list()], axis=None, out=grad
                 )
-                (flat,), adam = nn.adam_update([flat], [grad], adam)
-                policy, log_std, value_net = trainable.unpack(
-                    flat, out=[policy, log_std, value_net]
-                )
+                nn.adam_update([trainable.flat], [grad], adam)
+                trainable.refresh()
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1
@@ -408,7 +405,4 @@ def train_ppo(
         ):
             break
 
-    result.policy = policy
-    result.log_std = log_std
-    result.value = value_net
     return result

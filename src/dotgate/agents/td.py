@@ -45,8 +45,13 @@ class TdConfig:
             raise ValueError(f"epsilon_decay={self.epsilon_decay} outside (0, 1)")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
+        for name in ("epsilon_init", "epsilon_min"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name}={getattr(self, name)} outside [0, 1]")
         if self.episodes_max < 1:
             raise ValueError("episodes_max must be >= 1")
+        if self.trailing_window < 1:
+            raise ValueError(f"trailing_window={self.trailing_window} must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr={self.lr} must be > 0")
         if not self.lr_decay >= 0:
@@ -138,6 +143,11 @@ def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> n
     return nn.backward(params, nn.narrow(cache, live), dq)
 
 
+def _snapshot(params: nn.MlpParameters) -> nn.MlpParameters:
+    """A copy of the network that no later update reaches."""
+    return nn.MlpParameters.from_list([a.copy() for a in params.as_list()])
+
+
 def train_td(
     env: GateEnv,
     algo: str,
@@ -150,8 +160,10 @@ def train_td(
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
     Only the first-layer rows of the observation's live features are
-    trained (see ``nn.LiveRows``).  Each update refreshes the Q-network in
-    place; the target network is a separate snapshot of the parameters.
+    trained (see ``nn.LiveRows``).  Each update writes the packed parameters
+    in place and refreshes the Q-network's first layer from them, so the
+    Q-network is one object for the whole run; the target network is a
+    copy of its arrays, taken at the start and at every sync.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -163,12 +175,11 @@ def train_td(
     rng = np.random.default_rng(policy_seed)
     live = env.config.live_features
     trainable = nn.LiveRows([nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)], live)
-    flat = trainable.pack()
-    (params,) = trainable.unpack(flat)
-    grad = np.empty_like(flat)
-    adam = nn.init_adam([flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
+    (params,) = trainable.parts
+    grad = np.empty_like(trainable.flat)
+    adam = nn.init_adam([trainable.flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     sync = cfg.target_sync_every > 0
-    target_params = trainable.unpack(flat)[0] if sync else None
+    target_params = _snapshot(params) if sync else None
     buffer: deque = deque(maxlen=cfg.replay_capacity or 1)
     n_updates = 0
 
@@ -219,11 +230,11 @@ def train_td(
                 grads = _update(params, obs, action, y, cfg.alpha, live)
             if grads is not None:
                 np.concatenate(grads.as_list(), axis=None, out=grad)
-                (flat,), adam = nn.adam_update([flat], [grad], adam)
-                (params,) = trainable.unpack(flat, out=[params])
+                nn.adam_update([trainable.flat], [grad], adam)
+                trainable.refresh()
             n_updates += 1
             if sync and n_updates % cfg.target_sync_every == 0:
-                (target_params,) = trainable.unpack(flat)
+                target_params = _snapshot(params)
             if done:
                 break
             obs = res.observation
@@ -256,5 +267,4 @@ def train_td(
         ):
             break
 
-    result.params = params
     return result

@@ -86,6 +86,11 @@ class EnvConfig:
             raise ValueError(f"unknown obs_mode {self.obs_mode!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps={self.max_steps} must be >= 1")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt={self.dt} must be finite and > 0")
+        for i, size in enumerate(self.step_sizes):
+            if not 0 < size < np.inf:
+                raise ValueError(f"step_sizes[{i}]={size} must be finite and > 0")
 
     @property
     def obs_dim(self) -> int:

@@ -20,15 +20,13 @@ leaving the dead rows out changes no bit of a run.  The forward stays
 full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
 and is not bitwise equal.  Checkpoints hold the full networks.
 
-Parameters are treated as values: ``adam_update`` returns a fresh vector
-and leaves the old one, and every array viewing it, untouched.  Two
-things are updated in place instead.  The optimizer's moments live in
-the ``AdamState``.  And a full-width W1 is not part of the packed vector:
-``LiveRows.unpack(flat)`` builds a fresh one, while
-``LiveRows.unpack(flat, out=parts)`` writes ``flat``'s live rows into the
-W1 arrays of ``parts``, an earlier unpack the caller no longer reads.  A
-network that must keep its values across updates (TD's target network)
-is therefore taken with a plain ``unpack``.
+The packed vector is the one place a learner's parameters live.
+``adam_update`` writes the new parameters into it in place, and the
+networks ``LiveRows`` hands out are built once: every array but W1 is a
+view of the vector, and each W1 is a private full-width copy of the
+initial W1 whose live rows ``LiveRows.refresh`` rewrites from the vector
+after an update.  A network that must keep its values across updates
+(TD's target network) is therefore an explicit copy.
 """
 
 from __future__ import annotations
@@ -82,8 +80,8 @@ class GradientSet:
 class AdamState:
     """First/second moment accumulators, scratch space and hyperparameters.
 
-    ``m``, ``v`` and ``scratch`` have the shape of the parameter array and
-    are overwritten by every ``adam_update``.
+    ``m`` and ``v`` have the shape of the parameter array, ``scratch`` holds
+    two such buffers; all three are overwritten by every ``adam_update``.
     """
 
     m: np.ndarray
@@ -194,79 +192,40 @@ class LiveRows:
 
     ``parts`` are the initial values, in packing order: networks, which
     contribute [W1[live], W2, W3, b1, b2, b3], and plain arrays, which
-    contribute all their entries.  A network's dead first-layer rows keep
-    their values from ``parts`` (see the module docstring).  ``unpack``
-    builds fresh W1 arrays, or, with ``out=``, refreshes those of an
-    earlier unpack in place.
+    contribute all their entries.  ``flat`` holds those entries, and
+    ``parts`` becomes the networks and arrays built on it: plain arrays and
+    every network array but W1 are views of ``flat``; each W1 is a copy of
+    the initial W1, whose dead rows keep their values (see the module
+    docstring) and whose live rows ``refresh`` rewrites from ``flat``.
     """
 
     def __init__(self, parts, live):
-        self.parts = tuple(parts)
         self.live = live
-        self.shapes = [a.shape for a in self._trainable()]
-
-    def _trainable(self) -> list[np.ndarray]:
-        """The initial parts' trainable arrays, in packing order."""
-        arrays = []
-        for part in self.parts:
+        trainable = []
+        for part in parts:
             if isinstance(part, MlpParameters):
                 w1, w2, w3 = part.weights
-                arrays += [w1[self.live], w2, w3, *part.biases]
+                trainable += [w1[live], w2, w3, *part.biases]
             else:
-                arrays.append(part)
-        return arrays
-
-    def pack(self) -> np.ndarray:
-        """The initial parts' trainable entries as one fresh vector."""
-        return pack(self._trainable())
-
-    def unpack(self, flat: np.ndarray, out=None) -> list:
-        """The parts held by ``flat``, full width.
-
-        Plain arrays and every network array but W1 are views of ``flat``.
-        A network's W1 holds the initial dead rows and ``flat``'s live
-        rows.  Without ``out`` it is a fresh array.  ``out`` is the list of
-        parts an earlier ``unpack`` of this ``LiveRows`` returned, which the
-        caller no longer reads: each network's W1 is then taken from it and
-        overwritten in its live rows only, so no full-width W1 is copied.
-        Every network built on those W1 arrays changes with them.  ``out``
-        must not hold the initial parts (their W1 is what ``pack`` reads)
-        or arrays that view ``flat``; that, or a network of the wrong
-        shape, raises ``ValueError``.
-        """
-        if out is not None:
-            self._check_out(out, flat)
-        views = iter(unpack(flat, self.shapes))
-        parts = []
-        for i, part in enumerate(self.parts):
+                trainable.append(part)
+        self.flat = pack(trainable)
+        views = iter(unpack(self.flat, [a.shape for a in trainable]))
+        self.parts = []
+        self._w1_rows = []
+        for part in parts:
             if isinstance(part, MlpParameters):
-                w1 = part.weights[0].copy() if out is None else out[i].weights[0]
-                w1[self.live] = next(views)
-                w2, w3, b1, b2, b3 = (next(views) for _ in range(5))
+                w1 = part.weights[0].copy()
+                w1_live, w2, w3, b1, b2, b3 = (next(views) for _ in range(6))
+                self._w1_rows.append((w1, w1_live))
                 part = MlpParameters((w1, w2, w3), (b1, b2, b3))
             else:
                 part = next(views)
-            parts.append(part)
-        return parts
+            self.parts.append(part)
 
-    def _check_out(self, out, flat: np.ndarray) -> None:
-        """Raise unless every network of ``out`` has a W1 ``unpack`` may overwrite."""
-        if len(out) != len(self.parts):
-            raise ValueError(f"out holds {len(out)} parts, expected {len(self.parts)}")
-        for i, (part, given) in enumerate(zip(self.parts, out)):
-            if not isinstance(part, MlpParameters):
-                continue
-            if not isinstance(given, MlpParameters):
-                raise ValueError(f"out[{i}] is not a network")
-            init, w1 = part.weights[0], given.weights[0]
-            if w1.shape != init.shape or w1.dtype != init.dtype:
-                raise ValueError(
-                    f"out[{i}] has W1 {w1.dtype}{w1.shape}, expected {init.dtype}{init.shape}"
-                )
-            if np.may_share_memory(w1, init):
-                raise ValueError(f"out[{i}] holds the initial parts' W1")
-            if np.may_share_memory(w1, flat):
-                raise ValueError(f"out[{i}] has a W1 that views flat")
+    def refresh(self) -> None:
+        """Write ``flat``'s live first-layer rows into each network's W1."""
+        for w1, rows in self._w1_rows:
+            w1[self.live] = rows
 
 
 def _only(arrays, what: str) -> np.ndarray:
@@ -279,21 +238,20 @@ def init_adam(arrays, lr: float = 0.001, lr_decay: float = 0.01, **hyper) -> Ada
     """Fresh zero-moment state for ``[params]``, one (packed) parameter array."""
     shape = np.shape(_only(arrays, "parameter"))
     return AdamState(
-        m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty(shape),
+        m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty((2, *shape)),
         lr=lr, lr_decay=lr_decay, **hyper,
     )
 
 
-def adam_update(arrays, grads, s: AdamState):
-    """One bias-corrected Adam step (Kingma & Ba, arXiv:1412.6980).
+def adam_update(arrays, grads, s: AdamState) -> None:
+    """One bias-corrected Adam step (Kingma & Ba, arXiv:1412.6980), in place.
 
     ``arrays`` and ``grads`` are one-element lists holding the packed
     parameters and their gradient (``benchmarks/tracing.py`` counts the
     updated entries as the sizes of the items of ``arrays``).  Effective
-    rate decays as lr / (1 + lr_decay * updates_so_far).  Returns
-    ([new_params], s): the parameters are a fresh array, the inputs are
-    not mutated, and ``s`` is the same state with its moments and step
-    count advanced in place.  The arithmetic is the textbook expression,
+    rate decays as lr / (1 + lr_decay * updates_so_far).  The new
+    parameters are written into ``arrays[0]``, and ``s`` has its moments
+    and step count advanced.  The arithmetic is the textbook expression,
     operation for operation, so the result does not depend on how the
     parameters were packed.
     """
@@ -303,7 +261,7 @@ def adam_update(arrays, grads, s: AdamState):
         raise ValueError(f"non-finite gradient (max |g| = {np.max(np.abs(g))})")
     t = s.t + 1
     lr_t = s.lr / (1.0 + s.lr_decay * (t - 1))
-    m, v, tmp = s.m, s.v, s.scratch
+    m, v, (tmp, step) = s.m, s.v, s.scratch
     # m = beta1 * m + (1 - beta1) * g, and the same for v on g**2, in place.
     np.multiply(s.beta1, m, out=m)
     np.multiply(1.0 - s.beta1, g, out=tmp)
@@ -312,16 +270,15 @@ def adam_update(arrays, grads, s: AdamState):
     np.square(g, out=tmp)
     np.multiply(1.0 - s.beta2, tmp, out=tmp)
     np.add(v, tmp, out=v)
-    # step = lr_t * m_hat / (sqrt(v_hat) + eps), built in the result array.
+    # a -= lr_t * m_hat / (sqrt(v_hat) + eps)
     np.divide(v, 1.0 - s.beta2**t, out=tmp)
     np.sqrt(tmp, out=tmp)
     np.add(tmp, s.eps, out=tmp)
-    new = np.divide(m, 1.0 - s.beta1**t)
-    np.multiply(lr_t, new, out=new)
-    np.divide(new, tmp, out=new)
-    np.subtract(a, new, out=new)
+    np.divide(m, 1.0 - s.beta1**t, out=step)
+    np.multiply(lr_t, step, out=step)
+    np.divide(step, tmp, out=step)
+    np.subtract(a, step, out=a)
     s.t = t
-    return [new], s
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

@@ -1,6 +1,7 @@
 """TD targets, epsilon-greedy, GAE, PPO loss, and small training runs."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -477,6 +478,11 @@ class TestLiveRowTraining:
     (PpoConfig(epochs_per_iter=0), "epochs_per_iter=0"),
     (PpoConfig(lr=-1), "lr=-1"),
     (PpoConfig(lr_decay=-0.5), "lr_decay=-0.5"),
+    (TdConfig(epsilon_init=1.5), "epsilon_init=1.5"),
+    (TdConfig(epsilon_init=-0.1), "epsilon_init=-0.1"),
+    (TdConfig(epsilon_min=-0.01), "epsilon_min=-0.01"),
+    (TdConfig(epsilon_min=float("nan")), "epsilon_min=nan"),
+    (TdConfig(trailing_window=0), "trailing_window=0"),
 ])
 def test_validate_rejects_settings_that_break_learning(cfg, match):
     with pytest.raises(ValueError, match=rf"^{match}\b"):
@@ -492,9 +498,12 @@ def test_validate_accepts_edge_settings(cfg):
 
 
 class TestInPlaceRefresh:
-    """Refreshing the networks in place (``LiveRows.unpack(flat, out=)``)
-    runs exactly as a fresh unpack per update.  TD's target network must
-    stay a snapshot that no in-place refresh reaches."""
+    """The in-place Adam update and first-layer refresh run bit for bit as
+    building the networks afresh from a new vector after every update did:
+    the digests below are of those runs.  A TD target network that aliased
+    the live parameters would change them.  The bytes depend on the numpy and
+    BLAS build, so on another build the digests are re-recorded from code
+    known to be right."""
 
     @staticmethod
     def fingerprint(result, nets):
@@ -502,17 +511,17 @@ class TestInPlaceRefresh:
         arrays = [a for n in nets for a in (n.as_list() if isinstance(n, nn.MlpParameters) else [n])]
         return repr(stats).encode() + b"".join(a.tobytes() for a in arrays)
 
-    @pytest.mark.parametrize("run", [
-        lambda: TestInPlaceRefresh.td({"target_sync_every": 7}),
-        lambda: TestInPlaceRefresh.td(
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: TestInPlaceRefresh.td({"target_sync_every": 7}),
+         "78464a217ebce1eadbf5f35f156508ac982c5ff1f85e738681bdf8dcc924d810"),
+        (lambda: TestInPlaceRefresh.td(
             {"replay_capacity": 100, "replay_batch": 16, "target_sync_every": 25}),
-        lambda: TestInPlaceRefresh.ppo(),
+         "6966b6aa744e91102bb74bc694fc30a6bf9c553bd99f0314448bd80b6064fe74"),
+        (lambda: TestInPlaceRefresh.ppo(),
+         "92e02afede0f4f0b83cec3152d1fcc100faa2685dbcbb93742e56108a88b6609"),
     ], ids=["td_target_sync", "td_replay_target_sync", "ppo"])
-    def test_equals_fresh_unpack(self, run, monkeypatch):
-        in_place = run()
-        plain = nn.LiveRows.unpack
-        monkeypatch.setattr(nn.LiveRows, "unpack", lambda self, flat, out=None: plain(self, flat))
-        assert run() == in_place
+    def test_equals_fresh_unpack(self, run, digest):
+        assert hashlib.sha256(run()).hexdigest() == digest
 
     @classmethod
     def td(cls, flags):

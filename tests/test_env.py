@@ -56,6 +56,11 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"u": (-1.0, 845.2)}, r"u\[0\]=-1.0 must be >= 0"),
         ({"ez": (18.4, float("nan"))}, r"ez\[1\]=nan must be >= 0"),
+        ({"dt": 0.0}, r"dt=0.0 must be finite and > 0"),
+        ({"dt": -1.0}, r"dt=-1.0 must be"),
+        ({"dt": float("nan")}, r"dt=nan must be"),
+        ({"step_sizes": (1.0, 0.0, 0.01)}, r"step_sizes\[1\]=0.0 must be finite and > 0"),
+        ({"step_sizes": (1.0, 0.1, -0.01)}, r"step_sizes\[2\]=-0.01 must be"),
     ])
     def test_bad_physical_constants(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
