@@ -16,8 +16,9 @@ independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.  The
 policy net, the log-std vector and the value net are built once on one
 packed parameter vector (``nn.LiveRows``, which leaves out the first-layer
-rows of inputs that are always zero), so each minibatch is one in-place Adam
-step over all three followed by a refresh of the two first layers.
+rows of inputs that are always zero), so each minibatch is one
+``LiveRows.update``: one in-place Adam step over all three followed by a
+refresh of the two first layers.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -75,6 +76,14 @@ class PpoConfig:
             raise ValueError(f"lr={self.lr} must be > 0")
         if not self.lr_decay >= 0:
             raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
+        if not np.isfinite(self.log_std_init):
+            raise ValueError(f"log_std_init={self.log_std_init} must be finite")
+        if self.iterations_max < 1:
+            raise ValueError(f"iterations_max={self.iterations_max} must be >= 1")
+        if not 0 <= self.target_fidelity < 1:
+            raise ValueError(f"target_fidelity={self.target_fidelity} outside [0, 1)")
+        if not self.target_duration > 0:
+            raise ValueError(f"target_duration={self.target_duration} must be > 0")
 
 
 @dataclass
@@ -327,10 +336,8 @@ def train_ppo(
         nn.init_mlp(obs_dim, policy_out, seed=policy_seed),
         np.full(N_CONTROLS, cfg.log_std_init),
         nn.init_mlp(obs_dim, 1, seed=value_seed),
-    ], live)
+    ], live, cfg.lr, cfg.lr_decay)
     policy, log_std, value_net = trainable.parts
-    grad = np.empty_like(trainable.flat)
-    adam = nn.init_adam([trainable.flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     rollout = _Rollout(VecGateEnv(env_config, cfg.n_envs), row_seeds)
@@ -358,14 +365,8 @@ def train_ppo(
             shuffled = {k: v[perm] for k, v in pooled.items()}
             for start in range(0, n, cfg.minibatch):
                 batch = {k: v[start:start + cfg.minibatch] for k, v in shuffled.items()}
-                losses, (g_p, g_ls, g_v) = ppo_loss(
-                    batch, policy, log_std, value_net, cfg, live
-                )
-                np.concatenate(
-                    [*g_p.as_list(), g_ls, *g_v.as_list()], axis=None, out=grad
-                )
-                nn.adam_update([trainable.flat], [grad], adam)
-                trainable.refresh()
+                losses, grads = ppo_loss(batch, policy, log_std, value_net, cfg, live)
+                trainable.update(grads)
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1

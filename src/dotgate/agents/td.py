@@ -50,6 +50,10 @@ class TdConfig:
                 raise ValueError(f"{name}={getattr(self, name)} outside [0, 1]")
         if self.episodes_max < 1:
             raise ValueError("episodes_max must be >= 1")
+        if not 0 <= self.target_mean_fidelity <= 1:
+            raise ValueError(
+                f"target_mean_fidelity={self.target_mean_fidelity} outside [0, 1] (1: never stop)"
+            )
         if self.trailing_window < 1:
             raise ValueError(f"trailing_window={self.trailing_window} must be >= 1")
         if not self.lr > 0:
@@ -114,7 +118,7 @@ def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> f
     return r + gamma * q_next_at_a
 
 
-def _update(params, obs, action, target_value, alpha, live) -> nn.GradientSet:
+def _update(params, obs, action, target_value, alpha, live) -> nn.MlpParameters:
     """Gradient of the MSE regressing Q(s, action) toward the mixed target,
     with the first layer narrowed to the ``live`` input rows.
 
@@ -127,7 +131,7 @@ def _update(params, obs, action, target_value, alpha, live) -> nn.GradientSet:
     return nn.backward(params, nn.narrow(cache, live), dq)
 
 
-def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> nn.GradientSet:
+def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> nn.MlpParameters:
     """Gradient of the batched Q-learning regression over replay samples,
     with the first layer narrowed to the ``live`` input rows."""
     obs = np.stack([buffer[i][0] for i in idx])
@@ -160,10 +164,10 @@ def train_td(
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
     Only the first-layer rows of the observation's live features are
-    trained (see ``nn.LiveRows``).  Each update writes the packed parameters
-    in place and refreshes the Q-network's first layer from them, so the
-    Q-network is one object for the whole run; the target network is a
-    copy of its arrays, taken at the start and at every sync.
+    trained (see ``nn.LiveRows``).  Each update is one ``LiveRows.update``,
+    so the Q-network is one object for the whole run; the target network
+    is a copy of its arrays, taken at the start and at every sync.  With
+    replay on, no online target is built.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -174,10 +178,9 @@ def train_td(
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
     live = env.config.live_features
-    trainable = nn.LiveRows([nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)], live)
+    q_net = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
+    trainable = nn.LiveRows([q_net], live, cfg.lr, cfg.lr_decay)
     (params,) = trainable.parts
-    grad = np.empty_like(trainable.flat)
-    adam = nn.init_adam([trainable.flat], lr=cfg.lr, lr_decay=cfg.lr_decay)
     sync = cfg.target_sync_every > 0
     target_params = _snapshot(params) if sync else None
     buffer: deque = deque(maxlen=cfg.replay_capacity or 1)
@@ -200,38 +203,26 @@ def train_td(
             info = res.info
             done = res.terminated or res.truncated
             q_next, _ = nn.forward(params, res.observation)
-            if algo == "qlearning":
-                bootstrap_q, _ = (
-                    nn.forward(target_params, res.observation)
-                    if sync
-                    else (q_next, None)
-                )
-                y = td_target_qlearning(
-                    res.reward, cfg.gamma, bootstrap_q, res.terminated
-                )
-                next_action = epsilon_greedy(q_next, eps, rng)
-            else:
-                next_action = epsilon_greedy(q_next, eps, rng)
-                y = td_target_sarsa(
-                    res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
-                )
-            grads = None
+            next_action = epsilon_greedy(q_next, eps, rng)
             if cfg.replay_capacity > 0:
                 buffer.append(
                     (obs, action, res.reward, res.observation, res.terminated)
                 )
                 if len(buffer) >= cfg.replay_batch:
                     idx = rng.integers(len(buffer), size=cfg.replay_batch)
-                    grads = _replay_update(
+                    trainable.update([_replay_update(
                         params, target_params if sync else params,
                         buffer, idx, cfg, live,
-                    )
+                    )])
             else:
-                grads = _update(params, obs, action, y, cfg.alpha, live)
-            if grads is not None:
-                np.concatenate(grads.as_list(), axis=None, out=grad)
-                nn.adam_update([trainable.flat], [grad], adam)
-                trainable.refresh()
+                if algo == "qlearning":
+                    bootstrap_q = nn.forward(target_params, res.observation)[0] if sync else q_next
+                    y = td_target_qlearning(res.reward, cfg.gamma, bootstrap_q, res.terminated)
+                else:
+                    y = td_target_sarsa(
+                        res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
+                    )
+                trainable.update([_update(params, obs, action, y, cfg.alpha, live)])
             n_updates += 1
             if sync and n_updates % cfg.target_sync_every == 0:
                 target_params = _snapshot(params)

@@ -29,14 +29,6 @@ from .env import EnvConfig, GateEnv, PulseSchedule, replay_schedule, schedule_pa
 
 OUTPUT_DIR_ENV_VAR = "PULSECTL_OUTPUT_DIR"
 
-PLOT_FILES = (
-    "fidelity_vs_episode.tsv",
-    "tunnel_vs_time.tsv",
-    "detuning_vs_time.tsv",
-    "bias0_vs_time.tsv",
-    "bias1_vs_time.tsv",
-)
-
 TRAILING_WINDOW = 10
 
 

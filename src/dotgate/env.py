@@ -12,9 +12,9 @@ fidelity-scaled bonus at the terminal step (larger when the gate also
 clears the high-fidelity tier).
 
 ``VecGateEnv`` steps a batch of episodes in lockstep and holds the one
-implementation of the transition: propagation, gate pipeline, reward,
-termination and observation, all batch-first.  ``GateEnv`` is a one-row
-``VecGateEnv`` with the discrete action interface added, and
+implementation of the transition: both action interfaces with the
+discrete step size, propagation, gate pipeline, reward, termination and
+observation, all batch-first.  ``GateEnv`` is its one-row case, and
 ``replay_schedule`` runs the same gate pipeline over all steps of a
 schedule at once.
 """
@@ -30,6 +30,10 @@ import numpy as np
 from . import sim
 
 N_ACTIONS = 27  # 3 choices (hold / up / down) per control, 3 controls
+
+# Row k: the (eps0, eps1, tunnel) moves of action k in units of the step
+# size.  Base-3 digits, eps0 lowest: digit 0 holds, 1 adds, 2 subtracts.
+_MOVES = np.array([[(0.0, 1.0, -1.0)[k // 3**d % 3] for d in range(3)] for k in range(N_ACTIONS)])
 
 SCHEDULE_CSV_HEADER = ["step", "eps0_ghz", "eps1_ghz", "tunnel_ghz"]
 _CSV_TYPES = (int, float, float, float)
@@ -91,6 +95,13 @@ class EnvConfig:
         for i, size in enumerate(self.step_sizes):
             if not 0 < size < np.inf:
                 raise ValueError(f"step_sizes[{i}]={size} must be finite and > 0")
+        if not 0 < self.step_thresholds[0] <= self.step_thresholds[1] < 1:
+            raise ValueError(
+                f"step_thresholds={self.step_thresholds} must satisfy 0 < t0 <= t1 < 1"
+            )
+        for name in ("r_step", "r_boundary", "r_success", "r_bonus"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
 
     @property
     def obs_dim(self) -> int:
@@ -169,20 +180,12 @@ class PulseSchedule:
 
 
 def decode_action(index: int, delta: float) -> tuple[float, float, float]:
-    """Base-3 decode of a discrete action into control deltas.
-
-    Digit order: eps0, eps1, tunnel; digit 0 holds, 1 adds delta,
-    2 subtracts delta.
-    """
+    """Control deltas of a discrete action: each of eps0, eps1, tunnel moves
+    by 0, +delta or -delta, as the base-3 digits of the index (eps0 lowest)
+    are 0, 1 or 2."""
     if not 0 <= index < N_ACTIONS:
         raise ValueError(f"action index {index} outside [0, {N_ACTIONS - 1}]")
-    deltas = []
-    rest = index
-    for _ in range(3):
-        digit = rest % 3
-        rest //= 3
-        deltas.append(0.0 if digit == 0 else (delta if digit == 1 else -delta))
-    return tuple(deltas)
+    return tuple((_MOVES[index] * delta).tolist())
 
 
 def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
@@ -216,12 +219,12 @@ def _put(rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
-    Each row holds its own controls, accumulated unitary and step counter.
-    A step runs one Hamiltonian build, one propagator call, one stacked
-    accumulate and one gate pipeline over all rows.  A row's numbers do not
-    depend on the other rows, so every row equals a ``GateEnv`` episode
-    driven by the same actions, bit for bit.  A finished row must be reset,
-    with ``reset(rows)``, before the next step.
+    Each row holds its own controls, accumulated unitary, step counter and
+    discrete step size ``delta``.  A step runs one Hamiltonian build, one
+    propagator call, one stacked accumulate and one gate pipeline over all
+    rows.  A row's numbers do not depend on the other rows, so every row
+    equals a ``GateEnv`` episode driven by the same actions, bit for bit.  A
+    finished row must be reset, with ``reset(rows)``, before the next step.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -256,6 +259,7 @@ class VecGateEnv:
         if rows is None:
             self.controls, self.u_acc, self.report, self.observation = self._initial
             self.steps = np.zeros(self.n_envs, dtype=int)
+            self.delta = np.full(self.n_envs, self.config.step_sizes[0])
             self._done = np.zeros(self.n_envs, dtype=bool)
             self._live = True
             return self.observation
@@ -265,6 +269,7 @@ class VecGateEnv:
         self.controls = _put(rows, controls, self.controls)
         self.u_acc = _put(rows, u_acc, self.u_acc)
         self.steps = np.where(rows, 0, self.steps)
+        self.delta = np.where(rows, self.config.step_sizes[0], self.delta)
         self.report = sim.FidelityReport(*(
             _put(rows, getattr(report, f), getattr(self.report, f))
             for f in ("fidelity", "unitarity_trace", "overlap")
@@ -329,8 +334,38 @@ class VecGateEnv:
         reward = compute_reward(fid, boundary_hit, terminated, cfg)
         return StepResult(self.observation, reward, terminated, truncated, info)
 
+    def step_discrete(self, actions) -> StepResult:
+        """One action index in [0, 26] per row: move each control of the row
+        by -delta, 0 or +delta (``decode_action``), clipped to its bounds; a
+        clip counts as a boundary hit.  A row's delta shrinks to the next
+        step size once its fidelity passes each step threshold, and is reset
+        to the first with the row."""
+        self._check_live()
+        actions = np.asarray(actions)
+        if actions.shape != (self.n_envs,):
+            raise ValueError(
+                f"discrete actions must have shape ({self.n_envs},), got {actions.shape}"
+            )
+        for row, a in enumerate(actions.tolist()):
+            if not 0 <= a < N_ACTIONS:
+                raise ValueError(f"action index {a} of row {row} outside [0, {N_ACTIONS - 1}]")
+        raw = self.controls + _MOVES.take(actions, axis=0) * self.delta[:, None]
+        # Python's min(max(raw, lo), hi): a bound replaces raw only where it is
+        # strictly beyond it, so a tie of signed zeros keeps raw's sign.
+        controls = np.where(self._lo > raw, self._lo, raw)
+        controls = np.where(self._hi < controls, self._hi, controls)
+        res = self.advance(controls, (controls != raw).any(axis=-1))
+        (t0, t1), (_, s1, s2) = self.config.step_thresholds, self.config.step_sizes
+        fid = res.info["fidelity"]
+        if (fid > t0).any():  # t0 <= t1, so no row shrinks otherwise
+            shrunk = np.where(fid > t1, s2, np.where(fid > t0, s1, np.inf))
+            self.delta = np.minimum(self.delta, shrunk)
+        return res
+
     def step_continuous(self, actions) -> StepResult:
-        """One (n_envs, 3) continuous action per row, see ``GateEnv``."""
+        """One (n_envs, 3) continuous action per row: set each control to the
+        point of its bounds given by an action component in [-1, 1];
+        components outside are clipped, which counts as a boundary hit."""
         actions = np.asarray(actions, dtype=float)
         if actions.shape != (self.n_envs, 3):
             raise ValueError(
@@ -354,8 +389,7 @@ class VecGateEnv:
 
 
 class GateEnv:
-    """One episode: the single row of a one-row ``VecGateEnv``, plus the
-    discrete action interface with its adaptive step size."""
+    """One episode: the single row of a one-row ``VecGateEnv``."""
 
     def __init__(self, config: EnvConfig = EnvConfig()):
         self._batch = VecGateEnv(config, 1)
@@ -363,12 +397,16 @@ class GateEnv:
 
     def reset(self) -> np.ndarray:
         """Start a new episode."""
-        self.delta = self.config.step_sizes[0]
         return self._batch.reset()[0]
 
     @property
     def steps(self) -> int:
         return int(self._batch.steps[0])
+
+    @property
+    def delta(self) -> float:
+        """The discrete step size."""
+        return float(self._batch.delta[0])
 
     @property
     def u_acc(self) -> np.ndarray:
@@ -386,33 +424,13 @@ class GateEnv:
             res.truncated.item(), {k: v.item() for k, v in res.info.items()},
         )
 
-    # -- public action interfaces -----------------------------------------
-
+    # benchmarks/tracing.py wraps the two step methods and reset.
     def step_discrete(self, action: int) -> StepResult:
-        """Move each control by -delta, 0 or +delta (``decode_action``),
-        clipped to its bounds; a clip counts as a boundary hit.  delta shrinks
-        to the next step size once the fidelity passes each step threshold."""
-        self._batch._check_live()
-        cfg = self.config
-        controls = self._batch.controls[0].tolist()
-        bounds = (cfg.eps_bounds, cfg.eps_bounds, cfg.tun_bounds)
-        boundary_hit = False
-        for k, (d, (lo, hi)) in enumerate(zip(decode_action(action, self.delta), bounds)):
-            raw = controls[k] + d
-            controls[k] = min(max(raw, lo), hi)
-            boundary_hit |= controls[k] != raw
-        res = self._row(self._batch.advance(np.array([controls]), np.array([boundary_hit])))
-        fid = res.info["fidelity"]
-        if fid > cfg.step_thresholds[1]:
-            self.delta = min(self.delta, cfg.step_sizes[2])
-        elif fid > cfg.step_thresholds[0]:
-            self.delta = min(self.delta, cfg.step_sizes[1])
-        return res
+        """See ``VecGateEnv.step_discrete``."""
+        return self._row(self._batch.step_discrete([action]))
 
     def step_continuous(self, action) -> StepResult:
-        """Set each control to the point of its bounds given by an action
-        component in [-1, 1]; components outside are clipped, which counts
-        as a boundary hit."""
+        """See ``VecGateEnv.step_continuous``."""
         action = np.asarray(action, dtype=float)
         if action.shape != (3,):
             raise ValueError(f"continuous action must have 3 components, got {action.shape}")

@@ -7,12 +7,12 @@ Everything is plain numpy.
 
 A learner keeps all its trainable entries in one contiguous float64
 vector, so one Adam call updates everything.  ``LiveRows`` builds that
-vector and hands the networks back from it.  A network's first layer
-is trained only in the rows of its *live inputs*, the observation
-entries that can be nonzero: [W1[live], W2, W3, b1, b2, b3].  The other
-inputs are exact zeros on every call, so their W1 rows would get a +-0
-gradient, Adam would keep their moments at 0, and they would never
-move; they stay at their ``init_mlp`` values.  The backward runs on the
+vector, hands the networks back from it and takes the Adam steps.  A
+network's first layer is trained only in the rows of its *live inputs*,
+the observation entries that can be nonzero: [W1[live], W2, W3, b1, b2,
+b3].  The other inputs are exact zeros on every call, so their W1 rows
+would get a +-0 gradient, Adam would keep their moments at 0, and they
+would never move; they stay at their ``init_mlp`` values.  The backward runs on the
 forward cache whose input is narrowed to the live features (``narrow``);
 it never reads W1, so the network itself is not narrowed, and the first-
 layer gradient rows are the same products as the full-width ones, so
@@ -21,11 +21,12 @@ full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
 and is not bitwise equal.  Checkpoints hold the full networks.
 
 The packed vector is the one place a learner's parameters live.
-``adam_update`` writes the new parameters into it in place, and the
+``LiveRows.update`` packs a gradient into its buffer and has
+``adam_update`` write the new parameters into the vector in place; the
 networks ``LiveRows`` hands out are built once: every array but W1 is a
 view of the vector, and each W1 is a private full-width copy of the
 initial W1 whose live rows ``LiveRows.refresh`` rewrites from the vector
-after an update.  A network that must keep its values across updates
+after each update.  A network that must keep its values across updates
 (TD's target network) is therefore an explicit copy.
 """
 
@@ -44,7 +45,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class MlpParameters:
-    """Weights and biases of the (in, 64, 64, out) network."""
+    """Weights and biases of the (in, 64, 64, out) network, or their
+    gradients."""
 
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     biases: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -63,17 +65,6 @@ class MlpParameters:
     @classmethod
     def from_list(cls, arrays) -> "MlpParameters":
         return cls(weights=tuple(arrays[:3]), biases=tuple(arrays[3:]))
-
-
-@dataclass(frozen=True)
-class GradientSet:
-    """Partial derivatives mirroring MlpParameters."""
-
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
-    biases: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def as_list(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
 
 
 @dataclass
@@ -128,7 +119,7 @@ def forward(p: MlpParameters, x: np.ndarray):
     return y, (x, h1, h2)
 
 
-def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> GradientSet:
+def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> MlpParameters:
     """Exact reverse-mode gradients; batched inputs sum over the batch."""
     x, h1, h2 = cache
     dL_dy = np.asarray(dL_dy, dtype=float)
@@ -150,7 +141,7 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> GradientSet:
     g = (g @ w2.T) * (1.0 - h1_2**2)
     dw1 = x2.T @ g
     db1 = g.sum(axis=0)
-    return GradientSet(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
+    return MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
 
 
 def pack(arrays) -> np.ndarray:
@@ -188,7 +179,8 @@ def narrow(cache, live):
 
 
 class LiveRows:
-    """The trainable entries of networks and plain arrays as one vector.
+    """The trainable entries of networks and plain arrays as one vector,
+    with its gradient buffer and Adam state.
 
     ``parts`` are the initial values, in packing order: networks, which
     contribute [W1[live], W2, W3, b1, b2, b3], and plain arrays, which
@@ -197,9 +189,10 @@ class LiveRows:
     every network array but W1 are views of ``flat``; each W1 is a copy of
     the initial W1, whose dead rows keep their values (see the module
     docstring) and whose live rows ``refresh`` rewrites from ``flat``.
+    ``update`` takes one Adam step at rate ``lr`` decayed by ``lr_decay``.
     """
 
-    def __init__(self, parts, live):
+    def __init__(self, parts, live, lr: float, lr_decay: float):
         self.live = live
         trainable = []
         for part in parts:
@@ -209,6 +202,8 @@ class LiveRows:
             else:
                 trainable.append(part)
         self.flat = pack(trainable)
+        self._grad = np.empty_like(self.flat)
+        self.adam = init_adam([self.flat], lr=lr, lr_decay=lr_decay)
         views = iter(unpack(self.flat, [a.shape for a in trainable]))
         self.parts = []
         self._w1_rows = []
@@ -222,6 +217,15 @@ class LiveRows:
                 part = next(views)
             self.parts.append(part)
 
+    def update(self, grads) -> None:
+        """One in-place Adam step on ``flat`` from one gradient per part, in
+        the order of ``parts`` (a network's narrowed to the live rows by
+        ``narrow``), then ``refresh``."""
+        arrays = [a for g in grads for a in (g.as_list() if isinstance(g, MlpParameters) else [g])]
+        np.concatenate(arrays, axis=None, out=self._grad)
+        adam_update([self.flat], [self._grad], self.adam)
+        self.refresh()
+
     def refresh(self) -> None:
         """Write ``flat``'s live first-layer rows into each network's W1."""
         for w1, rows in self._w1_rows:
@@ -234,12 +238,12 @@ def _only(arrays, what: str) -> np.ndarray:
     return arrays[0]
 
 
-def init_adam(arrays, lr: float = 0.001, lr_decay: float = 0.01, **hyper) -> AdamState:
+def init_adam(arrays, lr: float = 0.001, lr_decay: float = 0.01) -> AdamState:
     """Fresh zero-moment state for ``[params]``, one (packed) parameter array."""
     shape = np.shape(_only(arrays, "parameter"))
     return AdamState(
         m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty((2, *shape)),
-        lr=lr, lr_decay=lr_decay, **hyper,
+        lr=lr, lr_decay=lr_decay,
     )
 
 

@@ -339,7 +339,7 @@ def project_to_computational(u: np.ndarray) -> np.ndarray:
     return _place(u, _COMP_PLACEMENT, DIM_COMP)
 
 
-def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
+def compensate(u4: np.ndarray):
     """Remove the global phase and one virtual-Z per qubit where possible.
 
     Takes (4, 4) or a stack (..., 4, 4) and returns (gates, ok).  With
@@ -347,15 +347,15 @@ def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
     multiplied by (z_0, z_1, z_2, z_1 z_2 conj(z_0))[k]; afterwards entries
     0, 1, 2 of the diagonal have zero argument, so a gate diagonal-equivalent
     to CZ becomes exactly diag(1, 1, 1, -1).  ok is False for a gate with some
-    |d_k| below tol, which is returned unchanged.  All operations are
+    |d_k| below PHASE_TOL, which is returned unchanged.  All operations are
     elementwise, so a gate's bits do not depend on the stack it is in.
     """
     if u4.shape[-2:] != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrices, got {u4.shape}")
     d = u4.reshape(*u4.shape[:-2], DIM_COMP * DIM_COMP)[..., _DIAG3]
     mag = np.abs(d)
-    ok = mag.min(axis=-1) >= tol
-    z = d.conj() / np.maximum(mag, tol)  # finite also for the gates left unchanged
+    ok = mag.min(axis=-1) >= PHASE_TOL
+    z = d.conj() / np.maximum(mag, PHASE_TOL)  # finite also for the gates left unchanged
     z3 = z[..., 1:2] * z[..., 2:3] * z[..., 0:1].conj()
     out = np.empty(u4.shape, dtype=complex)  # C order, whatever u4's layout
     np.multiply(np.concatenate([z, z3], axis=-1)[..., None], u4, out=out)
@@ -365,10 +365,10 @@ def compensate(u4: np.ndarray, tol: float = PHASE_TOL):
 
 
 # benchmarks/tracing.py wraps this name.
-def try_phase_compensate(u4: np.ndarray, tol: float = PHASE_TOL):
+def try_phase_compensate(u4: np.ndarray):
     """``compensate`` one 4x4 gate; returns (matrix, compensated) with a bool
     flag, and u4 unchanged where it cannot be compensated."""
-    out, ok = compensate(u4, tol)
+    out, ok = compensate(u4)
     return out, bool(ok)
 
 

@@ -483,6 +483,11 @@ class TestLiveRowTraining:
     (TdConfig(epsilon_min=-0.01), "epsilon_min=-0.01"),
     (TdConfig(epsilon_min=float("nan")), "epsilon_min=nan"),
     (TdConfig(trailing_window=0), "trailing_window=0"),
+    (PpoConfig(log_std_init=float("nan")), "log_std_init=nan"),
+    (PpoConfig(iterations_max=0), "iterations_max=0"),
+    (PpoConfig(target_fidelity=1.5), "target_fidelity=1.5"),
+    (PpoConfig(target_duration=-1), "target_duration=-1"),
+    (TdConfig(target_mean_fidelity=1.5), "target_mean_fidelity=1.5"),
 ])
 def test_validate_rejects_settings_that_break_learning(cfg, match):
     with pytest.raises(ValueError, match=rf"^{match}\b"):
@@ -492,6 +497,7 @@ def test_validate_rejects_settings_that_break_learning(cfg, match):
 @pytest.mark.parametrize("cfg", [
     TdConfig(), TdConfig(replay_capacity=32, replay_batch=32, target_sync_every=1),
     PpoConfig(), PpoConfig(minibatch=1, epochs_per_iter=1, lr_decay=0.0),
+    TdConfig(target_mean_fidelity=1.0),
 ])
 def test_validate_accepts_edge_settings(cfg):
     cfg.validate()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from dotgate import cli
+from dotgate import cli, nn
+from dotgate.agents import train_ppo, train_td
 from dotgate.config import (
     ExperimentConfig,
     config_digest,
@@ -15,6 +16,15 @@ from dotgate.config import (
     parse_config,
 )
 from dotgate.env import EnvConfig, GateEnv
+
+# The plot-data files export_plots writes into a run directory.
+PLOT_FILES = (
+    "fidelity_vs_episode.tsv",
+    "tunnel_vs_time.tsv",
+    "detuning_vs_time.tsv",
+    "bias0_vs_time.tsv",
+    "bias1_vs_time.tsv",
+)
 
 
 def write_config(path, data):
@@ -276,7 +286,7 @@ class TestExportPlots:
         run = tmp_path / "run"
         lines = (run / "fidelity_vs_episode.tsv").read_text().splitlines()
         assert len(lines) - 1 == 14 - 9
-        for name in cli.PLOT_FILES:
+        for name in PLOT_FILES:
             assert (run / name).exists()
 
     def test_detuning_constant_for_constant_schedule(self, tmp_path):
@@ -296,10 +306,52 @@ class TestExportPlots:
     def test_reexport_bitwise_identical(self, smoke_config, tmp_path):
         cli.main(["train", smoke_config])
         run = tmp_path / "run"
-        before = {name: (run / name).read_bytes() for name in cli.PLOT_FILES}
+        before = {name: (run / name).read_bytes() for name in PLOT_FILES}
         assert cli.main(["export-plots", str(run)]) == 0
-        after = {name: (run / name).read_bytes() for name in cli.PLOT_FILES}
+        after = {name: (run / name).read_bytes() for name in PLOT_FILES}
         assert before == after
 
     def test_missing_run_artifacts(self, tmp_path):
         assert cli.main(["export-plots", str(tmp_path)]) == 1
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("algorithm, section", [
+        ("qlearning", {"td": {"episodes_max": 3, "target_mean_fidelity": 1.0}}),
+        ("ppo", {"ppo": {"n_envs": 2, "horizon": 20, "iterations_max": 1,
+                         "stop_on_target": False}}),
+    ])
+    def test_train_checkpoint_round_trip(self, tmp_path, algorithm, section):
+        raw = {"algorithm": algorithm, "seed": 5, "output_dir": str(tmp_path / "run"),
+               **section}
+        assert cli.main(["train", write_config(tmp_path / "c.yaml", raw)]) == 0
+        path = tmp_path / "run" / "checkpoint.npz"
+        networks, extras = nn.load_checkpoint(path)
+
+        # The same run again, in process: training is a pure function of
+        # (config, seed).
+        cfg = config_from_dict(raw)
+        if algorithm == "qlearning":
+            result = train_td(GateEnv(cfg.env), algorithm, cfg.td, seed=cfg.seed)
+            want_networks, want_extras = {"q": result.params}, {}
+        else:
+            result = train_ppo(lambda: GateEnv(cfg.env), cfg.ppo, seed=cfg.seed)
+            want_networks = {"policy": result.policy, "value": result.value}
+            want_extras = {"log_std": result.log_std}
+        assert sorted(networks) == sorted(want_networks)
+        assert sorted(extras) == sorted(want_extras)
+        for name, want in want_networks.items():
+            assert networks[name].weights[0].shape == (cfg.env.obs_dim, nn.HIDDEN)
+            for got, expected in zip(networks[name].as_list(), want.as_list(), strict=True):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+        for name, want in want_extras.items():
+            assert extras[name].dtype == want.dtype and extras[name].tobytes() == want.tobytes()
+
+        version = nn.CHECKPOINT_FORMAT_VERSION + 1
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["format_version"] = np.array(version)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=rf"^unsupported checkpoint format version {version}$"):
+            nn.load_checkpoint(path)

@@ -61,6 +61,13 @@ class TestConfig:
         ({"dt": float("nan")}, r"dt=nan must be"),
         ({"step_sizes": (1.0, 0.0, 0.01)}, r"step_sizes\[1\]=0.0 must be finite and > 0"),
         ({"step_sizes": (1.0, 0.1, -0.01)}, r"step_sizes\[2\]=-0.01 must be"),
+        ({"step_thresholds": (0.999, 2.0)},
+         r"^step_thresholds=\(0.999, 2.0\) must satisfy 0 < t0 <= t1 < 1$"),
+        ({"step_thresholds": (0.999, 0.99)}, r"^step_thresholds=\(0.999, 0.99\) must"),
+        ({"r_step": float("nan")}, r"^r_step=nan must be finite$"),
+        ({"r_boundary": float("inf")}, r"^r_boundary=inf must be finite$"),
+        ({"r_success": float("-inf")}, r"^r_success=-inf must be finite$"),
+        ({"r_bonus": float("nan")}, r"^r_bonus=nan must be finite$"),
     ])
     def test_bad_physical_constants(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -125,7 +132,64 @@ class TestComputeReward:
         assert r == pytest.approx(-1 + 100 * 0.995)
 
 
+def reference_discrete_move(controls, delta, action, cfg):
+    """The scalar per-control loop the batched discrete step must equal bit
+    for bit: base-3 digits (eps0 lowest) hold, add or subtract delta, then
+    Python's min(max(raw, lo), hi).  Returns (controls, boundary_hit)."""
+    bounds = (cfg.eps_bounds, cfg.eps_bounds, cfg.tun_bounds)
+    moved, hit, rest = [], False, action
+    for c, (lo, hi) in zip(controls, bounds):
+        digit, rest = rest % 3, rest // 3
+        raw = c + (0.0 if digit == 0 else (delta if digit == 1 else -delta))
+        moved.append(min(max(raw, lo), hi))
+        hit |= moved[-1] != raw
+    return moved, hit
+
+
+def reference_shrink(delta, fidelity, cfg):
+    """The step-size rule as an if/elif on one row's fidelity."""
+    if fidelity > cfg.step_thresholds[1]:
+        return min(delta, cfg.step_sizes[2])
+    if fidelity > cfg.step_thresholds[0]:
+        return min(delta, cfg.step_sizes[1])
+    return delta
+
+
 class TestStepDiscrete:
+    @pytest.mark.parametrize("cfg, seen_key", [
+        # The low step thresholds shrink delta well before termination.
+        (EnvConfig(max_steps=40, step_thresholds=(0.9, 0.95)), "shrinks"),
+        # From tun=2.0 two down-moves land on +0.0 against the bound -0.0:
+        # Python's max keeps raw, where np.maximum(raw, lo) would give -0.0.
+        (EnvConfig(max_steps=40, tun_init=2.0, tun_bounds=(-0.0, 5.0)), "signed_zero_ties"),
+    ], ids=["shrinks", "signed_zero_ties"])
+    def test_matches_scalar_reference_bitwise(self, cfg, seen_key):
+        rng = np.random.default_rng(27)
+        env = GateEnv(cfg)
+        seen = {"shrinks": 0, "signed_zero_ties": 0, "boundary_hit": 0}
+        for _ in range(6):
+            env.reset()
+            controls, delta = [*cfg.eps_init, cfg.tun_init], cfg.step_sizes[0]
+            while True:
+                action = 0 if rng.random() < 0.5 else int(rng.choice([18, 9, 1, 26, 13]))
+                controls, hit = reference_discrete_move(controls, delta, action, cfg)
+                res = env.step_discrete(action)
+                got = [res.info[k] for k in ("eps0", "eps1", "tunnel")]
+                assert np.array(got).tobytes() == np.array(controls).tobytes()
+                assert res.info["boundary_hit"] == hit
+                new_delta = reference_shrink(delta, res.info["fidelity"], cfg)
+                assert env.delta == new_delta
+                seen["shrinks"] += new_delta < delta
+                seen["boundary_hit"] += hit
+                lo = cfg.tun_bounds[0]
+                seen["signed_zero_ties"] += bool(
+                    controls[2] == lo and not hit and np.signbit(controls[2]) != np.signbit(lo)
+                )
+                delta = new_delta
+                if res.terminated or res.truncated:
+                    break
+        assert seen[seen_key] > 0 and seen["boundary_hit"] > 0, seen
+
     def test_no_change_step(self):
         env = GateEnv()
         env.reset()
@@ -397,12 +461,16 @@ class TestVecGateEnv:
     # Continuous action that holds the initial controls (170, 70, 2.5) GHz.
     HOLD = np.array([170.0 / 750.0, 70.0 / 750.0, 0.0])
 
-    def test_rows_equal_single_episodes_bitwise(self):
+    @pytest.mark.parametrize("step", ["step_continuous", "step_discrete"])
+    def test_rows_equal_single_episodes_bitwise(self, step):
         # Row 0 holds the initial controls and terminates after ~17 ns; the
-        # other rows add noise of growing width, so they truncate at the cap
-        # and the widest hits the bounds most steps.
-        cfg = EnvConfig(max_steps=25)
+        # other rows add noise of growing width (continuous) or take a random
+        # action ever more often (discrete), so they truncate at the cap and
+        # the widest hits the bounds most steps.  The low step thresholds
+        # shrink the discrete step size before an episode terminates.
+        cfg = EnvConfig(max_steps=25, step_thresholds=(0.9, 0.95))
         scales = np.array([0.0, 1e-3, 0.05, 0.3, 2.0])
+        explore = np.array([0.0, 0.05, 0.2, 0.5, 1.0])
         n = len(scales)
         rng = np.random.default_rng(26)
         venv = VecGateEnv(cfg, n)
@@ -413,11 +481,19 @@ class TestVecGateEnv:
             assert np.array_equal(env.reset(), obs[i])
         fidelities = [[] for _ in range(n)]
         seen = {"terminated": 0, "truncated": 0, "boundary_hit": 0}
+        if step == "step_discrete":
+            seen["move_by_shrunk_delta"] = 0
         for _ in range(120):
-            actions = self.HOLD + scales[:, None] * rng.standard_normal((n, 3))
-            res = venv.step_continuous(actions)
+            if step == "step_discrete":
+                actions = np.where(rng.random(n) < explore, rng.integers(27, size=n), 0)
+                shrunk = (venv.delta < cfg.step_sizes[0]) & (actions != 0)
+                seen["move_by_shrunk_delta"] += int(shrunk.sum())
+            else:
+                actions = self.HOLD + scales[:, None] * rng.standard_normal((n, 3))
+            res = getattr(venv, step)(actions)
             for i, env in enumerate(envs):
-                single = env.step_continuous(actions[i])
+                single = getattr(env, step)(actions[i])
+                assert venv.delta[i] == env.delta
                 assert res.observation[i].tobytes() == single.observation.tobytes()
                 assert res.reward[i] == single.reward
                 assert res.terminated[i] == single.terminated
@@ -439,6 +515,7 @@ class TestVecGateEnv:
                 obs = venv.reset(done)
                 assert all(np.array_equal(row, initial) for row in obs[done])
                 assert np.array_equal(obs[~done], res.observation[~done])
+                assert np.all(venv.delta[done] == cfg.step_sizes[0])
         assert min(seen.values()) > 0, seen
 
     def test_finished_row_must_be_reset(self):
@@ -460,6 +537,13 @@ class TestVecGateEnv:
             venv.step_continuous(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="row 1 is not finite"):
             venv.step_continuous([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match="shape"):
+            venv.step_discrete([0])
+        with pytest.raises(ValueError, match=r"^action index 27 of row 1 outside \[0, 26\]$"):
+            venv.step_discrete([0, 27])
+        with pytest.raises(ValueError, match=r"^action index -1 of row 0 outside \[0, 26\]$"):
+            venv.step_discrete([-1, 3])
+        assert venv.steps.tolist() == [0, 0]
 
     @pytest.mark.parametrize("controls, message", [
         ([[900.0, 70.0, 2.5]], r"^row 0: eps0=900.0 outside \(-750.0, 750.0\) GHz$"),

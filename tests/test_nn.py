@@ -169,7 +169,7 @@ class TestAdam:
         p = nn.init_mlp(4, 2, seed=50)
         flat = packed(p)
         s = nn.init_adam([flat])
-        zeros = nn.GradientSet(
+        zeros = nn.MlpParameters(
             weights=tuple(np.zeros_like(w) for w in p.weights),
             biases=tuple(np.zeros_like(b) for b in p.biases),
         )
@@ -304,11 +304,10 @@ class TestPackedAdam:
         parts = [policy.as_list(), [log_std], value.as_list()]
         states = [([np.zeros_like(a) for a in p], [np.zeros_like(a) for a in p], 0)
                   for p in parts]
-        trainable = nn.LiveRows([policy, log_std, value], np.arange(6))
+        trainable = nn.LiveRows([policy, log_std, value], np.arange(6), lr, lr_decay)
         p_policy, p_log_std, p_value = trainable.parts
         flat = trainable.flat
         assert flat.tobytes() == nn.pack([a for p in parts for a in p]).tobytes()
-        s = nn.init_adam([flat], lr=lr, lr_decay=lr_decay)
         for step in range(50):
             n = 32
             batch = {
@@ -319,9 +318,8 @@ class TestPackedAdam:
                 "returns": rng.normal(size=n),
             }
             _, (g_p, g_ls, g_v) = ppo.ppo_loss(batch, p_policy, p_log_std, p_value, cfg)
+            trainable.update([g_p, g_ls, g_v])
             grads = [g_p.as_list(), [g_ls], g_v.as_list()]
-            nn.adam_update([flat], [nn.pack([g for gs in grads for g in gs])], s)
-            trainable.refresh()
             for i, (arrays, gs) in enumerate(zip(parts, grads)):
                 m, v, t = states[i]
                 arrays, m, v, t = reference_adam(arrays, gs, m, v, t, lr, lr_decay)
@@ -385,7 +383,7 @@ class TestLiveRows:
         log_std = np.array([0.1, 0.2, 0.3])
         value = nn.init_mlp(5, 1, seed=83)
         init = [[a.copy() for a in x.as_list()] for x in (policy, value)]
-        trainable = nn.LiveRows([policy, log_std, value], live)
+        trainable = nn.LiveRows([policy, log_std, value], live, 0.001, 0.0)
         flat = trainable.flat
         assert flat.size == len(nn.pack([*policy.as_list(), log_std, *value.as_list()])) - 2 * 2 * 64
         parts = trainable.parts
@@ -419,9 +417,8 @@ class TestLiveRows:
         *arrays, extra = nn.unpack(full, [a.shape for a in [*init[0].as_list(), init[1]]])
         p = nn.MlpParameters.from_list(arrays)
         s_full = nn.init_adam([full], lr=0.01, lr_decay=0.1)
-        trainable = nn.LiveRows(init, live)
+        trainable = nn.LiveRows(init, live, 0.01, 0.1)
         p_live, extra_live = trainable.parts
-        s_live = nn.init_adam([trainable.flat], lr=0.01, lr_decay=0.1)
         for step in range(30):
             rows = None if step % 2 else int(rng.integers(1, 65))
             _, x = live_inputs("full16", rng, rows)
@@ -436,8 +433,7 @@ class TestLiveRows:
             y, cache = nn.forward(p_live, x)
             _, dy = nn.mse_loss(y, target)
             g = nn.backward(p_live, nn.narrow(cache, live), dy)
-            nn.adam_update([trainable.flat], [nn.pack([*g.as_list(), extra_live - c])], s_live)
-            trainable.refresh()
+            trainable.update([g, extra_live - c])
 
         assert nn.pack([*p_live.as_list(), extra_live]).tobytes() == full.tobytes()
         dead = np.setdiff1d(np.arange(513), live)
