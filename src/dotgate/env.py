@@ -17,6 +17,12 @@ discrete step size, propagation, gate pipeline, reward, termination and
 observation, all batch-first.  ``GateEnv`` is its one-row case, and
 ``replay_schedule`` runs the same gate pipeline over all steps of a
 schedule at once.
+
+Each path propagates only the sector slots its output reads: the gate's
+slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
+four (``sim.ALL_SLOTS``) for full16, whose observation is the dense 16x16
+unitary.  Every slot gets the same bits either way, so replay matches an
+episode of either observation mode bit for bit.
 """
 
 from __future__ import annotations
@@ -198,14 +204,14 @@ def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
     return config.r_step + config.r_boundary * boundary_hit + terminated * scale * fidelity
 
 
-def _gate(u_acc: np.ndarray):
-    """Gate pipeline of (B, 4, 4, 4) accumulated slot unitaries.
+def _gate(u_acc: np.ndarray, slots: sim.SlotSet):
+    """Gate pipeline of (B, k, 4, 4) accumulated unitaries of ``slots``.
 
     Returns the projected, compensated (B, 4, 4) gates, the (B,) compensation
     flags and the fidelity report of (B,) arrays.  Each row's bits do not
     depend on the other rows.
     """
-    u_gate, compensated = sim.compensate(sim.project_to_computational(u_acc))
+    u_gate, compensated = sim.compensate(sim.project_to_computational(u_acc, slots))
     return u_gate, compensated, sim.gate_fidelity(u_gate)
 
 
@@ -216,15 +222,23 @@ def _put(rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return out
 
 
+# VecGateEnv attributes that its first reset creates.
+_EPISODE_STATE = frozenset(("controls", "u_acc", "report", "observation", "steps", "delta", "_done"))
+
+
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
     Each row holds its own controls, accumulated unitary, step counter and
-    discrete step size ``delta``.  A step runs one Hamiltonian build, one
-    propagator call, one stacked accumulate and one gate pipeline over all
-    rows.  A row's numbers do not depend on the other rows, so every row
-    equals a ``GateEnv`` episode driven by the same actions, bit for bit.  A
-    finished row must be reset, with ``reset(rows)``, before the next step.
+    discrete step size ``delta``.  The unitaries carry only the slots
+    ``slots`` that the observation and the gate read.  A step runs one
+    Hamiltonian build, one propagator call, one stacked accumulate and one
+    gate pipeline over all rows.  A row's numbers do not depend on the other
+    rows, so every row equals a ``GateEnv`` episode driven by the same
+    actions, bit for bit.  The episode state (``steps``, ``delta``,
+    ``report``, ...) exists from the first ``reset``; before it, reading it
+    or stepping raises RuntimeError.  A finished row must be reset, with
+    ``reset(rows)``, before the next step.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -233,12 +247,18 @@ class VecGateEnv:
             raise ValueError(f"n_envs={n_envs} must be >= 1")
         self.config = config
         self.n_envs = n_envs
+        self.slots = sim.ALL_SLOTS if config.obs_mode == "full16" else sim.GATE_SLOTS
         self._lo, self._hi = (
             np.array(b) for b in zip(config.eps_bounds, config.eps_bounds, config.tun_bounds)
         )
         self._rows = np.arange(n_envs)
         self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
-        self._live = False
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: before the first reset.
+        if name in _EPISODE_STATE:
+            raise RuntimeError("environment not reset")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @functools.cached_property
     def _initial(self):
@@ -246,8 +266,8 @@ class VecGateEnv:
         episodes in every row; never modified, only replaced row by row."""
         cfg = self.config
         controls = np.tile([*cfg.eps_init, cfg.tun_init], (self.n_envs, 1))
-        u_acc = np.tile(sim.IDENTITY, (self.n_envs, 1, 1, 1))
-        u_gate, _, report = _gate(u_acc)
+        u_acc = np.tile(self.slots.identity, (self.n_envs, 1, 1, 1))
+        u_gate, _, report = _gate(u_acc, self.slots)
         return controls, u_acc, report, self._observations(u_gate, u_acc, report)
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
@@ -261,10 +281,7 @@ class VecGateEnv:
             self.steps = np.zeros(self.n_envs, dtype=int)
             self.delta = np.full(self.n_envs, self.config.step_sizes[0])
             self._done = np.zeros(self.n_envs, dtype=bool)
-            self._live = True
             return self.observation
-        if not self._live:
-            raise RuntimeError("environment not reset")
         controls, u_acc, report, observation = self._initial
         self.controls = _put(rows, controls, self.controls)
         self.u_acc = _put(rows, u_acc, self.u_acc)
@@ -285,12 +302,6 @@ class VecGateEnv:
         flat = u.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
         return np.concatenate([flat, report.fidelity[:, None]], axis=1)
 
-    def _check_live(self) -> None:
-        if not self._live:
-            raise RuntimeError("environment not reset")
-        if self._done.any():
-            raise RuntimeError("step called on a finished episode; reset first")
-
     def advance(self, controls: np.ndarray, boundary_hit: np.ndarray) -> StepResult:
         """Hold in-bounds (n_envs, 3) controls (eps0, eps1, tunnel) for one dt.
 
@@ -298,10 +309,11 @@ class VecGateEnv:
         arrays, with (n_envs, obs_dim) observations.  Out of bounds or
         non-finite controls raise ValueError naming the row and the control.
         """
-        self._check_live()
+        if self._done.any():  # before the first reset: "environment not reset"
+            raise RuntimeError("step called on a finished episode; reset first")
         cfg = self.config
         try:
-            h = sim.build_hamiltonian(_hamiltonian_params(controls, cfg))
+            h = sim.build_hamiltonian(_hamiltonian_params(controls, cfg, self.slots))
         except ValueError:
             # The batched message counts lockstep rows as steps; name the row.
             for row, c in enumerate(controls):
@@ -310,12 +322,12 @@ class VecGateEnv:
                 except ValueError as exc:
                     raise ValueError(f"row {row}: {exc}") from None
             raise
-        u_step = sim.step_unitaries(h, cfg.dt)
+        u_step = sim.step_unitaries(h, cfg.dt, self.slots)
         self.u_acc = sim.accumulate(u_step, self.u_acc)
         self._history[self._rows, self.steps] = controls
         self.controls = controls
         self.steps = self.steps + 1
-        u_gate, compensated, self.report = _gate(self.u_acc)
+        u_gate, compensated, self.report = _gate(self.u_acc, self.slots)
         self.observation = self._observations(u_gate, self.u_acc, self.report)
         fid = self.report.fidelity
         terminated = fid > cfg.f_terminal
@@ -340,7 +352,6 @@ class VecGateEnv:
         clip counts as a boundary hit.  A row's delta shrinks to the next
         step size once its fidelity passes each step threshold, and is reset
         to the first with the row."""
-        self._check_live()
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
             raise ValueError(
@@ -409,11 +420,6 @@ class GateEnv:
         return float(self._batch.delta[0])
 
     @property
-    def u_acc(self) -> np.ndarray:
-        """The dense 16x16 accumulated unitary."""
-        return sim.dense(self._batch.u_acc[0])
-
-    @property
     def fidelity_report(self) -> sim.FidelityReport:
         return self._batch.report.row(0)
 
@@ -440,11 +446,13 @@ class GateEnv:
         return self._batch.export_schedule(0)
 
 
-def _hamiltonian_params(controls: np.ndarray, config: EnvConfig) -> sim.HamiltonianParams:
+def _hamiltonian_params(
+    controls: np.ndarray, config: EnvConfig, slots: sim.SlotSet = sim.ALL_SLOTS
+) -> sim.HamiltonianParams:
     """Unvalidated Hamiltonian parameters of (..., 3) controls (eps0, eps1,
-    tunnel) under the config's constants."""
+    tunnel) under the config's constants, over the slots ``slots``."""
     return sim.HamiltonianParams(
-        eps=controls[..., :2], tun=controls[..., 2], u=config.u, ez=config.ez
+        eps=controls[..., :2], tun=controls[..., 2], u=config.u, ez=config.ez, slots=slots
     )
 
 
@@ -465,13 +473,15 @@ def replay_schedule(
     """Re-evolve a stored schedule through the simulator alone.
 
     Every row is validated first: out of bounds or non-finite controls raise
-    ValueError naming the step.  A piecewise-constant pulse repeats its step
-    propagator, so consecutive rows with bit-identical controls form a run,
-    and one batched Hamiltonian build and one batched ``sim.step_unitaries``
-    call cover the first row of each run: a constant sweep costs one build
-    and one ``eigh``.  The steps are accumulated in order into one stack and
-    the gate pipeline runs once over all accumulated unitaries.  Every row of
-    these calls equals the environment's row bit for bit, so the returned
+    ValueError naming the step.  Only the gate is read, so only its slots
+    (``sim.GATE_SLOTS``) are propagated, whatever the observation mode.  A
+    piecewise-constant pulse repeats its step propagator, so consecutive
+    rows with bit-identical controls form a run, and one batched
+    Hamiltonian build and one batched ``sim.step_unitaries`` call cover the
+    first row of each run: a constant sweep costs one build and one
+    ``eigh``.  The steps are accumulated in order into one stack and the
+    gate pipeline runs once over all accumulated unitaries.  Every slot of
+    these calls equals the environment's bit for bit, so the returned
     fidelities match the producing episode bitwise.  Returns the final report
     and the per-step fidelity trace.
     """
@@ -480,13 +490,15 @@ def replay_schedule(
     bits = controls.view(np.int64)
     starts = np.ones(len(controls), dtype=bool)
     starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    slots = sim.GATE_SLOTS
     u_runs = sim.step_unitaries(
-        sim.build_hamiltonian(_hamiltonian_params(controls[starts], config)), config.dt
+        sim.build_hamiltonian(_hamiltonian_params(controls[starts], config, slots)),
+        config.dt, slots,
     )
     # Row 0 is the identity before the first step.
-    u_acc = np.empty((len(controls) + 1, *sim.SLOT_SHAPE), dtype=complex)
-    u_acc[0] = sim.IDENTITY
+    u_acc = np.empty((len(controls) + 1, *slots.shape), dtype=complex)
+    u_acc[0] = slots.identity
     for t, run in enumerate(np.cumsum(starts).tolist()):
         sim.accumulate(u_runs[run - 1], u_acc[t], out=u_acc[t + 1])
-    _, _, report = _gate(u_acc)
+    _, _, report = _gate(u_acc, slots)
     return report.row(-1), report.fidelity[1:].tolist()

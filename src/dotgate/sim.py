@@ -17,12 +17,20 @@ H conserves the particle number N and the spin S_z, so it never couples
 states of different (N, S_z).  Those sectors are read off the occupation
 table and packed, by one fixed basis permutation, into four 4x4 diagonal
 slots ({3,6,9,12}, {1,4}+{2,8}, {7,13}+{11,14}, {0,5,10,15}).  The step
-path keeps every operator in that (..., 4, 4, 4) slot form: real H blocks,
-one stacked ``eigh`` into slot unitaries, slot-by-slot accumulation, and a
-gate read straight from the slots; entries between two sectors sharing a
-slot stay exact zeros.  ``dense`` gives the 16x16 view (full16 observation,
-checks against the dense reference ``evolve_step``).  Every function takes
-a leading batch axis and gives each row the bits it would get alone.
+path keeps every operator in that slot form: real H blocks, one stacked
+``eigh`` into slot unitaries, slot-by-slot accumulation, and a gate
+gathered straight from the slots; entries between two sectors sharing a
+slot stay exact zeros.
+
+H never couples two slots, so a stack may carry only the slots an output
+reads, as a ``SlotSet``: (..., k, 4, 4) instead of (..., 4, 4, 4).  The
+gate lives in slots 0 and 3 (``GATE_SLOTS``), which is all that the
+fidelity, replay and the computational4 observation need; the full16
+observation reads all four (``ALL_SLOTS``, the default).  The same code
+runs on either stack, and each slot gets the same bits in both.  ``dense``
+gives the 16x16 view of a four-slot stack, for the full16 observation and
+for checks against the dense reference ``evolve_step``.  Every function
+takes a leading batch axis and gives each row the bits it would get alone.
 
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
@@ -111,11 +119,6 @@ def _pack_slots(sectors) -> np.ndarray:
 SECTORS = _sectors()
 SLOTS = _pack_slots(SECTORS)  # (N_SLOTS, SLOT_DIM) full-space indices
 N_SLOTS = len(SLOTS)
-SLOT_SHAPE = (N_SLOTS, SLOT_DIM, SLOT_DIM)
-
-# The identity operator in slot form.
-IDENTITY = np.tile(np.eye(SLOT_DIM, dtype=complex), (N_SLOTS, 1, 1))
-IDENTITY.flags.writeable = False
 
 
 def _slot_terms() -> np.ndarray:
@@ -144,27 +147,61 @@ _SECTOR_OF = np.array(
 _CROSS_SECTOR = _SECTOR_OF[SLOTS][:, :, None] != _SECTOR_OF[SLOTS][:, None, :]
 
 
-def _placement(states) -> tuple[np.ndarray, np.ndarray]:
-    """Where the matrix over ``states`` (full-space indices) sits in a slot
-    stack: the flattened slot positions of its same-sector entries, and
-    their flattened positions in the matrix.  Its other entries are zero."""
-    flat_pos = np.full((DIM_FULL, DIM_FULL), -1)
-    flat_pos[SLOTS[:, :, None], SLOTS[:, None, :]] = np.where(
-        _CROSS_SECTOR, -1, np.arange(N_SLOTS * SLOT_DIM**2).reshape(SLOT_SHAPE)
+def _flat_positions(index) -> np.ndarray:
+    """(16, 16) table of where entry (a, b) sits in a stack of the slots
+    ``index``: its flattened position there, or -1 where a and b lie in
+    different sectors (an exact zero) or outside those slots."""
+    states = SLOTS[index]
+    pos = np.full((DIM_FULL, DIM_FULL), -1)
+    pos[states[:, :, None], states[:, None, :]] = np.where(
+        _CROSS_SECTOR[index], -1, np.arange(states.size * SLOT_DIM).reshape(states.shape + (-1,))
     )
-    source = flat_pos[np.ix_(states, states)].ravel()
-    target = np.flatnonzero(source >= 0)
-    return source[target], target
+    return pos
 
 
-_DENSE_PLACEMENT = _placement(range(DIM_FULL))
-_COMP_PLACEMENT = _placement(COMPUTATIONAL_INDICES)
+_COMP = np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)
+_DENSE_POSITIONS = _flat_positions(np.arange(N_SLOTS))
 # Flattened positions of the entries that can be nonzero, the same-sector
 # ones, in a dense 16x16 matrix and in the computational 4x4 block.
-DENSE_ENTRIES = _DENSE_PLACEMENT[1]
-COMP_ENTRIES = _COMP_PLACEMENT[1]
+DENSE_ENTRIES = np.flatnonzero(_DENSE_POSITIONS >= 0)
+COMP_ENTRIES = np.flatnonzero(_DENSE_POSITIONS[_COMP] >= 0)
 DENSE_ENTRIES.flags.writeable = False
 COMP_ENTRIES.flags.writeable = False
+_DENSE_SOURCE = _DENSE_POSITIONS.ravel()[DENSE_ENTRIES]
+_COMP_ZERO = _DENSE_POSITIONS[_COMP].ravel() < 0
+
+
+class SlotSet:
+    """The slots holding some full-space states, in ascending slot order,
+    and the tables that build and read a (..., k, 4, 4) stack of just those
+    k slots.
+
+    H never couples two slots, so each slot of such a stack evolves exactly
+    as that slot of the full four-slot stack, bit for bit.  The states must
+    include the computational ones: every output reads the gate.
+    """
+
+    def __init__(self, states):
+        self.index = np.flatnonzero(np.isin(SLOTS, list(states)).any(axis=1))
+        k = len(self.index)
+        self.shape = (k, SLOT_DIM, SLOT_DIM)
+        self.size = k * SLOT_DIM * SLOT_DIM
+        self.identity = np.tile(np.eye(SLOT_DIM, dtype=complex), (k, 1, 1))
+        self.identity.flags.writeable = False
+        # The seven Hamiltonian terms over these slots, (7, k * 16).
+        self.terms = _TERMS.reshape(len(_TERMS), N_SLOTS, -1)[:, self.index].reshape(len(_TERMS), -1)
+        self.cross_sector = _CROSS_SECTOR[self.index]
+        comp = _flat_positions(self.index)[_COMP].ravel()
+        if np.any(comp[COMP_ENTRIES] < 0):
+            raise ValueError(f"slots {self.index.tolist()} miss computational states")
+        # Flattened stack position of each entry of the computational 4x4
+        # block; an entry between two sectors reads position 0 and is zeroed.
+        self.comp_source = np.maximum(comp, 0)
+
+
+# The slots the gate needs (0 and 3), and all four.
+GATE_SLOTS = SlotSet(COMPUTATIONAL_INDICES)
+ALL_SLOTS = SlotSet(range(DIM_FULL))
 
 _CONTROL_LO = np.array([EPS_BOUNDS[0], EPS_BOUNDS[0], TUN_BOUNDS[0]])
 _CONTROL_HI = np.array([EPS_BOUNDS[1], EPS_BOUNDS[1], TUN_BOUNDS[1]])
@@ -183,6 +220,8 @@ class HamiltonianParams:
     u:   Hubbard repulsion of each dot.
     ez:  Zeeman splitting (qubit resonance frequency) of each dot.
 
+    slots: the slots ``build_hamiltonian`` assembles (default all four).
+
     For a batch of T steps, eps has shape (T, 2) and tun shape (T,); u and
     ez are shared by all steps.
     """
@@ -191,6 +230,7 @@ class HamiltonianParams:
     tun: float | np.ndarray
     u: tuple[float, float]
     ez: tuple[float, float]
+    slots: SlotSet = ALL_SLOTS
 
     def validate(self) -> np.ndarray:
         """The checked (T, 3) rows (eps0, eps1, tunnel), T = 1 without a
@@ -239,54 +279,55 @@ class FidelityReport:
         )
 
 
-def _check_slots(u: np.ndarray) -> None:
-    if u.shape[-3:] != SLOT_SHAPE:
-        raise ValueError(f"expected (..., 4, 4, 4) slot stacks of 16x16 matrices, got {u.shape}")
-
-
-def _place(u: np.ndarray, placement, dim: int) -> np.ndarray:
-    """(..., dim, dim) matrices holding the placed entries of slot stacks."""
-    _check_slots(u)
-    source, target = placement
-    lead = u.shape[:-3]
-    out = np.zeros((*lead, dim * dim), dtype=u.dtype)
-    out[..., target] = u.reshape(*lead, N_SLOTS * SLOT_DIM**2)[..., source]
-    return out.reshape(*lead, dim, dim)
+def _check_slots(u: np.ndarray, slots: SlotSet) -> None:
+    if u.shape[-3:] != slots.shape:
+        raise ValueError(
+            f"expected (..., {slots.shape[0]}, 4, 4) stacks of slots {slots.index.tolist()}, "
+            f"got {u.shape}"
+        )
 
 
 def dense(u: np.ndarray) -> np.ndarray:
-    """Dense (..., 16, 16) matrices of (..., 4, 4, 4) slot stacks."""
-    return _place(u, _DENSE_PLACEMENT, DIM_FULL)
+    """Dense (..., 16, 16) matrices of (..., 4, 4, 4) stacks of all slots."""
+    _check_slots(u, ALL_SLOTS)
+    lead = u.shape[:-3]
+    out = np.zeros((*lead, DIM_FULL * DIM_FULL), dtype=u.dtype)
+    out[..., DENSE_ENTRIES] = u.reshape(*lead, ALL_SLOTS.size)[..., _DENSE_SOURCE]
+    return out.reshape(*lead, DIM_FULL, DIM_FULL)
 
 
 def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
-    """Assemble H_eps + H_Z + H_U + H_T (GHz) as real slot blocks.
+    """Assemble H_eps + H_Z + H_U + H_T (GHz) as real blocks of the slots
+    ``params.slots``.
 
-    Returns (4, 4, 4), or (T, 4, 4, 4) when params carry a batch axis.  The
-    seven terms are summed slot by slot, elementwise in a fixed order, so
-    each step's bits do not depend on the batch size.
+    Returns (k, 4, 4), or (T, k, 4, 4) when params carry a batch axis.  The
+    seven terms are summed entry by entry, elementwise in a fixed order, so
+    each entry's bits depend neither on the batch size nor on the slots
+    built beside it.
     """
     controls = params.validate()
     coef = np.empty((len(controls), len(_TERMS)))
     coef[:, :3] = controls
     coef[:, 3:] = (params.ez[0], params.ez[1], params.u[0], params.u[1])
-    h = (coef[:, :, None] * _TERMS).sum(axis=1).reshape(-1, *SLOT_SHAPE)
+    slots = params.slots
+    h = (coef[:, :, None] * slots.terms).sum(axis=1).reshape(-1, *slots.shape)
     return h if np.ndim(params.tun) else h[0]
 
 
-def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
-    """Step propagators exp(-i 2*pi h dt) of (..., 4, 4, 4) slot Hamiltonians.
+def step_unitaries(h: np.ndarray, dt: float, slots: SlotSet = ALL_SLOTS) -> np.ndarray:
+    """Step propagators exp(-i 2*pi h dt) of (..., k, 4, 4) Hamiltonians of
+    the slots ``slots``.
 
     Each slot of h must be Hermitian, as every ``build_hamiltonian`` output
     is.  One ``eigh`` over the stack (real-symmetric for real h) gives
     complex slot unitaries.  ``eigh`` may mix degenerate eigenvectors of the
-    two sectors in a slot, so the entries between them are reset to exact
+    sectors in a slot, so the entries between them are reset to exact
     zeros.  Each matrix of a stack equals its own unstacked result bit for
-    bit.
+    bit, whatever the stack holds beside it.
     """
     if not dt > 0:
         raise ValueError(f"dt={dt} must be positive")
-    _check_slots(h)
+    _check_slots(h, slots)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -295,7 +336,7 @@ def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
         ) from exc
     phases = np.exp(-2j * np.pi * dt * energies)
     u = (vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    np.copyto(u, 0, where=_CROSS_SECTOR)
+    np.copyto(u, 0, where=slots.cross_sector)
     return u
 
 
@@ -319,7 +360,7 @@ def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
 
 def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Left-multiply the newest step onto the accumulated unitary, slot by
-    slot for (..., 4, 4, 4) slot stacks.
+    slot for (..., k, 4, 4) slot stacks.
 
     With ``out`` the product is written there, as in ``np.matmul``, and
     ``out`` is returned; its bits equal those of ``u_step @ u_acc``.
@@ -329,14 +370,20 @@ def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = N
     return np.matmul(u_step, u_acc, out=out)
 
 
-def project_to_computational(u: np.ndarray) -> np.ndarray:
+def project_to_computational(u: np.ndarray, slots: SlotSet = ALL_SLOTS) -> np.ndarray:
     """The 4x4 block over the computational indices {5,6,9,10}, read from
-    (..., 4, 4, 4) slot stacks.
+    (..., k, 4, 4) stacks of the slots ``slots``.
 
-    The result is generally sub-unitary: amplitude outside the block is
-    leakage and is simply dropped.
+    One fixed gather reads the block's six same-sector entries; the ten
+    between two sectors are written as exact +0.0.  The result is generally
+    sub-unitary: amplitude outside the block is leakage and is simply
+    dropped.
     """
-    return _place(u, _COMP_PLACEMENT, DIM_COMP)
+    _check_slots(u, slots)
+    lead = u.shape[:-3]
+    gate = u.reshape(*lead, slots.size).take(slots.comp_source, axis=-1)
+    np.copyto(gate, 0, where=_COMP_ZERO)
+    return gate.reshape(*lead, DIM_COMP, DIM_COMP)
 
 
 def compensate(u4: np.ndarray):

@@ -5,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dotgate import nn, sim
+from dotgate.env import EnvConfig, schedule_params
 
 
 def occupation_energy(state: int, eps, u, ez) -> float:
@@ -85,7 +86,7 @@ def random_slot_stack(rng, shape=(), unitary=True) -> np.ndarray:
     random complex block) at its positions in its slot; entries between
     different sectors are zero.
     """
-    u = np.zeros((*shape, *sim.SLOT_SHAPE), dtype=complex)
+    u = np.zeros((*shape, *sim.ALL_SLOTS.shape), dtype=complex)
     for lead in np.ndindex(*shape):
         for k, slot in enumerate(sim.SLOTS):
             for sector in sim.SECTORS:
@@ -99,6 +100,18 @@ def random_slot_stack(rng, shape=(), unitary=True) -> np.ndarray:
                 )
                 u[(*lead, k, *np.ix_(pos, pos))] = block
     return u
+
+
+def dense_unitary(schedule, config: EnvConfig = EnvConfig()) -> np.ndarray:
+    """The dense 16x16 unitary of a schedule, propagated through all four
+    slots and accumulated one step at a time, as a full16 episode is."""
+    u_steps = sim.step_unitaries(
+        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+    )
+    u = sim.ALL_SLOTS.identity
+    for u_step in u_steps:
+        u = sim.accumulate(u_step, u)
+    return sim.dense(u)
 
 
 def stacked_forward(arrays, x):

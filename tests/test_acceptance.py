@@ -11,7 +11,7 @@ import pytest
 from dotgate import cli, nn, sim
 from dotgate.agents import PpoConfig, TdConfig, Trajectory, gae, ppo_loss, train_ppo, train_td
 from dotgate.env import EnvConfig, GateEnv, PulseSchedule, replay_schedule
-from helpers import finite_diff_check
+from helpers import dense_unitary, finite_diff_check
 
 TD_SEEDS = (101, 102, 103, 104, 105)
 PPO_SEEDS = (201, 202, 203, 204, 205)
@@ -60,7 +60,7 @@ def test_criterion_3_unitarity_and_replay():
             last = env.step_discrete(int(rng.integers(27)))
             if last.terminated or last.truncated:
                 break
-        u = env.u_acc
+        u = dense_unitary(env.export_schedule())
         worst_unitarity = max(
             worst_unitarity, float(np.max(np.abs(u.conj().T @ u - np.eye(16))))
         )

@@ -94,6 +94,35 @@ class TestReset:
         assert np.array_equal(a, b)
 
 
+class TestBeforeReset:
+    """Episode state read before the first reset fails by name."""
+
+    @pytest.mark.parametrize("read", [
+        lambda env: env.steps,
+        lambda env: env.delta,
+        lambda env: env.fidelity_report,
+        lambda env: env.export_schedule(),
+    ], ids=["steps", "delta", "fidelity_report", "export_schedule"])
+    def test_gate_env(self, read):
+        with pytest.raises(RuntimeError, match="^environment not reset$"):
+            read(GateEnv())
+
+    @pytest.mark.parametrize("read", [
+        lambda venv: venv.steps,
+        lambda venv: venv.delta,
+        lambda venv: venv.report,
+        lambda venv: venv.export_schedule(1),
+        lambda venv: venv.reset(np.array([True, False])),
+    ], ids=["steps", "delta", "report", "export_schedule", "reset_rows"])
+    def test_vec_gate_env(self, read):
+        with pytest.raises(RuntimeError, match="^environment not reset$"):
+            read(VecGateEnv(EnvConfig(), 2))
+
+    def test_unknown_attribute_still_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such"):
+            VecGateEnv(EnvConfig(), 1).no_such
+
+
 class TestDecodeAction:
     def test_no_change(self):
         assert decode_action(0, 1.0) == (0.0, 0.0, 0.0)
@@ -375,6 +404,28 @@ class TestReplay:
             assert trace == fidelities
             assert report == env.fidelity_report
 
+    @pytest.mark.parametrize("mode", ["computational4", "full16"])
+    def test_trace_bytes_equal_episode_in_both_obs_modes(self, mode):
+        # The episode carries the slots of its observation mode, replay only
+        # the gate's; both give every step the same fidelity bits.
+        cfg = EnvConfig(obs_mode=mode, max_steps=60)
+        env = GateEnv(cfg)
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            env.reset()
+            fidelities = []
+            while True:
+                if rng.random() < 0.3:
+                    res = env.step_discrete(int(rng.integers(27)))
+                else:
+                    res = env.step_continuous(rng.uniform(-1.2, 1.2, 3))
+                fidelities.append(res.info["fidelity"])
+                if res.terminated or res.truncated:
+                    break
+            report, trace = replay_schedule(env.export_schedule(), cfg)
+            assert np.array(trace).tobytes() == np.array(fidelities).tobytes()
+            assert report == env.fidelity_report
+
     def test_empty_schedule_is_identity(self):
         report, trace = replay_schedule(PulseSchedule())
         assert report.fidelity == pytest.approx(0.4, abs=1e-12)
@@ -386,8 +437,8 @@ def replay_per_row(schedule, config=EnvConfig()):
     u_steps = sim.step_unitaries(
         sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
     )
-    u_acc = np.empty((len(u_steps) + 1, *sim.SLOT_SHAPE), dtype=complex)
-    u_acc[0] = sim.IDENTITY
+    u_acc = np.empty((len(u_steps) + 1, *sim.ALL_SLOTS.shape), dtype=complex)
+    u_acc[0] = sim.ALL_SLOTS.identity
     for t, u_step in enumerate(u_steps):
         u_acc[t + 1] = u_step @ u_acc[t]
     report = sim.gate_fidelity(sim.compensate(sim.project_to_computational(u_acc))[0])
@@ -413,9 +464,9 @@ class TestReplayRuns:
         rows = []
         step_unitaries = sim.step_unitaries
 
-        def counted(h, dt):
+        def counted(h, *args):
             rows.append(len(h))
-            return step_unitaries(h, dt)
+            return step_unitaries(h, *args)
 
         monkeypatch.setattr(sim, "step_unitaries", counted)
         return rows
@@ -517,6 +568,14 @@ class TestVecGateEnv:
                 assert np.array_equal(obs[~done], res.observation[~done])
                 assert np.all(venv.delta[done] == cfg.step_sizes[0])
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("mode, slots", [("computational4", [0, 3]), ("full16", [0, 1, 2, 3])])
+    def test_carries_the_slots_its_observation_reads(self, mode, slots):
+        venv = VecGateEnv(EnvConfig(obs_mode=mode), 3)
+        venv.reset()
+        venv.step_continuous(np.zeros((3, 3)))
+        assert venv.slots.index.tolist() == slots
+        assert venv.u_acc.shape == (3, len(slots), 4, 4)
 
     def test_finished_row_must_be_reset(self):
         venv = VecGateEnv(EnvConfig(max_steps=1), 2)
@@ -686,7 +745,8 @@ class TestLiveFeatures:
         swap = np.eye(16, dtype=complex)[order]
         venv = VecGateEnv(cfg, 2)
         venv.reset()
-        venv.u_acc = np.tile(swap[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]], (2, 1, 1, 1))
+        states = sim.SLOTS[venv.slots.index]  # the slots this obs mode carries
+        venv.u_acc = np.tile(swap[states[:, :, None], states[:, None, :]], (2, 1, 1, 1))
         res = venv.step_continuous([[0.1, -0.2, -1.0], [0.3, 0.1, -1.0]])
         assert not res.info["compensated"].any()
         assert np.all(res.observation[:, dead] == 0)

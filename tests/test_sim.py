@@ -1,5 +1,7 @@
 """Simulator core: Hamiltonian, evolution, projection, compensation, fidelity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,9 +166,9 @@ class TestEvolveStep:
 class TestAccumulate:
     def test_identity_factor(self):
         u = random_slot_stack(np.random.default_rng(3))
-        assert np.array_equal(sim.accumulate(sim.IDENTITY, u), u)
-        assert np.array_equal(sim.accumulate(u, sim.IDENTITY), u)
-        assert np.array_equal(sim.dense(sim.IDENTITY), np.eye(16))
+        assert np.array_equal(sim.accumulate(sim.ALL_SLOTS.identity, u), u)
+        assert np.array_equal(sim.accumulate(u, sim.ALL_SLOTS.identity), u)
+        assert np.array_equal(sim.dense(sim.ALL_SLOTS.identity), np.eye(16))
 
     def test_product_matches_direct_multiply(self):
         rng = np.random.default_rng(4)
@@ -204,10 +206,10 @@ class TestAccumulate:
 
 class TestProjection:
     def test_identity_projects_to_identity(self):
-        assert np.array_equal(sim.project_to_computational(sim.IDENTITY), np.eye(4))
+        assert np.array_equal(sim.project_to_computational(sim.ALL_SLOTS.identity), np.eye(4))
 
     def test_full_leakage_gives_zero_block(self):
-        u = np.ones(sim.SLOT_SHAPE, dtype=complex)
+        u = np.ones(sim.ALL_SLOTS.shape, dtype=complex)
         for state in sim.COMPUTATIONAL_INDICES:
             u[slot_position(state)] = 0
         assert np.all(sim.project_to_computational(u) == 0)
@@ -232,6 +234,63 @@ class TestProjection:
                 sim.project_to_computational(u),
                 sim.dense(u)[..., comp[:, None], comp[None, :]],
             )
+
+
+class TestGateSlots:
+    """A stack of the gate's slots (0 and 3) gets the bits of those slots of
+    the four-slot stack."""
+
+    def test_slot_sets(self):
+        assert sim.GATE_SLOTS.index.tolist() == [0, 3]
+        assert sim.ALL_SLOTS.index.tolist() == [0, 1, 2, 3]
+        comp = set(sim.COMPUTATIONAL_INDICES)
+        held = [bool(comp & set(slot)) for slot in sim.SLOTS.tolist()]
+        assert held == [k in sim.GATE_SLOTS.index for k in range(sim.N_SLOTS)]
+        with pytest.raises(ValueError, match="computational"):
+            sim.SlotSet([1, 4])
+
+    @pytest.mark.parametrize("batch", range(1, 17))
+    def test_build_step_and_accumulate_bitwise(self, batch):
+        rng = np.random.default_rng(40 + batch)
+        gate = sim.GATE_SLOTS
+        u_gate = np.tile(gate.identity, (batch, 1, 1, 1))
+        u_all = np.tile(sim.ALL_SLOTS.identity, (batch, 1, 1, 1))
+        for _ in range(20):
+            controls = random_controls(rng, batch)
+            params = sim.HamiltonianParams(eps=controls[:, :2], tun=controls[:, 2], u=U, ez=EZ)
+            h_all = sim.build_hamiltonian(params)
+            h_gate = sim.build_hamiltonian(dataclasses.replace(params, slots=gate))
+            assert h_gate.tobytes() == h_all[:, gate.index].tobytes()
+            s_all = sim.step_unitaries(h_all, 1.0)
+            s_gate = sim.step_unitaries(h_gate, 1.0, gate)
+            assert s_gate.tobytes() == s_all[:, gate.index].tobytes()
+            u_all = sim.accumulate(s_all, u_all)
+            u_gate = sim.accumulate(s_gate, u_gate)
+            assert u_gate.tobytes() == u_all[:, gate.index].tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (8,)])
+    def test_projection_equals_dense_block_bytes(self, shape):
+        # Entries between sectors hold -0.0 in the stack and +0.0 in the
+        # dense view; the projection must give the dense view's bytes.
+        rng = np.random.default_rng(42)
+        comp = np.array(sim.COMPUTATIONAL_INDICES)
+        between = np.ones(16, dtype=bool)
+        between[sim.COMP_ENTRIES] = False
+        for _ in range(50):
+            u = random_slot_stack(rng, shape, unitary=False)
+            u[..., sim.ALL_SLOTS.cross_sector] = complex(-0.0, -0.0)
+            want = sim.dense(u)[..., comp[:, None], comp]
+            zeros = want.reshape(*shape, 16)[..., between]
+            assert np.all(zeros == 0) and not np.signbit([zeros.real, zeros.imag]).any()
+            gate = u[..., sim.GATE_SLOTS.index, :, :]
+            assert sim.project_to_computational(gate, sim.GATE_SLOTS).tobytes() == want.tobytes()
+            assert sim.project_to_computational(u).tobytes() == want.tobytes()
+
+    def test_wrong_slot_count_rejected(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 4, 4\) stacks of slots \[0, 3\]"):
+            sim.project_to_computational(sim.ALL_SLOTS.identity, sim.GATE_SLOTS)
+        with pytest.raises(ValueError, match=r"slots \[0, 3\]"):
+            sim.step_unitaries(np.zeros(sim.ALL_SLOTS.shape), 1.0, sim.GATE_SLOTS)
 
 
 class TestPhaseCompensation:
@@ -461,7 +520,7 @@ class TestStepUnitaries:
         assert np.max(np.abs(u_step.conj().T @ u_step - np.eye(16))) < 1e-12
 
     def test_empty_batch(self):
-        assert propagate(np.empty((0, 3))).shape == (0, *sim.SLOT_SHAPE)
+        assert propagate(np.empty((0, 3))).shape == (0, *sim.ALL_SLOTS.shape)
         assert sim.dense(propagate(np.empty((0, 3)))).shape == (0, 16, 16)
 
     @pytest.mark.parametrize(
@@ -478,7 +537,7 @@ class TestStepUnitaries:
 
     def test_bad_dt_and_constants(self):
         with pytest.raises(ValueError, match="dt"):
-            sim.step_unitaries(np.zeros(sim.SLOT_SHAPE), 0.0)
+            sim.step_unitaries(np.zeros(sim.ALL_SLOTS.shape), 0.0)
         with pytest.raises(ValueError, match="ez"):
             propagate(np.array([[0.0, 0.0, 1.0]]), ez=(np.nan, 1.0))
 
