@@ -53,7 +53,6 @@ class PpoConfig:
     value_coef: float = 0.5
     entropy_coef: float = 0.0
     log_std_init: float = float(np.log(0.5))
-    state_dependent_std: bool = False
     iterations_max: int = 2000
     target_fidelity: float = 0.999
     target_duration: float = 50.0
@@ -62,8 +61,12 @@ class PpoConfig:
     def validate(self) -> None:
         if not 0 < self.lam <= 1:
             raise ValueError(f"lam={self.lam} outside (0, 1]")
-        if self.clip_eps <= 0:
-            raise ValueError(f"clip_eps={self.clip_eps} must be > 0")
+        if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):
+            raise ValueError(f"clip_eps={self.clip_eps} must be finite and > 0")
+        if not (np.isfinite(self.value_coef) and self.value_coef >= 0):
+            raise ValueError(f"value_coef={self.value_coef} must be finite and >= 0")
+        if not np.isfinite(self.entropy_coef):
+            raise ValueError(f"entropy_coef={self.entropy_coef} must be finite")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma={self.gamma} outside (0, 1]")
         if self.horizon < 1 or self.n_envs < 1:
@@ -173,12 +176,8 @@ def ppo_loss(
     returns = batch["returns"]
     n = len(adv)
 
-    out, cache_p = nn.forward(p_policy, obs)
-    if cfg.state_dependent_std:
-        mean, log_std_b = out[:, :N_CONTROLS], out[:, N_CONTROLS:]
-    else:
-        mean, log_std_b = out, log_std
-    logp, d_mean, d_log_std = nn.gaussian_logprob(mean, log_std_b, actions)
+    mean, cache_p = nn.forward(p_policy, obs)
+    logp, d_mean, d_log_std = nn.gaussian_logprob(mean, log_std, actions)
     with np.errstate(over="ignore"):  # overflow is caught explicitly below
         ratio = np.exp(logp - old_logp)
     if not np.all(np.isfinite(ratio)):
@@ -193,20 +192,10 @@ def ppo_loss(
     # Gradient flows only where the unclipped branch attains the min.
     coeff = np.where(surr1 <= surr2, -adv * ratio / n, 0.0)
 
-    if cfg.state_dependent_std:
-        entropy = float(np.mean(np.sum(log_std_b + 0.5 * (1.0 + nn.LOG_2PI), axis=-1)))
-        upstream = np.concatenate(
-            [coeff[:, None] * d_mean,
-             coeff[:, None] * d_log_std - cfg.entropy_coef / n],
-            axis=1,
-        )
-        g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), upstream)
-        g_log_std = np.zeros_like(log_std)
-    else:
-        entropy = float(np.sum(log_std + 0.5 * (1.0 + nn.LOG_2PI)))
-        g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean)
-        g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
-        g_log_std -= cfg.entropy_coef * np.ones_like(log_std)
+    entropy = float(np.sum(log_std + 0.5 * (1.0 + nn.LOG_2PI)))
+    g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean)
+    g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
+    g_log_std -= cfg.entropy_coef * np.ones_like(log_std)
 
     v, cache_v = nn.forward(p_value, obs)
     v = v[:, 0]
@@ -256,14 +245,10 @@ class _Rollout:
         v, _ = nn.forward(value_net, np.vstack([self.reset_obs, self.obs]))
         v_reset, values = v[0, 0], v[1:, 0]
         for t in range(T):
-            out, _ = nn.forward(policy, self.obs)
-            if cfg.state_dependent_std:
-                mean, ls = out[:, :N_CONTROLS], out[:, N_CONTROLS:]
-            else:
-                mean, ls = out, log_std
+            mean, _ = nn.forward(policy, self.obs)
             noise = np.stack([rng.standard_normal(N_CONTROLS) for rng in self.rngs])
-            actions = mean + np.exp(ls) * noise
-            logp, _, _ = nn.gaussian_logprob(mean, ls, actions)
+            actions = mean + np.exp(log_std) * noise
+            logp, _, _ = nn.gaussian_logprob(mean, log_std, actions)
             res = self.env.step_continuous(actions)
             v_next, _ = nn.forward(value_net, res.observation)
             v_next = v_next[:, 0]
@@ -330,10 +315,9 @@ def train_ppo(
     policy_seed, value_seed, shuffle_seed, *row_seeds = ss.spawn(3 + cfg.n_envs)
     env_config = env_factory().config
     obs_dim = env_config.obs_dim
-    policy_out = 2 * N_CONTROLS if cfg.state_dependent_std else N_CONTROLS
     live = env_config.live_features
     trainable = nn.LiveRows([
-        nn.init_mlp(obs_dim, policy_out, seed=policy_seed),
+        nn.init_mlp(obs_dim, N_CONTROLS, seed=policy_seed),
         np.full(N_CONTROLS, cfg.log_std_init),
         nn.init_mlp(obs_dim, 1, seed=value_seed),
     ], live, cfg.lr, cfg.lr_decay)

@@ -12,7 +12,6 @@ the action the epsilon-greedy policy actually takes next (on-policy).
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,6 @@ class TdConfig:
     trailing_window: int = 10
     lr: float = 0.001
     lr_decay: float = 0.01
-    # study flags, both off by default: purely online updates
-    replay_capacity: int = 0
-    replay_batch: int = 32
-    target_sync_every: int = 0
 
     def validate(self) -> None:
         if not 0 < self.gamma <= 1:
@@ -60,19 +55,6 @@ class TdConfig:
             raise ValueError(f"lr={self.lr} must be > 0")
         if not self.lr_decay >= 0:
             raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
-        if self.replay_capacity < 0:
-            raise ValueError(f"replay_capacity={self.replay_capacity} must be >= 0 (0: off)")
-        if self.replay_batch < 1:
-            raise ValueError(f"replay_batch={self.replay_batch} must be >= 1")
-        if 0 < self.replay_capacity < self.replay_batch:
-            raise ValueError(
-                f"replay_batch={self.replay_batch} exceeds replay_capacity="
-                f"{self.replay_capacity}, so no update would ever run"
-            )
-        if self.target_sync_every < 0:
-            raise ValueError(
-                f"target_sync_every={self.target_sync_every} must be >= 0 (0: off)"
-            )
 
 
 @dataclass
@@ -131,27 +113,6 @@ def _update(params, obs, action, target_value, alpha, live) -> nn.MlpParameters:
     return nn.backward(params, nn.narrow(cache, live), dq)
 
 
-def _replay_update(params, target_params, buffer, idx, cfg: TdConfig, live) -> nn.MlpParameters:
-    """Gradient of the batched Q-learning regression over replay samples,
-    with the first layer narrowed to the ``live`` input rows."""
-    obs = np.stack([buffer[i][0] for i in idx])
-    actions = [buffer[i][1] for i in idx]
-    q, cache = nn.forward(params, obs)
-    q_next, _ = nn.forward(target_params, np.stack([buffer[i][3] for i in idx]))
-    target = q.copy()
-    for row, i in enumerate(idx):
-        _, action, reward, _, terminated = buffer[i]
-        y = td_target_qlearning(reward, cfg.gamma, q_next[row], terminated)
-        target[row, action] = (1.0 - cfg.alpha) * q[row, action] + cfg.alpha * y
-    _, dq = nn.mse_loss(q, target)
-    return nn.backward(params, nn.narrow(cache, live), dq)
-
-
-def _snapshot(params: nn.MlpParameters) -> nn.MlpParameters:
-    """A copy of the network that no later update reaches."""
-    return nn.MlpParameters.from_list([a.copy() for a in params.as_list()])
-
-
 def train_td(
     env: GateEnv,
     algo: str,
@@ -164,16 +125,13 @@ def train_td(
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
     Only the first-layer rows of the observation's live features are
-    trained (see ``nn.LiveRows``).  Each update is one ``LiveRows.update``,
-    so the Q-network is one object for the whole run; the target network
-    is a copy of its arrays, taken at the start and at every sync.  With
-    replay on, no online target is built.
+    trained (see ``nn.LiveRows``).  Each transition is one online update,
+    one ``LiveRows.update``, so the Q-network is one object for the whole
+    run.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
     cfg.validate()
-    if cfg.replay_capacity > 0 and algo == "sarsa":
-        raise ValueError("replay buffer is off-policy; not available for sarsa")
     ss = np.random.SeedSequence(seed)
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
@@ -181,10 +139,6 @@ def train_td(
     q_net = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
     trainable = nn.LiveRows([q_net], live, cfg.lr, cfg.lr_decay)
     (params,) = trainable.parts
-    sync = cfg.target_sync_every > 0
-    target_params = _snapshot(params) if sync else None
-    buffer: deque = deque(maxlen=cfg.replay_capacity or 1)
-    n_updates = 0
 
     result = TdResult(params=params)
     fidelities: list[float] = []
@@ -204,28 +158,13 @@ def train_td(
             done = res.terminated or res.truncated
             q_next, _ = nn.forward(params, res.observation)
             next_action = epsilon_greedy(q_next, eps, rng)
-            if cfg.replay_capacity > 0:
-                buffer.append(
-                    (obs, action, res.reward, res.observation, res.terminated)
-                )
-                if len(buffer) >= cfg.replay_batch:
-                    idx = rng.integers(len(buffer), size=cfg.replay_batch)
-                    trainable.update([_replay_update(
-                        params, target_params if sync else params,
-                        buffer, idx, cfg, live,
-                    )])
+            if algo == "qlearning":
+                y = td_target_qlearning(res.reward, cfg.gamma, q_next, res.terminated)
             else:
-                if algo == "qlearning":
-                    bootstrap_q = nn.forward(target_params, res.observation)[0] if sync else q_next
-                    y = td_target_qlearning(res.reward, cfg.gamma, bootstrap_q, res.terminated)
-                else:
-                    y = td_target_sarsa(
-                        res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
-                    )
-                trainable.update([_update(params, obs, action, y, cfg.alpha, live)])
-            n_updates += 1
-            if sync and n_updates % cfg.target_sync_every == 0:
-                target_params = _snapshot(params)
+                y = td_target_sarsa(
+                    res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
+                )
+            trainable.update([_update(params, obs, action, y, cfg.alpha, live)])
             if done:
                 break
             obs = res.observation

@@ -185,15 +185,6 @@ class PulseSchedule:
         return cls(rows=rows)
 
 
-def decode_action(index: int, delta: float) -> tuple[float, float, float]:
-    """Control deltas of a discrete action: each of eps0, eps1, tunnel moves
-    by 0, +delta or -delta, as the base-3 digits of the index (eps0 lowest)
-    are 0, 1 or 2."""
-    if not 0 <= index < N_ACTIONS:
-        raise ValueError(f"action index {index} outside [0, {N_ACTIONS - 1}]")
-    return tuple((_MOVES[index] * delta).tolist())
-
-
 def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
     """Step penalty, boundary penalty, and fidelity-scaled terminal bonus.
 
@@ -348,10 +339,10 @@ class VecGateEnv:
 
     def step_discrete(self, actions) -> StepResult:
         """One action index in [0, 26] per row: move each control of the row
-        by -delta, 0 or +delta (``decode_action``), clipped to its bounds; a
-        clip counts as a boundary hit.  A row's delta shrinks to the next
-        step size once its fidelity passes each step threshold, and is reset
-        to the first with the row."""
+        by -delta, 0 or +delta (the action's row of ``_MOVES``), clipped to
+        its bounds; a clip counts as a boundary hit.  A row's delta shrinks
+        to the next step size once its fidelity passes each step threshold,
+        and is reset to the first with the row."""
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
             raise ValueError(

@@ -26,8 +26,8 @@ The packed vector is the one place a learner's parameters live.
 networks ``LiveRows`` hands out are built once: every array but W1 is a
 view of the vector, and each W1 is a private full-width copy of the
 initial W1 whose live rows ``LiveRows.refresh`` rewrites from the vector
-after each update.  A network that must keep its values across updates
-(TD's target network) is therefore an explicit copy.
+after each update.  Every holder of a network therefore sees each update
+at once; nothing keeps an older copy.
 """
 
 from __future__ import annotations

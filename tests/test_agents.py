@@ -275,20 +275,6 @@ class TestTrainTd:
         with pytest.raises(ValueError, match="algorithm"):
             train_td(GateEnv(), "dqn", TdConfig(episodes_max=1), seed=0)
 
-    def test_replay_buffer_and_target_network_flags(self):
-        cfg = TdConfig(
-            episodes_max=6, replay_capacity=500, replay_batch=16,
-            target_sync_every=50, target_mean_fidelity=0.999999,
-        )
-        result = train_td(GateEnv(), "qlearning", cfg, seed=14)
-        assert len(result.stats) == 6
-        assert result.best_fidelity > 0.0
-
-    def test_replay_buffer_rejected_for_sarsa(self):
-        cfg = TdConfig(episodes_max=1, replay_capacity=100)
-        with pytest.raises(ValueError, match="sarsa"):
-            train_td(GateEnv(), "sarsa", cfg, seed=0)
-
     def test_best_schedule_replayable(self):
         from dotgate.env import replay_schedule
 
@@ -369,56 +355,6 @@ class TestTrainPpo:
             )
         assert streams[0] == streams[1]
 
-    def test_state_dependent_std_head(self):
-        cfg = PpoConfig(horizon=30, n_envs=2, iterations_max=2, epochs_per_iter=1,
-                        state_dependent_std=True, stop_on_target=False)
-        result = train_ppo(lambda: GateEnv(), cfg, seed=17)
-        assert result.policy.out_dim == 6
-        assert len(result.stats) == 2
-
-    def test_state_dependent_std_gradients_match_finite_differences(self):
-        cfg = PpoConfig(state_dependent_std=True, entropy_coef=0.01)
-        rng = np.random.default_rng(90)
-        policy = nn.init_mlp(5, 6, seed=91)
-        value = nn.init_mlp(5, 1, seed=92)
-        log_std = np.zeros(3)
-        obs = rng.normal(size=(4, 5))
-        out, _ = nn.forward(policy, obs)
-        actions = out[:, :3] + np.exp(out[:, 3:]) * rng.standard_normal((4, 3))
-        logp, _, _ = nn.gaussian_logprob(out[:, :3], out[:, 3:], actions)
-        batch = {
-            "observations": obs,
-            "actions": actions,
-            "log_probs": logp,
-            "advantages": rng.normal(size=4),
-            "returns": rng.normal(size=4),
-        }
-        _, (g_policy, _, _) = ppo_loss(batch, policy, log_std, value, cfg)
-
-        def objective(p):
-            o, _ = nn.forward(p, obs)
-            lp, _, _ = nn.gaussian_logprob(o[:, :3], o[:, 3:], actions)
-            ratio = np.exp(lp - batch["log_probs"])
-            clipped = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps)
-            a = batch["advantages"]
-            ent = np.mean(np.sum(o[:, 3:] + 0.5 * (1 + nn.LOG_2PI), axis=-1))
-            return -np.mean(np.minimum(ratio * a, clipped * a)) - cfg.entropy_coef * ent
-
-        h = 1e-6
-        arrays = policy.as_list()
-        for _ in range(15):
-            ai = int(rng.integers(len(arrays)))
-            idx = tuple(int(rng.integers(s)) for s in arrays[ai].shape)
-            plus = [a.copy() for a in arrays]
-            minus = [a.copy() for a in arrays]
-            plus[ai][idx] += h
-            minus[ai][idx] -= h
-            fd = (
-                objective(nn.MlpParameters.from_list(plus))
-                - objective(nn.MlpParameters.from_list(minus))
-            ) / (2 * h)
-            assert fd == pytest.approx(g_policy.as_list()[ai][idx], rel=1e-4, abs=1e-8)
-
     def test_early_stop_on_target(self):
         cfg = PpoConfig(horizon=100, n_envs=2, iterations_max=50)
         result = train_ppo(lambda: GateEnv(), cfg, seed=1)
@@ -435,15 +371,11 @@ class TestLiveRowTraining:
     """Learners train only the first-layer rows of the live features; the
     other rows leave training at their ``init_mlp`` values, bit for bit."""
 
-    @pytest.mark.parametrize("flags", [
-        {},
-        {"replay_capacity": 200, "replay_batch": 32, "target_sync_every": 25},
-    ])
-    def test_td_dead_rows_keep_init(self, flags):
+    def test_td_dead_rows_keep_init(self):
         from dotgate.env import N_ACTIONS
 
         env_config = EnvConfig(obs_mode="full16")
-        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0, **flags)
+        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0)
         result = train_td(GateEnv(env_config), "qlearning", cfg, seed=31)
         net_seed, _ = np.random.SeedSequence(31).spawn(2)
         init = nn.init_mlp(env_config.obs_dim, N_ACTIONS, seed=net_seed)
@@ -465,40 +397,51 @@ class TestLiveRowTraining:
             assert not np.array_equal(net.weights[0][live], init.weights[0][live])
 
 
-@pytest.mark.parametrize("cfg, match", [
-    (TdConfig(replay_capacity=16, replay_batch=32), "replay_batch=32 exceeds replay_capacity=16"),
-    (TdConfig(replay_capacity=100, replay_batch=0), "replay_batch=0"),
-    (TdConfig(replay_batch=0), "replay_batch=0"),
-    (TdConfig(replay_capacity=-1), "replay_capacity=-1"),
-    (TdConfig(lr=-1), "lr=-1"),
-    (TdConfig(lr=0.0), "lr=0.0"),
-    (TdConfig(lr_decay=-0.5), "lr_decay=-0.5"),
-    (TdConfig(target_sync_every=-3), "target_sync_every=-3"),
-    (PpoConfig(minibatch=0), "minibatch=0"),
-    (PpoConfig(epochs_per_iter=0), "epochs_per_iter=0"),
-    (PpoConfig(lr=-1), "lr=-1"),
-    (PpoConfig(lr_decay=-0.5), "lr_decay=-0.5"),
-    (TdConfig(epsilon_init=1.5), "epsilon_init=1.5"),
-    (TdConfig(epsilon_init=-0.1), "epsilon_init=-0.1"),
-    (TdConfig(epsilon_min=-0.01), "epsilon_min=-0.01"),
-    (TdConfig(epsilon_min=float("nan")), "epsilon_min=nan"),
-    (TdConfig(trailing_window=0), "trailing_window=0"),
-    (PpoConfig(log_std_init=float("nan")), "log_std_init=nan"),
-    (PpoConfig(iterations_max=0), "iterations_max=0"),
-    (PpoConfig(target_fidelity=1.5), "target_fidelity=1.5"),
-    (PpoConfig(target_duration=-1), "target_duration=-1"),
-    (TdConfig(target_mean_fidelity=1.5), "target_mean_fidelity=1.5"),
-])
+def numbered(*rows):
+    """Parameters with fixed ids ``cfg<k>[-match]``, so that a row keeps its
+    test name when a row before it is removed."""
+    return [pytest.param(*row, id="-".join([f"cfg{k}", *row[1:]])) for k, *row in rows]
+
+
+@pytest.mark.parametrize("cfg, match", numbered(
+    (4, TdConfig(lr=-1), "lr=-1"),
+    (5, TdConfig(lr=0.0), "lr=0.0"),
+    (6, TdConfig(lr_decay=-0.5), "lr_decay=-0.5"),
+    (8, PpoConfig(minibatch=0), "minibatch=0"),
+    (9, PpoConfig(epochs_per_iter=0), "epochs_per_iter=0"),
+    (10, PpoConfig(lr=-1), "lr=-1"),
+    (11, PpoConfig(lr_decay=-0.5), "lr_decay=-0.5"),
+    (12, TdConfig(epsilon_init=1.5), "epsilon_init=1.5"),
+    (13, TdConfig(epsilon_init=-0.1), "epsilon_init=-0.1"),
+    (14, TdConfig(epsilon_min=-0.01), "epsilon_min=-0.01"),
+    (15, TdConfig(epsilon_min=float("nan")), "epsilon_min=nan"),
+    (16, TdConfig(trailing_window=0), "trailing_window=0"),
+    (17, PpoConfig(log_std_init=float("nan")), "log_std_init=nan"),
+    (18, PpoConfig(iterations_max=0), "iterations_max=0"),
+    (19, PpoConfig(target_fidelity=1.5), "target_fidelity=1.5"),
+    (20, PpoConfig(target_duration=-1), "target_duration=-1"),
+    (21, TdConfig(target_mean_fidelity=1.5), "target_mean_fidelity=1.5"),
+    (22, PpoConfig(clip_eps=float("nan")), "clip_eps=nan"),
+    (23, PpoConfig(clip_eps=float("inf")), "clip_eps=inf"),
+    (24, PpoConfig(clip_eps=0.0), "clip_eps=0.0"),
+    (25, PpoConfig(value_coef=float("nan")), "value_coef=nan"),
+    (26, PpoConfig(value_coef=-1), "value_coef=-1"),
+    (27, PpoConfig(value_coef=float("inf")), "value_coef=inf"),
+    (28, PpoConfig(entropy_coef=float("nan")), "entropy_coef=nan"),
+    (29, PpoConfig(entropy_coef=float("-inf")), "entropy_coef=-inf"),
+))
 def test_validate_rejects_settings_that_break_learning(cfg, match):
     with pytest.raises(ValueError, match=rf"^{match}\b"):
         cfg.validate()
 
 
-@pytest.mark.parametrize("cfg", [
-    TdConfig(), TdConfig(replay_capacity=32, replay_batch=32, target_sync_every=1),
-    PpoConfig(), PpoConfig(minibatch=1, epochs_per_iter=1, lr_decay=0.0),
-    TdConfig(target_mean_fidelity=1.0),
-])
+@pytest.mark.parametrize("cfg", numbered(
+    (0, TdConfig()),
+    (2, PpoConfig()),
+    (3, PpoConfig(minibatch=1, epochs_per_iter=1, lr_decay=0.0)),
+    (4, TdConfig(target_mean_fidelity=1.0)),
+    (5, PpoConfig(value_coef=0.0)),
+))
 def test_validate_accepts_edge_settings(cfg):
     cfg.validate()
 
@@ -506,8 +449,7 @@ def test_validate_accepts_edge_settings(cfg):
 class TestInPlaceRefresh:
     """The in-place Adam update and first-layer refresh run bit for bit as
     building the networks afresh from a new vector after every update did:
-    the digests below are of those runs.  A TD target network that aliased
-    the live parameters would change them.  The bytes depend on the numpy and
+    the digests below are of those runs.  The bytes depend on the numpy and
     BLAS build, so on another build the digests are re-recorded from code
     known to be right."""
 
@@ -518,21 +460,20 @@ class TestInPlaceRefresh:
         return repr(stats).encode() + b"".join(a.tobytes() for a in arrays)
 
     @pytest.mark.parametrize("run, digest", [
-        (lambda: TestInPlaceRefresh.td({"target_sync_every": 7}),
-         "78464a217ebce1eadbf5f35f156508ac982c5ff1f85e738681bdf8dcc924d810"),
-        (lambda: TestInPlaceRefresh.td(
-            {"replay_capacity": 100, "replay_batch": 16, "target_sync_every": 25}),
-         "6966b6aa744e91102bb74bc694fc30a6bf9c553bd99f0314448bd80b6064fe74"),
+        (lambda: TestInPlaceRefresh.td("qlearning", "full16"),
+         "dbd21423cbae14f370162f553bda53e08ce9ac176f97226372669ad0eb95bf71"),
+        (lambda: TestInPlaceRefresh.td("sarsa", "computational4"),
+         "ee1ff8319f486bd133041428d7039f68784db39cee67a1d798eb3a2a1ec38490"),
         (lambda: TestInPlaceRefresh.ppo(),
          "92e02afede0f4f0b83cec3152d1fcc100faa2685dbcbb93742e56108a88b6609"),
-    ], ids=["td_target_sync", "td_replay_target_sync", "ppo"])
+    ], ids=["td_online", "td_sarsa", "ppo"])
     def test_equals_fresh_unpack(self, run, digest):
         assert hashlib.sha256(run()).hexdigest() == digest
 
     @classmethod
-    def td(cls, flags):
-        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0, **flags)
-        result = train_td(GateEnv(EnvConfig(obs_mode="full16")), "qlearning", cfg, seed=33)
+    def td(cls, algo, obs_mode):
+        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0)
+        result = train_td(GateEnv(EnvConfig(obs_mode=obs_mode)), algo, cfg, seed=33)
         return cls.fingerprint(result, [result.params])
 
     @classmethod

@@ -1,9 +1,11 @@
-"""The benchmark harness finds the package names it traces and probes.
+"""The benchmark harness finds the package names it traces and probes, and
+its workloads give their recorded outputs.
 
 ``benchmarks/tracing.py`` swaps package attributes for timing wrappers by
 name, and ``benchmarks/probe_setup.py`` ends set-up at the first call of
 ``sim.build_hamiltonian``.  A renamed function, or a changed result type
-that a wrapper reads, would otherwise only show in a benchmark run.
+that a wrapper reads, would otherwise only show in a benchmark run; so
+would a change to any workload's output.
 """
 
 import subprocess
@@ -73,3 +75,30 @@ def test_setup_probe_reaches_first_hamiltonian_build(workload, seed):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 witnesses of each workload's one operation at its default seed.  The
+# bytes depend on the numpy and BLAS build, so on another build they are
+# re-recorded from code known to be right.
+WITNESSES = {
+    "ppo_train": "231a8bba26465646f6904317843993689bb51b8351f1810e05068ff96624e14e",
+    "td_full16": "8b6286e9077ccd1d2f310316857731cfb27e67a66628a2b5cdc020ed24a98be2",
+    "replay_sweep": "65ee19f7dc18dbaaa5d565b3cbf315d25d7bc606ace091f884ba06c5ae088629",
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    return workloads
+
+
+def test_every_workload_gives_its_recorded_witness(workloads, tmp_path):
+    assert set(workloads.WORKLOADS) == set(WITNESSES)
+    for name, w in workloads.WORKLOADS.items():
+        seed = w.default_seed if w.default_seed is not None else 0
+        op = w.check(w.run(w.prepare(seed, tmp_path), lambda: None))
+        assert op.problems == [], name
+        assert op.witness == WITNESSES[name], name

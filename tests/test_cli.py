@@ -75,6 +75,15 @@ class TestParseConfig:
                                                   "ppo": {"gama": 0.9}})
         with pytest.raises(ValueError, match="gama"):
             parse_config(path)
+        # Keys of the removed replay buffer, target network and state-dependent std.
+        for section, key, value in [
+            ("td", "replay_capacity", 100), ("td", "replay_batch", 32),
+            ("td", "target_sync_every", 10), ("ppo", "state_dependent_std", True),
+        ]:
+            path = write_config(tmp_path / "c.yaml", {"algorithm": "qlearning", "seed": 1,
+                                                      section: {key: value}})
+            with pytest.raises(ValueError, match=rf"^unknown key {section}\.{key}$"):
+                parse_config(path)
 
     def test_physics_section_lands_on_env(self, tmp_path):
         path = write_config(

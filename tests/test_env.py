@@ -12,7 +12,6 @@ from dotgate.env import (
     PulseSchedule,
     VecGateEnv,
     compute_reward,
-    decode_action,
     replay_schedule,
     schedule_params,
 )
@@ -123,28 +122,6 @@ class TestBeforeReset:
             VecGateEnv(EnvConfig(), 1).no_such
 
 
-class TestDecodeAction:
-    def test_no_change(self):
-        assert decode_action(0, 1.0) == (0.0, 0.0, 0.0)
-
-    def test_mixed_digits(self):
-        # index 5 = digits (2, 1, 0): eps0 down, eps1 up, tunnel hold
-        assert decode_action(5, 0.5) == (-0.5, 0.5, 0.0)
-
-    def test_all_decrease(self):
-        assert decode_action(26, 1.0) == (-1.0, -1.0, -1.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            decode_action(27, 1.0)
-        with pytest.raises(ValueError):
-            decode_action(-1, 1.0)
-
-    def test_covers_all_delta_triples(self):
-        triples = {decode_action(i, 1.0) for i in range(27)}
-        assert len(triples) == 27
-
-
 class TestComputeReward:
     def test_plain_step(self):
         assert compute_reward(0.5, False, False, EnvConfig()) == -1.0
@@ -218,6 +195,19 @@ class TestStepDiscrete:
                 if res.terminated or res.truncated:
                     break
         assert seen[seen_key] > 0 and seen["boundary_hit"] > 0, seen
+
+    def test_every_move_matches_scalar_reference(self):
+        # One row per action index, each stepped once from the initial controls.
+        cfg = EnvConfig()
+        venv = VecGateEnv(cfg, 27)
+        venv.reset()
+        res = venv.step_discrete(np.arange(27))
+        start, delta = [*cfg.eps_init, cfg.tun_init], cfg.step_sizes[0]
+        for action in range(27):
+            controls, _ = reference_discrete_move(start, delta, action, cfg)
+            got = [res.info[k][action] for k in ("eps0", "eps1", "tunnel")]
+            assert np.array(got).tobytes() == np.array(controls).tobytes(), action
+        assert len({tuple(row) for row in venv.controls.tolist()}) == 27
 
     def test_no_change_step(self):
         env = GateEnv()
