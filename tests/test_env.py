@@ -122,6 +122,44 @@ class TestBeforeReset:
             VecGateEnv(EnvConfig(), 1).no_such
 
 
+def discrete_move(action, delta):
+    """The (eps0, eps1, tunnel) move one step_discrete of ``action`` makes
+    from the initial controls when the step size is ``delta``."""
+    cfg = EnvConfig(step_sizes=(delta, 0.1, 0.01))
+    env = GateEnv(cfg)
+    env.reset()
+    info = env.step_discrete(action).info
+    start = (*cfg.eps_init, cfg.tun_init)
+    return tuple(info[k] - s for k, s in zip(("eps0", "eps1", "tunnel"), start))
+
+
+class TestDecodeAction:
+    """Action index -> control move: base-3 digits, eps0 lowest, each
+    digit 0 = hold, 1 = +delta, 2 = -delta."""
+
+    def test_no_change(self):
+        assert discrete_move(0, 1.0) == (0.0, 0.0, 0.0)
+
+    def test_mixed_digits(self):
+        # index 5 = digits (2, 1, 0): eps0 down, eps1 up, tunnel hold
+        assert discrete_move(5, 0.5) == (-0.5, 0.5, 0.0)
+
+    def test_all_decrease(self):
+        assert discrete_move(26, 1.0) == (-1.0, -1.0, -1.0)
+
+    def test_out_of_range(self):
+        env = GateEnv()
+        env.reset()
+        with pytest.raises(ValueError, match=r"^action index 27 of row 0 outside \[0, 26\]$"):
+            env.step_discrete(27)
+        with pytest.raises(ValueError, match=r"^action index -1 of row 0 outside \[0, 26\]$"):
+            env.step_discrete(-1)
+
+    def test_covers_all_delta_triples(self):
+        triples = {discrete_move(i, 1.0) for i in range(27)}
+        assert len(triples) == 27
+
+
 class TestComputeReward:
     def test_plain_step(self):
         assert compute_reward(0.5, False, False, EnvConfig()) == -1.0
