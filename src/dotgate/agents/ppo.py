@@ -69,8 +69,10 @@ class PpoConfig:
             raise ValueError(f"entropy_coef={self.entropy_coef} must be finite")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma={self.gamma} outside (0, 1]")
-        if self.horizon < 1 or self.n_envs < 1:
-            raise ValueError("horizon and n_envs must be >= 1")
+        if self.horizon < 1:
+            raise ValueError(f"horizon={self.horizon} must be >= 1")
+        if self.n_envs < 1:
+            raise ValueError(f"n_envs={self.n_envs} must be >= 1")
         if self.epochs_per_iter < 1:
             raise ValueError(f"epochs_per_iter={self.epochs_per_iter} must be >= 1")
         if self.minibatch < 1:
@@ -180,7 +182,7 @@ def ppo_loss(
     logp, d_mean, d_log_std = nn.gaussian_logprob(mean, log_std, actions)
     with np.errstate(over="ignore"):  # overflow is caught explicitly below
         ratio = np.exp(logp - old_logp)
-    if not np.all(np.isfinite(ratio)):
+    if not np.isfinite(ratio).all():
         raise ValueError(
             f"non-finite probability ratio (max logp diff "
             f"{np.max(np.abs(logp - old_logp)):.3e}); batch rejected"
@@ -188,14 +190,14 @@ def ppo_loss(
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
     surr1 = ratio * adv
     surr2 = clipped * adv
-    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    policy_loss = -float(np.minimum(surr1, surr2).sum() / n)
     # Gradient flows only where the unclipped branch attains the min.
     coeff = np.where(surr1 <= surr2, -adv * ratio / n, 0.0)
 
-    entropy = float(np.sum(log_std + 0.5 * (1.0 + nn.LOG_2PI)))
+    entropy = float((log_std + 0.5 * (1.0 + nn.LOG_2PI)).sum())
     g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean)
     g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
-    g_log_std -= cfg.entropy_coef * np.ones_like(log_std)
+    g_log_std -= cfg.entropy_coef
 
     v, cache_v = nn.forward(p_value, obs)
     v = v[:, 0]
@@ -215,8 +217,10 @@ def ppo_loss(
 class _Rollout:
     """n_envs episodes stepped in lockstep, one seeded noise stream per row.
 
-    The episodes and their returns carry over from one iteration's segment
-    to the next.
+    Each row draws the action noise of a whole segment at once, one
+    (horizon, 3) standard-normal block per row per segment; the stream is
+    the same as drawing 3 values per step.  The episodes and their returns
+    carry over from one iteration's segment to the next.
     """
 
     def __init__(self, env: VecGateEnv, seed_seqs):
@@ -242,12 +246,14 @@ class _Rollout:
         term_buf = np.empty((T, n), dtype=bool)
         ends_buf = np.empty((T, n), dtype=bool)
         episodes = [[] for _ in range(n)]
+        # Each row's noise for the whole segment, in the order of per-step draws.
+        noise = np.stack([rng.standard_normal((T, N_CONTROLS)) for rng in self.rngs], axis=1)
+        std = np.exp(log_std)
         v, _ = nn.forward(value_net, np.vstack([self.reset_obs, self.obs]))
         v_reset, values = v[0, 0], v[1:, 0]
         for t in range(T):
             mean, _ = nn.forward(policy, self.obs)
-            noise = np.stack([rng.standard_normal(N_CONTROLS) for rng in self.rngs])
-            actions = mean + np.exp(log_std) * noise
+            actions = mean + std * noise[t]
             logp, _, _ = nn.gaussian_logprob(mean, log_std, actions)
             res = self.env.step_continuous(actions)
             v_next, _ = nn.forward(value_net, res.observation)

@@ -44,7 +44,7 @@ class TdConfig:
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name}={getattr(self, name)} outside [0, 1]")
         if self.episodes_max < 1:
-            raise ValueError("episodes_max must be >= 1")
+            raise ValueError(f"episodes_max={self.episodes_max} must be >= 1")
         if not 0 <= self.target_mean_fidelity <= 1:
             raise ValueError(
                 f"target_mean_fidelity={self.target_mean_fidelity} outside [0, 1] (1: never stop)"

@@ -8,8 +8,10 @@ fail loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 
 import yaml
@@ -65,14 +67,32 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _check_type(kind, value, where: str) -> None:
+    """Reject a value the field's type does not admit; a bool is not a
+    number, and an integer field takes no float."""
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{where}={value!r} must be an integer")
+    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{where}={value!r} must be a number")
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{where}={value!r} must be true or false")
+
+
 def _build_section(cls, section: dict, name: str):
-    """Instantiate a config dataclass from a dict, rejecting unknown keys."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    """Instantiate a config dataclass from a dict, rejecting unknown keys
+    and scalars of the wrong type."""
+    types = _field_types(cls)
     kwargs = {}
     for key, value in section.items():
         field_name = _SECTION_KEY_ALIASES.get(key, key)
-        if field_name not in fields:
+        if field_name not in types:
             raise ValueError(f"unknown key {name}.{key}")
+        _check_type(types[field_name], value, f"{name}.{key}")
         if isinstance(value, list):
             value = tuple(value)
         kwargs[field_name] = value
@@ -99,6 +119,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in physics:
         if key not in ("u", "ez", "eps_init", "tun_init", "eps_bounds", "tun_bounds"):
             raise ValueError(f"unknown key physics.{key}")
+        _check_type(_field_types(EnvConfig)[key], physics[key], f"physics.{key}")
         env_section[key] = physics[key]
 
     cfg = ExperimentConfig(

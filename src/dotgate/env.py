@@ -21,8 +21,9 @@ schedule at once.
 Each path propagates only the sector slots its output reads: the gate's
 slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
 four (``sim.ALL_SLOTS``) for full16, whose observation is the dense 16x16
-unitary.  Every slot gets the same bits either way, so replay matches an
-episode of either observation mode bit for bit.
+unitary, read from the four-slot stack by one fixed gather.  Every slot
+gets the same bits either way, so replay matches an episode of either
+observation mode bit for bit.
 """
 
 from __future__ import annotations
@@ -213,6 +214,23 @@ def _put(rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return out
 
 
+def _full16_tables():
+    """Where each entry of a full16 observation sits among the floats of a
+    (4, 4, 4) complex stack of all slots, and which entries are exact zeros.
+
+    The observation is the (re, im) pairs of the dense 16x16 unitary, then
+    the fidelity.  A zero entry (between two sectors) and the fidelity read
+    position 0; the caller overwrites them.
+    """
+    positions = sim.DENSE_POSITIONS.ravel()  # -1: between two sectors
+    pairs = np.stack([2 * positions, 2 * positions + 1], axis=-1).ravel()
+    source = np.append(np.maximum(pairs, 0), 0)
+    zero = np.append(pairs < 0, False)
+    return source, zero
+
+
+_FULL16_SOURCE, _FULL16_ZERO = _full16_tables()
+
 # VecGateEnv attributes that its first reset creates.
 _EPISODE_STATE = frozenset(("controls", "u_acc", "report", "observation", "steps", "delta", "_done"))
 
@@ -289,9 +307,15 @@ class VecGateEnv:
     def _observations(self, u_gate, u_acc, report) -> np.ndarray:
         """Interleaved real and imaginary parts of each row's gate (or, for
         full16, dense accumulated unitary), then the row's fidelity."""
-        u = u_gate if self.config.obs_mode == "computational4" else sim.dense(u_acc)
-        flat = u.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
-        return np.concatenate([flat, report.fidelity[:, None]], axis=1)
+        if self.config.obs_mode == "computational4":
+            flat = u_gate.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
+            return np.concatenate([flat, report.fidelity[:, None]], axis=1)
+        # One fixed gather from the slot stack's floats, then exact +0.0 in
+        # the entries between two sectors and the fidelity in the last column.
+        obs = u_acc.reshape(self.n_envs, -1).view(float).take(_FULL16_SOURCE, axis=1)
+        np.copyto(obs, 0.0, where=_FULL16_ZERO)
+        obs[:, -1] = report.fidelity
+        return obs
 
     def advance(self, controls: np.ndarray, boundary_hit: np.ndarray) -> StepResult:
         """Hold in-bounds (n_envs, 3) controls (eps0, eps1, tunnel) for one dt.
@@ -373,11 +397,11 @@ class VecGateEnv:
             raise ValueError(
                 f"continuous actions must have shape ({self.n_envs}, 3), got {actions.shape}"
             )
-        if not np.all(np.isfinite(actions)):
+        if not np.isfinite(actions).all():
             row = int(np.argwhere(~np.isfinite(actions))[0, 0])
             raise ValueError(f"continuous action {actions[row]} of row {row} is not finite")
         clipped = np.clip(actions, -1.0, 1.0)
-        boundary_hit = np.any(clipped != actions, axis=-1)
+        boundary_hit = (clipped != actions).any(axis=-1)
         return self.advance(self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo), boundary_hit)
 
     def export_schedule(self, row: int) -> PulseSchedule:

@@ -28,6 +28,14 @@ view of the vector, and each W1 is a private full-width copy of the
 initial W1 whose live rows ``LiveRows.refresh`` rewrites from the vector
 after each update.  Every holder of a network therefore sees each update
 at once; nothing keeps an older copy.
+
+The per-call functions run once or more per env step and per minibatch,
+on arrays of a few to a few thousand entries, where numpy's per-call
+overhead is a large part of the cost.  So they reduce through array
+methods rather than the ``np.mean`` / ``np.all`` / ``np.sum`` wrappers, and
+``backward`` applies the tanh derivative in place.  Each such form runs the
+same floating-point operations in the same order as the plain expression,
+so every result is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ def forward(p: MlpParameters, x: np.ndarray):
     Accepts a single input vector or a (batch, in_dim) matrix.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite network input")
     if x.shape[-1] != p.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} != network in_dim {p.in_dim}")
@@ -135,13 +143,22 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> MlpParameters:
 
     dw3 = h2_2.T @ g
     db3 = g.sum(axis=0)
-    g = (g @ w3.T) * (1.0 - h2_2**2)
+    g = _through_tanh(g @ w3.T, h2_2)
     dw2 = h1_2.T @ g
     db2 = g.sum(axis=0)
-    g = (g @ w2.T) * (1.0 - h1_2**2)
+    g = _through_tanh(g @ w2.T, h1_2)
     dw1 = x2.T @ g
     db1 = g.sum(axis=0)
     return MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
+
+
+def _through_tanh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g * (1 - h**2), the gradient g through tanh outputs h, computed in
+    place in ``g`` with one temporary: the same ufuncs in the same order."""
+    d = np.square(h)
+    np.subtract(1.0, d, out=d)
+    g *= d
+    return g
 
 
 def pack(arrays) -> np.ndarray:
@@ -261,7 +278,7 @@ def adam_update(arrays, grads, s: AdamState) -> None:
     """
     a = _only(arrays, "parameter")
     g = _only(grads, "gradient")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError(f"non-finite gradient (max |g| = {np.max(np.abs(g))})")
     t = s.t + 1
     lr_t = s.lr / (1.0 + s.lr_decay * (t - 1))
@@ -292,7 +309,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff**2))
+    # np.mean is this sum divided by the count, without the wrapper.
+    loss = float(np.square(diff).sum() / diff.size)
     return loss, 2.0 * diff / diff.size
 
 
@@ -307,9 +325,12 @@ def gaussian_logprob(mean: np.ndarray, log_std: np.ndarray, sample: np.ndarray):
     sample = np.asarray(sample, dtype=float)
     std = np.exp(log_std)
     z = (sample - mean) / std
-    logp = np.sum(-0.5 * z**2 - log_std - 0.5 * LOG_2PI, axis=-1)
+    z2 = np.square(z)
+    logp = (-0.5 * z2 - log_std - 0.5 * LOG_2PI).sum(axis=-1)
     d_mean = z / std
-    d_log_std = np.broadcast_to(z**2 - 1.0, d_mean.shape).copy()
+    # z has the broadcast shape of all three inputs, as d_mean does, so this
+    # is a fresh array of d_mean's shape.
+    d_log_std = z2 - 1.0
     return logp, d_mean, d_log_std
 
 

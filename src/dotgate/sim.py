@@ -160,15 +160,18 @@ def _flat_positions(index) -> np.ndarray:
 
 
 _COMP = np.ix_(COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES)
-_DENSE_POSITIONS = _flat_positions(np.arange(N_SLOTS))
+# Where each entry of a dense 16x16 matrix sits in a flattened stack of all
+# four slots, or -1 for an entry between two sectors.
+DENSE_POSITIONS = _flat_positions(np.arange(N_SLOTS))
+DENSE_POSITIONS.flags.writeable = False
 # Flattened positions of the entries that can be nonzero, the same-sector
 # ones, in a dense 16x16 matrix and in the computational 4x4 block.
-DENSE_ENTRIES = np.flatnonzero(_DENSE_POSITIONS >= 0)
-COMP_ENTRIES = np.flatnonzero(_DENSE_POSITIONS[_COMP] >= 0)
+DENSE_ENTRIES = np.flatnonzero(DENSE_POSITIONS >= 0)
+COMP_ENTRIES = np.flatnonzero(DENSE_POSITIONS[_COMP] >= 0)
 DENSE_ENTRIES.flags.writeable = False
 COMP_ENTRIES.flags.writeable = False
-_DENSE_SOURCE = _DENSE_POSITIONS.ravel()[DENSE_ENTRIES]
-_COMP_ZERO = _DENSE_POSITIONS[_COMP].ravel() < 0
+_DENSE_SOURCE = DENSE_POSITIONS.ravel()[DENSE_ENTRIES]
+_COMP_ZERO = DENSE_POSITIONS[_COMP].ravel() < 0
 
 
 class SlotSet:

@@ -188,3 +188,42 @@ def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1
                     f"array {ai} index {idx}: analytic {analytic[k]}, fd {fd[k]}, rel {err[k]}"
                 )
     return FdReport(worst_abs, worst_rel)
+
+
+# The nn expressions as they stood before the in-place and wrapper-free
+# rewrites; the rewritten functions must give their bytes.
+
+def reference_backward(p, cache, dL_dy):
+    """nn.backward with a fresh temporary per operation."""
+    x, h1, h2 = cache
+    _, w2, w3 = p.weights
+    batched = x.ndim == 2
+    x2 = x if batched else x[None, :]
+    h1_2 = h1 if batched else h1[None, :]
+    h2_2 = h2 if batched else h2[None, :]
+    g = dL_dy if batched else dL_dy[None, :]
+    dw3 = h2_2.T @ g
+    db3 = g.sum(axis=0)
+    g = (g @ w3.T) * (1.0 - h2_2**2)
+    dw2 = h1_2.T @ g
+    db2 = g.sum(axis=0)
+    g = (g @ w2.T) * (1.0 - h1_2**2)
+    dw1 = x2.T @ g
+    db1 = g.sum(axis=0)
+    return nn.MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
+
+
+def reference_gaussian_logprob(mean, log_std, sample):
+    """nn.gaussian_logprob through np.sum and a broadcast copy."""
+    std = np.exp(log_std)
+    z = (sample - mean) / std
+    logp = np.sum(-0.5 * z**2 - log_std - 0.5 * nn.LOG_2PI, axis=-1)
+    d_mean = z / std
+    d_log_std = np.broadcast_to(z**2 - 1.0, d_mean.shape).copy()
+    return logp, d_mean, d_log_std
+
+
+def reference_mse_loss(pred, target):
+    """nn.mse_loss through np.mean."""
+    diff = pred - target
+    return float(np.mean(diff**2)), 2.0 * diff / diff.size

@@ -309,6 +309,23 @@ class TestTrainPpo:
             assert np.array_equal(adv_i, adv[:, i])
             assert np.array_equal(ret_i, ret[:, i])
 
+    def test_segment_noise_equals_per_step_draws(self):
+        # collect draws each row's (horizon, 3) noise at once; the actions
+        # are those of drawing 3 normals per row per step.
+        cfg = PpoConfig(horizon=30, n_envs=3)
+        policy = nn.init_mlp(33, 3, seed=86)
+        value = nn.init_mlp(33, 1, seed=87)
+        log_std = np.array([-0.3, -0.7, 0.2])
+        seeds = np.random.SeedSequence(88).spawn(cfg.n_envs)
+        rollout = _Rollout(VecGateEnv(EnvConfig(max_steps=12), cfg.n_envs), seeds)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for _ in range(2):
+            traj, _ = rollout.collect(policy, log_std, value, cfg)
+            for t in range(cfg.horizon):
+                mean, _ = nn.forward(policy, traj.observations[t])
+                noise = np.stack([rng.standard_normal(3) for rng in rngs])
+                assert traj.actions[t].tobytes() == (mean + np.exp(log_std) * noise).tobytes()
+
     def test_value_net_runs_once_per_sample(self, monkeypatch):
         cfg = PpoConfig(horizon=30, n_envs=3)
         policy = nn.init_mlp(33, 3, seed=83)
@@ -429,6 +446,9 @@ def numbered(*rows):
     (27, PpoConfig(value_coef=float("inf")), "value_coef=inf"),
     (28, PpoConfig(entropy_coef=float("nan")), "entropy_coef=nan"),
     (29, PpoConfig(entropy_coef=float("-inf")), "entropy_coef=-inf"),
+    (30, TdConfig(episodes_max=0), "episodes_max=0"),
+    (31, PpoConfig(horizon=0), "horizon=0"),
+    (32, PpoConfig(n_envs=-2), "n_envs=-2"),
 ))
 def test_validate_rejects_settings_that_break_learning(cfg, match):
     with pytest.raises(ValueError, match=rf"^{match}\b"):

@@ -85,6 +85,29 @@ class TestParseConfig:
             with pytest.raises(ValueError, match=rf"^unknown key {section}\.{key}$"):
                 parse_config(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("td", "episodes_max", 2.5, "must be an integer"),
+        ("ppo", "horizon", 2.5, "must be an integer"),
+        ("td", "trailing_window", "3", "must be an integer"),
+        ("ppo", "n_envs", True, "must be an integer"),
+        ("env", "max_steps", 200.0, "must be an integer"),
+        ("ppo", "lr", "1e-3", "must be a number"),
+        ("td", "gamma", None, "must be a number"),
+        ("env", "dt", False, "must be a number"),
+        ("ppo", "stop_on_target", "no", "must be true or false"),
+        ("physics", "tun_init", "2.5", "must be a number"),
+    ])
+    def test_scalar_of_the_wrong_type_named(self, tmp_path, section, key, value, message):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 1,
+                                                  section: {key: value}})
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}={value!r} {message}$"):
+            parse_config(path)
+
+    def test_integer_accepted_for_a_float_field(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 1,
+                                                  "ppo": {"target_duration": 40}})
+        assert parse_config(path).ppo.target_duration == 40
+
     def test_physics_section_lands_on_env(self, tmp_path):
         path = write_config(
             tmp_path / "c.yaml",

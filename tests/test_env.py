@@ -15,8 +15,16 @@ from dotgate.env import (
     replay_schedule,
     schedule_params,
 )
+from helpers import random_slot_stack
 
 ACTION_TUN_DOWN = 18  # base-3 digits (0, 0, 2)
+
+
+def dense_observation(u_acc, fidelity):
+    """The full16 observation through the dense oracle: each row's (re, im)
+    pairs of ``sim.dense``, then its fidelity."""
+    flat = sim.dense(u_acc).reshape(len(u_acc), -1).view(float)
+    return np.concatenate([flat, np.asarray(fidelity)[:, None]], axis=1)
 
 
 def run_actions(env, actions):
@@ -779,3 +787,35 @@ class TestLiveFeatures:
         assert not res.info["compensated"].any()
         assert np.all(res.observation[:, dead] == 0)
         assert np.any(res.observation[:, ~dead] != 0)
+
+
+class TestFull16Observation:
+    """The full16 observation is one fixed gather from the slot stack, byte
+    for byte the dense oracle's."""
+
+    def test_episodes_equal_dense_oracle(self):
+        venv = VecGateEnv(EnvConfig(obs_mode="full16", max_steps=20), 3)
+        obs = venv.reset()
+        assert obs.tobytes() == dense_observation(venv.u_acc, venv.report.fidelity).tobytes()
+        rng = np.random.default_rng(30)
+        for _ in range(45):
+            res = venv.step_continuous(rng.uniform(-1.1, 1.1, (3, 3)))
+            want = dense_observation(venv.u_acc, res.info["fidelity"])
+            assert res.observation.tobytes() == want.tobytes()
+            done = res.terminated | res.truncated
+            if done.any():
+                venv.reset(done)
+
+    def test_signed_zeros_kept_in_live_entries(self):
+        venv = VecGateEnv(EnvConfig(obs_mode="full16"), 2)
+        venv.reset()
+        u = random_slot_stack(np.random.default_rng(31), (2,))
+        u.real[0, :, 0, 0] = -0.0  # a live diagonal entry of every slot
+        u.imag[1] = -0.0  # every entry of the row, also those between sectors
+        report = sim.gate_fidelity(sim.project_to_computational(u))
+        got = venv._observations(None, u, report)
+        want = dense_observation(u, report.fidelity)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0]) and np.signbit(got[1, 1])
+        dead = dead_features(venv.config)
+        assert not np.signbit(got[:, dead]).any()

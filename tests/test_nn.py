@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from dotgate import nn
-from helpers import finite_diff_check, stacked_forward
+from helpers import (
+    finite_diff_check,
+    reference_backward,
+    reference_gaussian_logprob,
+    reference_mse_loss,
+    stacked_forward,
+)
 
 
 def zero_params(in_dim, out_dim, hidden=64):
@@ -504,6 +510,59 @@ class TestGaussianLogprob:
         assert logp.shape == (10,)
         assert d_mean.shape == (10, 3)
         assert d_log_std.shape == (10, 3)
+
+
+def as_bytes(*arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestMatchesReferenceExpressions:
+    """The in-place and wrapper-free forms give the bytes of the plain
+    expressions kept in ``helpers``."""
+
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    @pytest.mark.parametrize("in_dim, out_dim", [(33, 3), (13, 1), (73, 27)])
+    def test_backward(self, rows, in_dim, out_dim):
+        rng = np.random.default_rng(rows * 1000 + in_dim)
+        p = nn.init_mlp(in_dim, out_dim, seed=rows)
+        for x in (rng.normal(size=(rows, in_dim)), rng.normal(size=in_dim)):
+            y, cache = nn.forward(p, x)
+            dy = rng.normal(size=y.shape)
+            got = nn.backward(p, cache, dy).as_list()
+            want = reference_backward(p, cache, dy).as_list()
+            assert as_bytes(*got) == as_bytes(*want)
+
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    def test_gaussian_logprob(self, rows):
+        rng = np.random.default_rng(rows)
+        mean = rng.normal(size=(rows, 3), scale=3.0)
+        sample = mean + rng.normal(size=(rows, 3))
+        for log_std in (rng.normal(size=3), rng.normal(size=(rows, 3))):
+            got = nn.gaussian_logprob(mean, log_std, sample)
+            assert as_bytes(*got) == as_bytes(*reference_gaussian_logprob(mean, log_std, sample))
+
+    @pytest.mark.parametrize("rows", [1, 8, 64, 1000])
+    def test_mse_loss(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            pred, target = rng.normal(size=(2, rows), scale=10.0)
+            loss, grad = nn.mse_loss(pred, target)
+            want_loss, want_grad = reference_mse_loss(pred, target)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("mean_shape, log_std_shape", [
+        ((8, 3), (3,)), ((3,), (3,)), ((8, 3), (8, 3)),
+    ])
+    def test_log_std_gradient_is_a_fresh_array_of_the_mean_gradients_shape(
+        self, mean_shape, log_std_shape
+    ):
+        rng = np.random.default_rng(57)
+        mean = rng.normal(size=mean_shape)
+        log_std = rng.normal(size=log_std_shape)
+        _, d_mean, d_log_std = nn.gaussian_logprob(mean, log_std, mean + 1.0)
+        assert d_log_std.shape == d_mean.shape
+        assert d_log_std.flags.writeable and d_log_std.flags.owndata
 
 
 class TestCheckpoint:
