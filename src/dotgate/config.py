@@ -39,6 +39,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         self.env.validate()
         self.td.validate()
         self.ppo.validate()
@@ -111,6 +113,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError("missing required field: algorithm")
     if "seed" not in raw:
         raise ValueError("missing required field: seed")
+    _check_type(int, raw["seed"], "seed")
 
     env_section = dict(raw.get("env") or {})
     # Physical constants may live in a dedicated section; they land on
@@ -124,7 +127,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         algorithm=str(algorithm),
-        seed=int(raw["seed"]),
+        seed=raw["seed"],
         output_dir=str(raw.get("output_dir", "runs/out")),
         env=_build_section(EnvConfig, env_section, "env"),
         td=_build_section(TdConfig, dict(raw.get("td") or {}), "td"),

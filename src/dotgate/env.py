@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -474,12 +475,20 @@ def _hamiltonian_params(
 def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
     """Batched Hamiltonian parameters of every schedule row, unvalidated.
 
-    Validation (``.validate()`` or ``sim.build_hamiltonian``) names a bad
-    control by its row as ``step t``, counting rows from 0 as the step column
-    of an exported schedule does.
+    Every row must have the four fields (step, eps0, eps1, tunnel); a row
+    that has not raises ValueError naming its index.  Validation
+    (``.validate()`` or ``sim.build_hamiltonian``) names a bad control by its
+    row as ``step t``, counting rows from 0 as the step column of an exported
+    schedule does.
     """
-    controls = np.array([row[1:] for row in schedule.rows], dtype=float).reshape(-1, 3)
-    return _hamiltonian_params(controls, config)
+    rows = schedule.rows
+    if set(map(len, rows)) - {4}:
+        t = next(t for t, row in enumerate(rows) if len(row) != 4)
+        raise ValueError(
+            f"schedule row {t} has {len(rows[t])} fields, expected 4: {rows[t]!r}"
+        )
+    values = np.fromiter(itertools.chain.from_iterable(rows), float, count=4 * len(rows))
+    return _hamiltonian_params(values.reshape(-1, 4)[:, 1:], config)
 
 
 def replay_schedule(
@@ -494,11 +503,14 @@ def replay_schedule(
     rows with bit-identical controls form a run, and one batched
     Hamiltonian build and one batched ``sim.step_unitaries`` call cover the
     first row of each run: a constant sweep costs one build and one
-    ``eigh``.  The steps are accumulated in order into one stack and the
-    gate pipeline runs once over all accumulated unitaries.  Every slot of
-    these calls equals the environment's bit for bit, so the returned
-    fidelities match the producing episode bitwise.  Returns the final report
-    and the per-step fidelity trace.
+    ``eigh``.  The steps are accumulated in order into one stack by bare
+    ``np.matmul`` calls on views made once, the same product as
+    ``sim.accumulate`` without its per-call shape check (the shapes are
+    checked once for the whole chain), and the gate pipeline runs once over
+    all accumulated unitaries.  Every slot of these calls equals the
+    environment's bit for bit, so the returned fidelities match the producing
+    episode bitwise.  Returns the final report and the per-step fidelity
+    trace.
     """
     controls = schedule_params(schedule, config).validate()
     # Compare bits, not values, so that -0.0 and 0.0 start different runs.
@@ -513,7 +525,12 @@ def replay_schedule(
     # Row 0 is the identity before the first step.
     u_acc = np.empty((len(controls) + 1, *slots.shape), dtype=complex)
     u_acc[0] = slots.identity
-    for t, run in enumerate(np.cumsum(starts).tolist()):
-        sim.accumulate(u_runs[run - 1], u_acc[t], out=u_acc[t + 1])
+    if u_runs.shape[1:] != u_acc.shape[1:]:
+        raise ValueError(f"shape mismatch: {u_runs.shape[1:]} vs {u_acc.shape[1:]}")
+    # sim.accumulate's product, called bare: per row, call overhead is most
+    # of the cost.
+    runs, acc = list(u_runs), list(u_acc)
+    for r, prev, nxt in zip((np.cumsum(starts) - 1).tolist(), acc, acc[1:]):
+        np.matmul(runs[r], prev, out=nxt)
     _, _, report = _gate(u_acc, slots)
     return report.row(-1), report.fidelity[1:].tolist()

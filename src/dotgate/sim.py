@@ -27,10 +27,12 @@ reads, as a ``SlotSet``: (..., k, 4, 4) instead of (..., 4, 4, 4).  The
 gate lives in slots 0 and 3 (``GATE_SLOTS``), which is all that the
 fidelity, replay and the computational4 observation need; the full16
 observation reads all four (``ALL_SLOTS``, the default).  The same code
-runs on either stack, and each slot gets the same bits in both.  ``dense``
-gives the 16x16 view of a four-slot stack, for the full16 observation and
-for checks against the dense reference ``evolve_step``.  Every function
-takes a leading batch axis and gives each row the bits it would get alone.
+runs on either stack, and each slot gets the same bits in both.
+``DENSE_POSITIONS`` maps each entry of the dense 16x16 matrix to its place
+in a four-slot stack; the full16 observation reads through it, and the
+tests build their dense view from it to check against the dense reference
+``evolve_step``.  Every function takes a leading batch axis and gives each
+row the bits it would get alone.
 
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
@@ -170,7 +172,6 @@ DENSE_ENTRIES = np.flatnonzero(DENSE_POSITIONS >= 0)
 COMP_ENTRIES = np.flatnonzero(DENSE_POSITIONS[_COMP] >= 0)
 DENSE_ENTRIES.flags.writeable = False
 COMP_ENTRIES.flags.writeable = False
-_DENSE_SOURCE = DENSE_POSITIONS.ravel()[DENSE_ENTRIES]
 _COMP_ZERO = DENSE_POSITIONS[_COMP].ravel() < 0
 
 
@@ -290,15 +291,6 @@ def _check_slots(u: np.ndarray, slots: SlotSet) -> None:
         )
 
 
-def dense(u: np.ndarray) -> np.ndarray:
-    """Dense (..., 16, 16) matrices of (..., 4, 4, 4) stacks of all slots."""
-    _check_slots(u, ALL_SLOTS)
-    lead = u.shape[:-3]
-    out = np.zeros((*lead, DIM_FULL * DIM_FULL), dtype=u.dtype)
-    out[..., DENSE_ENTRIES] = u.reshape(*lead, ALL_SLOTS.size)[..., _DENSE_SOURCE]
-    return out.reshape(*lead, DIM_FULL, DIM_FULL)
-
-
 def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
     """Assemble H_eps + H_Z + H_U + H_T (GHz) as real blocks of the slots
     ``params.slots``.
@@ -366,7 +358,10 @@ def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = N
     slot for (..., k, 4, 4) slot stacks.
 
     With ``out`` the product is written there, as in ``np.matmul``, and
-    ``out`` is returned; its bits equal those of ``u_step @ u_acc``.
+    ``out`` is returned; its bits equal those of ``u_step @ u_acc``.  The
+    environment's step calls this; ``env.replay_schedule`` multiplies
+    directly with ``np.matmul``, the same product, to spare the per-row
+    call.
     """
     if u_step.shape != u_acc.shape:
         raise ValueError(f"shape mismatch: {u_step.shape} vs {u_acc.shape}")

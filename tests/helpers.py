@@ -102,6 +102,20 @@ def random_slot_stack(rng, shape=(), unitary=True) -> np.ndarray:
     return u
 
 
+_DENSE_SOURCE = sim.DENSE_POSITIONS.ravel()[sim.DENSE_ENTRIES]
+
+
+def dense(u: np.ndarray) -> np.ndarray:
+    """Dense (..., 16, 16) matrices of (..., 4, 4, 4) stacks of all slots:
+    each same-sector entry read from its slot position, zero elsewhere."""
+    if u.shape[-3:] != sim.ALL_SLOTS.shape:
+        raise ValueError(f"expected (..., 4, 4, 4) stacks of all slots, got {u.shape}")
+    lead = u.shape[:-3]
+    out = np.zeros((*lead, sim.DIM_FULL * sim.DIM_FULL), dtype=u.dtype)
+    out[..., sim.DENSE_ENTRIES] = u.reshape(*lead, sim.ALL_SLOTS.size)[..., _DENSE_SOURCE]
+    return out.reshape(*lead, sim.DIM_FULL, sim.DIM_FULL)
+
+
 def dense_unitary(schedule, config: EnvConfig = EnvConfig()) -> np.ndarray:
     """The dense 16x16 unitary of a schedule, propagated through all four
     slots and accumulated one step at a time, as a full16 episode is."""
@@ -111,7 +125,7 @@ def dense_unitary(schedule, config: EnvConfig = EnvConfig()) -> np.ndarray:
     u = sim.ALL_SLOTS.identity
     for u_step in u_steps:
         u = sim.accumulate(u_step, u)
-    return sim.dense(u)
+    return dense(u)
 
 
 def stacked_forward(arrays, x):

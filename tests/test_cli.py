@@ -103,6 +103,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=rf"^{section}\.{key}={value!r} {message}$"):
             parse_config(path)
 
+    @pytest.mark.parametrize("value, message", [
+        (2.7, "seed=2.7 must be an integer"),
+        (True, "seed=True must be an integer"),
+        ("x", "seed='x' must be an integer"),
+        (-1, "seed=-1 must be >= 0"),
+    ])
+    def test_bad_seed_named(self, tmp_path, value, message):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": value})
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            parse_config(path)
+
+    def test_seed_zero_accepted(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 0})
+        assert parse_config(path).seed == 0
+
     def test_integer_accepted_for_a_float_field(self, tmp_path):
         path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 1,
                                                   "ppo": {"target_duration": 40}})

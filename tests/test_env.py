@@ -1,11 +1,12 @@
 """Environment: actions, rewards, termination, schedules, replay."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from dotgate import sim
+from dotgate import cli, sim
 from dotgate.env import (
     EnvConfig,
     GateEnv,
@@ -15,15 +16,15 @@ from dotgate.env import (
     replay_schedule,
     schedule_params,
 )
-from helpers import random_slot_stack
+from helpers import dense, random_slot_stack
 
 ACTION_TUN_DOWN = 18  # base-3 digits (0, 0, 2)
 
 
 def dense_observation(u_acc, fidelity):
     """The full16 observation through the dense oracle: each row's (re, im)
-    pairs of ``sim.dense``, then its fidelity."""
-    flat = sim.dense(u_acc).reshape(len(u_acc), -1).view(float)
+    pairs of ``helpers.dense``, then its fidelity."""
+    flat = dense(u_acc).reshape(len(u_acc), -1).view(float)
     return np.concatenate([flat, np.asarray(fidelity)[:, None]], axis=1)
 
 
@@ -467,6 +468,23 @@ class TestReplay:
         assert report.fidelity == pytest.approx(0.4, abs=1e-12)
         assert trace == []
 
+    @pytest.mark.parametrize("bad", [(2, 170.0, 70.0), (2, 170.0, 70.0, 2.5, 1.0)])
+    def test_ragged_row_named(self, bad):
+        rows = [(0, 170.0, 70.0, 2.5), (1, 170.0, 70.0, 2.5), bad, (3, 170.0, 70.0, 2.5)]
+        message = rf"^schedule row 2 has {len(bad)} fields, expected 4: "
+        with pytest.raises(ValueError, match=message):
+            replay_schedule(PulseSchedule(rows=rows))
+
+    def test_sweep_trace_bytes_pinned(self, tmp_path):
+        # sha256 of the trace of a 60 ns sweep of the pulse at the corner
+        # (-750, -300, 5) GHz, recorded before replay multiplied directly;
+        # the bytes depend on the numpy and BLAS build.
+        path = tmp_path / "pulse.csv"
+        PulseSchedule(rows=[(0, -750.0, -300.0, 5.0)]).to_csv(path)
+        out = cli.run_replay(path, EnvConfig(), sweep_duration=60)
+        digest = hashlib.sha256(np.array(out["fidelity_trace"]).tobytes()).hexdigest()
+        assert digest == "ed4b1aad3abbc907fa28e392da57200d56b32c93268ad71f1e08db1096d045be"
+
 
 def replay_per_row(schedule, config=EnvConfig()):
     """Reference replay: one propagator per schedule row, accumulated by @."""
@@ -534,6 +552,21 @@ class TestReplayRuns:
         schedule, n_runs = runs_schedule()
         replay_schedule(schedule)
         assert rows == [n_runs]
+
+    def test_alternating_and_single_row_runs(self, monkeypatch):
+        # Runs of A and B in turn, 1-5 rows long: each run's rows must read
+        # its own propagator, also where a run is a single row.
+        rng = np.random.default_rng(32)
+        lengths = rng.integers(1, 6, 40).tolist()
+        assert 1 in lengths and 5 in lengths
+        a, b = (170.0, 70.0, 2.5), (-750.0, -300.0, 5.0)
+        schedule = schedule_of([(a, b)[k % 2] for k, n in enumerate(lengths) for _ in range(n)])
+        rows = self.count_step_rows(monkeypatch)
+        report, trace = replay_schedule(schedule)
+        assert rows == [len(lengths)]
+        want_report, want_trace = replay_per_row(schedule)
+        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+        assert report == want_report
 
     def test_bad_row_inside_a_run_named_by_schedule_index(self):
         schedule = schedule_of([(170.0, 70.0, 2.5)] * 10 + [(800.0, 70.0, 2.5)] * 5)

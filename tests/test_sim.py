@@ -12,6 +12,7 @@ from dotgate.env import EnvConfig
 from helpers import (
     NUMBER_OP,
     SZ_OP,
+    dense,
     dense_hamiltonian,
     occupation_energy,
     random_hermitian,
@@ -39,7 +40,7 @@ def propagate(controls, dt=1.0, u=U, ez=EZ):
 
 def dense_hamiltonian_of(params):
     """The dense 16x16 view of ``build_hamiltonian``."""
-    return sim.dense(sim.build_hamiltonian(params))
+    return dense(sim.build_hamiltonian(params))
 
 
 def slot_position(state):
@@ -93,7 +94,7 @@ class TestBuildHamiltonian:
             )
             h = sim.build_hamiltonian(p)
             assert np.array_equal(h, h.swapaxes(-1, -2))
-            h = sim.dense(h)
+            h = dense(h)
             assert np.array_equal(h, h.conj().T)
 
     def test_particle_number_block_structure(self):
@@ -168,15 +169,15 @@ class TestAccumulate:
         u = random_slot_stack(np.random.default_rng(3))
         assert np.array_equal(sim.accumulate(sim.ALL_SLOTS.identity, u), u)
         assert np.array_equal(sim.accumulate(u, sim.ALL_SLOTS.identity), u)
-        assert np.array_equal(sim.dense(sim.ALL_SLOTS.identity), np.eye(16))
+        assert np.array_equal(dense(sim.ALL_SLOTS.identity), np.eye(16))
 
     def test_product_matches_direct_multiply(self):
         rng = np.random.default_rng(4)
         a, b = random_slot_stack(rng), random_slot_stack(rng)
         prod = sim.accumulate(a, b)
         assert np.array_equal(prod, a @ b)
-        dense = sim.dense(prod)
-        assert np.max(np.abs(dense.conj().T @ dense - np.eye(16))) < 1e-10
+        full = dense(prod)
+        assert np.max(np.abs(full.conj().T @ full - np.eye(16))) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -199,8 +200,8 @@ class TestAccumulate:
             a = random_slot_stack(rng, shape, unitary=False)
             b = random_slot_stack(rng, shape, unitary=False)
             assert np.array_equal(
-                sim.dense(sim.accumulate(a, b)),
-                sim.accumulate(sim.dense(a), sim.dense(b)),
+                dense(sim.accumulate(a, b)),
+                sim.accumulate(dense(a), dense(b)),
             )
 
 
@@ -232,7 +233,7 @@ class TestProjection:
             u = random_slot_stack(rng, shape, unitary=False)
             assert np.array_equal(
                 sim.project_to_computational(u),
-                sim.dense(u)[..., comp[:, None], comp[None, :]],
+                dense(u)[..., comp[:, None], comp[None, :]],
             )
 
 
@@ -279,7 +280,7 @@ class TestGateSlots:
         for _ in range(50):
             u = random_slot_stack(rng, shape, unitary=False)
             u[..., sim.ALL_SLOTS.cross_sector] = complex(-0.0, -0.0)
-            want = sim.dense(u)[..., comp[:, None], comp]
+            want = dense(u)[..., comp[:, None], comp]
             zeros = want.reshape(*shape, 16)[..., between]
             assert np.all(zeros == 0) and not np.signbit([zeros.real, zeros.imag]).any()
             gate = u[..., sim.GATE_SLOTS.index, :, :]
@@ -439,7 +440,7 @@ class TestSectors:
         for k, i, j, a, b in slot_entries():
             if labels[a] != labels[b]:
                 assert slots[k, i, j] == 0
-        h = sim.dense(slots)
+        h = dense(slots)
         assert np.array_equal(h @ NUMBER_OP, NUMBER_OP @ h)
         assert np.array_equal(h @ SZ_OP, SZ_OP @ h)
 
@@ -449,7 +450,7 @@ class TestStepUnitaries:
         rng = np.random.default_rng(30)
         controls = random_controls(rng, 500)
         worst = 0.0
-        for (e0, e1, tun), u_step in zip(controls, sim.dense(propagate(controls))):
+        for (e0, e1, tun), u_step in zip(controls, dense(propagate(controls))):
             oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, U, EZ), 1.0)
             worst = max(worst, float(np.max(np.abs(u_step - oracle))))
         assert worst <= 1e-10
@@ -461,7 +462,7 @@ class TestStepUnitaries:
             controls = random_controls(rng, 1)
             (e0, e1, tun), = controls
             dt = rng.uniform(0.1, 2.0)
-            u_step = sim.dense(propagate(controls, dt, u, ez)[0])
+            u_step = dense(propagate(controls, dt, u, ez)[0])
             oracle = sim.evolve_step(dense_hamiltonian((e0, e1), tun, u, ez), dt)
             assert np.max(np.abs(u_step - oracle)) <= 1e-10
 
@@ -476,7 +477,7 @@ class TestStepUnitaries:
 
     def test_unitary_with_exact_zeros_between_sectors(self):
         slots = propagate(random_controls(np.random.default_rng(33), 1))[0]
-        u = sim.dense(slots)
+        u = dense(slots)
         labels = sector_labels()
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
         for k, i, j, a, b in slot_entries():
@@ -506,8 +507,8 @@ class TestStepUnitaries:
         u = sim.step_unitaries(h, 1.0)
         monkeypatch.undo()
         assert np.all(u[1, :2, 2:] == 0) and np.all(u[1, 2:, :2] == 0)
-        oracle = sim.evolve_step(sim.dense(h), 1.0)
-        assert np.max(np.abs(sim.dense(u) - oracle)) <= 1e-12
+        oracle = sim.evolve_step(dense(h), 1.0)
+        assert np.max(np.abs(dense(u) - oracle)) <= 1e-12
 
     def test_complex_conserving_hamiltonian(self):
         # A diagonal gauge D H D^dag keeps every sector but makes H complex.
@@ -515,13 +516,13 @@ class TestStepUnitaries:
         (e0, e1, tun), = random_controls(rng, 1)
         gauge = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
         h = gauge[:, None] * dense_hamiltonian((e0, e1), tun, U, EZ) * gauge.conj()
-        u_step = sim.dense(sim.step_unitaries(h[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]], 1.0))
+        u_step = dense(sim.step_unitaries(h[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]], 1.0))
         assert np.max(np.abs(u_step - sim.evolve_step(h, 1.0))) <= 1e-10
         assert np.max(np.abs(u_step.conj().T @ u_step - np.eye(16))) < 1e-12
 
     def test_empty_batch(self):
         assert propagate(np.empty((0, 3))).shape == (0, *sim.ALL_SLOTS.shape)
-        assert sim.dense(propagate(np.empty((0, 3)))).shape == (0, 16, 16)
+        assert dense(propagate(np.empty((0, 3)))).shape == (0, 16, 16)
 
     @pytest.mark.parametrize(
         "column,value,problem",
