@@ -16,9 +16,10 @@ independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.  The
 policy net, the log-std vector and the value net are built once on one
 packed parameter vector (``nn.LiveRows``, which leaves out the first-layer
-rows of inputs that are always zero), so each minibatch is one
-``LiveRows.update``: one in-place Adam step over all three followed by a
-refresh of the two first layers.
+rows of inputs that are always zero), so each minibatch writes its three
+gradients into ``LiveRows.grads`` and takes one ``LiveRows.update``: one
+in-place Adam step over all three followed by a refresh of the two first
+layers.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -162,6 +163,7 @@ def ppo_loss(
     p_value: nn.MlpParameters,
     cfg: PpoConfig,
     live=slice(None),
+    out=None,
 ):
     """Clipped-surrogate + value loss with exact gradients.
 
@@ -169,8 +171,11 @@ def ppo_loss(
     advantages, and returns.  Returns (loss components, gradients for
     the policy net, the log-std vector, and the value net).  The networks'
     first-layer gradients hold the rows of the ``live`` inputs (default:
-    all of them).
+    all of them).  With ``out``, a (policy, log-std, value) triple of
+    gradient arrays such as ``LiveRows.grads``, the gradients are written
+    there and returned; otherwise they are fresh arrays.
     """
+    out_policy, out_log_std, out_value = (None, None, None) if out is None else out
     obs = batch["observations"]
     actions = batch["actions"]
     old_logp = batch["log_probs"]
@@ -195,15 +200,19 @@ def ppo_loss(
     coeff = np.where(surr1 <= surr2, -adv * ratio / n, 0.0)
 
     entropy = float((log_std + 0.5 * (1.0 + nn.LOG_2PI)).sum())
-    g_policy = nn.backward(p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean)
-    g_log_std = (coeff[:, None] * d_log_std).sum(axis=0)
+    g_policy = nn.backward(
+        p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean, out=out_policy
+    )
+    g_log_std = (coeff[:, None] * d_log_std).sum(axis=0, out=out_log_std)
     g_log_std -= cfg.entropy_coef
 
     v, cache_v = nn.forward(p_value, obs)
     v = v[:, 0]
     raw_value_loss, dv = nn.mse_loss(v, returns)
     value_loss = cfg.value_coef * raw_value_loss
-    g_value = nn.backward(p_value, nn.narrow(cache_v, live), cfg.value_coef * dv[:, None])
+    g_value = nn.backward(
+        p_value, nn.narrow(cache_v, live), cfg.value_coef * dv[:, None], out=out_value
+    )
 
     losses = {
         "policy_loss": policy_loss,
@@ -355,8 +364,10 @@ def train_ppo(
             shuffled = {k: v[perm] for k, v in pooled.items()}
             for start in range(0, n, cfg.minibatch):
                 batch = {k: v[start:start + cfg.minibatch] for k, v in shuffled.items()}
-                losses, grads = ppo_loss(batch, policy, log_std, value_net, cfg, live)
-                trainable.update(grads)
+                losses, _ = ppo_loss(
+                    batch, policy, log_std, value_net, cfg, live, out=trainable.grads
+                )
+                trainable.update()
                 for k in loss_acc:
                     loss_acc[k] += losses[k]
                 n_batches += 1

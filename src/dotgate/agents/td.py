@@ -83,14 +83,14 @@ def epsilon_greedy(qvalues: np.ndarray, eps: float, rng: np.random.Generator) ->
         raise ValueError(f"eps={eps} outside [0, 1]")
     if rng.random() < eps:
         return int(rng.integers(len(qvalues)))
-    return int(np.argmax(qvalues))
+    return int(qvalues.argmax())
 
 
 def td_target_qlearning(r: float, gamma: float, q_next: np.ndarray, done: bool) -> float:
     """Off-policy one-step target: bootstrap off the greedy next value."""
     if done:
         return r
-    return r + gamma * float(np.max(q_next))
+    return r + gamma * float(q_next.max())
 
 
 def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> float:
@@ -98,19 +98,6 @@ def td_target_sarsa(r: float, gamma: float, q_next_at_a: float, done: bool) -> f
     if done:
         return r
     return r + gamma * q_next_at_a
-
-
-def _update(params, obs, action, target_value, alpha, live) -> nn.MlpParameters:
-    """Gradient of the MSE regressing Q(s, action) toward the mixed target,
-    with the first layer narrowed to the ``live`` input rows.
-
-    The target equals Q(s) except at ``action``, so the MSE gradient
-    2 (q - target) / n is zero everywhere else."""
-    q, cache = nn.forward(params, obs)
-    mixed = (1.0 - alpha) * q[action] + alpha * target_value
-    dq = np.zeros_like(q)
-    dq[action] = 2.0 * (q[action] - mixed) / q.size
-    return nn.backward(params, nn.narrow(cache, live), dq)
 
 
 def train_td(
@@ -128,6 +115,14 @@ def train_td(
     trained (see ``nn.LiveRows``).  Each transition is one online update,
     one ``LiveRows.update``, so the Q-network is one object for the whole
     run.
+
+    Q(s_t) and Q(s_{t+1}) are read under the same parameters, before the
+    transition's update, so one forward of the (2, 1, obs_dim) stack
+    [s_t, s_{t+1}] gives both, each slice bitwise the one-row forward.
+    The regression target equals Q(s_t) except at the taken action, so
+    the MSE gradient 2 (q - target) / n is zero everywhere else; its
+    backward through slice 0, narrowed to the live rows, writes straight
+    into the gradient buffer that the Adam step reads.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -139,6 +134,9 @@ def train_td(
     q_net = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
     trainable = nn.LiveRows([q_net], live, cfg.lr, cfg.lr_decay)
     (params,) = trainable.parts
+    (grad,) = trainable.grads
+    states = np.empty((2, 1, env.config.obs_dim))
+    dq = np.empty(N_ACTIONS)
 
     result = TdResult(params=params)
     fidelities: list[float] = []
@@ -149,6 +147,7 @@ def train_td(
         obs = env.reset()
         q, _ = nn.forward(params, obs)
         action = epsilon_greedy(q, eps, rng)
+        states[0, 0] = obs
         ep_return = 0.0
         info = {}
         while True:
@@ -156,7 +155,9 @@ def train_td(
             ep_return += res.reward
             info = res.info
             done = res.terminated or res.truncated
-            q_next, _ = nn.forward(params, res.observation)
+            states[1, 0] = res.observation
+            q, (x, h1, h2) = nn.forward(params, states)
+            q_now, q_next = q[0, 0], q[1, 0]
             next_action = epsilon_greedy(q_next, eps, rng)
             if algo == "qlearning":
                 y = td_target_qlearning(res.reward, cfg.gamma, q_next, res.terminated)
@@ -164,10 +165,14 @@ def train_td(
                 y = td_target_sarsa(
                     res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
                 )
-            trainable.update([_update(params, obs, action, y, cfg.alpha, live)])
+            mixed = (1.0 - cfg.alpha) * q_now[action] + cfg.alpha * y
+            dq.fill(0.0)
+            dq[action] = 2.0 * (q_now[action] - mixed) / dq.size
+            nn.backward(params, nn.narrow((x[0, 0], h1[0, 0], h2[0, 0]), live), dq, out=grad)
+            trainable.update()
             if done:
                 break
-            obs = res.observation
+            states[0, 0] = res.observation
             action = next_action
 
         fid = info["fidelity"]

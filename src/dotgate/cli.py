@@ -31,6 +31,11 @@ OUTPUT_DIR_ENV_VAR = "PULSECTL_OUTPUT_DIR"
 
 TRAILING_WINDOW = 10
 
+# The plot-data files export_plots derives from best_schedule.csv.
+SCHEDULE_PLOT_FILES = (
+    "tunnel_vs_time.tsv", "detuning_vs_time.tsv", "bias0_vs_time.tsv", "bias1_vs_time.tsv",
+)
+
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
@@ -95,8 +100,12 @@ def run_train(cfg: cfgmod.ExperimentConfig) -> dict:
         for record in records:
             fh.write(_json_line(record))
 
+    # A reused directory may hold an earlier run's schedule; this run's
+    # plots must not be derived from it.
     if result.best_schedule is not None:
         result.best_schedule.to_csv(out / "best_schedule.csv")
+    else:
+        (out / "best_schedule.csv").unlink(missing_ok=True)
 
     manifest = {
         "config_digest": cfgmod.digest_bytes(config_bytes),
@@ -132,7 +141,10 @@ def _write_tsv(path, header, rows) -> None:
 
 
 def export_plots(run_dir) -> list[Path]:
-    """Re-derive plot-data TSVs from the stored metrics and best schedule."""
+    """Re-derive plot-data TSVs from the stored metrics and best schedule.
+
+    Without a best schedule, the schedule TSVs are removed, so none is left
+    from an earlier run in the same directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
@@ -157,16 +169,19 @@ def export_plots(run_dir) -> list[Path]:
     if schedule_path.exists():
         schedule = PulseSchedule.from_csv(schedule_path)
         times = [(row[0] * 1.0) for row in schedule.rows]
-        series = {
-            "tunnel_vs_time.tsv": ("tunnel_ghz", [row[3] for row in schedule.rows]),
-            "detuning_vs_time.tsv": ("detuning_ghz", [row[1] - row[2] for row in schedule.rows]),
-            "bias0_vs_time.tsv": ("bias0_ghz", [row[1] for row in schedule.rows]),
-            "bias1_vs_time.tsv": ("bias1_ghz", [row[2] for row in schedule.rows]),
-        }
-        for fname, (col, values) in series.items():
+        series = (
+            ("tunnel_ghz", [row[3] for row in schedule.rows]),
+            ("detuning_ghz", [row[1] - row[2] for row in schedule.rows]),
+            ("bias0_ghz", [row[1] for row in schedule.rows]),
+            ("bias1_ghz", [row[2] for row in schedule.rows]),
+        )
+        for fname, (col, values) in zip(SCHEDULE_PLOT_FILES, series):
             path = run_dir / fname
             _write_tsv(path, ["time_ns", col], zip(times, values))
             written.append(path)
+    else:
+        for fname in SCHEDULE_PLOT_FILES:
+            (run_dir / fname).unlink(missing_ok=True)
     return written
 
 

@@ -74,15 +74,31 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+# What each scalar field type admits, and how a message names one and many.
+_KINDS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+            "a number", "numbers"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+}
+
+
 def _check_type(kind, value, where: str) -> None:
     """Reject a value the field's type does not admit; a bool is not a
-    number, and an integer field takes no float."""
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{where}={value!r} must be an integer")
-    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"{where}={value!r} must be a number")
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{where}={value!r} must be true or false")
+    number, an integer field takes no float, and a ``tuple[...]`` field
+    takes a list of its length whose entries have its entry types."""
+    if typing.get_origin(kind) is tuple:
+        entries = typing.get_args(kind)
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) == len(entries)
+            and all(_KINDS[k][0](v) for k, v in zip(entries, value))
+        ):
+            raise ValueError(
+                f"{where}={value!r} must be a list of {len(entries)} {_KINDS[entries[0]][2]}"
+            )
+    elif kind in _KINDS and not _KINDS[kind][0](value):
+        raise ValueError(f"{where}={value!r} must be {_KINDS[kind][1]}")
 
 
 def _build_section(cls, section: dict, name: str):

@@ -20,14 +20,22 @@ leaving the dead rows out changes no bit of a run.  The forward stays
 full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
 and is not bitwise equal.  Checkpoints hold the full networks.
 
-The packed vector is the one place a learner's parameters live.
-``LiveRows.update`` packs a gradient into its buffer and has
-``adam_update`` write the new parameters into the vector in place; the
-networks ``LiveRows`` hands out are built once: every array but W1 is a
-view of the vector, and each W1 is a private full-width copy of the
-initial W1 whose live rows ``LiveRows.refresh`` rewrites from the vector
-after each update.  Every holder of a network therefore sees each update
-at once; nothing keeps an older copy.
+The packed vector is the one place a learner's parameters live, and a
+gradient buffer of the same layout is the one place its gradient lives.
+``LiveRows.grads`` are views of that buffer, one per part; ``backward``
+(and the agents' losses) write each gradient straight into them through
+its ``out`` argument, and ``LiveRows.update`` has ``adam_update`` step
+the vector in place from the buffer, with no re-packing.  The networks
+``LiveRows`` hands out are built once: every array but W1 is a view of
+the vector, and each W1 is a private full-width copy of the initial W1
+whose live rows ``LiveRows.refresh`` rewrites from the vector after each
+update.  Every holder of a network therefore sees each update at once;
+nothing keeps an older copy.
+
+``forward`` also takes a stack of one-row inputs, shape (k, 1, in_dim):
+each slice runs the same one-row vector-matrix products as a lone
+(in_dim,) input, so it gives the same bits, and k evaluations under the
+same parameters cost one call.
 
 The per-call functions run once or more per env step and per minibatch,
 on arrays of a few to a few thousand entries, where numpy's per-call
@@ -112,7 +120,8 @@ def init_mlp(in_dim: int, out_dim: int, seed: int, hidden: int = HIDDEN) -> MlpP
 def forward(p: MlpParameters, x: np.ndarray):
     """y = W3.tanh(W2.tanh(W1 x + b1) + b2) + b3; cache feeds backward.
 
-    Accepts a single input vector or a (batch, in_dim) matrix.
+    Accepts a single input vector, a (batch, in_dim) matrix or a stack of
+    (1, in_dim) rows, whose slices are bitwise the single-vector results.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -127,13 +136,21 @@ def forward(p: MlpParameters, x: np.ndarray):
     return y, (x, h1, h2)
 
 
-def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> MlpParameters:
-    """Exact reverse-mode gradients; batched inputs sum over the batch."""
+def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParameters:
+    """Exact reverse-mode gradients; batched inputs sum over the batch.
+
+    Each gradient is written into its array of ``out``, an ``MlpParameters``
+    of the gradients' shapes (such as a network's entry of
+    ``LiveRows.grads``), and ``out`` is returned; with no ``out``, fresh
+    arrays are allocated.  Both run the same products and sums, so they
+    give the same bits.
+    """
     x, h1, h2 = cache
     dL_dy = np.asarray(dL_dy, dtype=float)
     if dL_dy.shape != (*x.shape[:-1], p.out_dim):
         raise ValueError(f"dL_dy shape {dL_dy.shape} inconsistent with cache")
     _, w2, w3 = p.weights
+    dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
 
     batched = x.ndim == 2
     x2 = x if batched else x[None, :]
@@ -141,14 +158,16 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray) -> MlpParameters:
     h2_2 = h2 if batched else h2[None, :]
     g = dL_dy if batched else dL_dy[None, :]
 
-    dw3 = h2_2.T @ g
-    db3 = g.sum(axis=0)
+    dw3 = np.matmul(h2_2.T, g, out=dw3)
+    db3 = g.sum(axis=0, out=db3)
     g = _through_tanh(g @ w3.T, h2_2)
-    dw2 = h1_2.T @ g
-    db2 = g.sum(axis=0)
+    dw2 = np.matmul(h1_2.T, g, out=dw2)
+    db2 = g.sum(axis=0, out=db2)
     g = _through_tanh(g @ w2.T, h1_2)
-    dw1 = x2.T @ g
-    db1 = g.sum(axis=0)
+    dw1 = np.matmul(x2.T, g, out=dw1)
+    db1 = g.sum(axis=0, out=db1)
+    if out is not None:
+        return out
     return MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
 
 
@@ -206,7 +225,12 @@ class LiveRows:
     every network array but W1 are views of ``flat``; each W1 is a copy of
     the initial W1, whose dead rows keep their values (see the module
     docstring) and whose live rows ``refresh`` rewrites from ``flat``.
-    ``update`` takes one Adam step at rate ``lr`` decayed by ``lr_decay``.
+    ``grads`` are views of the gradient buffer in the order of ``parts``:
+    for a network, an ``MlpParameters`` of [W1[live], W2, W3, b1, b2, b3]
+    gradients (``backward``'s ``out`` on a ``narrow`` cache), and for a
+    plain array, one array of its shape.  Callers write a gradient there,
+    then ``update`` takes one Adam step from it at rate ``lr`` decayed by
+    ``lr_decay``.
     """
 
     def __init__(self, parts, live, lr: float, lr_decay: float):
@@ -219,10 +243,13 @@ class LiveRows:
             else:
                 trainable.append(part)
         self.flat = pack(trainable)
-        self._grad = np.empty_like(self.flat)
+        self._grad = np.zeros_like(self.flat)
         self.adam = init_adam([self.flat], lr=lr, lr_decay=lr_decay)
-        views = iter(unpack(self.flat, [a.shape for a in trainable]))
+        shapes = [a.shape for a in trainable]
+        views = iter(unpack(self.flat, shapes))
+        grad_views = iter(unpack(self._grad, shapes))
         self.parts = []
+        self.grads = []
         self._w1_rows = []
         for part in parts:
             if isinstance(part, MlpParameters):
@@ -230,16 +257,16 @@ class LiveRows:
                 w1_live, w2, w3, b1, b2, b3 = (next(views) for _ in range(6))
                 self._w1_rows.append((w1, w1_live))
                 part = MlpParameters((w1, w2, w3), (b1, b2, b3))
+                grad = MlpParameters.from_list([next(grad_views) for _ in range(6)])
             else:
                 part = next(views)
+                grad = next(grad_views)
             self.parts.append(part)
+            self.grads.append(grad)
 
-    def update(self, grads) -> None:
-        """One in-place Adam step on ``flat`` from one gradient per part, in
-        the order of ``parts`` (a network's narrowed to the live rows by
-        ``narrow``), then ``refresh``."""
-        arrays = [a for g in grads for a in (g.as_list() if isinstance(g, MlpParameters) else [g])]
-        np.concatenate(arrays, axis=None, out=self._grad)
+    def update(self) -> None:
+        """One in-place Adam step on ``flat`` from the gradient its callers
+        wrote into ``grads``, then ``refresh``."""
         adam_update([self.flat], [self._grad], self.adam)
         self.refresh()
 

@@ -466,6 +466,7 @@ def test_validate_accepts_edge_settings(cfg):
     cfg.validate()
 
 
+@pytest.mark.witness
 class TestInPlaceRefresh:
     """The in-place Adam update and first-layer refresh run bit for bit as
     building the networks afresh from a new vector after every update did:
@@ -484,9 +485,11 @@ class TestInPlaceRefresh:
          "dbd21423cbae14f370162f553bda53e08ce9ac176f97226372669ad0eb95bf71"),
         (lambda: TestInPlaceRefresh.td("sarsa", "computational4"),
          "ee1ff8319f486bd133041428d7039f68784db39cee67a1d798eb3a2a1ec38490"),
+        (lambda: TestInPlaceRefresh.td("sarsa", "full16"),
+         "0b6ce38d85920afbc869c8dbc5919bcfcec23b72b38e116653e8c07637577482"),
         (lambda: TestInPlaceRefresh.ppo(),
          "92e02afede0f4f0b83cec3152d1fcc100faa2685dbcbb93742e56108a88b6609"),
-    ], ids=["td_online", "td_sarsa", "ppo"])
+    ], ids=["td_online", "td_sarsa", "td_sarsa_full16", "ppo"])
     def test_equals_fresh_unpack(self, run, digest):
         assert hashlib.sha256(run()).hexdigest() == digest
 

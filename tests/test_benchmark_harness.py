@@ -95,6 +95,7 @@ def workloads(monkeypatch):
     return workloads
 
 
+@pytest.mark.witness
 def test_every_workload_gives_its_recorded_witness(workloads, tmp_path):
     assert set(workloads.WORKLOADS) == set(WITNESSES)
     for name, w in workloads.WORKLOADS.items():

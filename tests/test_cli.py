@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=rf"^{section}\.{key}={value!r} {message}$"):
             parse_config(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("env", "step_sizes", [1.0, 0.1], "must be a list of 3 numbers"),
+        ("physics", "ez", [18.4], "must be a list of 2 numbers"),
+        ("env", "eps_init", [170, 70, 5], "must be a list of 2 numbers"),
+        ("env", "u", [845.2, 845.2, 1.0], "must be a list of 2 numbers"),
+        ("env", "step_thresholds", [0.99], "must be a list of 2 numbers"),
+        ("env", "u", "ab", "must be a list of 2 numbers"),
+        ("physics", "eps_bounds", 5.0, "must be a list of 2 numbers"),
+        ("env", "step_sizes", [1.0, True, 0.01], "must be a list of 3 numbers"),
+        ("env", "tun_bounds", [0.0, "40"], "must be a list of 2 numbers"),
+    ])
+    def test_tuple_of_the_wrong_length_or_entries_named(
+        self, tmp_path, section, key, value, message
+    ):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 1,
+                                                  section: {key: value}})
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}={re.escape(repr(value))} {message}$"):
+            parse_config(path)
+
+    def test_tuple_of_integers_accepted(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": "ppo", "seed": 1,
+                                                  "env": {"eps_init": [170, 70]}})
+        assert parse_config(path).env.eps_init == (170, 70)
+
     @pytest.mark.parametrize("value, message", [
         (2.7, "seed=2.7 must be an integer"),
         (True, "seed=True must be an integer"),
@@ -173,6 +198,21 @@ class TestTrain:
             assert cli.main(["train", path]) == 0
             outs.append((tmp_path / name / "metrics.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_rerun_without_best_schedule_leaves_none_behind(self, tmp_path):
+        run = tmp_path / "run"
+        first = {"algorithm": "qlearning", "seed": 5, "output_dir": str(run),
+                 "td": {"episodes_max": 2}}
+        assert cli.main(["train", write_config(tmp_path / "a.yaml", first)]) == 0
+        assert all((run / name).exists() for name in ("best_schedule.csv", *PLOT_FILES))
+        # Three steps of one row end no episode, so this run has no best schedule.
+        second = {"algorithm": "ppo", "seed": 5, "output_dir": str(run),
+                  "ppo": {"horizon": 3, "n_envs": 1, "iterations_max": 1}}
+        assert cli.main(["train", write_config(tmp_path / "b.yaml", second)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["result"]["best_fidelity"] == 0.0
+        assert not (run / "best_schedule.csv").exists()
+        assert [name for name in PLOT_FILES if (run / name).exists()] == [PLOT_FILES[0]]
 
     def test_manifest_digest_detects_tampering(self, smoke_config, tmp_path):
         cli.main(["train", smoke_config])

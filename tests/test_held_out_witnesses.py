@@ -29,6 +29,7 @@ def workloads(monkeypatch):
     return workloads
 
 
+@pytest.mark.witness
 @pytest.mark.parametrize("name, seed", sorted(HELD_OUT_WITNESSES))
 def test_held_out_seed_gives_its_recorded_witness(workloads, tmp_path, name, seed):
     w = workloads.WORKLOADS[name]

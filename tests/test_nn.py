@@ -81,6 +81,20 @@ class TestForward:
             # gemm vs gemv may differ in the last ulp
             assert np.max(np.abs(ys[i] - yi)) < 1e-12
 
+    @pytest.mark.parametrize("in_dim", [33, 513])
+    @pytest.mark.parametrize("out_dim", [27, 3, 1])
+    def test_stacked_rows_equal_one_row_forwards_bitwise(self, in_dim, out_dim):
+        rng = np.random.default_rng(in_dim + out_dim)
+        p = nn.init_mlp(in_dim, out_dim, seed=37)
+        stack = rng.uniform(-1.0, 1.0, size=(2, 1, in_dim))
+        y, cache = nn.forward(p, stack)
+        assert y.shape == (2, 1, out_dim)
+        for k in range(2):
+            y_row, cache_row = nn.forward(p, stack[k, 0].copy())
+            assert y[k, 0].tobytes() == y_row.tobytes()
+            for got, want in zip(cache, cache_row):
+                assert got[k, 0].tobytes() == want.tobytes()
+
     def test_purity(self):
         p = nn.init_mlp(5, 3, seed=34)
         before = [a.copy() for a in p.as_list()]
@@ -144,6 +158,36 @@ class TestBackward:
         for p, row in zip(nets, y):
             expected, _ = nn.forward(p, x)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [None, 1, 8, 64])
+    @pytest.mark.parametrize("obs_mode, out_dim", [("full16", 27), ("computational4", 3),
+                                                   ("computational4", 1)])
+    def test_out_equals_allocated_bitwise(self, rows, obs_mode, out_dim):
+        rng = np.random.default_rng(47 + out_dim)
+        live, x = live_inputs(obs_mode, rng, rows)
+        p = nn.init_mlp(x.shape[-1], out_dim, seed=48)
+        trainable = nn.LiveRows([p], live, 0.001, 0.0)
+        (out,) = trainable.grads
+        _, cache = nn.forward(p, x)
+        dy = rng.normal(size=(*x.shape[:-1], out_dim))
+        want = nn.backward(p, nn.narrow(cache, live), dy)
+        got = nn.backward(p, nn.narrow(cache, live), dy, out=out)
+        assert got is out
+        assert as_bytes(*got.as_list()) == as_bytes(*want.as_list())
+
+    def test_wrongly_shaped_out_rejected(self):
+        rng = np.random.default_rng(49)
+        live, x = live_inputs("computational4", rng, 8)
+        p = nn.init_mlp(x.shape[-1], 3, seed=50)
+        _, cache = nn.forward(p, x)
+        dy = rng.normal(size=(8, 3))
+        full_width = nn.MlpParameters.from_list([np.empty_like(a) for a in p.as_list()])
+        with pytest.raises(ValueError):
+            nn.backward(p, nn.narrow(cache, live), dy, out=full_width)
+        other_net = nn.init_mlp(len(live), 1, seed=50)
+        wrong_out_dim = nn.MlpParameters.from_list([np.empty_like(a) for a in other_net.as_list()])
+        with pytest.raises(ValueError):
+            nn.backward(p, nn.narrow(cache, live), dy, out=wrong_out_dim)
 
     def test_batched_gradients_sum(self):
         rng = np.random.default_rng(43)
@@ -323,8 +367,10 @@ class TestPackedAdam:
                 "advantages": rng.normal(size=n),
                 "returns": rng.normal(size=n),
             }
-            _, (g_p, g_ls, g_v) = ppo.ppo_loss(batch, p_policy, p_log_std, p_value, cfg)
-            trainable.update([g_p, g_ls, g_v])
+            _, (g_p, g_ls, g_v) = ppo.ppo_loss(
+                batch, p_policy, p_log_std, p_value, cfg, out=trainable.grads
+            )
+            trainable.update()
             grads = [g_p.as_list(), [g_ls], g_v.as_list()]
             for i, (arrays, gs) in enumerate(zip(parts, grads)):
                 m, v, t = states[i]
@@ -415,6 +461,26 @@ class TestLiveRows:
             assert all(np.array_equal(a, b) for a, b in zip(x.as_list(), want)), \
                 "the initial parts were mutated"
 
+    def test_grads_are_views_of_the_buffer_in_parts_order(self):
+        live = np.array([0, 2, 3])
+        policy = nn.init_mlp(5, 3, seed=86)
+        log_std = np.array([0.1, 0.2, 0.3])
+        value = nn.init_mlp(5, 1, seed=87)
+        trainable = nn.LiveRows([policy, log_std, value], live, 0.001, 0.0)
+        g_policy, g_log_std, g_value = trainable.grads
+        arrays = [*g_policy.as_list(), g_log_std, *g_value.as_list()]
+        assert [a.shape for a in arrays] == [
+            (3, 64), (64, 64), (64, 3), (64,), (64,), (3,), (3,),
+            (3, 64), (64, 64), (64, 1), (64,), (64,), (1,),
+        ]
+        start = 0
+        for a in arrays:
+            assert a.base is trainable._grad
+            a[...] = np.arange(start, start + a.size).reshape(a.shape)
+            start += a.size
+        assert start == trainable.flat.size
+        assert np.array_equal(trainable._grad, np.arange(start))
+
     def test_live_row_training_equals_full_width_training_bitwise(self):
         rng = np.random.default_rng(84)
         live, _ = live_inputs("full16", rng)
@@ -438,8 +504,10 @@ class TestLiveRows:
 
             y, cache = nn.forward(p_live, x)
             _, dy = nn.mse_loss(y, target)
-            g = nn.backward(p_live, nn.narrow(cache, live), dy)
-            trainable.update([g, extra_live - c])
+            g_net, g_extra = trainable.grads
+            nn.backward(p_live, nn.narrow(cache, live), dy, out=g_net)
+            np.subtract(extra_live, c, out=g_extra)
+            trainable.update()
 
         assert nn.pack([*p_live.as_list(), extra_live]).tobytes() == full.tobytes()
         dead = np.setdiff1d(np.arange(513), live)
