@@ -17,9 +17,9 @@ minibatches on the clipped surrogate plus a value regression term.  The
 policy net, the log-std vector and the value net are built once on one
 packed parameter vector (``nn.LiveRows``, which leaves out the first-layer
 rows of inputs that are always zero), so each minibatch writes its three
-gradients into ``LiveRows.grads`` and takes one ``LiveRows.update``: one
-in-place Adam step over all three followed by a refresh of the two first
-layers.
+gradients into ``LiveRows.grads``, whose network views carry those rows,
+and takes one ``LiveRows.update``: one in-place Adam step over all three
+followed by a refresh of the two first layers.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -108,7 +108,6 @@ class Trajectory:
     rewards: np.ndarray
     values: np.ndarray
     next_values: np.ndarray
-    terminated: np.ndarray
     episode_ends: np.ndarray
 
 
@@ -162,18 +161,16 @@ def ppo_loss(
     log_std: np.ndarray,
     p_value: nn.MlpParameters,
     cfg: PpoConfig,
-    live=slice(None),
     out=None,
 ):
     """Clipped-surrogate + value loss with exact gradients.
 
     batch holds observations, actions, old log-probs, normalized
     advantages, and returns.  Returns (loss components, gradients for
-    the policy net, the log-std vector, and the value net).  The networks'
-    first-layer gradients hold the rows of the ``live`` inputs (default:
-    all of them).  With ``out``, a (policy, log-std, value) triple of
-    gradient arrays such as ``LiveRows.grads``, the gradients are written
-    there and returned; otherwise they are fresh arrays.
+    the policy net, the log-std vector, and the value net).  With ``out``,
+    the (policy, log-std, value) ``LiveRows.grads``, the gradients are
+    written there, the networks' first layers in their live rows alone, and
+    returned; otherwise they are fresh full-width arrays.
     """
     out_policy, out_log_std, out_value = (None, None, None) if out is None else out
     obs = batch["observations"]
@@ -201,7 +198,7 @@ def ppo_loss(
 
     entropy = float((log_std + 0.5 * (1.0 + nn.LOG_2PI)).sum())
     g_policy = nn.backward(
-        p_policy, nn.narrow(cache_p, live), coeff[:, None] * d_mean, out=out_policy
+        p_policy, cache_p, coeff[:, None] * d_mean, out=out_policy
     )
     g_log_std = (coeff[:, None] * d_log_std).sum(axis=0, out=out_log_std)
     g_log_std -= cfg.entropy_coef
@@ -211,7 +208,7 @@ def ppo_loss(
     raw_value_loss, dv = nn.mse_loss(v, returns)
     value_loss = cfg.value_coef * raw_value_loss
     g_value = nn.backward(
-        p_value, nn.narrow(cache_v, live), cfg.value_coef * dv[:, None], out=out_value
+        p_value, cache_v, cfg.value_coef * dv[:, None], out=out_value
     )
 
     losses = {
@@ -252,7 +249,6 @@ class _Rollout:
         rew_buf = np.empty((T, n))
         val_buf = np.empty((T, n))
         next_val_buf = np.empty((T, n))
-        term_buf = np.empty((T, n), dtype=bool)
         ends_buf = np.empty((T, n), dtype=bool)
         episodes = [[] for _ in range(n)]
         # Each row's noise for the whole segment, in the order of per-step draws.
@@ -274,7 +270,6 @@ class _Rollout:
             rew_buf[t] = res.reward
             val_buf[t] = values
             next_val_buf[t] = np.where(res.terminated, 0.0, v_next)
-            term_buf[t] = res.terminated
             ends_buf[t] = done
             self.episode_return += res.reward
             for i in np.flatnonzero(done):
@@ -301,7 +296,6 @@ class _Rollout:
             rewards=rew_buf,
             values=val_buf,
             next_values=next_val_buf,
-            terminated=term_buf,
             episode_ends=ends_buf,
         )
         return traj, [ep for row in episodes for ep in row]
@@ -330,12 +324,11 @@ def train_ppo(
     policy_seed, value_seed, shuffle_seed, *row_seeds = ss.spawn(3 + cfg.n_envs)
     env_config = env_factory().config
     obs_dim = env_config.obs_dim
-    live = env_config.live_features
     trainable = nn.LiveRows([
         nn.init_mlp(obs_dim, N_CONTROLS, seed=policy_seed),
         np.full(N_CONTROLS, cfg.log_std_init),
         nn.init_mlp(obs_dim, 1, seed=value_seed),
-    ], live, cfg.lr, cfg.lr_decay)
+    ], env_config.live_features, cfg.lr, cfg.lr_decay)
     policy, log_std, value_net = trainable.parts
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
@@ -365,7 +358,7 @@ def train_ppo(
             for start in range(0, n, cfg.minibatch):
                 batch = {k: v[start:start + cfg.minibatch] for k, v in shuffled.items()}
                 losses, _ = ppo_loss(
-                    batch, policy, log_std, value_net, cfg, live, out=trainable.grads
+                    batch, policy, log_std, value_net, cfg, out=trainable.grads
                 )
                 trainable.update()
                 for k in loss_acc:

@@ -121,8 +121,9 @@ def train_td(
     [s_t, s_{t+1}] gives both, each slice bitwise the one-row forward.
     The regression target equals Q(s_t) except at the taken action, so
     the MSE gradient 2 (q - target) / n is zero everywhere else; its
-    backward through slice 0, narrowed to the live rows, writes straight
-    into the gradient buffer that the Adam step reads.
+    backward through slice 0 writes straight into ``LiveRows.grads``, the
+    first layer in its live rows alone, the buffer that the Adam step
+    reads.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -130,9 +131,8 @@ def train_td(
     ss = np.random.SeedSequence(seed)
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
-    live = env.config.live_features
     q_net = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
-    trainable = nn.LiveRows([q_net], live, cfg.lr, cfg.lr_decay)
+    trainable = nn.LiveRows([q_net], env.config.live_features, cfg.lr, cfg.lr_decay)
     (params,) = trainable.parts
     (grad,) = trainable.grads
     states = np.empty((2, 1, env.config.obs_dim))
@@ -168,7 +168,7 @@ def train_td(
             mixed = (1.0 - cfg.alpha) * q_now[action] + cfg.alpha * y
             dq.fill(0.0)
             dq[action] = 2.0 * (q_now[action] - mixed) / dq.size
-            nn.backward(params, nn.narrow((x[0, 0], h1[0, 0], h2[0, 0]), live), dq, out=grad)
+            nn.backward(params, (x[0, 0], h1[0, 0], h2[0, 0]), dq, out=grad)
             trainable.update()
             if done:
                 break

@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         elif args.command == "export-plots":
             for path in export_plots(args.run_dir):
                 print(path)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

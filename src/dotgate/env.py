@@ -23,7 +23,9 @@ slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
 four (``sim.ALL_SLOTS``) for full16, whose observation is the dense 16x16
 unitary, read from the four-slot stack by one fixed gather.  Every slot
 gets the same bits either way, so replay matches an episode of either
-observation mode bit for bit.
+observation mode bit for bit.  Controls are (..., 3) arrays in
+``sim.CONTROL_NAMES`` order throughout, handed to ``sim.HamiltonianParams``
+as they are.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class EnvConfig:
         if not self.tun_bounds[0] <= self.tun_init <= self.tun_bounds[1]:
             raise ValueError(f"tun_init={self.tun_init} outside {self.tun_bounds}")
         # Checks u and ez here, so that a step can fail only on its controls.
-        _hamiltonian_params(np.array([*self.eps_init, self.tun_init]), self).validate()
+        sim.HamiltonianParams((*self.eps_init, self.tun_init), self.u, self.ez).validate()
         if not 0 < self.f_terminal <= self.f_bonus < 1:
             raise ValueError(
                 f"need 0 < f_terminal <= f_bonus < 1, got "
@@ -161,6 +163,7 @@ class PulseSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "PulseSchedule":
+        """Read a ``to_csv`` file, whose steps must read 0, 1, ..., T-1."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -183,6 +186,10 @@ class PulseSchedule:
                         raise ValueError(
                             f"{where}, column {name}: cannot parse {text!r} as {parse.__name__}"
                         ) from None
+                if row[0] != len(rows):
+                    raise ValueError(
+                        f"{where}, column step: expected {len(rows)}, got {row[0]}"
+                    )
                 rows.append(tuple(row))
         return cls(rows=rows)
 
@@ -197,14 +204,14 @@ def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
     return config.r_step + config.r_boundary * boundary_hit + terminated * scale * fidelity
 
 
-def _gate(u_acc: np.ndarray, slots: sim.SlotSet):
-    """Gate pipeline of (B, k, 4, 4) accumulated unitaries of ``slots``.
+def _gate(u_acc: np.ndarray):
+    """Gate pipeline of (B, k, 4, 4) accumulated slot stacks.
 
     Returns the projected, compensated (B, 4, 4) gates, the (B,) compensation
     flags and the fidelity report of (B,) arrays.  Each row's bits do not
     depend on the other rows.
     """
-    u_gate, compensated = sim.compensate(sim.project_to_computational(u_acc, slots))
+    u_gate, compensated = sim.compensate(sim.project_to_computational(u_acc))
     return u_gate, compensated, sim.gate_fidelity(u_gate)
 
 
@@ -277,7 +284,7 @@ class VecGateEnv:
         cfg = self.config
         controls = np.tile([*cfg.eps_init, cfg.tun_init], (self.n_envs, 1))
         u_acc = np.tile(self.slots.identity, (self.n_envs, 1, 1, 1))
-        u_gate, _, report = _gate(u_acc, self.slots)
+        u_gate, _, report = _gate(u_acc)
         return controls, u_acc, report, self._observations(u_gate, u_acc, report)
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
@@ -329,21 +336,21 @@ class VecGateEnv:
             raise RuntimeError("step called on a finished episode; reset first")
         cfg = self.config
         try:
-            h = sim.build_hamiltonian(_hamiltonian_params(controls, cfg, self.slots))
+            h = sim.build_hamiltonian(sim.HamiltonianParams(controls, cfg.u, cfg.ez, self.slots))
         except ValueError:
             # The batched message counts lockstep rows as steps; name the row.
             for row, c in enumerate(controls):
                 try:
-                    _hamiltonian_params(c, cfg).validate()
+                    sim.HamiltonianParams(c, cfg.u, cfg.ez).validate()
                 except ValueError as exc:
                     raise ValueError(f"row {row}: {exc}") from None
             raise
-        u_step = sim.step_unitaries(h, cfg.dt, self.slots)
+        u_step = sim.step_unitaries(h, cfg.dt)
         self.u_acc = sim.accumulate(u_step, self.u_acc)
         self._history[self._rows, self.steps] = controls
         self.controls = controls
         self.steps = self.steps + 1
-        u_gate, compensated, self.report = _gate(self.u_acc, self.slots)
+        u_gate, compensated, self.report = _gate(self.u_acc)
         self.observation = self._observations(u_gate, self.u_acc, self.report)
         fid = self.report.fidelity
         terminated = fid > cfg.f_terminal
@@ -462,16 +469,6 @@ class GateEnv:
         return self._batch.export_schedule(0)
 
 
-def _hamiltonian_params(
-    controls: np.ndarray, config: EnvConfig, slots: sim.SlotSet = sim.ALL_SLOTS
-) -> sim.HamiltonianParams:
-    """Unvalidated Hamiltonian parameters of (..., 3) controls (eps0, eps1,
-    tunnel) under the config's constants, over the slots ``slots``."""
-    return sim.HamiltonianParams(
-        eps=controls[..., :2], tun=controls[..., 2], u=config.u, ez=config.ez, slots=slots
-    )
-
-
 def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
     """Batched Hamiltonian parameters of every schedule row, unvalidated.
 
@@ -488,7 +485,7 @@ def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.Hamiltoni
             f"schedule row {t} has {len(rows[t])} fields, expected 4: {rows[t]!r}"
         )
     values = np.fromiter(itertools.chain.from_iterable(rows), float, count=4 * len(rows))
-    return _hamiltonian_params(values.reshape(-1, 4)[:, 1:], config)
+    return sim.HamiltonianParams(values.reshape(-1, 4)[:, 1:], config.u, config.ez)
 
 
 def replay_schedule(
@@ -505,8 +502,8 @@ def replay_schedule(
     first row of each run: a constant sweep costs one build and one
     ``eigh``.  The steps are accumulated in order into one stack by bare
     ``np.matmul`` calls on views made once, the same product as
-    ``sim.accumulate`` without its per-call shape check (the shapes are
-    checked once for the whole chain), and the gate pipeline runs once over
+    ``sim.accumulate`` without its per-call shape check (both stacks carry
+    the gate's slots by construction), and the gate pipeline runs once over
     all accumulated unitaries.  Every slot of these calls equals the
     environment's bit for bit, so the returned fidelities match the producing
     episode bitwise.  Returns the final report and the per-step fidelity
@@ -519,18 +516,16 @@ def replay_schedule(
     starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     slots = sim.GATE_SLOTS
     u_runs = sim.step_unitaries(
-        sim.build_hamiltonian(_hamiltonian_params(controls[starts], config, slots)),
-        config.dt, slots,
+        sim.build_hamiltonian(sim.HamiltonianParams(controls[starts], config.u, config.ez, slots)),
+        config.dt,
     )
     # Row 0 is the identity before the first step.
     u_acc = np.empty((len(controls) + 1, *slots.shape), dtype=complex)
     u_acc[0] = slots.identity
-    if u_runs.shape[1:] != u_acc.shape[1:]:
-        raise ValueError(f"shape mismatch: {u_runs.shape[1:]} vs {u_acc.shape[1:]}")
     # sim.accumulate's product, called bare: per row, call overhead is most
     # of the cost.
     runs, acc = list(u_runs), list(u_acc)
     for r, prev, nxt in zip((np.cumsum(starts) - 1).tolist(), acc, acc[1:]):
         np.matmul(runs[r], prev, out=nxt)
-    _, _, report = _gate(u_acc, slots)
+    _, _, report = _gate(u_acc)
     return report.row(-1), report.fidelity[1:].tolist()

@@ -12,13 +12,15 @@ network's first layer is trained only in the rows of its *live inputs*,
 the observation entries that can be nonzero: [W1[live], W2, W3, b1, b2,
 b3].  The other inputs are exact zeros on every call, so their W1 rows
 would get a +-0 gradient, Adam would keep their moments at 0, and they
-would never move; they stay at their ``init_mlp`` values.  The backward runs on the
-forward cache whose input is narrowed to the live features (``narrow``);
-it never reads W1, so the network itself is not narrowed, and the first-
-layer gradient rows are the same products as the full-width ones, so
-leaving the dead rows out changes no bit of a run.  The forward stays
-full width: a narrowed ``x[live] @ W1[live]`` sums in a different order
-and is not bitwise equal.  Checkpoints hold the full networks.
+would never move; they stay at their ``init_mlp`` values.  ``LiveRows``
+owns the live rows: its gradient views (``LiveGradients``) carry their
+indices, and ``backward`` writing into them gathers the cached input at
+those indices.  The backward never reads W1, so the network itself is not
+narrowed, and the first-layer gradient rows are the same products as the
+full-width ones, so leaving the dead rows out changes no bit of a run.
+The forward stays full width: a narrowed ``x[live] @ W1[live]`` sums in a
+different order and is not bitwise equal.  Checkpoints hold the full
+networks.
 
 The packed vector is the one place a learner's parameters live, and a
 gradient buffer of the same layout is the one place its gradient lives.
@@ -83,6 +85,14 @@ class MlpParameters:
         return cls(weights=tuple(arrays[:3]), biases=tuple(arrays[3:]))
 
 
+@dataclass(frozen=True)
+class LiveGradients(MlpParameters):
+    """A network's gradient arrays in ``LiveRows.grads``: the first layer's
+    rows of the inputs ``live`` alone, then every other array whole."""
+
+    live: np.ndarray
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, scratch space and hyperparameters.
@@ -139,16 +149,20 @@ def forward(p: MlpParameters, x: np.ndarray):
 def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParameters:
     """Exact reverse-mode gradients; batched inputs sum over the batch.
 
-    Each gradient is written into its array of ``out``, an ``MlpParameters``
-    of the gradients' shapes (such as a network's entry of
-    ``LiveRows.grads``), and ``out`` is returned; with no ``out``, fresh
-    arrays are allocated.  Both run the same products and sums, so they
-    give the same bits.
+    With no ``out``, fresh full-width arrays are allocated.  With ``out``, a
+    network's ``LiveGradients`` in ``LiveRows.grads``, each gradient is
+    written into its array there and ``out`` is returned; the first layer
+    gets the rows of ``out.live`` alone, the same products as those rows of
+    the full-width gradient, so the bits are the same.
     """
     x, h1, h2 = cache
     dL_dy = np.asarray(dL_dy, dtype=float)
     if dL_dy.shape != (*x.shape[:-1], p.out_dim):
         raise ValueError(f"dL_dy shape {dL_dy.shape} inconsistent with cache")
+    if out is not None:
+        # dW1 holds the live rows alone.  Gathering before a 1-D row is
+        # promoted hands matmul a contiguous row; its bits can depend on strides.
+        x = x[..., out.live]
     _, w2, w3 = p.weights
     dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
 
@@ -202,18 +216,6 @@ def unpack(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def narrow(cache, live):
-    """The forward cache with its input restricted to the features ``live``.
-
-    ``backward(p, narrow(cache, live), dy)`` gives the first-layer gradient
-    rows of ``live`` alone, bit for bit equal to those of the full-width
-    backward; every other weight and bias gradient is unchanged.  The
-    backward reads no W1, so ``p`` stays full width.
-    """
-    x, h1, h2 = cache
-    return x[..., live], h1, h2
-
-
 class LiveRows:
     """The trainable entries of networks and plain arrays as one vector,
     with its gradient buffer and Adam state.
@@ -226,8 +228,8 @@ class LiveRows:
     the initial W1, whose dead rows keep their values (see the module
     docstring) and whose live rows ``refresh`` rewrites from ``flat``.
     ``grads`` are views of the gradient buffer in the order of ``parts``:
-    for a network, an ``MlpParameters`` of [W1[live], W2, W3, b1, b2, b3]
-    gradients (``backward``'s ``out`` on a ``narrow`` cache), and for a
+    for a network, a ``LiveGradients`` of [W1[live], W2, W3, b1, b2, b3]
+    gradients that carries ``live`` (``backward``'s ``out``), and for a
     plain array, one array of its shape.  Callers write a gradient there,
     then ``update`` takes one Adam step from it at rate ``lr`` decayed by
     ``lr_decay``.
@@ -257,7 +259,8 @@ class LiveRows:
                 w1_live, w2, w3, b1, b2, b3 = (next(views) for _ in range(6))
                 self._w1_rows.append((w1, w1_live))
                 part = MlpParameters((w1, w2, w3), (b1, b2, b3))
-                grad = MlpParameters.from_list([next(grad_views) for _ in range(6)])
+                g = [next(grad_views) for _ in range(6)]
+                grad = LiveGradients(tuple(g[:3]), tuple(g[3:]), live)
             else:
                 part = next(views)
                 grad = next(grad_views)

@@ -27,12 +27,16 @@ reads, as a ``SlotSet``: (..., k, 4, 4) instead of (..., 4, 4, 4).  The
 gate lives in slots 0 and 3 (``GATE_SLOTS``), which is all that the
 fidelity, replay and the computational4 observation need; the full16
 observation reads all four (``ALL_SLOTS``, the default).  The same code
-runs on either stack, and each slot gets the same bits in both.
+runs on either stack, and each slot gets the same bits in both.  Only the
+build is told which slots to carry: a stack's slot count names its set.
 ``DENSE_POSITIONS`` maps each entry of the dense 16x16 matrix to its place
 in a four-slot stack; the full16 observation reads through it, and the
 tests build their dense view from it to check against the dense reference
 ``evolve_step``.  Every function takes a leading batch axis and gives each
 row the bits it would get alone.
+
+A step's controls are a row of three floats in ``CONTROL_NAMES`` order,
+held everywhere, ``HamiltonianParams`` included, as (..., 3) arrays.
 
 Energies are linear frequencies in GHz, durations in ns, so one
 evolution step is exp(-i 2*pi H dt).
@@ -40,6 +44,7 @@ evolution step is exp(-i 2*pi H dt).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,42 +224,41 @@ _DIAG3 = slice(0, 2 * DIM_COMP + 3, DIM_COMP + 1)
 class HamiltonianParams:
     """Physical controls and constants of the two-dot system (all GHz).
 
-    eps: on-site energies of dot 0 and dot 1.
-    tun: tunnel coupling between the dots.
-    u:   Hubbard repulsion of each dot.
-    ez:  Zeeman splitting (qubit resonance frequency) of each dot.
+    controls: (..., 3) steps of the on-site energies of dot 0 and dot 1
+              and the tunnel coupling (``CONTROL_NAMES``).
+    u:  Hubbard repulsion of each dot, shared by all steps.
+    ez: Zeeman splitting (qubit resonance frequency) of each dot, shared.
 
     slots: the slots ``build_hamiltonian`` assembles (default all four).
-
-    For a batch of T steps, eps has shape (T, 2) and tun shape (T,); u and
-    ez are shared by all steps.
     """
 
-    eps: tuple[float, float] | np.ndarray
-    tun: float | np.ndarray
+    controls: np.ndarray
     u: tuple[float, float]
     ez: tuple[float, float]
     slots: SlotSet = ALL_SLOTS
 
     def validate(self) -> np.ndarray:
-        """The checked (T, 3) rows (eps0, eps1, tunnel), T = 1 without a
-        batch axis.
+        """The controls as a float array, checked in place.
 
-        Rejects non-finite or out-of-bounds controls, naming the control
-        and, for a batch, the step (row).
+        Rejects controls whose last axis is not 3, naming their shape, and
+        non-finite or out-of-bounds controls, naming the control and, for a
+        batch, the step (row).
         """
-        controls = np.empty((np.size(self.tun), len(CONTROL_NAMES)))
-        controls[:, :2] = self.eps
-        controls[:, 2] = self.tun
-        ok = (controls >= _CONTROL_LO) & (controls <= _CONTROL_HI)
+        controls = np.asarray(self.controls, dtype=float)
+        if controls.shape[-1:] != (3,):
+            raise ValueError(
+                f"controls must have shape (..., 3) {CONTROL_NAMES}, got {controls.shape}"
+            )
+        rows = controls.reshape(-1, 3)
+        ok = (rows >= _CONTROL_LO) & (rows <= _CONTROL_HI)
         if not ok.all():
             t, k = np.argwhere(~ok)[0]
-            value = controls[t, k]
+            value = rows[t, k]
             problem = (
                 "is not finite" if not np.isfinite(value)
                 else f"outside {_CONTROL_BOUNDS[k]} GHz"
             )
-            step = f"step {t}: " if np.ndim(self.tun) else ""
+            step = f"step {t}: " if controls.ndim > 1 else ""
             raise ValueError(f"{step}{CONTROL_NAMES[k]}={value} {problem}")
         for name, values in (("u", self.u), ("ez", self.ez)):
             for i, v in enumerate(values):
@@ -283,35 +287,38 @@ class FidelityReport:
         )
 
 
-def _check_slots(u: np.ndarray, slots: SlotSet) -> None:
-    if u.shape[-3:] != slots.shape:
-        raise ValueError(
-            f"expected (..., {slots.shape[0]}, 4, 4) stacks of slots {slots.index.tolist()}, "
-            f"got {u.shape}"
-        )
+_SLOT_SETS = {slots.shape: slots for slots in (GATE_SLOTS, ALL_SLOTS)}
+
+
+def _slots_of(u: np.ndarray) -> SlotSet:
+    """The slot set of (..., k, 4, 4) stacks: k = 2 is ``GATE_SLOTS``, 4 is
+    ``ALL_SLOTS``.  Every set holds slots 0 and 3, so k names it."""
+    slots = _SLOT_SETS.get(u.shape[-3:])
+    if slots is None:
+        raise ValueError(f"expected (..., 2, 4, 4) or (..., 4, 4, 4) slot stacks, got {u.shape}")
+    return slots
 
 
 def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
     """Assemble H_eps + H_Z + H_U + H_T (GHz) as real blocks of the slots
     ``params.slots``.
 
-    Returns (k, 4, 4), or (T, k, 4, 4) when params carry a batch axis.  The
-    seven terms are summed entry by entry, elementwise in a fixed order, so
-    each entry's bits depend neither on the batch size nor on the slots
-    built beside it.
+    Returns (..., k, 4, 4) for (..., 3) controls.  The seven terms are
+    summed entry by entry, elementwise in a fixed order, so each entry's
+    bits depend neither on the batch size nor on the slots built beside it.
     """
     controls = params.validate()
-    coef = np.empty((len(controls), len(_TERMS)))
-    coef[:, :3] = controls
+    lead = controls.shape[:-1]
+    coef = np.empty((math.prod(lead), len(_TERMS)))
+    coef[:, :3] = controls.reshape(-1, 3)
     coef[:, 3:] = (params.ez[0], params.ez[1], params.u[0], params.u[1])
     slots = params.slots
-    h = (coef[:, :, None] * slots.terms).sum(axis=1).reshape(-1, *slots.shape)
-    return h if np.ndim(params.tun) else h[0]
+    return (coef[:, :, None] * slots.terms).sum(axis=1).reshape(*lead, *slots.shape)
 
 
-def step_unitaries(h: np.ndarray, dt: float, slots: SlotSet = ALL_SLOTS) -> np.ndarray:
+def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     """Step propagators exp(-i 2*pi h dt) of (..., k, 4, 4) Hamiltonians of
-    the slots ``slots``.
+    the slots that k names (see ``_slots_of``).
 
     Each slot of h must be Hermitian, as every ``build_hamiltonian`` output
     is.  One ``eigh`` over the stack (real-symmetric for real h) gives
@@ -322,7 +329,7 @@ def step_unitaries(h: np.ndarray, dt: float, slots: SlotSet = ALL_SLOTS) -> np.n
     """
     if not dt > 0:
         raise ValueError(f"dt={dt} must be positive")
-    _check_slots(h, slots)
+    slots = _slots_of(h)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -368,16 +375,16 @@ def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = N
     return np.matmul(u_step, u_acc, out=out)
 
 
-def project_to_computational(u: np.ndarray, slots: SlotSet = ALL_SLOTS) -> np.ndarray:
+def project_to_computational(u: np.ndarray) -> np.ndarray:
     """The 4x4 block over the computational indices {5,6,9,10}, read from
-    (..., k, 4, 4) stacks of the slots ``slots``.
+    (..., k, 4, 4) stacks of the slots that k names (see ``_slots_of``).
 
     One fixed gather reads the block's six same-sector entries; the ten
     between two sectors are written as exact +0.0.  The result is generally
     sub-unitary: amplitude outside the block is leakage and is simply
     dropped.
     """
-    _check_slots(u, slots)
+    slots = _slots_of(u)
     lead = u.shape[:-3]
     gate = u.reshape(*lead, slots.size).take(slots.comp_source, axis=-1)
     np.copyto(gate, 0, where=_COMP_ZERO)

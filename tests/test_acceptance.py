@@ -104,7 +104,6 @@ def test_criterion_5_gae_and_clip_oracles():
         rewards=np.array([-1.0, -1.0]),
         values=np.array([0.0, 1.0]),
         next_values=np.array([1.0, 2.0]),
-        terminated=np.zeros(2, dtype=bool),
         episode_ends=np.array([False, True]),
     )
     adv, _ = gae(traj, 0.9, 0.95)
@@ -123,7 +122,6 @@ def test_criterion_5_gae_and_clip_oracles():
         rewards=rewards,
         values=values,
         next_values=np.concatenate([values[1:], [bootstrap]]),
-        terminated=np.zeros(n, dtype=bool),
         episode_ends=np.eye(n, dtype=bool)[n - 1],
     )
     adv2, _ = gae(traj2, 0.9, 1.0)

@@ -79,7 +79,7 @@ class TestTdTargets:
             assert yq >= td_target_sarsa(r, 0.9, float(q[other]), False)
 
 
-def make_traj(rewards, values, next_values, terminated, ends):
+def make_traj(rewards, values, next_values, ends):
     n = len(rewards)
     return Trajectory(
         observations=np.zeros((n, 1)),
@@ -88,14 +88,13 @@ def make_traj(rewards, values, next_values, terminated, ends):
         rewards=np.asarray(rewards, dtype=float),
         values=np.asarray(values, dtype=float),
         next_values=np.asarray(next_values, dtype=float),
-        terminated=np.asarray(terminated, dtype=bool),
         episode_ends=np.asarray(ends, dtype=bool),
     )
 
 
 class TestGae:
     def test_single_step_truncated(self):
-        traj = make_traj([-1.0], [0.5], [2.0], [False], [True])
+        traj = make_traj([-1.0], [0.5], [2.0], [True])
         adv, ret = gae(traj, 0.9, 0.95)
         delta = -1.0 + 0.9 * 2.0 - 0.5
         assert adv[0] == pytest.approx(delta, abs=1e-12)
@@ -103,14 +102,15 @@ class TestGae:
 
     def test_two_step_hand_recursion(self):
         traj = make_traj(
-            [-1.0, -1.0], [0.0, 1.0], [1.0, 2.0], [False, False], [False, True]
+            [-1.0, -1.0], [0.0, 1.0], [1.0, 2.0], [False, True]
         )
         adv, _ = gae(traj, 0.9, 0.95)
         assert adv[1] == pytest.approx(-0.2, abs=1e-12)
         assert adv[0] == pytest.approx(-0.1 + 0.855 * -0.2, abs=1e-12)
 
     def test_terminated_step_is_td_error_without_bootstrap(self):
-        traj = make_traj([5.0], [1.5], [0.0], [True], [True])
+        # Termination reaches gae as a zero successor value.
+        traj = make_traj([5.0], [1.5], [0.0], [True])
         adv, _ = gae(traj, 0.9, 0.95)
         assert adv[0] == pytest.approx(5.0 - 1.5, abs=1e-12)
 
@@ -123,10 +123,9 @@ class TestGae:
             values = rng.normal(size=n)
             bootstrap = rng.normal()
             next_values = np.concatenate([values[1:], [bootstrap]])
-            terminated = np.zeros(n, dtype=bool)
             ends = np.zeros(n, dtype=bool)
             ends[-1] = True
-            traj = make_traj(rewards, values, next_values, terminated, ends)
+            traj = make_traj(rewards, values, next_values, ends)
             adv, ret = gae(traj, gamma, 1.0)
             for t in range(n):
                 mc = sum(gamma ** (k - t) * rewards[k] for k in range(t, n))
@@ -137,7 +136,7 @@ class TestGae:
     def test_reset_across_episode_boundary(self):
         # two one-step episodes: the second must not leak into the first
         traj = make_traj(
-            [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [True, True], [True, True]
+            [1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [True, True]
         )
         adv, _ = gae(traj, 0.9, 0.95)
         assert adv[0] == pytest.approx(1.0)
@@ -145,7 +144,7 @@ class TestGae:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gae(make_traj([], [], [], [], []), 0.9, 0.95)
+            gae(make_traj([], [], [], []), 0.9, 0.95)
 
 
 def loss_batch(policy, log_std, rng, n=4, obs_dim=6, ratio_shift=0.0, adv=None):

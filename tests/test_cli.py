@@ -350,6 +350,19 @@ class TestReplay:
         assert cli.main(["replay", str(path), "--sweep-duration", str(n)]) == 1
         assert f"sweep duration {n}" in capsys.readouterr().err
 
+    def test_steps_out_of_order_named(self, tmp_path, capsys):
+        # Read as a 2-step pulse, these rows would replay and plot at 7 and 3 ns.
+        path = tmp_path / "s.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n7,170,70,2.5\n3,170,70,2.5\n")
+        assert cli.main(["replay", str(path)]) == 1
+        assert "error: line 2, column step: expected 0, got 7" in capsys.readouterr().err
+
+    def test_unreadable_path_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # A directory raises IsADirectoryError, an OSError but no FileNotFoundError.
+        assert cli.main(["replay", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_cli_replay_command(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")
@@ -397,6 +410,19 @@ class TestExportPlots:
         assert cli.main(["export-plots", str(run)]) == 0
         after = {name: (run / name).read_bytes() for name in PLOT_FILES}
         assert before == after
+
+    def test_schedule_steps_out_of_order_rejected(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.jsonl").write_text(
+            json.dumps({"episode": 0, "final_fidelity": 0.5}) + "\n"
+        )
+        (run / "best_schedule.csv").write_text(
+            "step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n2,170,70,2.5\n"
+        )
+        assert cli.main(["export-plots", str(run)]) == 1
+        assert "error: line 3, column step: expected 1, got 2" in capsys.readouterr().err
+        assert not (run / "tunnel_vs_time.tsv").exists()
 
     def test_missing_run_artifacts(self, tmp_path):
         assert cli.main(["export-plots", str(tmp_path)]) == 1

@@ -394,6 +394,11 @@ class TestSchedule:
         ("0.5,170,70,2.5\n", "line 2, column step: cannot parse '0.5' as int"),
         ("0,170,70,2.5\n\n2,170,70,\n", "line 4, column tunnel_ghz: cannot parse '' as float"),
         ("0,170,70\n", r"line 2: bad schedule row: \['0', '170', '70'\]"),
+        # The step column must read 0, 1, ..., T-1.
+        ("7,170,70,2.5\n3,170,70,2.5\n", "line 2, column step: expected 0, got 7"),
+        ("0,170,70,2.5\n1,170,70,2.5\n3,170,70,2.5\n", "line 4, column step: expected 2, got 3"),
+        ("0,170,70,2.5\n\n0,170,70,2.5\n", "line 4, column step: expected 1, got 0"),
+        ("-1,170,70,2.5\n", "line 2, column step: expected 0, got -1"),
     ])
     def test_csv_bad_field_names_line_and_column(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -475,6 +480,7 @@ class TestReplay:
         with pytest.raises(ValueError, match=message):
             replay_schedule(PulseSchedule(rows=rows))
 
+    @pytest.mark.witness
     def test_sweep_trace_bytes_pinned(self, tmp_path):
         # sha256 of the trace of a 60 ns sweep of the pulse at the corner
         # (-750, -300, 5) GHz, recorded before replay multiplied directly;

@@ -170,10 +170,11 @@ class TestBackward:
         (out,) = trainable.grads
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(*x.shape[:-1], out_dim))
-        want = nn.backward(p, nn.narrow(cache, live), dy)
-        got = nn.backward(p, nn.narrow(cache, live), dy, out=out)
+        assert out.live is live
+        want = nn.backward(p, cache, dy)
+        got = nn.backward(p, cache, dy, out=out)
         assert got is out
-        assert as_bytes(*got.as_list()) == as_bytes(*want.as_list())
+        assert as_bytes(*got.as_list()) == as_bytes(want.weights[0][live], *want.as_list()[1:])
 
     def test_wrongly_shaped_out_rejected(self):
         rng = np.random.default_rng(49)
@@ -181,13 +182,20 @@ class TestBackward:
         p = nn.init_mlp(x.shape[-1], 3, seed=50)
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(8, 3))
+        # A plain MlpParameters names no live rows to gather.
         full_width = nn.MlpParameters.from_list([np.empty_like(a) for a in p.as_list()])
+        with pytest.raises(AttributeError, match="live"):
+            nn.backward(p, cache, dy, out=full_width)
+        other_net = nn.init_mlp(x.shape[-1], 1, seed=50)
+        (wrong_out_dim,) = nn.LiveRows([other_net], live, 0.001, 0.0).grads
         with pytest.raises(ValueError):
-            nn.backward(p, nn.narrow(cache, live), dy, out=full_width)
-        other_net = nn.init_mlp(len(live), 1, seed=50)
-        wrong_out_dim = nn.MlpParameters.from_list([np.empty_like(a) for a in other_net.as_list()])
+            nn.backward(p, cache, dy, out=wrong_out_dim)
+        # The W1 rows must be those of the live inputs it names.
+        (out,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        w1, w2, w3 = out.weights
+        fewer_rows = nn.LiveGradients((w1[1:], w2, w3), out.biases, live)
         with pytest.raises(ValueError):
-            nn.backward(p, nn.narrow(cache, live), dy, out=wrong_out_dim)
+            nn.backward(p, cache, dy, out=fewer_rows)
 
     def test_batched_gradients_sum(self):
         rng = np.random.default_rng(43)
@@ -421,12 +429,13 @@ class TestLiveRows:
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(*x.shape[:-1], out_dim))
         full = nn.backward(p, cache, dy)
-        narrow = nn.backward(p, nn.narrow(cache, live), dy)
+        (grads,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        gathered = nn.backward(p, cache, dy, out=grads)
         dead = np.ones(x.shape[-1], dtype=bool)
         dead[live] = False
         assert np.all(full.weights[0][dead] == 0)
-        assert narrow.weights[0].tobytes() == full.weights[0][live].tobytes()
-        for got, want in zip(narrow.as_list()[1:], full.as_list()[1:]):
+        assert gathered.weights[0].tobytes() == full.weights[0][live].tobytes()
+        for got, want in zip(gathered.as_list()[1:], full.as_list()[1:]):
             assert got.tobytes() == want.tobytes()
 
     def test_pack_unpack(self):
@@ -505,7 +514,7 @@ class TestLiveRows:
             y, cache = nn.forward(p_live, x)
             _, dy = nn.mse_loss(y, target)
             g_net, g_extra = trainable.grads
-            nn.backward(p_live, nn.narrow(cache, live), dy, out=g_net)
+            nn.backward(p_live, cache, dy, out=g_net)
             np.subtract(extra_live, c, out=g_extra)
             trainable.update()
 

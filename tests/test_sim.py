@@ -1,6 +1,7 @@
 """Simulator core: Hamiltonian, evolution, projection, compensation, fidelity."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from helpers import (
     taylor_expm,
 )
 
-PAPER_PARAMS = dict(eps=(170.0, 70.0), u=(845.2, 845.2), ez=(18.4, 19.7))
-U, EZ = PAPER_PARAMS["u"], PAPER_PARAMS["ez"]
+PAPER_EPS, U, EZ = (170.0, 70.0), (845.2, 845.2), (18.4, 19.7)
 
 
 def random_controls(rng, n):
@@ -34,7 +34,7 @@ def random_controls(rng, n):
 
 def propagate(controls, dt=1.0, u=U, ez=EZ):
     """Slot-form step unitaries of a (T, 3) batch of (eps0, eps1, tunnel) rows."""
-    params = sim.HamiltonianParams(eps=controls[:, :2], tun=controls[:, 2], u=u, ez=ez)
+    params = sim.HamiltonianParams(controls, u=u, ez=ez)
     return sim.step_unitaries(sim.build_hamiltonian(params), dt)
 
 
@@ -68,16 +68,16 @@ def occupations(state):
 
 class TestBuildHamiltonian:
     def test_all_zero_params_gives_zero_matrix(self):
-        p = sim.HamiltonianParams(eps=(0, 0), tun=0, u=(0, 0), ez=(0, 0))
+        p = sim.HamiltonianParams((0, 0, 0), u=(0, 0), ez=(0, 0))
         assert np.all(sim.build_hamiltonian(p) == 0)
         assert np.all(dense_hamiltonian_of(p) == 0)
 
     def test_diagonal_entries_match_occupation_oracle(self):
-        p = sim.HamiltonianParams(tun=0.0, **PAPER_PARAMS)
+        p = sim.HamiltonianParams((*PAPER_EPS, 0.0), U, EZ)
         h = dense_hamiltonian_of(p)
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
         for s in range(16):
-            expected = occupation_energy(s, p.eps, p.u, p.ez)
+            expected = occupation_energy(s, PAPER_EPS, U, EZ)
             assert h[s, s].real == pytest.approx(expected, abs=1e-12)
         # frozen values from the oracle
         assert h[6, 6].real == pytest.approx(240.65, abs=1e-12)
@@ -87,8 +87,7 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(11)
         for _ in range(1000):
             p = sim.HamiltonianParams(
-                eps=tuple(rng.uniform(-750, 750, 2)),
-                tun=rng.uniform(0, 5),
+                controls=(*rng.uniform(-750, 750, 2), rng.uniform(0, 5)),
                 u=tuple(rng.uniform(0, 1000, 2)),
                 ez=tuple(rng.uniform(0, 30, 2)),
             )
@@ -100,14 +99,14 @@ class TestBuildHamiltonian:
     def test_particle_number_block_structure(self):
         # The dense view is zero between sectors by construction; the slot
         # blocks hold every entry H can have.
-        p = sim.HamiltonianParams(tun=2.5, **PAPER_PARAMS)
+        p = sim.HamiltonianParams((*PAPER_EPS, 2.5), U, EZ)
         h = sim.build_hamiltonian(p)
         for k, i, j, a, b in slot_entries():
             if sum(occupations(a)) != sum(occupations(b)):
                 assert h[k, i, j] == 0
 
     def test_tunneling_couples_same_spin_single_particle_states(self):
-        p = sim.HamiltonianParams(eps=(0, 0), tun=1.5, u=(0, 0), ez=(0, 0))
+        p = sim.HamiltonianParams((0, 0, 1.5), u=(0, 0), ez=(0, 0))
         h = dense_hamiltonian_of(p)
         # dot0-up occupied (1000 = 8) <-> dot1-up occupied (0010 = 2)
         assert h[8, 2] == pytest.approx(-1.5)
@@ -116,15 +115,33 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize(
         "field,params",
         [
-            ("eps", dict(eps=(800, 0), tun=1, u=(1, 1), ez=(1, 1))),
-            ("tun", dict(eps=(0, 0), tun=6, u=(1, 1), ez=(1, 1))),
-            ("u", dict(eps=(0, 0), tun=1, u=(-1, 1), ez=(1, 1))),
-            ("ez", dict(eps=(0, 0), tun=1, u=(1, 1), ez=(-1, 1))),
+            ("eps", dict(controls=(800, 0, 1), u=(1, 1), ez=(1, 1))),
+            ("tun", dict(controls=(0, 0, 6), u=(1, 1), ez=(1, 1))),
+            ("u", dict(controls=(0, 0, 1), u=(-1, 1), ez=(1, 1))),
+            ("ez", dict(controls=(0, 0, 1), u=(1, 1), ez=(-1, 1))),
         ],
     )
     def test_out_of_bounds_named_in_error(self, field, params):
         with pytest.raises(ValueError, match=field):
             sim.build_hamiltonian(sim.HamiltonianParams(**params))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 2), (3, 0)])
+    def test_controls_whose_last_axis_is_not_3_named(self, shape):
+        p = sim.HamiltonianParams(np.zeros(shape), u=(1, 1), ez=(1, 1))
+        named = re.escape(f"(..., 3) {sim.CONTROL_NAMES}, got {shape}")
+        for call in (p.validate, lambda: sim.build_hamiltonian(p)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+    def test_leading_axes_equal_flat_rows_bitwise(self):
+        controls = random_controls(np.random.default_rng(12), 6)
+        flat = sim.build_hamiltonian(sim.HamiltonianParams(controls, U, EZ))
+        grid = sim.build_hamiltonian(sim.HamiltonianParams(controls.reshape(2, 3, 3), U, EZ))
+        assert grid.shape == (2, 3, *sim.ALL_SLOTS.shape)
+        assert grid.tobytes() == flat.tobytes()
+        with pytest.raises(ValueError, match="step 4: tunnel=6.0"):
+            controls[4, 2] = 6.0
+            sim.build_hamiltonian(sim.HamiltonianParams(controls.reshape(2, 3, 3), U, EZ))
 
 
 class TestEvolveStep:
@@ -258,12 +275,12 @@ class TestGateSlots:
         u_all = np.tile(sim.ALL_SLOTS.identity, (batch, 1, 1, 1))
         for _ in range(20):
             controls = random_controls(rng, batch)
-            params = sim.HamiltonianParams(eps=controls[:, :2], tun=controls[:, 2], u=U, ez=EZ)
+            params = sim.HamiltonianParams(controls, u=U, ez=EZ)
             h_all = sim.build_hamiltonian(params)
             h_gate = sim.build_hamiltonian(dataclasses.replace(params, slots=gate))
             assert h_gate.tobytes() == h_all[:, gate.index].tobytes()
             s_all = sim.step_unitaries(h_all, 1.0)
-            s_gate = sim.step_unitaries(h_gate, 1.0, gate)
+            s_gate = sim.step_unitaries(h_gate, 1.0)
             assert s_gate.tobytes() == s_all[:, gate.index].tobytes()
             u_all = sim.accumulate(s_all, u_all)
             u_gate = sim.accumulate(s_gate, u_gate)
@@ -284,14 +301,18 @@ class TestGateSlots:
             zeros = want.reshape(*shape, 16)[..., between]
             assert np.all(zeros == 0) and not np.signbit([zeros.real, zeros.imag]).any()
             gate = u[..., sim.GATE_SLOTS.index, :, :]
-            assert sim.project_to_computational(gate, sim.GATE_SLOTS).tobytes() == want.tobytes()
+            assert sim.project_to_computational(gate).tobytes() == want.tobytes()
             assert sim.project_to_computational(u).tobytes() == want.tobytes()
 
     def test_wrong_slot_count_rejected(self):
-        with pytest.raises(ValueError, match=r"\(\.\.\., 2, 4, 4\) stacks of slots \[0, 3\]"):
-            sim.project_to_computational(sim.ALL_SLOTS.identity, sim.GATE_SLOTS)
-        with pytest.raises(ValueError, match=r"slots \[0, 3\]"):
-            sim.step_unitaries(np.zeros(sim.ALL_SLOTS.shape), 1.0, sim.GATE_SLOTS)
+        # Only 2 (the gate's slots) and 4 (all) name a slot set.
+        for shape in [(1, 4, 4), (3, 4, 4), (5, 3, 4, 4)]:
+            stack = np.zeros(shape, dtype=complex)
+            named = re.escape(str(shape))
+            with pytest.raises(ValueError, match=named):
+                sim.project_to_computational(stack)
+            with pytest.raises(ValueError, match=named):
+                sim.step_unitaries(stack.real, 1.0)
 
 
 class TestPhaseCompensation:
@@ -435,7 +456,7 @@ class TestSectors:
             assert len({labels[s] for s in sector}) == 1
         assert len({labels[sector[0]] for sector in sim.SECTORS}) == len(sim.SECTORS)
         slots = sim.build_hamiltonian(
-            sim.HamiltonianParams(eps=(eps0, eps1), tun=tun, u=u, ez=ez)
+            sim.HamiltonianParams((eps0, eps1, tun), u=u, ez=ez)
         )
         for k, i, j, a, b in slot_entries():
             if labels[a] != labels[b]:
@@ -471,7 +492,7 @@ class TestStepUnitaries:
         stacked = propagate(controls)
         for t, (e0, e1, tun) in enumerate(controls):
             assert np.array_equal(stacked[t], propagate(controls[t : t + 1])[0])
-            params = sim.HamiltonianParams(eps=(e0, e1), tun=tun, u=U, ez=EZ)
+            params = sim.HamiltonianParams((e0, e1, tun), u=U, ez=EZ)
             single = sim.step_unitaries(sim.build_hamiltonian(params), 1.0)
             assert np.array_equal(stacked[t], single)
 
@@ -490,7 +511,7 @@ class TestStepUnitaries:
         # degenerate pair rotated into a mix of both sectors is still a valid
         # decomposition; the step unitary must not leak between the sectors.
         h = sim.build_hamiltonian(
-            sim.HamiltonianParams(eps=(0, 0), tun=1.0, u=(0, 0), ez=(0, 0))
+            sim.HamiltonianParams((0, 0, 1.0), u=(0, 0), ez=(0, 0))
         )
         eigh = np.linalg.eigh
 
@@ -555,7 +576,7 @@ class TestExchangeOracle:
 
     def test_exchange_coupling_and_cz_time(self, tmp_path):
         eps, tun = (170.0, 70.0), 2.5
-        h = sim.build_hamiltonian(sim.HamiltonianParams(eps=eps, tun=tun, u=U, ez=EZ))
+        h = sim.build_hamiltonian(sim.HamiltonianParams((*eps, tun), u=U, ez=EZ))
         single = []
         for state in (5, 10):
             _, i, energies, vectors = self.slot_eigen(state, h)
