@@ -14,18 +14,3 @@ from .ppo import (
     ppo_loss,
     train_ppo,
 )
-
-__all__ = [
-    "TdConfig",
-    "EpisodeStats",
-    "epsilon_greedy",
-    "td_target_qlearning",
-    "td_target_sarsa",
-    "train_td",
-    "PpoConfig",
-    "Trajectory",
-    "IterationStats",
-    "gae",
-    "ppo_loss",
-    "train_ppo",
-]

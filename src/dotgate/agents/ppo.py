@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..env import PulseSchedule, VecGateEnv
+from ..env import PulseSchedule, VecGateEnv, improves
 
 
 N_CONTROLS = 3
@@ -225,16 +225,15 @@ class _Rollout:
 
     Each row draws the action noise of a whole segment at once, one
     (horizon, 3) standard-normal block per row per segment; the stream is
-    the same as drawing 3 values per step.  The episodes and their returns
-    carry over from one iteration's segment to the next.
+    the same as drawing 3 values per step.  The episodes, with the
+    observations and running returns the env keeps for them, carry over
+    from one iteration's segment to the next.
     """
 
     def __init__(self, env: VecGateEnv, seed_seqs):
         self.env = env
         self.rngs = [np.random.default_rng(s) for s in seed_seqs]
-        self.obs = env.reset()
-        self.reset_obs = self.obs[0]
-        self.episode_return = np.zeros(env.n_envs)
+        self.reset_obs = env.reset()[0]
 
     def collect(self, policy, log_std, value_net, cfg: PpoConfig):
         """Roll one fixed-length segment per row.
@@ -243,7 +242,7 @@ class _Rollout:
         rows in index order.
         """
         T, n = cfg.horizon, self.env.n_envs
-        obs_buf = np.empty((T, *self.obs.shape))
+        obs_buf = np.empty((T, *self.env.observation.shape))
         act_buf = np.empty((T, n, N_CONTROLS))
         logp_buf = np.empty((T, n))
         rew_buf = np.empty((T, n))
@@ -254,39 +253,37 @@ class _Rollout:
         # Each row's noise for the whole segment, in the order of per-step draws.
         noise = np.stack([rng.standard_normal((T, N_CONTROLS)) for rng in self.rngs], axis=1)
         std = np.exp(log_std)
-        v, _ = nn.forward(value_net, np.vstack([self.reset_obs, self.obs]))
+        v, _ = nn.forward(value_net, np.vstack([self.reset_obs, self.env.observation]))
         v_reset, values = v[0, 0], v[1:, 0]
         for t in range(T):
-            mean, _ = nn.forward(policy, self.obs)
+            obs = self.env.observation
+            mean, _ = nn.forward(policy, obs)
             actions = mean + std * noise[t]
             logp, _, _ = nn.gaussian_logprob(mean, log_std, actions)
             res = self.env.step_continuous(actions)
             v_next, _ = nn.forward(value_net, res.observation)
             v_next = v_next[:, 0]
             done = res.terminated | res.truncated
-            obs_buf[t] = self.obs
+            obs_buf[t] = obs
             act_buf[t] = actions
             logp_buf[t] = logp
             rew_buf[t] = res.reward
             val_buf[t] = values
             next_val_buf[t] = np.where(res.terminated, 0.0, v_next)
             ends_buf[t] = done
-            self.episode_return += res.reward
             for i in np.flatnonzero(done):
                 episodes[i].append(
                     {
-                        "return": float(self.episode_return[i]),
+                        "return": float(res.info["return"][i]),
                         "fidelity": float(res.info["fidelity"][i]),
                         "duration": float(res.info["gate_duration"][i]),
                         "terminated": bool(res.terminated[i]),
                         "schedule": self.env.export_schedule(i),
                     }
                 )
-            self.obs = res.observation
             values = v_next
             if done.any():
-                self.obs = self.env.reset(done)
-                self.episode_return[done] = 0.0
+                self.env.reset(done)
                 values = np.where(done, v_reset, v_next)
         ends_buf[-1] = True
         traj = Trajectory(
@@ -366,7 +363,7 @@ def train_ppo(
                 n_batches += 1
 
         for ep in all_episodes:
-            if ep["fidelity"] > result.best_fidelity:
+            if improves(ep["fidelity"], ep["duration"], result.best_fidelity, result.best_duration):
                 result.best_fidelity = ep["fidelity"]
                 result.best_duration = ep["duration"]
                 result.best_schedule = ep["schedule"]

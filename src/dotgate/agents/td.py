@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..env import GateEnv, N_ACTIONS, PulseSchedule
+from ..env import GateEnv, N_ACTIONS, PulseSchedule, improves
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,8 @@ def train_td(
 
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
+    An episode's return is the env's (``info["return"]``), and the best
+    episode is kept by ``env.improves``.
     Only the first-layer rows of the observation's live features are
     trained (see ``nn.LiveRows``).  Each transition is one online update,
     one ``LiveRows.update``, so the Q-network is one object for the whole
@@ -121,9 +123,9 @@ def train_td(
     [s_t, s_{t+1}] gives both, each slice bitwise the one-row forward.
     The regression target equals Q(s_t) except at the taken action, so
     the MSE gradient 2 (q - target) / n is zero everywhere else; its
-    backward through slice 0 writes straight into ``LiveRows.grads``, the
-    first layer in its live rows alone, the buffer that the Adam step
-    reads.
+    backward through slice 0, a (1, obs_dim) batch of one row, writes
+    straight into ``LiveRows.grads``, the first layer in its live rows
+    alone, the buffer that the Adam step reads.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -136,7 +138,7 @@ def train_td(
     (params,) = trainable.parts
     (grad,) = trainable.grads
     states = np.empty((2, 1, env.config.obs_dim))
-    dq = np.empty(N_ACTIONS)
+    dq = np.empty((1, N_ACTIONS))
 
     result = TdResult(params=params)
     fidelities: list[float] = []
@@ -148,12 +150,8 @@ def train_td(
         q, _ = nn.forward(params, obs)
         action = epsilon_greedy(q, eps, rng)
         states[0, 0] = obs
-        ep_return = 0.0
-        info = {}
         while True:
             res = env.step_discrete(action)
-            ep_return += res.reward
-            info = res.info
             done = res.terminated or res.truncated
             states[1, 0] = res.observation
             q, (x, h1, h2) = nn.forward(params, states)
@@ -167,29 +165,28 @@ def train_td(
                 )
             mixed = (1.0 - cfg.alpha) * q_now[action] + cfg.alpha * y
             dq.fill(0.0)
-            dq[action] = 2.0 * (q_now[action] - mixed) / dq.size
-            nn.backward(params, (x[0, 0], h1[0, 0], h2[0, 0]), dq, out=grad)
+            dq[0, action] = 2.0 * (q_now[action] - mixed) / dq.size
+            nn.backward(params, (x[0], h1[0], h2[0]), dq, out=grad)
             trainable.update()
             if done:
                 break
             states[0, 0] = res.observation
             action = next_action
 
+        info = res.info
         fid = info["fidelity"]
         fidelities.append(fid)
         stats = EpisodeStats(
             episode=episode,
             steps=env.steps,
-            episode_return=ep_return,
+            episode_return=info["return"],
             final_fidelity=fid,
             gate_duration=info["gate_duration"],
             epsilon=eps,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         )
         result.stats.append(stats)
-        if fid > result.best_fidelity or (
-            fid == result.best_fidelity and info["gate_duration"] < result.best_duration
-        ):
+        if improves(fid, info["gate_duration"], result.best_fidelity, result.best_duration):
             result.best_fidelity = fid
             result.best_duration = info["gate_duration"]
             result.best_schedule = env.export_schedule()

@@ -143,8 +143,9 @@ def _write_tsv(path, header, rows) -> None:
 def export_plots(run_dir) -> list[Path]:
     """Re-derive plot-data TSVs from the stored metrics and best schedule.
 
-    Without a best schedule, the schedule TSVs are removed, so none is left
-    from an earlier run in the same directory."""
+    The schedule TSVs time each row as step * dt, with the run's dt read
+    from its config.json.  Without a best schedule, the schedule TSVs are
+    removed, so none is left from an earlier run in the same directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
@@ -168,7 +169,11 @@ def export_plots(run_dir) -> list[Path]:
     schedule_path = run_dir / "best_schedule.csv"
     if schedule_path.exists():
         schedule = PulseSchedule.from_csv(schedule_path)
-        times = [(row[0] * 1.0) for row in schedule.rows]
+        config_path = run_dir / "config.json"
+        if not config_path.exists():
+            raise FileNotFoundError(f"no config.json under {run_dir}")
+        dt = cfgmod.config_from_dict(json.loads(config_path.read_text())).env.dt
+        times = [row[0] * dt for row in schedule.rows]
         series = (
             ("tunnel_ghz", [row[3] for row in schedule.rows]),
             ("detuning_ghz", [row[1] - row[2] for row in schedule.rows]),

@@ -45,16 +45,6 @@ class ExperimentConfig:
         self.td.validate()
         self.ppo.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "env": dataclasses.asdict(self.env),
-            "td": dataclasses.asdict(self.td),
-            "ppo": dataclasses.asdict(self.ppo),
-        }
-
 
 def config_digest(cfg: ExperimentConfig) -> str:
     """SHA-256 of the canonical JSON serialization."""
@@ -62,7 +52,8 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 def canonical_bytes(cfg: ExperimentConfig) -> bytes:
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=2).encode()
+    """Sorted-key JSON of every field of ``cfg`` and of its sections."""
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2).encode()
 
 
 def digest_bytes(data: bytes) -> str:

@@ -1,6 +1,6 @@
 """Gate-design environment over the two-dot simulator.
 
-An episode is a piecewise-constant control pulse built 1 ns at a time.
+An episode is a piecewise-constant control pulse built one dt at a time.
 Each step the agent moves the three controls (two on-site energies and
 the tunnel coupling), the accumulated unitary is advanced by one Trotter
 step, and the compensated gate fidelity against CZ is computed.  The
@@ -9,7 +9,9 @@ at the step cap.
 
 Rewards: -1 per step, an extra -1 when a control hits its bound, and a
 fidelity-scaled bonus at the terminal step (larger when the gate also
-clears the high-fidelity tier).
+clears the high-fidelity tier).  The environment sums each episode's
+return, and ``improves`` is the one rule by which a learner keeps its best
+episode.
 
 ``VecGateEnv`` steps a batch of episodes in lockstep and holds the one
 implementation of the transition: both action interfaces with the
@@ -145,7 +147,7 @@ class StepResult:
 
 @dataclass
 class PulseSchedule:
-    """Piecewise-constant controls actually applied, one row per 1 ns step."""
+    """Piecewise-constant controls actually applied, one row per dt step."""
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
 
@@ -204,6 +206,12 @@ def compute_reward(fidelity, boundary_hit, terminated, config: EnvConfig):
     return config.r_step + config.r_boundary * boundary_hit + terminated * scale * fidelity
 
 
+def improves(fidelity, duration, best_fidelity, best_duration) -> bool:
+    """Whether an episode beats the best so far: a higher fidelity wins, and
+    at equal fidelity the shorter gate wins; a tie keeps the old episode."""
+    return fidelity > best_fidelity or (fidelity == best_fidelity and duration < best_duration)
+
+
 def _gate(u_acc: np.ndarray):
     """Gate pipeline of (B, k, 4, 4) accumulated slot stacks.
 
@@ -240,22 +248,24 @@ def _full16_tables():
 _FULL16_SOURCE, _FULL16_ZERO = _full16_tables()
 
 # VecGateEnv attributes that its first reset creates.
-_EPISODE_STATE = frozenset(("controls", "u_acc", "report", "observation", "steps", "delta", "_done"))
+_EPISODE_STATE = frozenset("controls u_acc report observation steps delta returns _done".split())
 
 
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
-    Each row holds its own controls, accumulated unitary, step counter and
-    discrete step size ``delta``.  The unitaries carry only the slots
-    ``slots`` that the observation and the gate read.  A step runs one
-    Hamiltonian build, one propagator call, one stacked accumulate and one
-    gate pipeline over all rows.  A row's numbers do not depend on the other
-    rows, so every row equals a ``GateEnv`` episode driven by the same
-    actions, bit for bit.  The episode state (``steps``, ``delta``,
-    ``report``, ...) exists from the first ``reset``; before it, reading it
-    or stepping raises RuntimeError.  A finished row must be reset, with
-    ``reset(rows)``, before the next step.
+    Each row holds its own controls, accumulated unitary, step counter,
+    discrete step size ``delta`` and running return ``returns``: the sum of
+    the episode's rewards so far, which ``info["return"]`` reports.  The
+    unitaries carry only the slots ``slots`` that the observation and the
+    gate read.  A step runs one Hamiltonian build, one propagator call, one
+    stacked accumulate and one gate pipeline over all rows.  A row's numbers
+    do not depend on the other rows, so every row equals a ``GateEnv``
+    episode driven by the same actions, bit for bit.  The episode state
+    (``steps``, ``delta``, ``returns``, ``report``, ...) exists from the
+    first ``reset``; before it, reading it or stepping raises RuntimeError.
+    A finished row must be reset, with ``reset(rows)``, before the next
+    step.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -297,6 +307,7 @@ class VecGateEnv:
             self.controls, self.u_acc, self.report, self.observation = self._initial
             self.steps = np.zeros(self.n_envs, dtype=int)
             self.delta = np.full(self.n_envs, self.config.step_sizes[0])
+            self.returns = np.zeros(self.n_envs)
             self._done = np.zeros(self.n_envs, dtype=bool)
             return self.observation
         controls, u_acc, report, observation = self._initial
@@ -304,6 +315,7 @@ class VecGateEnv:
         self.u_acc = _put(rows, u_acc, self.u_acc)
         self.steps = np.where(rows, 0, self.steps)
         self.delta = np.where(rows, self.config.step_sizes[0], self.delta)
+        self.returns = np.where(rows, 0.0, self.returns)
         self.report = sim.FidelityReport(*(
             _put(rows, getattr(report, f), getattr(self.report, f))
             for f in ("fidelity", "unitarity_trace", "overlap")
@@ -357,6 +369,8 @@ class VecGateEnv:
         at_cap = self.steps >= cfg.max_steps
         truncated = at_cap & ~terminated
         self._done = terminated | at_cap
+        reward = compute_reward(fid, boundary_hit, terminated, cfg)
+        self.returns = self.returns + reward
         info = {
             "fidelity": fid,
             "gate_duration": self.steps * cfg.dt,
@@ -365,8 +379,8 @@ class VecGateEnv:
             "tunnel": controls[:, 2],
             "boundary_hit": boundary_hit,
             "compensated": compensated,
+            "return": self.returns,
         }
-        reward = compute_reward(fid, boundary_hit, terminated, cfg)
         return StepResult(self.observation, reward, terminated, truncated, info)
 
     def step_discrete(self, actions) -> StepResult:

@@ -58,6 +58,11 @@ import numpy as np
 HIDDEN = 64
 CHECKPOINT_FORMAT_VERSION = 1
 
+# Adam's fixed constants (Kingma & Ba's defaults); the rate is per learner.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -95,7 +100,8 @@ class LiveGradients(MlpParameters):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, scratch space and hyperparameters.
+    """First/second moment accumulators, scratch space and the rate schedule;
+    the betas and epsilon are the module's ``ADAM_*`` constants.
 
     ``m`` and ``v`` have the shape of the parameter array, ``scratch`` holds
     two such buffers; all three are overwritten by every ``adam_update``.
@@ -106,18 +112,15 @@ class AdamState:
     scratch: np.ndarray
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr_decay: float = 0.01
 
 
-def init_mlp(in_dim: int, out_dim: int, seed: int, hidden: int = HIDDEN) -> MlpParameters:
+def init_mlp(in_dim: int, out_dim: int, seed: int) -> MlpParameters:
     """Glorot-uniform weights, zero biases, from a seeded generator."""
     if in_dim < 1 or out_dim < 1:
         raise ValueError(f"dims must be >= 1, got in={in_dim}, out={out_dim}")
     rng = np.random.default_rng(seed)
-    sizes = [in_dim, hidden, hidden, out_dim]
+    sizes = [in_dim, HIDDEN, HIDDEN, out_dim]
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -314,18 +317,18 @@ def adam_update(arrays, grads, s: AdamState) -> None:
     lr_t = s.lr / (1.0 + s.lr_decay * (t - 1))
     m, v, (tmp, step) = s.m, s.v, s.scratch
     # m = beta1 * m + (1 - beta1) * g, and the same for v on g**2, in place.
-    np.multiply(s.beta1, m, out=m)
-    np.multiply(1.0 - s.beta1, g, out=tmp)
+    np.multiply(ADAM_BETA1, m, out=m)
+    np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
     np.add(m, tmp, out=m)
-    np.multiply(s.beta2, v, out=v)
+    np.multiply(ADAM_BETA2, v, out=v)
     np.square(g, out=tmp)
-    np.multiply(1.0 - s.beta2, tmp, out=tmp)
+    np.multiply(1.0 - ADAM_BETA2, tmp, out=tmp)
     np.add(v, tmp, out=v)
     # a -= lr_t * m_hat / (sqrt(v_hat) + eps)
-    np.divide(v, 1.0 - s.beta2**t, out=tmp)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    np.add(tmp, s.eps, out=tmp)
-    np.divide(m, 1.0 - s.beta1**t, out=step)
+    np.add(tmp, ADAM_EPS, out=tmp)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     np.multiply(lr_t, step, out=step)
     np.divide(step, tmp, out=step)
     np.subtract(a, step, out=a)

@@ -12,6 +12,7 @@ from dotgate import cli, nn
 from dotgate.agents import train_ppo, train_td
 from dotgate.config import (
     ExperimentConfig,
+    canonical_bytes,
     config_digest,
     config_from_dict,
     parse_config,
@@ -67,7 +68,7 @@ class TestParseConfig:
             {"algorithm": "sarsa", "seed": 2, "td": {"gamma": 0.8}},
         )
         cfg = parse_config(path)
-        again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         # tuples round-trip as lists; digest is over the canonical dict
         assert config_digest(again) == config_digest(cfg)
 
@@ -389,8 +390,10 @@ class TestExportPlots:
         for name in PLOT_FILES:
             assert (run / name).exists()
 
-    def test_detuning_constant_for_constant_schedule(self, tmp_path):
-        run = tmp_path / "run"
+    @staticmethod
+    def constant_schedule_run(run, config=True):
+        """A hand-made run directory: one metrics record, a five-row constant
+        schedule and, with ``config``, a default qlearning config.json."""
         run.mkdir()
         (run / "metrics.jsonl").write_text(
             json.dumps({"episode": 0, "final_fidelity": 0.5}) + "\n"
@@ -399,9 +402,43 @@ class TestExportPlots:
             "step,eps0_ghz,eps1_ghz,tunnel_ghz\n"
             + "".join(f"{k},170,70,2.5\n" for k in range(5))
         )
+        if config:
+            cfg = config_from_dict({"algorithm": "qlearning", "seed": 0})
+            (run / "config.json").write_bytes(canonical_bytes(cfg))
+        return run
+
+    def test_detuning_constant_for_constant_schedule(self, tmp_path):
+        run = self.constant_schedule_run(tmp_path / "run")
         cli.export_plots(run)
         lines = (run / "detuning_vs_time.tsv").read_text().splitlines()[1:]
         assert all(line.split("\t")[1] == "100" for line in lines)
+
+    def test_schedule_times_are_steps_times_dt(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.yaml",
+            {
+                "algorithm": "qlearning",
+                "seed": 3,
+                "output_dir": str(tmp_path / "run"),
+                "env": {"dt": 0.5, "max_steps": 6},
+                "td": {"episodes_max": 3, "target_mean_fidelity": 1.0},
+            },
+        )
+        assert cli.main(["train", path]) == 0
+        run = tmp_path / "run"
+        manifest = json.loads((run / "manifest.json").read_text())
+        n_rows = len((run / "best_schedule.csv").read_text().splitlines()) - 1
+        assert manifest["result"]["best_duration_ns"] == n_rows * 0.5
+        for name in PLOT_FILES[1:]:
+            lines = (run / name).read_text().splitlines()
+            assert lines[0].startswith("time_ns\t")
+            times = [line.split("\t")[0] for line in lines[1:]]
+            assert times == [f"{k * 0.5:.15g}" for k in range(n_rows)]
+
+    def test_schedule_without_config_named(self, tmp_path, capsys):
+        run = self.constant_schedule_run(tmp_path / "run", config=False)
+        assert cli.main(["export-plots", str(run)]) == 1
+        assert f"error: no config.json under {run}" in capsys.readouterr().err
 
     def test_reexport_bitwise_identical(self, smoke_config, tmp_path):
         cli.main(["train", smoke_config])

@@ -13,6 +13,7 @@ from dotgate.env import (
     PulseSchedule,
     VecGateEnv,
     compute_reward,
+    improves,
     replay_schedule,
     schedule_params,
 )
@@ -119,9 +120,10 @@ class TestBeforeReset:
         lambda venv: venv.steps,
         lambda venv: venv.delta,
         lambda venv: venv.report,
+        lambda venv: venv.returns,
         lambda venv: venv.export_schedule(1),
         lambda venv: venv.reset(np.array([True, False])),
-    ], ids=["steps", "delta", "report", "export_schedule", "reset_rows"])
+    ], ids=["steps", "delta", "report", "returns", "export_schedule", "reset_rows"])
     def test_vec_gate_env(self, read):
         with pytest.raises(RuntimeError, match="^environment not reset$"):
             read(VecGateEnv(EnvConfig(), 2))
@@ -692,6 +694,58 @@ class TestVecGateEnv:
         venv.reset()
         with pytest.raises(ValueError, match=message):
             venv.advance(controls, np.zeros(len(controls), dtype=bool))
+
+
+class TestReturns:
+    """The env sums each episode's rewards, and ``improves`` picks the best."""
+
+    def test_return_is_the_running_sum_of_rewards_bitwise(self):
+        cfg = EnvConfig(max_steps=7)
+        n = 3
+        rng = np.random.default_rng(31)
+        venv = VecGateEnv(cfg, n)
+        venv.reset()
+        running = [0.0] * n
+        restarted = 0
+        for t in range(40):
+            res = venv.step_continuous(rng.uniform(-1.2, 1.2, size=(n, 3)))
+            for i in range(n):
+                running[i] += float(res.reward[i])
+            assert res.info["return"].tobytes() == np.array(running).tobytes()
+            assert res.info["return"] is venv.returns
+            # Finished rows, and row 0 every fifth step, start over.
+            rows = res.terminated | res.truncated
+            rows[0] |= t % 5 == 4
+            before = venv.returns
+            venv.reset(rows)
+            assert np.all(venv.returns[rows] == 0.0)
+            assert venv.returns[~rows].tobytes() == before[~rows].tobytes()
+            assert res.info["return"] is before  # not modified by the reset
+            for i in np.flatnonzero(rows):
+                running[i] = 0.0
+            restarted += int((rows & ~(res.terminated | res.truncated)).sum())
+        assert restarted > 0
+
+    def test_gate_env_reports_a_python_float(self):
+        env = GateEnv(EnvConfig(max_steps=5))
+        env.reset()
+        total = 0.0
+        for _ in range(5):
+            res = env.step_discrete(ACTION_TUN_DOWN)
+            total += res.reward
+            assert type(res.info["return"]) is float
+            assert res.info["return"] == total
+        env.reset()
+        assert env.step_discrete(0).info["return"] == env.config.r_step
+
+    @pytest.mark.parametrize("fidelity, duration, expected", [
+        (0.95, 30.0, True),  # higher F wins, even in a longer gate
+        (0.9, 10.0, True),  # equal F in a shorter gate
+        (0.9, 20.0, False),  # equal F and length: the old episode stays
+        (0.9, 25.0, False),  # equal F in a longer gate
+    ], ids=["higher_fidelity", "equal_fidelity_shorter", "tie", "equal_fidelity_longer"])
+    def test_improves(self, fidelity, duration, expected):
+        assert improves(fidelity, duration, 0.9, 20.0) is expected
 
 
 class TestInvariants:

@@ -438,6 +438,21 @@ class TestLiveRows:
         for got, want in zip(gathered.as_list()[1:], full.as_list()[1:]):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("obs_mode, in_dim", [("computational4", 33), ("full16", 513)])
+    def test_row_and_its_batch_of_one_give_the_same_bytes(self, obs_mode, in_dim):
+        # train_td hands backward (1, obs_dim) slices of a stacked forward.
+        rng = np.random.default_rng(82)
+        live, x = live_inputs(obs_mode, rng)
+        assert x.shape == (in_dim,)
+        p = nn.init_mlp(in_dim, 27, seed=83)
+        _, cache = nn.forward(p, x)
+        dy = rng.normal(size=27)
+        (row,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        (batch,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        nn.backward(p, cache, dy, out=row)
+        nn.backward(p, tuple(a[None] for a in cache), dy[None], out=batch)
+        assert as_bytes(*batch.as_list()) == as_bytes(*row.as_list())
+
     def test_pack_unpack(self):
         live = np.array([0, 2, 3])
         policy = nn.init_mlp(5, 3, seed=82)
