@@ -78,10 +78,7 @@ class PpoConfig:
             raise ValueError(f"epochs_per_iter={self.epochs_per_iter} must be >= 1")
         if self.minibatch < 1:
             raise ValueError(f"minibatch={self.minibatch} must be >= 1")
-        if not self.lr > 0:
-            raise ValueError(f"lr={self.lr} must be > 0")
-        if not self.lr_decay >= 0:
-            raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
+        nn.check_rate(self.lr, self.lr_decay)
         if not np.isfinite(self.log_std_init):
             raise ValueError(f"log_std_init={self.log_std_init} must be finite")
         if self.iterations_max < 1:
@@ -238,17 +235,20 @@ class _Rollout:
     def collect(self, policy, log_std, value_net, cfg: PpoConfig):
         """Roll one fixed-length segment per row.
 
-        Returns a (T, n_envs) Trajectory and each row's finished episodes,
-        rows in index order.
+        Returns a (T, n_envs) Trajectory, allocated at the start of the
+        segment and written in place step by step, and each row's finished
+        episodes, rows in index order.
         """
         T, n = cfg.horizon, self.env.n_envs
-        obs_buf = np.empty((T, *self.env.observation.shape))
-        act_buf = np.empty((T, n, N_CONTROLS))
-        logp_buf = np.empty((T, n))
-        rew_buf = np.empty((T, n))
-        val_buf = np.empty((T, n))
-        next_val_buf = np.empty((T, n))
-        ends_buf = np.empty((T, n), dtype=bool)
+        traj = Trajectory(
+            observations=np.empty((T, *self.env.observation.shape)),
+            actions=np.empty((T, n, N_CONTROLS)),
+            log_probs=np.empty((T, n)),
+            rewards=np.empty((T, n)),
+            values=np.empty((T, n)),
+            next_values=np.empty((T, n)),
+            episode_ends=np.empty((T, n), dtype=bool),
+        )
         episodes = [[] for _ in range(n)]
         # Each row's noise for the whole segment, in the order of per-step draws.
         noise = np.stack([rng.standard_normal((T, N_CONTROLS)) for rng in self.rngs], axis=1)
@@ -264,13 +264,13 @@ class _Rollout:
             v_next, _ = nn.forward(value_net, res.observation)
             v_next = v_next[:, 0]
             done = res.terminated | res.truncated
-            obs_buf[t] = obs
-            act_buf[t] = actions
-            logp_buf[t] = logp
-            rew_buf[t] = res.reward
-            val_buf[t] = values
-            next_val_buf[t] = np.where(res.terminated, 0.0, v_next)
-            ends_buf[t] = done
+            traj.observations[t] = obs
+            traj.actions[t] = actions
+            traj.log_probs[t] = logp
+            traj.rewards[t] = res.reward
+            traj.values[t] = values
+            traj.next_values[t] = np.where(res.terminated, 0.0, v_next)
+            traj.episode_ends[t] = done
             for i in np.flatnonzero(done):
                 episodes[i].append(
                     {
@@ -285,16 +285,7 @@ class _Rollout:
             if done.any():
                 self.env.reset(done)
                 values = np.where(done, v_reset, v_next)
-        ends_buf[-1] = True
-        traj = Trajectory(
-            observations=obs_buf,
-            actions=act_buf,
-            log_probs=logp_buf,
-            rewards=rew_buf,
-            values=val_buf,
-            next_values=next_val_buf,
-            episode_ends=ends_buf,
-        )
+        traj.episode_ends[-1] = True
         return traj, [ep for row in episodes for ep in row]
 
 
@@ -383,9 +374,9 @@ def train_ppo(
             ) if all_episodes else 0.0,
             best_fidelity=result.best_fidelity,
             best_duration=result.best_duration,
-            policy_loss=loss_acc["policy_loss"] / max(n_batches, 1),
-            value_loss=loss_acc["value_loss"] / max(n_batches, 1),
-            entropy=loss_acc["entropy"] / max(n_batches, 1),
+            policy_loss=loss_acc["policy_loss"] / n_batches,
+            value_loss=loss_acc["value_loss"] / n_batches,
+            entropy=loss_acc["entropy"] / n_batches,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         )
         result.stats.append(stats)

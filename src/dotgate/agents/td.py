@@ -51,10 +51,7 @@ class TdConfig:
             )
         if self.trailing_window < 1:
             raise ValueError(f"trailing_window={self.trailing_window} must be >= 1")
-        if not self.lr > 0:
-            raise ValueError(f"lr={self.lr} must be > 0")
-        if not self.lr_decay >= 0:
-            raise ValueError(f"lr_decay={self.lr_decay} must be >= 0")
+        nn.check_rate(self.lr, self.lr_decay)
 
 
 @dataclass

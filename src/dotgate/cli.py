@@ -193,13 +193,14 @@ def export_plots(run_dir) -> list[Path]:
 def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None = None) -> dict:
     """Replay a schedule (or sweep a constant pulse) through the simulator.
 
-    Every row is validated, also in sweep mode, which evolves only the first
-    row's controls; out of bounds or non-finite controls raise ValueError
-    naming the row (as ``step t``, counted from 0) and the control.  A
-    sweep duration below 1 ns raises ValueError naming it.
+    Every row is validated, also in sweep mode, which holds the first row's
+    controls for ``sweep_duration`` steps of ``env_config.dt``; out of bounds
+    or non-finite controls raise ValueError naming the row (as ``step t``,
+    counted from 0) and the control.  A sweep below 1 step raises ValueError
+    naming it.
     """
     if sweep_duration is not None and sweep_duration < 1:
-        raise ValueError(f"sweep duration {sweep_duration} must be >= 1 ns")
+        raise ValueError(f"sweep duration {sweep_duration} must be >= 1 step")
     schedule = PulseSchedule.from_csv(schedule_path)
     if sweep_duration is not None:
         # replay_schedule validates what it replays; a sweep drops all but row 0.
@@ -207,9 +208,7 @@ def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None 
         if not schedule.rows:
             raise ValueError("sweep needs at least one schedule row for the controls")
         _, e0, e1, tun = schedule.rows[0]
-        schedule = PulseSchedule(
-            rows=[(k, e0, e1, tun) for k in range(sweep_duration)]
-        )
+        schedule = PulseSchedule(rows=[(k, e0, e1, tun) for k in range(sweep_duration)])
 
     report, trace = replay_schedule(schedule, env_config)
     out = {
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     p_replay.add_argument("--config", help="experiment config supplying physics constants")
     p_replay.add_argument(
         "--sweep-duration", type=int, metavar="N",
-        help="hold the first row's controls constant and sweep durations 1..N ns",
+        help="hold the first row's controls constant for 1..N steps of the config's dt",
     )
     p_replay.add_argument("--trace", action="store_true", help="print the per-step fidelity trace")
 

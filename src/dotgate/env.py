@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,23 +74,18 @@ class EnvConfig:
     step_thresholds: tuple[float, float] = (0.99, 0.999)
 
     def validate(self) -> None:
-        if self.eps_bounds[0] >= self.eps_bounds[1]:
-            raise ValueError(f"eps_bounds not ordered: {self.eps_bounds}")
-        if self.tun_bounds[0] >= self.tun_bounds[1]:
-            raise ValueError(f"tun_bounds not ordered: {self.tun_bounds}")
-        for name, bounds, physical in (
-            ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS),
-            ("tun_bounds", self.tun_bounds, sim.TUN_BOUNDS),
+        for name, bounds, physical, starts in (
+            ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS,
+             {f"eps_init[{i}]": e for i, e in enumerate(self.eps_init)}),
+            ("tun_bounds", self.tun_bounds, sim.TUN_BOUNDS, {"tun_init": self.tun_init}),
         ):
+            if bounds[0] >= bounds[1]:
+                raise ValueError(f"{name} not ordered: {bounds}")
             if not physical[0] <= bounds[0] <= bounds[1] <= physical[1]:
-                raise ValueError(
-                    f"{name}={bounds} outside the physical range {physical} GHz"
-                )
-        for i, e in enumerate(self.eps_init):
-            if not self.eps_bounds[0] <= e <= self.eps_bounds[1]:
-                raise ValueError(f"eps_init[{i}]={e} outside {self.eps_bounds}")
-        if not self.tun_bounds[0] <= self.tun_init <= self.tun_bounds[1]:
-            raise ValueError(f"tun_init={self.tun_init} outside {self.tun_bounds}")
+                raise ValueError(f"{name}={bounds} outside the physical range {physical} GHz")
+            for start, value in starts.items():
+                if not bounds[0] <= value <= bounds[1]:
+                    raise ValueError(f"{start}={value} outside {bounds}")
         # Checks u and ez here, so that a step can fail only on its controls.
         sim.HamiltonianParams((*self.eps_init, self.tun_init), self.u, self.ez).validate()
         if not 0 < self.f_terminal <= self.f_bonus < 1:
@@ -223,8 +218,14 @@ def _gate(u_acc: np.ndarray):
     return u_gate, compensated, sim.gate_fidelity(u_gate)
 
 
-def _put(rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """A C-order copy of old whose selected rows come from new."""
+def _put(rows: np.ndarray, new, old):
+    """A C-order copy of old whose selected rows come from new; a
+    ``sim.FidelityReport`` is copied field by field."""
+    if isinstance(old, sim.FidelityReport):
+        return sim.FidelityReport(*(
+            _put(rows, getattr(new, f.name), getattr(old, f.name))
+            for f in fields(old)
+        ))
     out = old.copy()
     out[rows] = new[rows]
     return out
@@ -247,25 +248,25 @@ def _full16_tables():
 
 _FULL16_SOURCE, _FULL16_ZERO = _full16_tables()
 
-# VecGateEnv attributes that its first reset creates.
+# The keys of VecGateEnv._initial, which its first reset creates; named here
+# so that reading one before that reset fails without computing the table.
 _EPISODE_STATE = frozenset("controls u_acc report observation steps delta returns _done".split())
 
 
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
-    Each row holds its own controls, accumulated unitary, step counter,
-    discrete step size ``delta`` and running return ``returns``: the sum of
-    the episode's rewards so far, which ``info["return"]`` reports.  The
-    unitaries carry only the slots ``slots`` that the observation and the
-    gate read.  A step runs one Hamiltonian build, one propagator call, one
-    stacked accumulate and one gate pipeline over all rows.  A row's numbers
-    do not depend on the other rows, so every row equals a ``GateEnv``
-    episode driven by the same actions, bit for bit.  The episode state
-    (``steps``, ``delta``, ``returns``, ``report``, ...) exists from the
-    first ``reset``; before it, reading it or stepping raises RuntimeError.
-    A finished row must be reset, with ``reset(rows)``, before the next
-    step.
+    Each row holds its own episode state, the entries of ``_initial``:
+    controls, accumulated unitary, step counter, discrete step size
+    ``delta``, running return ``returns`` (which ``info["return"]``
+    reports), ...  The unitaries carry only the slots ``slots`` that the
+    observation and the gate read.  A step runs one Hamiltonian build, one
+    propagator call, one stacked accumulate and one gate pipeline over all
+    rows.  A row's numbers do not depend on the other rows, so every row
+    equals a ``GateEnv`` episode driven by the same actions, bit for bit.
+    The episode state exists from the first ``reset``; before it, reading it
+    or stepping raises RuntimeError.  A finished row must be reset, with
+    ``reset(rows)``, before the next step.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -288,40 +289,33 @@ class VecGateEnv:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @functools.cached_property
-    def _initial(self):
-        """Controls, unitaries, fidelity report and observations of fresh
-        episodes in every row; never modified, only replaced row by row."""
-        cfg = self.config
-        controls = np.tile([*cfg.eps_init, cfg.tun_init], (self.n_envs, 1))
-        u_acc = np.tile(self.slots.identity, (self.n_envs, 1, 1, 1))
+    def _initial(self) -> dict:
+        """The episode state of fresh episodes in every row, by attribute
+        name: the one table of what an episode starts from.  Its arrays are
+        never modified, only replaced, whole or row by row."""
+        cfg, n = self.config, self.n_envs
+        u_acc = np.tile(self.slots.identity, (n, 1, 1, 1))
         u_gate, _, report = _gate(u_acc)
-        return controls, u_acc, report, self._observations(u_gate, u_acc, report)
+        return {
+            "controls": np.tile([*cfg.eps_init, cfg.tun_init], (n, 1)),
+            "u_acc": u_acc,
+            "report": report,
+            "observation": self._observations(u_gate, u_acc, report),
+            "steps": np.zeros(n, dtype=int),
+            "delta": np.full(n, cfg.step_sizes[0]),
+            "returns": np.zeros(n),
+            "_done": np.zeros(n, dtype=bool),
+        }
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Start new episodes in ``rows``, a boolean mask (default: all rows).
 
-        Returns the observations of all rows.  Arrays handed out earlier are
-        not modified.
+        Each entry of ``_initial`` is assigned whole, or put into the chosen
+        rows of a copy of the current value.  Returns the observations of all
+        rows.  Arrays handed out earlier are not modified.
         """
-        if rows is None:
-            self.controls, self.u_acc, self.report, self.observation = self._initial
-            self.steps = np.zeros(self.n_envs, dtype=int)
-            self.delta = np.full(self.n_envs, self.config.step_sizes[0])
-            self.returns = np.zeros(self.n_envs)
-            self._done = np.zeros(self.n_envs, dtype=bool)
-            return self.observation
-        controls, u_acc, report, observation = self._initial
-        self.controls = _put(rows, controls, self.controls)
-        self.u_acc = _put(rows, u_acc, self.u_acc)
-        self.steps = np.where(rows, 0, self.steps)
-        self.delta = np.where(rows, self.config.step_sizes[0], self.delta)
-        self.returns = np.where(rows, 0.0, self.returns)
-        self.report = sim.FidelityReport(*(
-            _put(rows, getattr(report, f), getattr(self.report, f))
-            for f in ("fidelity", "unitarity_trace", "overlap")
-        ))
-        self.observation = _put(rows, observation, self.observation)
-        self._done = self._done & ~rows
+        for name, fresh in self._initial.items():
+            setattr(self, name, fresh if rows is None else _put(rows, fresh, getattr(self, name)))
         return self.observation
 
     def _observations(self, u_gate, u_acc, report) -> np.ndarray:
@@ -398,10 +392,7 @@ class VecGateEnv:
             if not 0 <= a < N_ACTIONS:
                 raise ValueError(f"action index {a} of row {row} outside [0, {N_ACTIONS - 1}]")
         raw = self.controls + _MOVES.take(actions, axis=0) * self.delta[:, None]
-        # Python's min(max(raw, lo), hi): a bound replaces raw only where it is
-        # strictly beyond it, so a tie of signed zeros keeps raw's sign.
-        controls = np.where(self._lo > raw, self._lo, raw)
-        controls = np.where(self._hi < controls, self._hi, controls)
+        controls = self._clip(raw)
         res = self.advance(controls, (controls != raw).any(axis=-1))
         (t0, t1), (_, s1, s2) = self.config.step_thresholds, self.config.step_sizes
         fid = res.info["fidelity"]
@@ -410,10 +401,19 @@ class VecGateEnv:
             self.delta = np.minimum(self.delta, shrunk)
         return res
 
+    def _clip(self, controls: np.ndarray) -> np.ndarray:
+        """(n_envs, 3) controls clipped to the control box, as Python's
+        min(max(c, lo), hi): a bound replaces a control only where it is
+        strictly beyond it, so a tie of signed zeros keeps the control's sign."""
+        controls = np.where(self._lo > controls, self._lo, controls)
+        return np.where(self._hi < controls, self._hi, controls)
+
     def step_continuous(self, actions) -> StepResult:
         """One (n_envs, 3) continuous action per row: set each control to the
         point of its bounds given by an action component in [-1, 1];
-        components outside are clipped, which counts as a boundary hit."""
+        components outside are clipped, which counts as a boundary hit.  The
+        map can round one ulp past a bound, so the controls then go through
+        ``_clip`` too; that clip is no boundary hit."""
         actions = np.asarray(actions, dtype=float)
         if actions.shape != (self.n_envs, 3):
             raise ValueError(
@@ -424,7 +424,8 @@ class VecGateEnv:
             raise ValueError(f"continuous action {actions[row]} of row {row} is not finite")
         clipped = np.clip(actions, -1.0, 1.0)
         boundary_hit = (clipped != actions).any(axis=-1)
-        return self.advance(self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo), boundary_hit)
+        controls = self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo)
+        return self.advance(self._clip(controls), boundary_hit)
 
     def export_schedule(self, row: int) -> PulseSchedule:
         """The controls applied so far in the episode of one row."""

@@ -249,7 +249,7 @@ class LiveRows:
                 trainable.append(part)
         self.flat = pack(trainable)
         self._grad = np.zeros_like(self.flat)
-        self.adam = init_adam([self.flat], lr=lr, lr_decay=lr_decay)
+        self.adam = init_adam(self.flat, lr=lr, lr_decay=lr_decay)
         shapes = [a.shape for a in trainable]
         views = iter(unpack(self.flat, shapes))
         grad_views = iter(unpack(self._grad, shapes))
@@ -288,13 +288,23 @@ def _only(arrays, what: str) -> np.ndarray:
     return arrays[0]
 
 
-def init_adam(arrays, lr: float = 0.001, lr_decay: float = 0.01) -> AdamState:
-    """Fresh zero-moment state for ``[params]``, one (packed) parameter array."""
-    shape = np.shape(_only(arrays, "parameter"))
+def init_adam(flat: np.ndarray, lr: float = 0.001, lr_decay: float = 0.01) -> AdamState:
+    """Fresh zero-moment state for ``flat``, the packed parameter vector
+    (``adam_update`` takes it as a one-element list)."""
+    shape = flat.shape
     return AdamState(
         m=np.zeros(shape), v=np.zeros(shape), scratch=np.empty((2, *shape)),
         lr=lr, lr_decay=lr_decay,
     )
+
+
+def check_rate(lr: float, lr_decay: float) -> None:
+    """Reject a rate schedule other than a finite lr > 0 and a finite
+    lr_decay >= 0, naming the field."""
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr={lr} must be " + ("finite" if lr > 0 else "> 0"))
+    if not 0 <= lr_decay < np.inf:
+        raise ValueError(f"lr_decay={lr_decay} must be " + ("finite" if lr_decay > 0 else ">= 0"))
 
 
 def adam_update(arrays, grads, s: AdamState) -> None:

@@ -240,9 +240,10 @@ class HamiltonianParams:
     def validate(self) -> np.ndarray:
         """The controls as a float array, checked in place.
 
-        Rejects controls whose last axis is not 3, naming their shape, and
+        Rejects controls whose last axis is not 3, naming their shape,
         non-finite or out-of-bounds controls, naming the control and, for a
-        batch, the step (row).
+        batch, the step (row), and negative or non-finite ``u`` and ``ez``
+        entries, naming the entry.
         """
         controls = np.asarray(self.controls, dtype=float)
         if controls.shape[-1:] != (3,):
@@ -262,8 +263,8 @@ class HamiltonianParams:
             raise ValueError(f"{step}{CONTROL_NAMES[k]}={value} {problem}")
         for name, values in (("u", self.u), ("ez", self.ez)):
             for i, v in enumerate(values):
-                if not v >= 0:
-                    raise ValueError(f"{name}[{i}]={v} must be >= 0")
+                if not 0 <= v < np.inf:
+                    raise ValueError(f"{name}[{i}]={v} must be " + ("finite" if v > 0 else ">= 0"))
         return controls
 
 
@@ -360,19 +361,17 @@ def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
-def accumulate(u_step: np.ndarray, u_acc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:
     """Left-multiply the newest step onto the accumulated unitary, slot by
-    slot for (..., k, 4, 4) slot stacks.
+    slot for (..., k, 4, 4) slot stacks: a fresh ``u_step @ u_acc``.
 
-    With ``out`` the product is written there, as in ``np.matmul``, and
-    ``out`` is returned; its bits equal those of ``u_step @ u_acc``.  The
-    environment's step calls this; ``env.replay_schedule`` multiplies
+    The environment's step calls this; ``env.replay_schedule`` multiplies
     directly with ``np.matmul``, the same product, to spare the per-row
     call.
     """
     if u_step.shape != u_acc.shape:
         raise ValueError(f"shape mismatch: {u_step.shape} vs {u_acc.shape}")
-    return np.matmul(u_step, u_acc, out=out)
+    return np.matmul(u_step, u_acc)
 
 
 def project_to_computational(u: np.ndarray) -> np.ndarray:

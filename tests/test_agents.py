@@ -371,6 +371,14 @@ class TestTrainPpo:
             )
         assert streams[0] == streams[1]
 
+    def test_trains_in_a_box_whose_endpoint_rounds_past_it(self):
+        # -641.88 + (750 - -641.88) rounds to 750.0000000000001, so an action
+        # component of 1 or more once mapped eps0 outside the box.
+        env_config = EnvConfig(eps_bounds=(-641.88, 750.0))
+        cfg = PpoConfig(horizon=40, n_envs=2, iterations_max=1, epochs_per_iter=1)
+        result = train_ppo(lambda: GateEnv(env_config), cfg, seed=7)
+        assert len(result.stats) == 1
+
     def test_early_stop_on_target(self):
         cfg = PpoConfig(horizon=100, n_envs=2, iterations_max=50)
         result = train_ppo(lambda: GateEnv(), cfg, seed=1)
@@ -448,6 +456,10 @@ def numbered(*rows):
     (30, TdConfig(episodes_max=0), "episodes_max=0"),
     (31, PpoConfig(horizon=0), "horizon=0"),
     (32, PpoConfig(n_envs=-2), "n_envs=-2"),
+    (33, TdConfig(lr=float("inf")), "lr=inf must be finite"),
+    (34, TdConfig(lr_decay=float("inf")), "lr_decay=inf must be finite"),
+    (35, PpoConfig(lr=float("inf")), "lr=inf must be finite"),
+    (36, PpoConfig(lr_decay=float("inf")), "lr_decay=inf must be finite"),
 ))
 def test_validate_rejects_settings_that_break_learning(cfg, match):
     with pytest.raises(ValueError, match=rf"^{match}\b"):

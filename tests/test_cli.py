@@ -2,14 +2,16 @@
 
 import dataclasses
 import json
+import math
 import re
+import typing
 
 import numpy as np
 import pytest
 import yaml
 
 from dotgate import cli, nn
-from dotgate.agents import train_ppo, train_td
+from dotgate.agents import PpoConfig, TdConfig, train_ppo, train_td
 from dotgate.config import (
     ExperimentConfig,
     canonical_bytes,
@@ -167,6 +169,51 @@ class TestParseConfig:
             {"algorithm": "ppo", "seed": 1, "ppo": {"lambda": 0.9}},
         )
         assert parse_config(path).ppo.lam == 0.9
+
+
+SECTIONS = {"env": EnvConfig, "td": TdConfig, "ppo": PpoConfig}
+
+
+def float_fields():
+    """(section, key, index) of every float field of the env, td and ppo
+    sections, and of every float entry of a tuple field (index None for a
+    scalar field)."""
+    params = []
+    for section, cls in SECTIONS.items():
+        for key, kind in typing.get_type_hints(cls).items():
+            if kind is float:
+                entries = [None]
+            elif typing.get_origin(kind) is tuple:
+                entries = [i for i, k in enumerate(typing.get_args(kind)) if k is float]
+            else:
+                continue
+            params += [
+                pytest.param(section, key, i, id=f"{section}.{key}" + ("" if i is None else f"[{i}]"))
+                for i in entries
+            ]
+    return params
+
+
+# Fields that admit an infinite value by design: a target duration of inf
+# stops PPO on fidelity alone.
+INF_ALLOWED = {("ppo", "target_duration")}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key, index", float_fields())
+def test_non_finite_float_field_rejected_by_name(section, key, index, value):
+    if index is None:
+        entry = value
+    else:
+        entry = list(getattr(SECTIONS[section](), key))
+        entry[index] = value
+    raw = {"algorithm": "ppo", "seed": 0, section: {key: entry}}
+    if value == math.inf and (section, key) in INF_ALLOWED:
+        config_from_dict(raw)
+        return
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(raw)
+    assert re.search(rf"(?<![\w.]){key}\b", str(exc.value)), str(exc.value)
 
 
 class TestTrain:
@@ -346,10 +393,26 @@ class TestReplay:
     def test_sweep_duration_below_one_rejected(self, tmp_path, capsys, n):
         path = tmp_path / "s.csv"
         path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")
-        with pytest.raises(ValueError, match=f"sweep duration {n} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^sweep duration {n} must be >= 1 step$"):
             cli.run_replay(path, EnvConfig(), sweep_duration=n)
         assert cli.main(["replay", str(path), "--sweep-duration", str(n)]) == 1
         assert f"sweep duration {n}" in capsys.readouterr().err
+
+    def test_sweep_duration_counts_steps_of_dt(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n0,170,70,2.5\n")
+        cfg = write_config(
+            tmp_path / "cfg.yaml", {"algorithm": "qlearning", "seed": 0, "env": {"dt": 0.5}}
+        )
+        argv = ["replay", str(path), "--config", cfg, "--sweep-duration", "40", "--trace"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["steps"] == len(out["fidelity_trace"]) == 40
+        best = int(np.argmax(out["fidelity_trace"]))
+        assert out["best_duration_ns"] == (best + 1) * 0.5 <= 20.0
+        with pytest.raises(SystemExit):
+            cli.main(["replay", "--help"])
+        assert "1..N steps of the config's dt" in " ".join(capsys.readouterr().out.split())
 
     def test_steps_out_of_order_named(self, tmp_path, capsys):
         # Read as a 2-step pulse, these rows would replay and plot at 7 and 3 ns.

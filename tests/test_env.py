@@ -8,6 +8,7 @@ import pytest
 
 from dotgate import cli, sim
 from dotgate.env import (
+    _EPISODE_STATE,
     EnvConfig,
     GateEnv,
     PulseSchedule,
@@ -77,6 +78,7 @@ class TestConfig:
         ({"r_boundary": float("inf")}, r"^r_boundary=inf must be finite$"),
         ({"r_success": float("-inf")}, r"^r_success=-inf must be finite$"),
         ({"r_bonus": float("nan")}, r"^r_bonus=nan must be finite$"),
+        ({"u": (845.2, float("inf"))}, r"^u\[1\]=inf must be finite$"),
     ])
     def test_bad_physical_constants(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -131,6 +133,48 @@ class TestBeforeReset:
     def test_unknown_attribute_still_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such"):
             VecGateEnv(EnvConfig(), 1).no_such
+
+
+def row_bytes(value) -> list:
+    """The bytes of each row of an episode-state entry; for a fidelity
+    report, each row's tuple of the bytes of every field."""
+    if isinstance(value, sim.FidelityReport):
+        return list(zip(*(row_bytes(getattr(value, f.name)) for f in dataclasses.fields(value))))
+    return [row.tobytes() for row in value]
+
+
+class TestEpisodeState:
+    """``VecGateEnv._initial`` is the one table of the episode state, and
+    ``reset`` restores it whole or row by row."""
+
+    def test_guard_list_is_the_table(self):
+        assert _EPISODE_STATE == set(VecGateEnv(EnvConfig(), 2)._initial)
+
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    def test_partial_reset_restores_fresh_rows_only(self, obs_mode):
+        n = 3
+        venv = VecGateEnv(EnvConfig(obs_mode=obs_mode, max_steps=12), n)
+        venv.reset()
+        fresh = {name: row_bytes(value) for name, value in venv._initial.items()}
+        rng = np.random.default_rng(41)
+        done = np.zeros(n, dtype=bool)
+        kept = restored = 0
+        for _ in range(40):
+            rows = done | (rng.random(n) < 0.2)  # finished rows and forced resets
+            if rows.any():
+                handed_out = {name: getattr(venv, name) for name in _EPISODE_STATE}
+                before = {name: row_bytes(value) for name, value in handed_out.items()}
+                venv.reset(rows)
+                for name in _EPISODE_STATE:
+                    after = row_bytes(getattr(venv, name))
+                    for i in range(n):
+                        assert after[i] == (fresh[name][i] if rows[i] else before[name][i]), name
+                    assert row_bytes(handed_out[name]) == before[name], name
+                restored += int(rows.sum())
+                kept += int((~rows & (venv.steps > 0)).sum())
+            res = venv.step_continuous(rng.uniform(-1.2, 1.2, (n, 3)))
+            done = res.terminated | res.truncated
+        assert restored >= 10 and kept >= 10
 
 
 def discrete_move(action, delta):
@@ -354,6 +398,17 @@ class TestStepContinuous:
         env.reset()
         with pytest.raises(ValueError, match="3"):
             env.step_continuous((0.0, 0.0))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-641.88, 750.0),  # lo + (hi - lo) rounds to 750.0000000000001
+        (-176.77357991437918, 171.32765656735737),  # ... to 171.3276565673574
+    ])
+    def test_map_rounding_past_the_box_is_clipped(self, lo, hi):
+        env = GateEnv(EnvConfig(eps_bounds=(lo, hi)))
+        env.reset()
+        res = env.step_continuous((1.0, 1.0, 1.0))
+        assert res.info["eps0"] == res.info["eps1"] == hi
+        assert not res.info["boundary_hit"]
 
 
 class TestSchedule:

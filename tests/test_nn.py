@@ -226,7 +226,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = nn.init_mlp(4, 2, seed=50)
         flat = packed(p)
-        s = nn.init_adam([flat])
+        s = nn.init_adam(flat)
         zeros = nn.MlpParameters(
             weights=tuple(np.zeros_like(w) for w in p.weights),
             biases=tuple(np.zeros_like(b) for b in p.biases),
@@ -239,7 +239,7 @@ class TestAdam:
 
     def test_scalar_hand_computation(self):
         theta = np.array([0.0])
-        s = nn.init_adam([theta], lr=0.001, lr_decay=0.0)
+        s = nn.init_adam(theta, lr=0.001, lr_decay=0.0)
         nn.adam_update([theta], [np.array([2.0])], s)
         # m_hat = 2, v_hat = 4 -> step = 0.001 * 2 / (2 + 1e-8)
         assert theta[0] == pytest.approx(-0.001, rel=1e-6)
@@ -250,7 +250,7 @@ class TestAdam:
             p = nn.init_mlp(4, 2, seed=51)
             flat = packed(p)
             p = unpacked(flat, p)
-            s = nn.init_adam([flat])
+            s = nn.init_adam(flat)
             rng = np.random.default_rng(52)
             for _ in range(10):
                 x = rng.normal(size=4)
@@ -264,14 +264,14 @@ class TestAdam:
     def test_descends_quadratic(self):
         rng = np.random.default_rng(53)
         theta = rng.normal(size=10)
-        s = nn.init_adam([theta], lr=0.01, lr_decay=0.0)
+        s = nn.init_adam(theta, lr=0.01, lr_decay=0.0)
         for _ in range(1000):
             nn.adam_update([theta], [2.0 * theta], s)
         assert np.linalg.norm(theta) < 1e-2
 
     def test_lr_decay_shrinks_steps(self):
         theta = np.array([0.0])
-        s = nn.init_adam([theta], lr=0.001, lr_decay=0.5)
+        s = nn.init_adam(theta, lr=0.001, lr_decay=0.5)
         nn.adam_update([theta], [np.array([1.0])], s)
         t1 = theta[0]
         nn.adam_update([theta], [np.array([1.0])], s)
@@ -280,16 +280,16 @@ class TestAdam:
 
     def test_non_finite_gradient_rejected(self):
         theta = np.array([0.0])
-        s = nn.init_adam([theta])
+        s = nn.init_adam(theta)
         with pytest.raises(ValueError, match="non-finite"):
             nn.adam_update([theta], [np.array([np.nan])], s)
         assert theta[0] == 0.0 and s.t == 0
 
     def test_more_than_one_array_rejected(self):
         theta = np.zeros(2)
+        s = nn.init_adam(theta)
         with pytest.raises(ValueError, match="one packed parameter array, got 2"):
-            nn.init_adam([theta, theta])
-        s = nn.init_adam([theta])
+            nn.adam_update([theta, theta], [theta], s)
         with pytest.raises(ValueError, match="one packed gradient array, got 2"):
             nn.adam_update([theta], [theta, theta], s)
 
@@ -336,7 +336,7 @@ class TestPackedAdam:
         t = 0
         lr, lr_decay = 0.003, 0.3
         flat = nn.pack(arrays)
-        s = nn.init_adam([flat], lr=lr, lr_decay=lr_decay)
+        s = nn.init_adam(flat, lr=lr, lr_decay=lr_decay)
         for step in range(60):
             # magnitudes over eight decades, and about a quarter exact zeros
             grads = [
@@ -394,7 +394,7 @@ class TestPackedAdam:
         flat = packed(p)
         assert flat.size > 38_000
         grad = np.random.default_rng(65).normal(size=flat.size)
-        s = nn.init_adam([flat])
+        s = nn.init_adam(flat)
         nn.adam_update([flat], [grad], s)
         tracemalloc.start()
         try:
@@ -512,7 +512,7 @@ class TestLiveRows:
         full = nn.pack([*init[0].as_list(), init[1]])
         *arrays, extra = nn.unpack(full, [a.shape for a in [*init[0].as_list(), init[1]]])
         p = nn.MlpParameters.from_list(arrays)
-        s_full = nn.init_adam([full], lr=0.01, lr_decay=0.1)
+        s_full = nn.init_adam(full, lr=0.01, lr_decay=0.1)
         trainable = nn.LiveRows(init, live, 0.01, 0.1)
         p_live, extra_live = trainable.parts
         for step in range(30):

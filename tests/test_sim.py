@@ -201,16 +201,6 @@ class TestAccumulate:
             sim.accumulate(np.eye(16), np.eye(4))
 
     @pytest.mark.parametrize("shape", [(), (1,), (8,)])
-    def test_out_argument_equals_matmul_bitwise(self, shape):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            a = random_slot_stack(rng, shape, unitary=False)
-            b = random_slot_stack(rng, shape, unitary=False)
-            out = np.empty_like(a)
-            assert sim.accumulate(a, b, out=out) is out
-            assert out.tobytes() == (a @ b).tobytes()
-
-    @pytest.mark.parametrize("shape", [(), (1,), (8,)])
     def test_slot_product_equals_dense_product_bitwise(self, shape):
         rng = np.random.default_rng(36)
         for _ in range(50):
