@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config as cfgmod, nn
+from . import __version__, config as cfgmod, nn, sim
 from .agents import train_ppo, train_td
-from .env import EnvConfig, GateEnv, PulseSchedule, replay_schedule, schedule_params
+from .env import EnvConfig, GateEnv, PulseSchedule, replay_schedule
 
 OUTPUT_DIR_ENV_VAR = "PULSECTL_OUTPUT_DIR"
 
@@ -173,16 +173,18 @@ def export_plots(run_dir) -> list[Path]:
         if not config_path.exists():
             raise FileNotFoundError(f"no config.json under {run_dir}")
         dt = cfgmod.config_from_dict(json.loads(config_path.read_text())).env.dt
-        times = [row[0] * dt for row in schedule.rows]
+        eps0, eps1, tun = np.asarray(schedule).T
+        # tolist: each value prints as the Python float it is, not a numpy repr.
+        times = (np.arange(len(schedule)) * dt).tolist()
         series = (
-            ("tunnel_ghz", [row[3] for row in schedule.rows]),
-            ("detuning_ghz", [row[1] - row[2] for row in schedule.rows]),
-            ("bias0_ghz", [row[1] for row in schedule.rows]),
-            ("bias1_ghz", [row[2] for row in schedule.rows]),
+            ("tunnel_ghz", tun),
+            ("detuning_ghz", eps0 - eps1),
+            ("bias0_ghz", eps0),
+            ("bias1_ghz", eps1),
         )
         for fname, (col, values) in zip(SCHEDULE_PLOT_FILES, series):
             path = run_dir / fname
-            _write_tsv(path, ["time_ns", col], zip(times, values))
+            _write_tsv(path, ["time_ns", col], zip(times, values.tolist()))
             written.append(path)
     else:
         for fname in SCHEDULE_PLOT_FILES:
@@ -204,11 +206,11 @@ def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None 
     schedule = PulseSchedule.from_csv(schedule_path)
     if sweep_duration is not None:
         # replay_schedule validates what it replays; a sweep drops all but row 0.
-        schedule_params(schedule, env_config).validate()
-        if not schedule.rows:
+        params = sim.HamiltonianParams(np.asarray(schedule), env_config.u, env_config.ez)
+        controls = params.validate()
+        if not len(controls):
             raise ValueError("sweep needs at least one schedule row for the controls")
-        _, e0, e1, tun = schedule.rows[0]
-        schedule = PulseSchedule(rows=[(k, e0, e1, tun) for k in range(sweep_duration)])
+        schedule = np.repeat(controls[:1], sweep_duration, axis=0)
 
     report, trace = replay_schedule(schedule, env_config)
     out = {
@@ -219,7 +221,7 @@ def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None 
         "fidelity_trace": trace,
     }
     if sweep_duration is not None and trace:
-        best = int(np.argmax(trace))
+        best = trace.index(max(trace))  # the first maximum, as np.argmax
         out["best_duration_ns"] = (best + 1) * env_config.dt
         out["best_fidelity"] = trace[best]
     return out

@@ -18,7 +18,8 @@ implementation of the transition: both action interfaces with the
 discrete step size, propagation, gate pipeline, reward, termination and
 observation, all batch-first.  ``GateEnv`` is its one-row case, and
 ``replay_schedule`` runs the same gate pipeline over all steps of a
-schedule at once.
+schedule at once, read as one (T, 3) control array (a ``PulseSchedule``
+converts by ``np.asarray``).
 
 Each path propagates only the sector slots its output reads: the gate's
 slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
@@ -148,6 +149,16 @@ class PulseSchedule:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The (T, 3) controls as a fresh array; a row without the four fields
+        (step, eps0, eps1, tunnel) raises ValueError naming its index."""
+        rows = self.rows
+        if set(map(len, rows)) - {4}:
+            t = next(t for t, row in enumerate(rows) if len(row) != 4)
+            raise ValueError(f"schedule row {t} has {len(rows[t])} fields, expected 4: {rows[t]!r}")
+        values = np.fromiter(itertools.chain.from_iterable(rows), float, count=4 * len(rows))
+        return values.reshape(-1, 4)[:, 1:].astype(dtype, copy=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -291,12 +302,13 @@ class VecGateEnv:
     @functools.cached_property
     def _initial(self) -> dict:
         """The episode state of fresh episodes in every row, by attribute
-        name: the one table of what an episode starts from.  Its arrays are
-        never modified, only replaced, whole or row by row."""
+        name: the one table of what an episode starts from.  Its arrays, the
+        report's fields too, are read-only: ``reset`` hands them out, and
+        they are only ever replaced, whole or row by row."""
         cfg, n = self.config, self.n_envs
         u_acc = np.tile(self.slots.identity, (n, 1, 1, 1))
         u_gate, _, report = _gate(u_acc)
-        return {
+        table = {
             "controls": np.tile([*cfg.eps_init, cfg.tun_init], (n, 1)),
             "u_acc": u_acc,
             "report": report,
@@ -306,13 +318,17 @@ class VecGateEnv:
             "returns": np.zeros(n),
             "_done": np.zeros(n, dtype=bool),
         }
+        for value in (*table.values(), *vars(report).values()):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return table
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Start new episodes in ``rows``, a boolean mask (default: all rows).
 
         Each entry of ``_initial`` is assigned whole, or put into the chosen
         rows of a copy of the current value.  Returns the observations of all
-        rows.  Arrays handed out earlier are not modified.
+        rows (read-only after a full reset); arrays handed out earlier stay.
         """
         for name, fresh in self._initial.items():
             setattr(self, name, fresh if rows is None else _put(rows, fresh, getattr(self, name)))
@@ -484,39 +500,21 @@ class GateEnv:
         return self._batch.export_schedule(0)
 
 
-def schedule_params(schedule: PulseSchedule, config: EnvConfig) -> sim.HamiltonianParams:
-    """Batched Hamiltonian parameters of every schedule row, unvalidated.
-
-    Every row must have the four fields (step, eps0, eps1, tunnel); a row
-    that has not raises ValueError naming its index.  Validation
-    (``.validate()`` or ``sim.build_hamiltonian``) names a bad control by its
-    row as ``step t``, counting rows from 0 as the step column of an exported
-    schedule does.
-    """
-    rows = schedule.rows
-    if set(map(len, rows)) - {4}:
-        t = next(t for t, row in enumerate(rows) if len(row) != 4)
-        raise ValueError(
-            f"schedule row {t} has {len(rows[t])} fields, expected 4: {rows[t]!r}"
-        )
-    values = np.fromiter(itertools.chain.from_iterable(rows), float, count=4 * len(rows))
-    return sim.HamiltonianParams(values.reshape(-1, 4)[:, 1:], config.u, config.ez)
-
-
 def replay_schedule(
-    schedule: PulseSchedule, config: EnvConfig = EnvConfig()
+    schedule, config: EnvConfig = EnvConfig()
 ) -> tuple[sim.FidelityReport, list[float]]:
-    """Re-evolve a stored schedule through the simulator alone.
+    """Re-evolve stored controls through the simulator alone.
 
-    Every row is validated first: out of bounds or non-finite controls raise
-    ValueError naming the step.  Only the gate is read, so only its slots
-    (``sim.GATE_SLOTS``) are propagated, whatever the observation mode.  A
-    piecewise-constant pulse repeats its step propagator, so consecutive
-    rows with bit-identical controls form a run, and one batched
-    Hamiltonian build and one batched ``sim.step_unitaries`` call cover the
-    first row of each run: a constant sweep costs one build and one
-    ``eigh``.  The steps are accumulated in order into one stack by bare
-    ``np.matmul`` calls on views made once, the same product as
+    ``schedule`` is anything ``np.asarray`` turns into (T, 3) controls, such
+    as a ``PulseSchedule``.  Every row is validated first: out of bounds or
+    non-finite controls raise ValueError naming the step.  Only the gate is
+    read, so only its slots (``sim.GATE_SLOTS``) are propagated, whatever the
+    observation mode.  A piecewise-constant pulse repeats its step
+    propagator, so consecutive rows with bit-identical controls form a run,
+    and one batched Hamiltonian build and one batched ``sim.step_unitaries``
+    call cover the first row of each run: a constant sweep costs one build
+    and one ``eigh``.  The steps are accumulated in order into one stack by
+    bare ``np.matmul`` calls on views made once, the same product as
     ``sim.accumulate`` without its per-call shape check (both stacks carry
     the gate's slots by construction), and the gate pipeline runs once over
     all accumulated unitaries.  Every slot of these calls equals the
@@ -524,7 +522,7 @@ def replay_schedule(
     episode bitwise.  Returns the final report and the per-step fidelity
     trace.
     """
-    controls = schedule_params(schedule, config).validate()
+    controls = sim.HamiltonianParams(np.asarray(schedule), config.u, config.ez).validate()
     # Compare bits, not values, so that -0.0 and 0.0 start different runs.
     bits = controls.view(np.int64)
     starts = np.ones(len(controls), dtype=bool)

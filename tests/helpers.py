@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dotgate import nn, sim
-from dotgate.env import EnvConfig, schedule_params
+from dotgate.env import EnvConfig
 
 
 def occupation_energy(state: int, eps, u, ez) -> float:
@@ -120,7 +120,8 @@ def dense_unitary(schedule, config: EnvConfig = EnvConfig()) -> np.ndarray:
     """The dense 16x16 unitary of a schedule, propagated through all four
     slots and accumulated one step at a time, as a full16 episode is."""
     u_steps = sim.step_unitaries(
-        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+        sim.build_hamiltonian(sim.HamiltonianParams(np.asarray(schedule), config.u, config.ez)),
+        config.dt,
     )
     u = sim.ALL_SLOTS.identity
     for u_step in u_steps:

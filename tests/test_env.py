@@ -2,9 +2,12 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotgate import cli, sim
 from dotgate.env import (
@@ -16,7 +19,6 @@ from dotgate.env import (
     compute_reward,
     improves,
     replay_schedule,
-    schedule_params,
 )
 from helpers import dense, random_slot_stack
 
@@ -175,6 +177,28 @@ class TestEpisodeState:
             res = venv.step_continuous(rng.uniform(-1.2, 1.2, (n, 3)))
             done = res.terminated | res.truncated
         assert restored >= 10 and kept >= 10
+
+    def test_handed_out_state_is_read_only(self):
+        env = GateEnv()
+        obs = env.reset()
+        fresh = obs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            obs[-1] = 7.0
+        assert env.reset().tobytes() == fresh
+
+        venv = VecGateEnv(EnvConfig(), 2)
+        venv.reset()
+        fresh = {name: row_bytes(value) for name, value in venv._initial.items()}
+        with pytest.raises(ValueError, match="read-only"):
+            venv.controls[0, 0] = -999
+        report = venv._initial["report"]
+        entries = [v for v in venv._initial.values() if v is not report]
+        for array in entries + [getattr(report, f.name) for f in dataclasses.fields(report)]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        venv.reset()
+        assert {name: row_bytes(getattr(venv, name)) for name in _EPISODE_STATE} == fresh
 
 
 def discrete_move(action, delta):
@@ -552,7 +576,8 @@ class TestReplay:
 def replay_per_row(schedule, config=EnvConfig()):
     """Reference replay: one propagator per schedule row, accumulated by @."""
     u_steps = sim.step_unitaries(
-        sim.build_hamiltonian(schedule_params(schedule, config)), config.dt
+        sim.build_hamiltonian(sim.HamiltonianParams(np.asarray(schedule), config.u, config.ez)),
+        config.dt,
     )
     u_acc = np.empty((len(u_steps) + 1, *sim.ALL_SLOTS.shape), dtype=complex)
     u_acc[0] = sim.ALL_SLOTS.identity
@@ -638,6 +663,91 @@ class TestReplayRuns:
         schedule = schedule_of([(170.0, 70.0, 2.5)] * 3 + [(170.0, 70.0, np.nan)] * 4)
         with pytest.raises(ValueError, match=r"step 3: tunnel=nan is not finite"):
             replay_schedule(schedule)
+
+
+def replay_bytes(schedule, config=EnvConfig()) -> tuple[bytes, bytes]:
+    """The bytes of a replay's report fields and of its trace."""
+    report, trace = replay_schedule(schedule, config)
+    assert type(trace) is list
+    return np.array(dataclasses.astuple(report)).tobytes(), np.array(trace).tobytes()
+
+
+# Controls that runs are drawn from: tunnel 0.0 and -0.0, and eps0 -0.0 and
+# 0.0, differ only by the sign of a zero.
+RUN_CONTROLS = [(170.0, 70.0, 0.0), (170.0, 70.0, -0.0), (-0.0, 0.0, 2.5), (0.0, 0.0, 2.5),
+                (-750.0, -300.0, 5.0), (170.0, 70.0, 2.5)]
+
+
+@st.composite
+def run_structured_controls(draw):
+    """0-64 control rows in runs of 1-12 equal rows, each run one of
+    ``RUN_CONTROLS`` or a random in-bounds row."""
+    control = st.one_of(
+        st.sampled_from(RUN_CONTROLS),
+        st.tuples(st.floats(-750.0, 750.0), st.floats(-750.0, 750.0), st.floats(0.0, 5.0)),
+    )
+    runs = draw(st.lists(st.tuples(control, st.integers(1, 12)), max_size=16))
+    return [c for c, n in runs for _ in range(n)][:64]
+
+
+class TestReplayInputs:
+    """A ``PulseSchedule`` and its (T, 3) array replay alike, and a sweep
+    replays as the explicit constant schedule it stands for."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(run_structured_controls())
+    def test_schedule_and_its_array_agree_bytewise(self, controls):
+        schedule = schedule_of(controls)
+        array = np.asarray(schedule)
+        assert array.shape == (len(controls), 3)
+        assert array.tobytes() == np.array(controls, dtype=float).reshape(-1, 3).tobytes()
+        assert replay_bytes(array) == replay_bytes(schedule)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60, 200])
+    @pytest.mark.parametrize("row", [(170.0, 70.0, 2.5), (-750.0, -300.0, 5.0), (-0.0, 0.0, 0.0)])
+    def test_sweep_equals_explicit_constant_schedule(self, tmp_path, n, row):
+        path = tmp_path / "pulse.csv"
+        schedule_of([row, (170.0, 70.0, 2.5)]).to_csv(path)
+        out = cli.run_replay(path, EnvConfig(), sweep_duration=n)
+        report, trace = replay_bytes(schedule_of([row] * n))
+        fields = (out["final_fidelity"], out["unitarity_trace"], out["overlap"])
+        assert np.array(fields).tobytes() == report
+        assert np.array(out["fidelity_trace"]).tobytes() == trace
+        best = int(np.argmax(out["fidelity_trace"]))
+        assert out["best_duration_ns"] == best + 1
+        assert out["best_fidelity"] == out["fidelity_trace"][best]
+
+
+class TestScheduleRowChecks:
+    """The row checks hold on every path into replay: a row's field count in
+    ``PulseSchedule.__array__``, its controls by step in validation."""
+
+    @pytest.mark.parametrize("bad", [(2, 170.0, 70.0), (2, 170.0, 70.0, 2.5, 1.0)])
+    def test_ragged_row_named_by_every_reader(self, tmp_path, monkeypatch, bad):
+        schedule = PulseSchedule(rows=[(0, 170.0, 70.0, 2.5), (1, 170.0, 70.0, 2.5), bad])
+        message = rf"^schedule row 2 has {len(bad)} fields, expected 4: {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            np.asarray(schedule)
+        with pytest.raises(ValueError, match=message):
+            replay_schedule(schedule)
+        # from_csv rejects such a line itself, so run_replay is handed the rows.
+        monkeypatch.setattr(PulseSchedule, "from_csv", classmethod(lambda cls, path: schedule))
+        for sweep_duration in (None, 30):
+            with pytest.raises(ValueError, match=message):
+                cli.run_replay(tmp_path / "pulse.csv", EnvConfig(), sweep_duration)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,170,70,2.5\n1,170,70,5.5\n", r"^step 1: tunnel=5.5 outside \(0.0, 5.0\) GHz$"),
+        ("0,170,70,2.5\n1,-800,70,2.5\n", r"^step 1: eps0=-800.0 outside "),
+        ("0,170,nan,2.5\n", r"^step 0: eps1=nan is not finite$"),
+        ("0,170,70,2.5\n1,170,70,2.5\n2,170,70,-inf\n", r"^step 2: tunnel=-inf is not finite$"),
+    ])
+    def test_bad_sweep_row_named_by_step(self, tmp_path, rows, message):
+        path = tmp_path / "pulse.csv"
+        path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n" + rows)
+        for sweep_duration in (None, 1, 30):
+            with pytest.raises(ValueError, match=message):
+                cli.run_replay(path, EnvConfig(), sweep_duration)
 
 
 class TestVecGateEnv:
