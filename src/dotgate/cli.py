@@ -41,64 +41,49 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _json_line(record: dict) -> str:
+# The metrics.jsonl keys of the stats fields whose key is not their name.
+_METRIC_KEYS = {
+    "episode_return": "return", "mean_return": "return",
+    "mean_final_fidelity": "final_fidelity",
+    "gate_duration": "gate_duration_ns", "best_duration": "gate_duration_ns",
+}
+
+
+def _metrics_line(stats, seed: int) -> str:
+    """One metrics.jsonl line: every field of a TD ``EpisodeStats`` or PPO
+    ``IterationStats`` except the wall-clock ``wall_ms``, keyed by
+    ``_METRIC_KEYS``, plus the run's seed, as sorted-key JSON."""
+    record = {_METRIC_KEYS.get(k, k): v for k, v in dataclasses.asdict(stats).items()}
+    del record["wall_ms"]
+    record["seed"] = seed
     return json.dumps(record, sort_keys=True) + "\n"
 
 
 def run_train(cfg: cfgmod.ExperimentConfig) -> dict:
-    """Execute the configured algorithm and write all run artifacts."""
+    """Execute the configured algorithm and write all run artifacts.
+
+    ``metrics.jsonl`` holds one ``_metrics_line`` per episode (TD) or
+    iteration (PPO), so a field added to the stats reaches it by itself."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _now()
     config_bytes = cfgmod.canonical_bytes(cfg)
     (out / "config.json").write_bytes(config_bytes)
 
-    metrics_path = out / "metrics.jsonl"
-    records = []
-
     if cfg.algorithm in ("qlearning", "sarsa"):
-        env = GateEnv(cfg.env)
-        result = train_td(env, cfg.algorithm, cfg.td, seed=cfg.seed)
-        for s in result.stats:
-            records.append(
-                {
-                    "seed": cfg.seed,
-                    "episode": s.episode,
-                    "steps": s.steps,
-                    "return": s.episode_return,
-                    "final_fidelity": s.final_fidelity,
-                    "gate_duration_ns": s.gate_duration,
-                    "epsilon": s.epsilon,
-                }
-            )
+        result = train_td(GateEnv(cfg.env), cfg.algorithm, cfg.td, seed=cfg.seed)
         nn.save_checkpoint(out / "checkpoint.npz", {"q": result.params})
     else:
-        env_cfg = cfg.env
-        result = train_ppo(lambda: GateEnv(env_cfg), cfg.ppo, seed=cfg.seed)
-        for s in result.stats:
-            records.append(
-                {
-                    "seed": cfg.seed,
-                    "iteration": s.iteration,
-                    "episodes": s.episodes,
-                    "return": s.mean_return,
-                    "final_fidelity": s.mean_final_fidelity,
-                    "best_fidelity": s.best_fidelity,
-                    "gate_duration_ns": s.best_duration,
-                    "policy_loss": s.policy_loss,
-                    "value_loss": s.value_loss,
-                    "entropy": s.entropy,
-                }
-            )
+        result = train_ppo(lambda: GateEnv(cfg.env), cfg.ppo, seed=cfg.seed)
         nn.save_checkpoint(
             out / "checkpoint.npz",
             {"policy": result.policy, "value": result.value},
             extras={"log_std": result.log_std},
         )
 
-    with open(metrics_path, "w") as fh:
-        for record in records:
-            fh.write(_json_line(record))
+    with open(out / "metrics.jsonl", "w") as fh:
+        for stats in result.stats:
+            fh.write(_metrics_line(stats, cfg.seed))
 
     # A reused directory may hold an earlier run's schedule; this run's
     # plots must not be derived from it.

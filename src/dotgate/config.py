@@ -130,6 +130,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if key not in ("u", "ez", "eps_init", "tun_init", "eps_bounds", "tun_bounds"):
             raise ValueError(f"unknown key physics.{key}")
         _check_type(_field_types(EnvConfig)[key], physics[key], f"physics.{key}")
+        if key in env_section:
+            raise ValueError(f"physics.{key} and env.{key} both set")
         env_section[key] = physics[key]
 
     cfg = ExperimentConfig(

@@ -24,7 +24,9 @@ converts by ``np.asarray``).
 Each path propagates only the sector slots its output reads: the gate's
 slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
 four (``sim.ALL_SLOTS``) for full16, whose observation is the dense 16x16
-unitary, read from the four-slot stack by one fixed gather.  Every slot
+unitary, read from the four-slot stack by one fixed gather.
+``EnvConfig.live_features`` is the one list of the observation features
+that can be nonzero; the others are set to exact zeros.  Every slot
 gets the same bits either way, so replay matches an episode of either
 observation mode bit for bit.  Controls are (..., 3) arrays in
 ``sim.CONTROL_NAMES`` order throughout, handed to ``sim.HamiltonianParams``
@@ -34,7 +36,6 @@ as they are.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -125,8 +126,12 @@ class EnvConfig:
         13 of 33 for computational4, 73 of 513 for full16.
         """
         entries = sim.COMP_ENTRIES if self.obs_mode == "computational4" else sim.DENSE_ENTRIES
-        pairs = np.stack([2 * entries, 2 * entries + 1], axis=-1).ravel()
-        return np.append(pairs, self.obs_dim - 1)
+        return np.append(_pairs(entries), self.obs_dim - 1)
+
+
+def _pairs(entries: np.ndarray) -> np.ndarray:
+    """The float indices (2k, 2k + 1) of each complex entry k's (re, im)."""
+    return np.stack([2 * entries, 2 * entries + 1], axis=-1).ravel()
 
 
 @dataclass
@@ -242,26 +247,10 @@ def _put(rows: np.ndarray, new, old):
     return out
 
 
-def _full16_tables():
-    """Where each entry of a full16 observation sits among the floats of a
-    (4, 4, 4) complex stack of all slots, and which entries are exact zeros.
-
-    The observation is the (re, im) pairs of the dense 16x16 unitary, then
-    the fidelity.  A zero entry (between two sectors) and the fidelity read
-    position 0; the caller overwrites them.
-    """
-    positions = sim.DENSE_POSITIONS.ravel()  # -1: between two sectors
-    pairs = np.stack([2 * positions, 2 * positions + 1], axis=-1).ravel()
-    source = np.append(np.maximum(pairs, 0), 0)
-    zero = np.append(pairs < 0, False)
-    return source, zero
-
-
-_FULL16_SOURCE, _FULL16_ZERO = _full16_tables()
-
-# The keys of VecGateEnv._initial, which its first reset creates; named here
-# so that reading one before that reset fails without computing the table.
-_EPISODE_STATE = frozenset("controls u_acc report observation steps delta returns _done".split())
+# Where each feature of a full16 observation, the (re, im) pairs of the dense
+# 16x16 unitary and then the fidelity, sits among the floats of a (4, 4, 4)
+# stack of all slots; the dead features and the fidelity read position 0.
+_FULL16_SOURCE = np.append(np.maximum(_pairs(sim.DENSE_POSITIONS.ravel()), 0), 0)
 
 
 class VecGateEnv:
@@ -270,14 +259,17 @@ class VecGateEnv:
     Each row holds its own episode state, the entries of ``_initial``:
     controls, accumulated unitary, step counter, discrete step size
     ``delta``, running return ``returns`` (which ``info["return"]``
-    reports), ...  The unitaries carry only the slots ``slots`` that the
-    observation and the gate read.  A step runs one Hamiltonian build, one
-    propagator call, one stacked accumulate and one gate pipeline over all
-    rows.  A row's numbers do not depend on the other rows, so every row
-    equals a ``GateEnv`` episode driven by the same actions, bit for bit.
-    The episode state exists from the first ``reset``; before it, reading it
-    or stepping raises RuntimeError.  A finished row must be reset, with
-    ``reset(rows)``, before the next step.
+    reports), ...  ``_initial``, built with the env, holds every entry's
+    fresh value, and its keys are the one list of the episode state.  The
+    unitaries carry only the slots ``slots`` that the observation and the
+    gate read, and the observation features outside
+    ``config.live_features`` are exact zeros.  A step runs one Hamiltonian
+    build, one propagator call, one stacked accumulate and one gate pipeline
+    over all rows.  A row's numbers do not depend on the other rows, so
+    every row equals a ``GateEnv`` episode driven by the same actions, bit
+    for bit.  The episode state exists from the first ``reset``; before it,
+    reading an entry or stepping raises RuntimeError.  A finished row must
+    be reset, with ``reset(rows)``, before the next step.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -292,36 +284,33 @@ class VecGateEnv:
         )
         self._rows = np.arange(n_envs)
         self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
-
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: before the first reset.
-        if name in _EPISODE_STATE:
-            raise RuntimeError("environment not reset")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @functools.cached_property
-    def _initial(self) -> dict:
-        """The episode state of fresh episodes in every row, by attribute
-        name: the one table of what an episode starts from.  Its arrays, the
-        report's fields too, are read-only: ``reset`` hands them out, and
-        they are only ever replaced, whole or row by row."""
-        cfg, n = self.config, self.n_envs
-        u_acc = np.tile(self.slots.identity, (n, 1, 1, 1))
+        self._dead = ~np.isin(np.arange(config.obs_dim), config.live_features)
+        # The episode state of fresh episodes in every row, by attribute name:
+        # the one table of what an episode starts from.  Its arrays, the
+        # report's fields too, are read-only: reset hands them out, and they
+        # are only ever replaced, whole or row by row.
+        u_acc = np.tile(self.slots.identity, (n_envs, 1, 1, 1))
         u_gate, _, report = _gate(u_acc)
-        table = {
-            "controls": np.tile([*cfg.eps_init, cfg.tun_init], (n, 1)),
+        self._initial = {
+            "controls": np.tile([*config.eps_init, config.tun_init], (n_envs, 1)),
             "u_acc": u_acc,
             "report": report,
             "observation": self._observations(u_gate, u_acc, report),
-            "steps": np.zeros(n, dtype=int),
-            "delta": np.full(n, cfg.step_sizes[0]),
-            "returns": np.zeros(n),
-            "_done": np.zeros(n, dtype=bool),
+            "steps": np.zeros(n_envs, dtype=int),
+            "delta": np.full(n_envs, config.step_sizes[0]),
+            "returns": np.zeros(n_envs),
+            "_done": np.zeros(n_envs, dtype=bool),
         }
-        for value in (*table.values(), *vars(report).values()):
+        for value in (*self._initial.values(), *vars(report).values()):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        return table
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: for an entry of the episode
+        # state, before the first reset.
+        if name in self.__dict__.get("_initial", ()):
+            raise RuntimeError("environment not reset")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Start new episodes in ``rows``, a boolean mask (default: all rows).
@@ -341,9 +330,9 @@ class VecGateEnv:
             flat = u_gate.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
             return np.concatenate([flat, report.fidelity[:, None]], axis=1)
         # One fixed gather from the slot stack's floats, then exact +0.0 in
-        # the entries between two sectors and the fidelity in the last column.
+        # the dead features and the fidelity in the last column.
         obs = u_acc.reshape(self.n_envs, -1).view(float).take(_FULL16_SOURCE, axis=1)
-        np.copyto(obs, 0.0, where=_FULL16_ZERO)
+        np.copyto(obs, 0.0, where=self._dead)
         obs[:, -1] = report.fidelity
         return obs
 
@@ -491,10 +480,7 @@ class GateEnv:
 
     def step_continuous(self, action) -> StepResult:
         """See ``VecGateEnv.step_continuous``."""
-        action = np.asarray(action, dtype=float)
-        if action.shape != (3,):
-            raise ValueError(f"continuous action must have 3 components, got {action.shape}")
-        return self._row(self._batch.step_continuous(action[None]))
+        return self._row(self._batch.step_continuous([action]))
 
     def export_schedule(self) -> PulseSchedule:
         return self._batch.export_schedule(0)
@@ -506,8 +492,9 @@ def replay_schedule(
     """Re-evolve stored controls through the simulator alone.
 
     ``schedule`` is anything ``np.asarray`` turns into (T, 3) controls, such
-    as a ``PulseSchedule``.  Every row is validated first: out of bounds or
-    non-finite controls raise ValueError naming the step.  Only the gate is
+    as a ``PulseSchedule``; controls of any other shape raise ValueError
+    naming it.  Every row is validated first: out of bounds or non-finite
+    controls raise ValueError naming the step.  Only the gate is
     read, so only its slots (``sim.GATE_SLOTS``) are propagated, whatever the
     observation mode.  A piecewise-constant pulse repeats its step
     propagator, so consecutive rows with bit-identical controls form a run,
@@ -522,7 +509,10 @@ def replay_schedule(
     episode bitwise.  Returns the final report and the per-step fidelity
     trace.
     """
-    controls = sim.HamiltonianParams(np.asarray(schedule), config.u, config.ez).validate()
+    controls = np.asarray(schedule)
+    if controls.ndim != 2:
+        raise ValueError(f"schedule controls must have shape (T, 3), got {controls.shape}")
+    controls = sim.HamiltonianParams(controls, config.u, config.ez).validate()
     # Compare bits, not values, so that -0.0 and 0.0 start different runs.
     bits = controls.view(np.int64)
     starts = np.ones(len(controls), dtype=bool)

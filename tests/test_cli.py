@@ -1,6 +1,7 @@
 """Config parsing, the pulsectl subcommands, and run artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -158,6 +159,15 @@ class TestParseConfig:
         )
         assert parse_config(path).env.u == (800.0, 800.0)
 
+    def test_key_set_in_physics_and_env_named(self, tmp_path):
+        raw = {"algorithm": "ppo", "seed": 1,
+               "env": {"u": [800.0, 800.0], "dt": 0.5}, "physics": {"ez": [18.0, 19.0]}}
+        env = parse_config(write_config(tmp_path / "c.yaml", raw)).env
+        assert (env.u, env.dt, env.ez) == ((800.0, 800.0), 0.5, (18.0, 19.0))
+        raw["physics"]["u"] = [845.2, 845.2]
+        with pytest.raises(ValueError, match=r"^physics\.u and env\.u both set$"):
+            parse_config(write_config(tmp_path / "c.yaml", raw))
+
     def test_bad_algorithm(self, tmp_path):
         path = write_config(tmp_path / "c.yaml", {"algorithm": "cmaes", "seed": 1})
         with pytest.raises(ValueError, match="algorithm"):
@@ -246,6 +256,27 @@ class TestTrain:
             assert cli.main(["train", path]) == 0
             outs.append((tmp_path / name / "metrics.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.witness
+    @pytest.mark.parametrize("raw, digest", [
+        ({"algorithm": "qlearning", "seed": 7,
+          "td": {"episodes_max": 12, "target_mean_fidelity": 1.0}},
+         "4873a937bfaacb61b2382a6103cd21b1ea08ed6bac8c1a87645f0563b0907579"),
+        ({"algorithm": "sarsa", "seed": 8, "env": {"obs_mode": "full16"},
+          "td": {"episodes_max": 6, "target_mean_fidelity": 1.0}},
+         "5abf7fc671c76e2dd266dad375d6816e4f3878527f3226061b51310ebe92636c"),
+        ({"algorithm": "ppo", "seed": 9,
+          "ppo": {"iterations_max": 2, "n_envs": 3, "horizon": 30, "stop_on_target": False}},
+         "812f6412753fa63a586ec9bb8c140c9c52d95ae40a5df281242b41249b39556f"),
+    ], ids=["qlearning", "sarsa_full16", "ppo"])
+    def test_metrics_bytes_pinned(self, tmp_path, raw, digest):
+        # sha256 of metrics.jsonl, recorded while each record's keys were
+        # still listed by hand; a change to a record's keys or values, or to
+        # the numbers of training, changes it.  The bytes depend on the numpy
+        # and BLAS build.
+        cli.run_train(config_from_dict({**raw, "output_dir": str(tmp_path)}))
+        metrics = (tmp_path / "metrics.jsonl").read_bytes()
+        assert hashlib.sha256(metrics).hexdigest() == digest
 
     def test_rerun_without_best_schedule_leaves_none_behind(self, tmp_path):
         run = tmp_path / "run"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dotgate import cli, sim
 from dotgate.env import (
-    _EPISODE_STATE,
     EnvConfig,
     GateEnv,
     PulseSchedule,
@@ -149,8 +148,15 @@ class TestEpisodeState:
     """``VecGateEnv._initial`` is the one table of the episode state, and
     ``reset`` restores it whole or row by row."""
 
-    def test_guard_list_is_the_table(self):
-        assert _EPISODE_STATE == set(VecGateEnv(EnvConfig(), 2)._initial)
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    def test_state_read_before_reset_named(self, obs_mode):
+        venv = VecGateEnv(EnvConfig(obs_mode=obs_mode), 2)
+        assert len(venv._initial) == 8
+        for name in venv._initial:
+            with pytest.raises(RuntimeError, match="^environment not reset$"):
+                getattr(venv, name)
+        with pytest.raises(AttributeError, match="no attribute 'stepz'"):
+            venv.stepz
 
     @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
     def test_partial_reset_restores_fresh_rows_only(self, obs_mode):
@@ -164,10 +170,10 @@ class TestEpisodeState:
         for _ in range(40):
             rows = done | (rng.random(n) < 0.2)  # finished rows and forced resets
             if rows.any():
-                handed_out = {name: getattr(venv, name) for name in _EPISODE_STATE}
+                handed_out = {name: getattr(venv, name) for name in venv._initial}
                 before = {name: row_bytes(value) for name, value in handed_out.items()}
                 venv.reset(rows)
-                for name in _EPISODE_STATE:
+                for name in venv._initial:
                     after = row_bytes(getattr(venv, name))
                     for i in range(n):
                         assert after[i] == (fresh[name][i] if rows[i] else before[name][i]), name
@@ -198,7 +204,7 @@ class TestEpisodeState:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
         venv.reset()
-        assert {name: row_bytes(getattr(venv, name)) for name in _EPISODE_STATE} == fresh
+        assert {name: row_bytes(getattr(venv, name)) for name in venv._initial} == fresh
 
 
 def discrete_move(action, delta):
@@ -748,6 +754,17 @@ class TestScheduleRowChecks:
         for sweep_duration in (None, 1, 30):
             with pytest.raises(ValueError, match=message):
                 cli.run_replay(path, EnvConfig(), sweep_duration)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), r"^schedule controls must have shape \(T, 3\), got \(3,\)$"),
+        ((2, 5, 3), r"^schedule controls must have shape \(T, 3\), got \(2, 5, 3\)$"),
+        ((4, 2), r"^controls must have shape \(\.\.\., 3\) \('eps0', 'eps1', 'tunnel'\), "
+                 r"got \(4, 2\)$"),
+    ])
+    def test_controls_not_t_by_3_named_by_shape(self, shape, message):
+        controls = np.broadcast_to([170.0, 70.0, 2.5][:shape[-1]], shape)
+        with pytest.raises(ValueError, match=message):
+            replay_schedule(controls)
 
 
 class TestVecGateEnv:
