@@ -15,11 +15,10 @@ three control means; the standard deviation is a learned state-
 independent log-std vector.  Updates run several epochs of shuffled
 minibatches on the clipped surrogate plus a value regression term.  The
 policy net, the log-std vector and the value net are built once on one
-packed parameter vector (``nn.LiveRows``, which leaves out the first-layer
-rows of inputs that are always zero), so each minibatch writes its three
-gradients into ``LiveRows.grads``, whose network views carry those rows,
-and takes one ``LiveRows.update``: one in-place Adam step over all three
-followed by a refresh of the two first layers.
+packed parameter vector (``nn.LiveRows``, whose networks keep the
+first-layer rows of the observed features), so each minibatch writes its
+three gradients into ``LiveRows.grads`` and takes one ``LiveRows.update``:
+one in-place Adam step over all three.
 
 Each row draws its action noise from its own seeded generator, and rows
 are pooled in index order, so training is a pure function of (config,
@@ -166,8 +165,7 @@ def ppo_loss(
     advantages, and returns.  Returns (loss components, gradients for
     the policy net, the log-std vector, and the value net).  With ``out``,
     the (policy, log-std, value) ``LiveRows.grads``, the gradients are
-    written there, the networks' first layers in their live rows alone, and
-    returned; otherwise they are fresh full-width arrays.
+    written there and returned; otherwise they are fresh arrays.
     """
     out_policy, out_log_std, out_value = (None, None, None) if out is None else out
     obs = batch["observations"]
@@ -311,12 +309,13 @@ def train_ppo(
     ss = np.random.SeedSequence(seed)
     policy_seed, value_seed, shuffle_seed, *row_seeds = ss.spawn(3 + cfg.n_envs)
     env_config = env_factory().config
-    obs_dim = env_config.obs_dim
+    live = env_config.live_features
+    width = live[-1] + 1  # the fidelity is the dense layout's last feature
     trainable = nn.LiveRows([
-        nn.init_mlp(obs_dim, N_CONTROLS, seed=policy_seed),
+        nn.init_mlp(width, N_CONTROLS, seed=policy_seed),
         np.full(N_CONTROLS, cfg.log_std_init),
-        nn.init_mlp(obs_dim, 1, seed=value_seed),
-    ], env_config.live_features, cfg.lr, cfg.lr_decay)
+        nn.init_mlp(width, 1, seed=value_seed),
+    ], live, cfg.lr, cfg.lr_decay)
     policy, log_std, value_net = trainable.parts
     shuffle_rng = np.random.default_rng(shuffle_seed)
 

@@ -110,10 +110,10 @@ def train_td(
     are derived from the single seed, so the stat stream is reproducible.
     An episode's return is the env's (``info["return"]``), and the best
     episode is kept by ``env.improves``.
-    Only the first-layer rows of the observation's live features are
-    trained (see ``nn.LiveRows``).  Each transition is one online update,
-    one ``LiveRows.update``, so the Q-network is one object for the whole
-    run.
+    The Q-network is drawn at the dense layout's width and keeps the
+    first-layer rows of the observed features (see ``nn.LiveRows``).  Each
+    transition is one online update, one ``LiveRows.update``, so the
+    Q-network is one object for the whole run.
 
     Q(s_t) and Q(s_{t+1}) are read under the same parameters, before the
     transition's update, so one forward of the (2, 1, obs_dim) stack
@@ -121,8 +121,7 @@ def train_td(
     The regression target equals Q(s_t) except at the taken action, so
     the MSE gradient 2 (q - target) / n is zero everywhere else; its
     backward through slice 0, a (1, obs_dim) batch of one row, writes
-    straight into ``LiveRows.grads``, the first layer in its live rows
-    alone, the buffer that the Adam step reads.
+    straight into ``LiveRows.grads``, the buffer that the Adam step reads.
     """
     if algo not in ("qlearning", "sarsa"):
         raise ValueError(f"unknown TD algorithm {algo!r}")
@@ -130,8 +129,10 @@ def train_td(
     ss = np.random.SeedSequence(seed)
     net_seed, policy_seed = ss.spawn(2)
     rng = np.random.default_rng(policy_seed)
-    q_net = nn.init_mlp(env.config.obs_dim, N_ACTIONS, seed=net_seed)
-    trainable = nn.LiveRows([q_net], env.config.live_features, cfg.lr, cfg.lr_decay)
+    live = env.config.live_features
+    width = live[-1] + 1  # the fidelity is the dense layout's last feature
+    q_net = nn.init_mlp(width, N_ACTIONS, seed=net_seed)
+    trainable = nn.LiveRows([q_net], live, cfg.lr, cfg.lr_decay)
     (params,) = trainable.parts
     (grad,) = trainable.grads
     states = np.empty((2, 1, env.config.obs_dim))

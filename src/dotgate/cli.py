@@ -205,7 +205,7 @@ def run_replay(schedule_path, env_config: EnvConfig, sweep_duration: int | None 
         "steps": len(trace),
         "fidelity_trace": trace,
     }
-    if sweep_duration is not None and trace:
+    if sweep_duration is not None:
         best = trace.index(max(trace))  # the first maximum, as np.argmax
         out["best_duration_ns"] = (best + 1) * env_config.dt
         out["best_fidelity"] = trace[best]

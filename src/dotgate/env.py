@@ -23,12 +23,13 @@ converts by ``np.asarray``).
 
 Each path propagates only the sector slots its output reads: the gate's
 slots 0 and 3 (``sim.GATE_SLOTS``) for computational4 and for replay, all
-four (``sim.ALL_SLOTS``) for full16, whose observation is the dense 16x16
-unitary, read from the four-slot stack by one fixed gather.
-``EnvConfig.live_features`` is the one list of the observation features
-that can be nonzero; the others are set to exact zeros.  Every slot
-gets the same bits either way, so replay matches an episode of either
-observation mode bit for bit.  Controls are (..., 3) arrays in
+four (``sim.ALL_SLOTS``) for full16, whose observation reads the dense
+16x16 unitary.  H conserves (N, S_z), so only the entries within a sector
+can be nonzero: the observation holds just those (re, im) pairs and the
+fidelity, the features ``EnvConfig.live_features`` lists, read from the
+gate or the four-slot stack by one fixed gather.  Every slot gets the same
+bits either way, so replay matches an episode of either observation mode
+bit for bit.  Controls are (..., 3) arrays in
 ``sim.CONTROL_NAMES`` order throughout, handed to ``sim.HamiltonianParams``
 as they are.
 """
@@ -114,19 +115,24 @@ class EnvConfig:
 
     @property
     def obs_dim(self) -> int:
-        return 33 if self.obs_mode == "computational4" else 513
+        return len(self.live_features)
 
     @property
     def live_features(self) -> np.ndarray:
-        """Indices of the observation entries that can be nonzero, ascending.
+        """Where each observed feature sits in the dense layout, ascending.
 
-        H conserves (N, S_z), so every entry of the observed matrix between
-        two sectors is an exact zero on every step.  The live features are
-        the (re, im) pairs of the same-sector entries, plus the fidelity:
-        13 of 33 for computational4, 73 of 513 for full16.
+        The dense layout is the observed matrix's entries as (re, im) pairs,
+        then the fidelity: 33 floats for the computational4 gate, 513 for the
+        full16 unitary.  H conserves (N, S_z), so every entry between two
+        sectors is an exact zero on every step, and the observation holds
+        the other features: the (re, im) pairs of the same-sector entries,
+        plus the fidelity, 13 for computational4 and 73 for full16.
         """
-        entries = sim.COMP_ENTRIES if self.obs_mode == "computational4" else sim.DENSE_ENTRIES
-        return np.append(_pairs(entries), self.obs_dim - 1)
+        if self.obs_mode == "computational4":
+            entries, size = sim.COMP_ENTRIES, sim.DIM_COMP**2
+        else:
+            entries, size = sim.DENSE_ENTRIES, sim.DENSE_POSITIONS.size
+        return np.append(_pairs(entries), 2 * size)
 
 
 def _pairs(entries: np.ndarray) -> np.ndarray:
@@ -247,12 +253,6 @@ def _put(rows: np.ndarray, new, old):
     return out
 
 
-# Where each feature of a full16 observation, the (re, im) pairs of the dense
-# 16x16 unitary and then the fidelity, sits among the floats of a (4, 4, 4)
-# stack of all slots; the dead features and the fidelity read position 0.
-_FULL16_SOURCE = np.append(np.maximum(_pairs(sim.DENSE_POSITIONS.ravel()), 0), 0)
-
-
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
@@ -262,8 +262,8 @@ class VecGateEnv:
     reports), ...  ``_initial``, built with the env, holds every entry's
     fresh value, and its keys are the one list of the episode state.  The
     unitaries carry only the slots ``slots`` that the observation and the
-    gate read, and the observation features outside
-    ``config.live_features`` are exact zeros.  A step runs one Hamiltonian
+    gate read, and the observation holds the features
+    ``config.live_features``.  A step runs one Hamiltonian
     build, one propagator call, one stacked accumulate and one gate pipeline
     over all rows.  A row's numbers do not depend on the other rows, so
     every row equals a ``GateEnv`` episode driven by the same actions, bit
@@ -284,7 +284,14 @@ class VecGateEnv:
         )
         self._rows = np.arange(n_envs)
         self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
-        self._dead = ~np.isin(np.arange(config.obs_dim), config.live_features)
+        # Where each observed feature sits among the floats of its source: the
+        # gate, laid out as the dense 4x4 block, or the stack of all slots,
+        # which holds dense entry k at sim.DENSE_POSITIONS[k].  The fidelity's
+        # column reads float 0 and is overwritten.
+        features = config.live_features[:-1]
+        if config.obs_mode == "full16":
+            features = 2 * sim.DENSE_POSITIONS.ravel()[features // 2] + features % 2
+        self._source = np.append(features, 0)
         # The episode state of fresh episodes in every row, by attribute name:
         # the one table of what an episode starts from.  Its arrays, the
         # report's fields too, are read-only: reset hands them out, and they
@@ -324,15 +331,11 @@ class VecGateEnv:
         return self.observation
 
     def _observations(self, u_gate, u_acc, report) -> np.ndarray:
-        """Interleaved real and imaginary parts of each row's gate (or, for
-        full16, dense accumulated unitary), then the row's fidelity."""
-        if self.config.obs_mode == "computational4":
-            flat = u_gate.reshape(self.n_envs, -1).view(float)  # complex -> (re, im) pairs
-            return np.concatenate([flat, report.fidelity[:, None]], axis=1)
-        # One fixed gather from the slot stack's floats, then exact +0.0 in
-        # the dead features and the fidelity in the last column.
-        obs = u_acc.reshape(self.n_envs, -1).view(float).take(_FULL16_SOURCE, axis=1)
-        np.copyto(obs, 0.0, where=self._dead)
+        """The live features of each row's gate (or, for full16, dense
+        accumulated unitary), then the row's fidelity: one fixed gather from
+        the floats of the (re, im) pairs."""
+        source = u_gate if self.config.obs_mode == "computational4" else u_acc
+        obs = source.reshape(self.n_envs, -1).view(float).take(self._source, axis=1)
         obs[:, -1] = report.fidelity
         return obs
 
@@ -492,9 +495,9 @@ def replay_schedule(
     """Re-evolve stored controls through the simulator alone.
 
     ``schedule`` is anything ``np.asarray`` turns into (T, 3) controls, such
-    as a ``PulseSchedule``; controls of any other shape raise ValueError
-    naming it.  Every row is validated first: out of bounds or non-finite
-    controls raise ValueError naming the step.  Only the gate is
+    as a ``PulseSchedule``; controls of any other shape, or of no steps,
+    raise ValueError naming it.  Every row is validated first: out of bounds
+    or non-finite controls raise ValueError naming the step.  Only the gate is
     read, so only its slots (``sim.GATE_SLOTS``) are propagated, whatever the
     observation mode.  A piecewise-constant pulse repeats its step
     propagator, so consecutive rows with bit-identical controls form a run,
@@ -512,6 +515,8 @@ def replay_schedule(
     controls = np.asarray(schedule)
     if controls.ndim != 2:
         raise ValueError(f"schedule controls must have shape (T, 3), got {controls.shape}")
+    if not len(controls):
+        raise ValueError("schedule has no steps to replay")
     controls = sim.HamiltonianParams(controls, config.u, config.ez).validate()
     # Compare bits, not values, so that -0.0 and 0.0 start different runs.
     bits = controls.view(np.int64)

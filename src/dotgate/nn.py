@@ -7,31 +7,25 @@ Everything is plain numpy.
 
 A learner keeps all its trainable entries in one contiguous float64
 vector, so one Adam call updates everything.  ``LiveRows`` builds that
-vector, hands the networks back from it and takes the Adam steps.  A
-network's first layer is trained only in the rows of its *live inputs*,
-the observation entries that can be nonzero: [W1[live], W2, W3, b1, b2,
-b3].  The other inputs are exact zeros on every call, so their W1 rows
-would get a +-0 gradient, Adam would keep their moments at 0, and they
-would never move; they stay at their ``init_mlp`` values.  ``LiveRows``
-owns the live rows: its gradient views (``LiveGradients``) carry their
-indices, and ``backward`` writing into them gathers the cached input at
-those indices.  The backward never reads W1, so the network itself is not
-narrowed, and the first-layer gradient rows are the same products as the
-full-width ones, so leaving the dead rows out changes no bit of a run.
-The forward stays full width: a narrowed ``x[live] @ W1[live]`` sums in a
-different order and is not bitwise equal.  Checkpoints hold the full
-networks.
+vector, hands the networks back from it and takes the Adam steps.  The
+observation holds only the *live features*, the entries of the dense
+layout that can be nonzero (``EnvConfig.live_features``), so a network's
+first layer has one row per live feature.  The learners draw it with
+``init_mlp`` at the dense layout's width, and ``LiveRows`` keeps its live
+rows: the same Glorot draw, so the initial network is the same function of
+the observation as the full-width one, whose other rows only ever met
+exact zeros.  Measured with numpy 2.4.6 on OpenBLAS 0.3.31: batched
+forwards give the same bits at either width, and one-row forwards, which
+sum in a different order, differ at roundoff.
 
 The packed vector is the one place a learner's parameters live, and a
 gradient buffer of the same layout is the one place its gradient lives.
-``LiveRows.grads`` are views of that buffer, one per part; ``backward``
-(and the agents' losses) write each gradient straight into them through
-its ``out`` argument, and ``LiveRows.update`` has ``adam_update`` step
-the vector in place from the buffer, with no re-packing.  The networks
-``LiveRows`` hands out are built once: every array but W1 is a view of
-the vector, and each W1 is a private full-width copy of the initial W1
-whose live rows ``LiveRows.refresh`` rewrites from the vector after each
-update.  Every holder of a network therefore sees each update at once;
+``LiveRows.parts`` are networks and arrays built once as views of the
+vector, and ``LiveRows.grads`` views of the buffer, one per part;
+``backward`` (and the agents' losses) write each gradient straight into
+them through its ``out`` argument, and ``LiveRows.update`` has
+``adam_update`` step the vector in place from the buffer, with no
+re-packing.  Every holder of a network therefore sees each update at once;
 nothing keeps an older copy.
 
 ``forward`` also takes a stack of one-row inputs, shape (k, 1, in_dim):
@@ -56,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HIDDEN = 64
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # Adam's fixed constants (Kingma & Ba's defaults); the rate is per learner.
 ADAM_BETA1 = 0.9
@@ -88,14 +82,6 @@ class MlpParameters:
     @classmethod
     def from_list(cls, arrays) -> "MlpParameters":
         return cls(weights=tuple(arrays[:3]), biases=tuple(arrays[3:]))
-
-
-@dataclass(frozen=True)
-class LiveGradients(MlpParameters):
-    """A network's gradient arrays in ``LiveRows.grads``: the first layer's
-    rows of the inputs ``live`` alone, then every other array whole."""
-
-    live: np.ndarray
 
 
 @dataclass
@@ -152,20 +138,14 @@ def forward(p: MlpParameters, x: np.ndarray):
 def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParameters:
     """Exact reverse-mode gradients; batched inputs sum over the batch.
 
-    With no ``out``, fresh full-width arrays are allocated.  With ``out``, a
-    network's ``LiveGradients`` in ``LiveRows.grads``, each gradient is
-    written into its array there and ``out`` is returned; the first layer
-    gets the rows of ``out.live`` alone, the same products as those rows of
-    the full-width gradient, so the bits are the same.
+    With no ``out``, fresh arrays are allocated.  With ``out``, arrays of
+    the gradients' shapes such as a network's ``LiveRows.grads``, each
+    gradient is written into its array there and ``out`` is returned.
     """
     x, h1, h2 = cache
     dL_dy = np.asarray(dL_dy, dtype=float)
     if dL_dy.shape != (*x.shape[:-1], p.out_dim):
         raise ValueError(f"dL_dy shape {dL_dy.shape} inconsistent with cache")
-    if out is not None:
-        # dW1 holds the live rows alone.  Gathering before a 1-D row is
-        # promoted hands matmul a contiguous row; its bits can depend on strides.
-        x = x[..., out.live]
     _, w2, w3 = p.weights
     dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
 
@@ -223,23 +203,19 @@ class LiveRows:
     """The trainable entries of networks and plain arrays as one vector,
     with its gradient buffer and Adam state.
 
-    ``parts`` are the initial values, in packing order: networks, which
-    contribute [W1[live], W2, W3, b1, b2, b3], and plain arrays, which
-    contribute all their entries.  ``flat`` holds those entries, and
-    ``parts`` becomes the networks and arrays built on it: plain arrays and
-    every network array but W1 are views of ``flat``; each W1 is a copy of
-    the initial W1, whose dead rows keep their values (see the module
-    docstring) and whose live rows ``refresh`` rewrites from ``flat``.
-    ``grads`` are views of the gradient buffer in the order of ``parts``:
-    for a network, a ``LiveGradients`` of [W1[live], W2, W3, b1, b2, b3]
-    gradients that carries ``live`` (``backward``'s ``out``), and for a
-    plain array, one array of its shape.  Callers write a gradient there,
-    then ``update`` takes one Adam step from it at rate ``lr`` decayed by
-    ``lr_decay``.
+    ``parts`` are the initial values, in packing order: networks drawn at
+    the dense layout's width, which contribute [W1[live], W2, W3, b1, b2,
+    b3], and plain arrays, which contribute all their entries.  ``flat``
+    holds those entries, and ``parts`` becomes the networks and arrays built
+    on it, each array a view of ``flat``; a network's first layer is its
+    rows ``live``.  ``grads`` are views of the gradient buffer in the same
+    layout: for a network, an ``MlpParameters`` (``backward``'s ``out``),
+    and for a plain array, one array of its shape.  Callers write a gradient
+    there, then ``update`` takes one Adam step from it at rate ``lr``
+    decayed by ``lr_decay``.
     """
 
     def __init__(self, parts, live, lr: float, lr_decay: float):
-        self.live = live
         trainable = []
         for part in parts:
             if isinstance(part, MlpParameters):
@@ -253,33 +229,20 @@ class LiveRows:
         shapes = [a.shape for a in trainable]
         views = iter(unpack(self.flat, shapes))
         grad_views = iter(unpack(self._grad, shapes))
-        self.parts = []
-        self.grads = []
-        self._w1_rows = []
-        for part in parts:
-            if isinstance(part, MlpParameters):
-                w1 = part.weights[0].copy()
-                w1_live, w2, w3, b1, b2, b3 = (next(views) for _ in range(6))
-                self._w1_rows.append((w1, w1_live))
-                part = MlpParameters((w1, w2, w3), (b1, b2, b3))
-                g = [next(grad_views) for _ in range(6)]
-                grad = LiveGradients(tuple(g[:3]), tuple(g[3:]), live)
-            else:
-                part = next(views)
-                grad = next(grad_views)
-            self.parts.append(part)
-            self.grads.append(grad)
+        self.parts = [_next_part(part, views) for part in parts]
+        self.grads = [_next_part(part, grad_views) for part in parts]
 
     def update(self) -> None:
         """One in-place Adam step on ``flat`` from the gradient its callers
-        wrote into ``grads``, then ``refresh``."""
+        wrote into ``grads``."""
         adam_update([self.flat], [self._grad], self.adam)
-        self.refresh()
 
-    def refresh(self) -> None:
-        """Write ``flat``'s live first-layer rows into each network's W1."""
-        for w1, rows in self._w1_rows:
-            w1[self.live] = rows
+
+def _next_part(part, views):
+    """The next six views as a network if ``part`` is one, else the next one."""
+    if isinstance(part, MlpParameters):
+        return MlpParameters.from_list([next(views) for _ in range(6)])
+    return next(views)
 
 
 def _only(arrays, what: str) -> np.ndarray:

@@ -116,6 +116,19 @@ def dense(u: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, sim.DIM_FULL, sim.DIM_FULL)
 
 
+def dense_observation(obs_mode: str, u_acc: np.ndarray, fidelity) -> np.ndarray:
+    """Each row's observation in the dense layout: the (re, im) pairs of its
+    compensated 4x4 gate (computational4) or of its dense 16x16 unitary
+    (full16, through ``dense``), then its fidelity.  The environment
+    observes this layout's ``EnvConfig.live_features``."""
+    if obs_mode == "computational4":
+        matrix, _ = sim.compensate(sim.project_to_computational(u_acc))
+    else:
+        matrix = dense(u_acc)
+    flat = matrix.reshape(len(u_acc), -1).view(float)
+    return np.concatenate([flat, np.asarray(fidelity)[:, None]], axis=1)
+
+
 def dense_unitary(schedule, config: EnvConfig = EnvConfig()) -> np.ndarray:
     """The dense 16x16 unitary of a schedule, propagated through all four
     slots and accumulated one step at a time, as a full16 episode is."""

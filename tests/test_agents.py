@@ -20,7 +20,8 @@ from dotgate.agents import (
     train_td,
 )
 from dotgate.agents.ppo import _Rollout
-from dotgate.env import EnvConfig, GateEnv, VecGateEnv, replay_schedule
+from dotgate.env import N_ACTIONS, EnvConfig, GateEnv, VecGateEnv, replay_schedule
+from helpers import dense_observation
 
 
 class TestEpsilonGreedy:
@@ -287,14 +288,14 @@ class TestTrainTd:
 class TestTrainPpo:
     def test_worker_segment_length_and_pooling(self):
         cfg = PpoConfig(horizon=50, n_envs=4)
-        policy = nn.init_mlp(33, 3, seed=80)
-        value = nn.init_mlp(33, 1, seed=81)
+        policy = nn.init_mlp(13, 3, seed=80)
+        value = nn.init_mlp(13, 1, seed=81)
         log_std = np.full(3, np.log(0.5))
         seeds = np.random.SeedSequence(82).spawn(cfg.n_envs)
         rollout = _Rollout(VecGateEnv(EnvConfig(), cfg.n_envs), seeds)
         traj, episodes = rollout.collect(policy, log_std, value, cfg)
         assert traj.rewards.shape == (50, 4)
-        assert traj.observations.shape == (50, 4, 33)
+        assert traj.observations.shape == (50, 4, 13)
         assert traj.episode_ends[-1].all()
         for ep in episodes:
             assert len(ep["schedule"]) == ep["duration"]
@@ -312,8 +313,8 @@ class TestTrainPpo:
         # collect draws each row's (horizon, 3) noise at once; the actions
         # are those of drawing 3 normals per row per step.
         cfg = PpoConfig(horizon=30, n_envs=3)
-        policy = nn.init_mlp(33, 3, seed=86)
-        value = nn.init_mlp(33, 1, seed=87)
+        policy = nn.init_mlp(13, 3, seed=86)
+        value = nn.init_mlp(13, 1, seed=87)
         log_std = np.array([-0.3, -0.7, 0.2])
         seeds = np.random.SeedSequence(88).spawn(cfg.n_envs)
         rollout = _Rollout(VecGateEnv(EnvConfig(max_steps=12), cfg.n_envs), seeds)
@@ -327,8 +328,8 @@ class TestTrainPpo:
 
     def test_value_net_runs_once_per_sample(self, monkeypatch):
         cfg = PpoConfig(horizon=30, n_envs=3)
-        policy = nn.init_mlp(33, 3, seed=83)
-        value = nn.init_mlp(33, 1, seed=84)
+        policy = nn.init_mlp(13, 3, seed=83)
+        value = nn.init_mlp(13, 1, seed=84)
         rows = {"policy": 0, "value": 0}
         forward = nn.forward
 
@@ -387,38 +388,79 @@ class TestTrainPpo:
             assert result.best_schedule is not None
 
 
-def dead_rows(env_config: EnvConfig) -> np.ndarray:
-    return np.setdiff1d(np.arange(env_config.obs_dim), env_config.live_features)
+def dense_layout_observations(env_config: EnvConfig, steps: int = 40) -> np.ndarray:
+    """Observations in the dense layout, through the oracle, from the reset
+    states and random continuous steps of four rows, as a (rows, width)
+    batch."""
+    rng = np.random.default_rng(36)
+    venv = VecGateEnv(env_config, 4)
+    venv.reset()
+    observations = [dense_observation(env_config.obs_mode, venv.u_acc, venv.report.fidelity)]
+    for _ in range(steps):
+        res = venv.step_continuous(rng.uniform(-1.0, 1.0, (4, 3)))
+        observations.append(dense_observation(env_config.obs_mode, venv.u_acc, res.info["fidelity"]))
+        done = res.terminated | res.truncated
+        if done.any():
+            venv.reset(done)
+    return np.concatenate(observations)
 
 
-class TestLiveRowTraining:
-    """Learners train only the first-layer rows of the live features; the
-    other rows leave training at their ``init_mlp`` values, bit for bit."""
+class TestInitialNetworks:
+    """A learner draws each network with ``init_mlp`` at the dense layout's
+    width and keeps the first-layer rows of the observed features, so its
+    initial network is the full-width network as a function of the
+    observation.  The sums run over fewer terms, so the outputs agree to
+    roundoff; whether they agree bitwise depends on the BLAS build."""
 
-    def test_td_dead_rows_keep_init(self):
-        from dotgate.env import N_ACTIONS
+    MODES = ("computational4", "full16")
 
-        env_config = EnvConfig(obs_mode="full16")
-        cfg = TdConfig(episodes_max=6, target_mean_fidelity=1.0)
-        result = train_td(GateEnv(env_config), "qlearning", cfg, seed=31)
-        net_seed, _ = np.random.SeedSequence(31).spawn(2)
-        init = nn.init_mlp(env_config.obs_dim, N_ACTIONS, seed=net_seed)
-        dead, live = dead_rows(env_config), env_config.live_features
-        w1 = result.params.weights[0]
-        assert w1[dead].tobytes() == init.weights[0][dead].tobytes()
-        assert not np.array_equal(w1[live], init.weights[0][live])
+    @pytest.fixture
+    def initial_parts(self, monkeypatch):
+        """Copies of the parts of every ``nn.LiveRows`` built, as built."""
+        built = []
 
-    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
-    def test_ppo_dead_rows_keep_init(self, obs_mode):
-        env_config = EnvConfig(obs_mode=obs_mode)
-        cfg = PpoConfig(horizon=30, n_envs=2, iterations_max=2, stop_on_target=False)
-        result = train_ppo(lambda: GateEnv(env_config), cfg, seed=32)
-        policy_seed, value_seed = np.random.SeedSequence(32).spawn(2)
-        dead, live = dead_rows(env_config), env_config.live_features
-        for net, seed, out_dim in ((result.policy, policy_seed, 3), (result.value, value_seed, 1)):
-            init = nn.init_mlp(env_config.obs_dim, out_dim, seed=seed)
-            assert net.weights[0][dead].tobytes() == init.weights[0][dead].tobytes()
-            assert not np.array_equal(net.weights[0][live], init.weights[0][live])
+        class Recording(nn.LiveRows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append([
+                    nn.MlpParameters.from_list([a.copy() for a in part.as_list()])
+                    if isinstance(part, nn.MlpParameters) else part.copy()
+                    for part in self.parts
+                ])
+
+        monkeypatch.setattr(nn, "LiveRows", Recording)
+        return built
+
+    @staticmethod
+    def assert_same_function(net, full_width, env_config):
+        dense = dense_layout_observations(env_config)
+        live = env_config.live_features
+        assert net.in_dim == len(live) and full_width.in_dim == dense.shape[1]
+        for x in (dense, dense[0], dense[-1]):
+            got, _ = nn.forward(net, x[..., live])
+            want, _ = nn.forward(full_width, x)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("obs_mode", MODES)
+    def test_td_q_net(self, obs_mode, initial_parts):
+        env_config = EnvConfig(obs_mode=obs_mode, max_steps=3)
+        train_td(GateEnv(env_config), "qlearning", TdConfig(episodes_max=1), seed=37)
+        ((q_net,),) = initial_parts
+        net_seed, _ = np.random.SeedSequence(37).spawn(2)
+        width = env_config.live_features[-1] + 1
+        full_width = nn.init_mlp(width, N_ACTIONS, seed=net_seed)
+        self.assert_same_function(q_net, full_width, env_config)
+
+    @pytest.mark.parametrize("obs_mode", MODES)
+    def test_ppo_policy_and_value(self, obs_mode, initial_parts):
+        env_config = EnvConfig(obs_mode=obs_mode, max_steps=3)
+        cfg = PpoConfig(horizon=4, n_envs=2, iterations_max=1, epochs_per_iter=1)
+        train_ppo(lambda: GateEnv(env_config), cfg, seed=38)
+        ((policy, _, value),) = initial_parts
+        policy_seed, value_seed, *_ = np.random.SeedSequence(38).spawn(3 + cfg.n_envs)
+        width = env_config.live_features[-1] + 1
+        for net, seed, out_dim in ((policy, policy_seed, 3), (value, value_seed, 1)):
+            self.assert_same_function(net, nn.init_mlp(width, out_dim, seed=seed), env_config)
 
 
 def numbered(*rows):
@@ -479,11 +521,11 @@ def test_validate_accepts_edge_settings(cfg):
 
 @pytest.mark.witness
 class TestInPlaceRefresh:
-    """The in-place Adam update and first-layer refresh run bit for bit as
-    building the networks afresh from a new vector after every update did:
-    the digests below are of those runs.  The bytes depend on the numpy and
-    BLAS build, so on another build the digests are re-recorded from code
-    known to be right."""
+    """The in-place Adam update on networks built once as views of the
+    packed vector runs bit for bit as building the networks afresh from a
+    new vector after every update did: the digests below are of those runs.
+    The bytes depend on the numpy and BLAS build, so on another build the
+    digests are re-recorded from code known to be right."""
 
     @staticmethod
     def fingerprint(result, nets):
@@ -493,13 +535,13 @@ class TestInPlaceRefresh:
 
     @pytest.mark.parametrize("run, digest", [
         (lambda: TestInPlaceRefresh.td("qlearning", "full16"),
-         "dbd21423cbae14f370162f553bda53e08ce9ac176f97226372669ad0eb95bf71"),
+         "2ba013999592b76857ddc416e0790edae5f2cd760fd0e4ccd9f843c743bb221f"),
         (lambda: TestInPlaceRefresh.td("sarsa", "computational4"),
-         "ee1ff8319f486bd133041428d7039f68784db39cee67a1d798eb3a2a1ec38490"),
+         "c94fdd7a9c200fdab010bdced5ce1e35094a1eae113cb67105514f0d74ca5595"),
         (lambda: TestInPlaceRefresh.td("sarsa", "full16"),
-         "0b6ce38d85920afbc869c8dbc5919bcfcec23b72b38e116653e8c07637577482"),
+         "1b349906cd89c1d0a734a8e6e57aa71ebac4fc940ab8b06a8b81644917f58ba7"),
         (lambda: TestInPlaceRefresh.ppo(),
-         "92e02afede0f4f0b83cec3152d1fcc100faa2685dbcbb93742e56108a88b6609"),
+         "ddba56e8b126cd28337c176a885df693e10d44c98993be2a3fa055f809285c39"),
     ], ids=["td_online", "td_sarsa", "td_sarsa_full16", "ppo"])
     def test_equals_fresh_unpack(self, run, digest):
         assert hashlib.sha256(run()).hexdigest() == digest

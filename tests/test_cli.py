@@ -376,11 +376,18 @@ class TestReplay:
         out = cli.run_replay(path, EnvConfig())
         assert out["final_fidelity"] == res.info["fidelity"]
 
-    def test_empty_schedule_is_identity_fidelity(self, tmp_path):
+    def test_empty_schedule_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("step,eps0_ghz,eps1_ghz,tunnel_ghz\n")
-        out = cli.run_replay(path, EnvConfig())
-        assert out["final_fidelity"] == pytest.approx(0.4, abs=1e-12)
+        with pytest.raises(ValueError, match=r"^schedule has no steps to replay$"):
+            cli.run_replay(path, EnvConfig())
+        assert cli.main(["replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: schedule has no steps to replay\n"
+        # A sweep names its own need for a row of controls.
+        with pytest.raises(ValueError, match="^sweep needs at least one schedule row"):
+            cli.run_replay(path, EnvConfig(), sweep_duration=5)
 
     def test_sweep_finds_high_fidelity_duration(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -19,16 +19,19 @@ from dotgate.env import (
     improves,
     replay_schedule,
 )
-from helpers import dense, random_slot_stack
+from helpers import dense_observation, random_slot_stack
 
 ACTION_TUN_DOWN = 18  # base-3 digits (0, 0, 2)
 
 
-def dense_observation(u_acc, fidelity):
-    """The full16 observation through the dense oracle: each row's (re, im)
-    pairs of ``helpers.dense``, then its fidelity."""
-    flat = dense(u_acc).reshape(len(u_acc), -1).view(float)
-    return np.concatenate([flat, np.asarray(fidelity)[:, None]], axis=1)
+def oracle_observation(venv: VecGateEnv, u_acc=None, fidelity=None) -> np.ndarray:
+    """The rows' observations through the dense oracle: the dense layout of
+    the rows' accumulated unitaries (default: the env's) gathered at
+    ``live_features``."""
+    cfg = venv.config
+    u_acc = venv.u_acc if u_acc is None else u_acc
+    fidelity = venv.report.fidelity if fidelity is None else fidelity
+    return dense_observation(cfg.obs_mode, u_acc, fidelity)[:, cfg.live_features]
 
 
 def run_actions(env, actions):
@@ -96,8 +99,8 @@ class TestReset:
         assert obs[-1] == pytest.approx(0.4, abs=1e-12)
 
     def test_feature_lengths(self):
-        assert len(GateEnv(EnvConfig()).reset()) == 33
-        assert len(GateEnv(EnvConfig(obs_mode="full16")).reset()) == 513
+        assert len(GateEnv(EnvConfig()).reset()) == 13
+        assert len(GateEnv(EnvConfig(obs_mode="full16")).reset()) == 73
 
     def test_reset_twice_same_observation(self):
         env = GateEnv()
@@ -555,10 +558,10 @@ class TestReplay:
             assert np.array(trace).tobytes() == np.array(fidelities).tobytes()
             assert report == env.fidelity_report
 
-    def test_empty_schedule_is_identity(self):
-        report, trace = replay_schedule(PulseSchedule())
-        assert report.fidelity == pytest.approx(0.4, abs=1e-12)
-        assert trace == []
+    def test_empty_schedule_rejected(self):
+        for schedule in (PulseSchedule(), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match=r"^schedule has no steps to replay$"):
+                replay_schedule(schedule)
 
     @pytest.mark.parametrize("bad", [(2, 170.0, 70.0), (2, 170.0, 70.0, 2.5, 1.0)])
     def test_ragged_row_named(self, bad):
@@ -619,7 +622,7 @@ class TestReplayRuns:
         monkeypatch.setattr(sim, "step_unitaries", counted)
         return rows
 
-    @pytest.mark.parametrize("name", ["sweep", "runs", "distinct", "empty"])
+    @pytest.mark.parametrize("name", ["sweep", "runs", "distinct"])
     def test_equals_per_row_replay_bitwise(self, name):
         rng = np.random.default_rng(27)
         schedule = {
@@ -628,7 +631,6 @@ class TestReplayRuns:
             "distinct": schedule_of(
                 rng.uniform([-750.0, -750.0, 0.0], [750.0, 750.0, 5.0], (60, 3))
             ),
-            "empty": PulseSchedule(),
         }[name]
         report, trace = replay_schedule(schedule)
         want_report, want_trace = replay_per_row(schedule)
@@ -686,13 +688,14 @@ RUN_CONTROLS = [(170.0, 70.0, 0.0), (170.0, 70.0, -0.0), (-0.0, 0.0, 2.5), (0.0,
 
 @st.composite
 def run_structured_controls(draw):
-    """0-64 control rows in runs of 1-12 equal rows, each run one of
-    ``RUN_CONTROLS`` or a random in-bounds row."""
+    """1-64 control rows in runs of 1-12 equal rows, each run one of
+    ``RUN_CONTROLS`` or a random in-bounds row (replay rejects an empty
+    schedule)."""
     control = st.one_of(
         st.sampled_from(RUN_CONTROLS),
         st.tuples(st.floats(-750.0, 750.0), st.floats(-750.0, 750.0), st.floats(0.0, 5.0)),
     )
-    runs = draw(st.lists(st.tuples(control, st.integers(1, 12)), max_size=16))
+    runs = draw(st.lists(st.tuples(control, st.integers(1, 12)), min_size=1, max_size=16))
     return [c for c, n in runs for _ in range(n)][:64]
 
 
@@ -979,14 +982,9 @@ class TestInvariants:
                 env.reset()
 
 
-def dead_features(cfg: EnvConfig) -> np.ndarray:
-    dead = np.ones(cfg.obs_dim, dtype=bool)
-    dead[cfg.live_features] = False
-    return dead
-
-
 class TestLiveFeatures:
-    """Observation entries outside ``live_features`` are exact zeros."""
+    """The observation is the dense oracle's layout gathered at
+    ``live_features``, byte for byte."""
 
     MODES = ("computational4", "full16")
 
@@ -994,12 +992,12 @@ class TestLiveFeatures:
     def test_re_im_pairs_of_sector_entries_plus_fidelity(self, mode, n_live):
         cfg = EnvConfig(obs_mode=mode)
         live = cfg.live_features
-        assert len(live) == n_live
-        assert live[-1] == cfg.obs_dim - 1
+        assert len(live) == cfg.obs_dim == n_live
+        dim = 4 if mode == "computational4" else 16
+        assert live[-1] == 2 * dim * dim
         assert np.all(np.diff(live) > 0)
         re, im = live[:-1:2], live[1:-1:2]
         assert np.all(re % 2 == 0) and np.array_equal(im, re + 1)
-        dim = 4 if mode == "computational4" else 16
         states = sim.COMPUTATIONAL_INDICES if dim == 4 else range(16)
         sector = [next(k for k, sec in enumerate(sim.SECTORS) if s in sec) for s in states]
         i, j = np.divmod(re // 2, dim)
@@ -1009,38 +1007,36 @@ class TestLiveFeatures:
     @pytest.mark.parametrize("mode", MODES)
     def test_random_discrete_episodes(self, mode):
         cfg = EnvConfig(obs_mode=mode, max_steps=40)
-        dead = dead_features(cfg)
         rng = np.random.default_rng(27)
         env = GateEnv(cfg)
         obs = env.reset()
-        assert np.all(obs[dead] == 0)
+        assert obs.tobytes() == oracle_observation(env._batch)[0].tobytes()
         seen = {"boundary_hit": 0, "reset": 0}
         for _ in range(300):
             res = env.step_discrete(int(rng.integers(27)))
-            assert np.all(res.observation[dead] == 0)
+            assert res.observation.tobytes() == oracle_observation(env._batch)[0].tobytes()
             seen["boundary_hit"] += res.info["boundary_hit"]
             if res.terminated or res.truncated:
-                assert np.all(env.reset()[dead] == 0)
+                assert env.reset().tobytes() == oracle_observation(env._batch)[0].tobytes()
                 seen["reset"] += 1
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("mode", MODES)
     def test_random_continuous_rows_with_auto_resets(self, mode):
         cfg = EnvConfig(obs_mode=mode, max_steps=15)
-        dead = dead_features(cfg)
         rng = np.random.default_rng(28)
         scales = np.array([0.05, 0.5, 2.0])
         venv = VecGateEnv(cfg, len(scales))
-        assert np.all(venv.reset()[:, dead] == 0)
+        assert venv.reset().tobytes() == oracle_observation(venv).tobytes()
         seen = {"boundary_hit": 0, "reset": 0}
         for _ in range(100):
             actions = scales[:, None] * rng.standard_normal((len(scales), 3))
             res = venv.step_continuous(actions)
-            assert np.all(res.observation[:, dead] == 0)
+            assert res.observation.tobytes() == oracle_observation(venv).tobytes()
             seen["boundary_hit"] += int(res.info["boundary_hit"].sum())
             done = res.terminated | res.truncated
             if done.any():
-                assert np.all(venv.reset(done)[:, dead] == 0)
+                assert venv.reset(done).tobytes() == oracle_observation(venv).tobytes()
                 seen["reset"] += int(done.sum())
         assert min(seen.values()) > 0, seen
 
@@ -1050,7 +1046,6 @@ class TestLiveFeatures:
         # down), then step at zero tunnelling: the step is diagonal, so the
         # gate keeps zeros on its diagonal and cannot be compensated.
         cfg = EnvConfig(obs_mode=mode)
-        dead = dead_features(cfg)
         order = np.arange(16)
         order[[6, 9]] = 9, 6
         swap = np.eye(16, dtype=complex)[order]
@@ -1060,22 +1055,22 @@ class TestLiveFeatures:
         venv.u_acc = np.tile(swap[states[:, :, None], states[:, None, :]], (2, 1, 1, 1))
         res = venv.step_continuous([[0.1, -0.2, -1.0], [0.3, 0.1, -1.0]])
         assert not res.info["compensated"].any()
-        assert np.all(res.observation[:, dead] == 0)
-        assert np.any(res.observation[:, ~dead] != 0)
+        assert res.observation.tobytes() == oracle_observation(venv).tobytes()
+        assert np.any(res.observation != 0)
 
 
 class TestFull16Observation:
     """The full16 observation is one fixed gather from the slot stack, byte
-    for byte the dense oracle's."""
+    for byte the dense oracle's live features."""
 
     def test_episodes_equal_dense_oracle(self):
         venv = VecGateEnv(EnvConfig(obs_mode="full16", max_steps=20), 3)
         obs = venv.reset()
-        assert obs.tobytes() == dense_observation(venv.u_acc, venv.report.fidelity).tobytes()
+        assert obs.tobytes() == oracle_observation(venv).tobytes()
         rng = np.random.default_rng(30)
         for _ in range(45):
             res = venv.step_continuous(rng.uniform(-1.1, 1.1, (3, 3)))
-            want = dense_observation(venv.u_acc, res.info["fidelity"])
+            want = oracle_observation(venv, fidelity=res.info["fidelity"])
             assert res.observation.tobytes() == want.tobytes()
             done = res.terminated | res.truncated
             if done.any():
@@ -1089,8 +1084,6 @@ class TestFull16Observation:
         u.imag[1] = -0.0  # every entry of the row, also those between sectors
         report = sim.gate_fidelity(sim.project_to_computational(u))
         got = venv._observations(None, u, report)
-        want = dense_observation(u, report.fidelity)
+        want = oracle_observation(venv, u, report.fidelity)
         assert got.tobytes() == want.tobytes()
         assert np.signbit(got[0, 0]) and np.signbit(got[1, 1])
-        dead = dead_features(venv.config)
-        assert not np.signbit(got[:, dead]).any()

@@ -165,35 +165,30 @@ class TestBackward:
     def test_out_equals_allocated_bitwise(self, rows, obs_mode, out_dim):
         rng = np.random.default_rng(47 + out_dim)
         live, x = live_inputs(obs_mode, rng, rows)
-        p = nn.init_mlp(x.shape[-1], out_dim, seed=48)
-        trainable = nn.LiveRows([p], live, 0.001, 0.0)
-        (out,) = trainable.grads
-        _, cache = nn.forward(p, x)
+        trainable = nn.LiveRows([nn.init_mlp(x.shape[-1], out_dim, seed=48)], live, 0.001, 0.0)
+        (p,), (out,) = trainable.parts, trainable.grads
+        _, cache = nn.forward(p, x[..., live])
         dy = rng.normal(size=(*x.shape[:-1], out_dim))
-        assert out.live is live
         want = nn.backward(p, cache, dy)
         got = nn.backward(p, cache, dy, out=out)
         assert got is out
-        assert as_bytes(*got.as_list()) == as_bytes(want.weights[0][live], *want.as_list()[1:])
+        assert as_bytes(*got.as_list()) == as_bytes(*want.as_list())
 
     def test_wrongly_shaped_out_rejected(self):
         rng = np.random.default_rng(49)
         live, x = live_inputs("computational4", rng, 8)
+        x = x[..., live]
         p = nn.init_mlp(x.shape[-1], 3, seed=50)
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(8, 3))
-        # A plain MlpParameters names no live rows to gather.
-        full_width = nn.MlpParameters.from_list([np.empty_like(a) for a in p.as_list()])
-        with pytest.raises(AttributeError, match="live"):
-            nn.backward(p, cache, dy, out=full_width)
         other_net = nn.init_mlp(x.shape[-1], 1, seed=50)
-        (wrong_out_dim,) = nn.LiveRows([other_net], live, 0.001, 0.0).grads
+        (wrong_out_dim,) = nn.LiveRows([other_net], np.arange(x.shape[-1]), 0.001, 0.0).grads
         with pytest.raises(ValueError):
             nn.backward(p, cache, dy, out=wrong_out_dim)
-        # The W1 rows must be those of the live inputs it names.
-        (out,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        # The W1 rows must be those of the inputs.
+        (out,) = nn.LiveRows([p], np.arange(x.shape[-1]), 0.001, 0.0).grads
         w1, w2, w3 = out.weights
-        fewer_rows = nn.LiveGradients((w1[1:], w2, w3), out.biases, live)
+        fewer_rows = nn.MlpParameters((w1[1:], w2, w3), out.biases)
         with pytest.raises(ValueError):
             nn.backward(p, cache, dy, out=fewer_rows)
 
@@ -407,13 +402,13 @@ class TestPackedAdam:
 
 
 def live_inputs(obs_mode: str, rng, rows=None):
-    """The mode's live features and random inputs that are exact zeros at
-    every other feature, as the environment's observations are."""
+    """The mode's live features and random inputs in the dense layout, exact
+    zeros at every other feature, as the environment's matrices are."""
     from dotgate.env import EnvConfig
 
-    cfg = EnvConfig(obs_mode=obs_mode)
-    live = cfg.live_features
-    x = np.zeros(cfg.obs_dim if rows is None else (rows, cfg.obs_dim))
+    live = EnvConfig(obs_mode=obs_mode).live_features
+    width = live[-1] + 1
+    x = np.zeros(width if rows is None else (rows, width))
     x[..., live] = rng.uniform(-1.0, 1.0, size=(*x.shape[:-1], len(live)))
     return live, x
 
@@ -429,8 +424,10 @@ class TestLiveRows:
         _, cache = nn.forward(p, x)
         dy = rng.normal(size=(*x.shape[:-1], out_dim))
         full = nn.backward(p, cache, dy)
-        (grads,) = nn.LiveRows([p], live, 0.001, 0.0).grads
-        gathered = nn.backward(p, cache, dy, out=grads)
+        trainable = nn.LiveRows([p], live, 0.001, 0.0)
+        (p_live,), (grads,) = trainable.parts, trainable.grads
+        # The live-width network's backward at the same hidden activations.
+        gathered = nn.backward(p_live, (x[..., live], *cache[1:]), dy, out=grads)
         dead = np.ones(x.shape[-1], dtype=bool)
         dead[live] = False
         assert np.all(full.weights[0][dead] == 0)
@@ -440,15 +437,16 @@ class TestLiveRows:
 
     @pytest.mark.parametrize("obs_mode, in_dim", [("computational4", 33), ("full16", 513)])
     def test_row_and_its_batch_of_one_give_the_same_bytes(self, obs_mode, in_dim):
-        # train_td hands backward (1, obs_dim) slices of a stacked forward.
+        # train_td hands backward (1, obs_dim) slices of a stacked forward,
+        # of a network drawn at the dense layout's width in_dim.
         rng = np.random.default_rng(82)
         live, x = live_inputs(obs_mode, rng)
         assert x.shape == (in_dim,)
-        p = nn.init_mlp(in_dim, 27, seed=83)
-        _, cache = nn.forward(p, x)
+        trainable = nn.LiveRows([nn.init_mlp(in_dim, 27, seed=83)], live, 0.001, 0.0)
+        (p,), (row,) = trainable.parts, trainable.grads
+        _, cache = nn.forward(p, x[live])
         dy = rng.normal(size=27)
-        (row,) = nn.LiveRows([p], live, 0.001, 0.0).grads
-        (batch,) = nn.LiveRows([p], live, 0.001, 0.0).grads
+        (batch,) = nn.LiveRows([p], np.arange(len(live)), 0.001, 0.0).grads
         nn.backward(p, cache, dy, out=row)
         nn.backward(p, tuple(a[None] for a in cache), dy[None], out=batch)
         assert as_bytes(*batch.as_list()) == as_bytes(*row.as_list())
@@ -463,22 +461,17 @@ class TestLiveRows:
         flat = trainable.flat
         assert flat.size == len(nn.pack([*policy.as_list(), log_std, *value.as_list()])) - 2 * 2 * 64
         parts = trainable.parts
-        for got, want in zip(parts, [policy, log_std, value]):
-            got, want = (x.as_list() if isinstance(x, nn.MlpParameters) else [x]
-                         for x in (got, want))
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+        assert parts[1].tobytes() == log_std.tobytes()
         for net, w in ((parts[0], policy), (parts[2], value)):
-            w1, *rest = net.as_list()
-            assert not np.shares_memory(w1, flat) and not np.shares_memory(w1, w.weights[0])
-            assert all(np.shares_memory(a, flat) for a in rest)
+            assert net.weights[0].tobytes() == w.weights[0][live].tobytes()
+            for got, want in zip(net.as_list()[1:], w.as_list()[1:]):
+                assert got.tobytes() == want.tobytes()
+            assert all(np.shares_memory(a, flat) for a in net.as_list())
         assert np.shares_memory(parts[1], flat)
         flat += 1.0
-        trainable.refresh()
         assert np.array_equal(parts[1], log_std + 1.0)
         for net, (w1, *rest) in ((parts[0], init[0]), (parts[2], init[1])):
-            assert np.array_equal(net.weights[0][[1, 4]], w1[[1, 4]])
-            assert np.array_equal(net.weights[0][live], w1[live] + 1.0)
+            assert np.array_equal(net.weights[0], w1[live] + 1.0)
             for a, b in zip(net.as_list()[1:], rest):
                 assert np.array_equal(a, b + 1.0)
         for x, want in ((policy, init[0]), (value, init[1])):
@@ -504,39 +497,6 @@ class TestLiveRows:
             start += a.size
         assert start == trainable.flat.size
         assert np.array_equal(trainable._grad, np.arange(start))
-
-    def test_live_row_training_equals_full_width_training_bitwise(self):
-        rng = np.random.default_rng(84)
-        live, _ = live_inputs("full16", rng)
-        init = [nn.init_mlp(513, 4, seed=85), np.zeros(2)]
-        full = nn.pack([*init[0].as_list(), init[1]])
-        *arrays, extra = nn.unpack(full, [a.shape for a in [*init[0].as_list(), init[1]]])
-        p = nn.MlpParameters.from_list(arrays)
-        s_full = nn.init_adam(full, lr=0.01, lr_decay=0.1)
-        trainable = nn.LiveRows(init, live, 0.01, 0.1)
-        p_live, extra_live = trainable.parts
-        for step in range(30):
-            rows = None if step % 2 else int(rng.integers(1, 65))
-            _, x = live_inputs("full16", rng, rows)
-            target = rng.normal(size=(*x.shape[:-1], 4))
-            c = rng.normal(size=2)
-
-            y, cache = nn.forward(p, x)
-            _, dy = nn.mse_loss(y, target)
-            g = nn.backward(p, cache, dy)
-            nn.adam_update([full], [nn.pack([*g.as_list(), extra - c])], s_full)
-
-            y, cache = nn.forward(p_live, x)
-            _, dy = nn.mse_loss(y, target)
-            g_net, g_extra = trainable.grads
-            nn.backward(p_live, cache, dy, out=g_net)
-            np.subtract(extra_live, c, out=g_extra)
-            trainable.update()
-
-        assert nn.pack([*p_live.as_list(), extra_live]).tobytes() == full.tobytes()
-        dead = np.setdiff1d(np.arange(513), live)
-        assert p_live.weights[0][dead].tobytes() == init[0].weights[0][dead].tobytes()
-        assert not np.array_equal(p_live.weights[0][live], init[0].weights[0][live])
 
 
 class TestMseLoss:
@@ -669,3 +629,14 @@ class TestCheckpoint:
         for a, b in zip(nets["policy"].as_list(), p.as_list()):
             assert np.array_equal(a, b)
         assert np.array_equal(ex["log_std"], extras["log_std"])
+
+    def test_format_version_1_rejected(self, tmp_path):
+        # Version 1 held the first layer at the dense layout's full width.
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, {"q": nn.init_mlp(33, 27, seed=62)})
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["format_version"] = np.array(1)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint format version 1$"):
+            nn.load_checkpoint(path)
