@@ -558,6 +558,17 @@ class TestReplay:
             assert np.array(trace).tobytes() == np.array(fidelities).tobytes()
             assert report == env.fidelity_report
 
+    def test_empty_schedule_is_identity(self):
+        # Before its first step an episode holds the identity gate.  It has
+        # no schedule to export, and replay rejects a schedule of no steps,
+        # so the identity of the empty schedule is read from the episode.
+        env = GateEnv()
+        env.reset()
+        assert env.steps == 0
+        assert env.fidelity_report.fidelity == pytest.approx(0.4, abs=1e-12)
+        with pytest.raises(RuntimeError, match=r"^no steps taken yet$"):
+            env.export_schedule()
+
     def test_empty_schedule_rejected(self):
         for schedule in (PulseSchedule(), np.zeros((0, 3))):
             with pytest.raises(ValueError, match=r"^schedule has no steps to replay$"):
@@ -583,7 +594,10 @@ class TestReplay:
 
 
 def replay_per_row(schedule, config=EnvConfig()):
-    """Reference replay: one propagator per schedule row, accumulated by @."""
+    """Reference replay: one propagator per schedule row, accumulated by @.
+    A schedule of no steps is rejected, as ``replay_schedule`` rejects it."""
+    if not len(schedule):
+        raise ValueError("schedule has no steps to replay")
     u_steps = sim.step_unitaries(
         sim.build_hamiltonian(sim.HamiltonianParams(np.asarray(schedule), config.u, config.ez)),
         config.dt,
@@ -622,7 +636,17 @@ class TestReplayRuns:
         monkeypatch.setattr(sim, "step_unitaries", counted)
         return rows
 
-    @pytest.mark.parametrize("name", ["sweep", "runs", "distinct"])
+    @staticmethod
+    def outcome(replay, schedule):
+        """The report and trace bytes of a replay, or the message it raised."""
+        try:
+            report, trace = replay(schedule)
+        except ValueError as error:
+            return str(error)
+        assert len(trace) == len(schedule)
+        return report, np.array(trace).tobytes()
+
+    @pytest.mark.parametrize("name", ["sweep", "runs", "distinct", "empty"])
     def test_equals_per_row_replay_bitwise(self, name):
         rng = np.random.default_rng(27)
         schedule = {
@@ -631,12 +655,9 @@ class TestReplayRuns:
             "distinct": schedule_of(
                 rng.uniform([-750.0, -750.0, 0.0], [750.0, 750.0, 5.0], (60, 3))
             ),
+            "empty": PulseSchedule(),
         }[name]
-        report, trace = replay_schedule(schedule)
-        want_report, want_trace = replay_per_row(schedule)
-        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
-        assert report == want_report
-        assert len(trace) == len(schedule)
+        assert self.outcome(replay_schedule, schedule) == self.outcome(replay_per_row, schedule)
 
     def test_sweep_builds_one_propagator(self, monkeypatch):
         rows = self.count_step_rows(monkeypatch)
