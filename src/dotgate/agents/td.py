@@ -7,6 +7,8 @@ entry moved toward the one-step TD target by the mixing coefficient
 alpha, optimized with a single Adam step on the MSE.  Q-learning
 bootstraps off the greedy next action (off-policy); SARSA bootstraps off
 the action the epsilon-greedy policy actually takes next (on-policy).
+The environment is a ``GateEnv``, the one-row ``VecGateEnv``: TD steps it
+with one action per row and reads row 0 of its arrays.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def train_td(
     Epsilon decays once per episode; network and exploration randomness
     are derived from the single seed, so the stat stream is reproducible.
     An episode's return is the env's (``info["return"]``), and the best
-    episode is kept by ``env.improves``.
+    episode is kept by ``env.improves``.  Every ``EpisodeStats`` field is a
+    Python int or float; those from the env are row 0 of its arrays.
     The Q-network is drawn at the dense layout's width and keeps the
     first-layer rows of the observed features (see ``nn.LiveRows``).  Each
     transition is one online update, one ``LiveRows.update``, so the
@@ -144,50 +147,47 @@ def train_td(
     for episode in range(cfg.episodes_max):
         t0 = time.perf_counter()
         eps = max(cfg.epsilon_min, cfg.epsilon_init * cfg.epsilon_decay**episode)
-        obs = env.reset()
-        q, _ = nn.forward(params, obs)
+        states[0] = env.reset()
+        q, _ = nn.forward(params, states[0, 0])
         action = epsilon_greedy(q, eps, rng)
-        states[0, 0] = obs
         while True:
-            res = env.step_discrete(action)
-            done = res.terminated or res.truncated
-            states[1, 0] = res.observation
+            res = env.step_discrete([action])
+            reward, terminated = res.reward.item(), res.terminated.item()
+            states[1] = res.observation
             q, (x, h1, h2) = nn.forward(params, states)
             q_now, q_next = q[0, 0], q[1, 0]
             next_action = epsilon_greedy(q_next, eps, rng)
             if algo == "qlearning":
-                y = td_target_qlearning(res.reward, cfg.gamma, q_next, res.terminated)
+                y = td_target_qlearning(reward, cfg.gamma, q_next, terminated)
             else:
-                y = td_target_sarsa(
-                    res.reward, cfg.gamma, float(q_next[next_action]), res.terminated
-                )
+                y = td_target_sarsa(reward, cfg.gamma, float(q_next[next_action]), terminated)
             mixed = (1.0 - cfg.alpha) * q_now[action] + cfg.alpha * y
             dq.fill(0.0)
             dq[0, action] = 2.0 * (q_now[action] - mixed) / dq.size
             nn.backward(params, (x[0], h1[0], h2[0]), dq, out=grad)
             trainable.update()
-            if done:
+            if terminated or res.truncated.item():
                 break
-            states[0, 0] = res.observation
+            states[0] = res.observation
             action = next_action
 
-        info = res.info
-        fid = info["fidelity"]
+        fid = res.info["fidelity"].item()
+        duration = res.info["gate_duration"].item()
         fidelities.append(fid)
         stats = EpisodeStats(
             episode=episode,
-            steps=env.steps,
-            episode_return=info["return"],
+            steps=env.steps.item(),
+            episode_return=res.info["return"].item(),
             final_fidelity=fid,
-            gate_duration=info["gate_duration"],
+            gate_duration=duration,
             epsilon=eps,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         )
         result.stats.append(stats)
-        if improves(fid, info["gate_duration"], result.best_fidelity, result.best_duration):
+        if improves(fid, duration, result.best_fidelity, result.best_duration):
             result.best_fidelity = fid
-            result.best_duration = info["gate_duration"]
-            result.best_schedule = env.export_schedule()
+            result.best_duration = duration
+            result.best_schedule = env.export_schedule(0)
         if on_episode is not None:
             on_episode(stats)
         window = fidelities[-cfg.trailing_window:]

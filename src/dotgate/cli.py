@@ -128,17 +128,27 @@ def _write_tsv(path, header, rows) -> None:
 def export_plots(run_dir) -> list[Path]:
     """Re-derive plot-data TSVs from the stored metrics and best schedule.
 
-    The schedule TSVs time each row as step * dt, with the run's dt read
-    from its config.json.  Without a best schedule, the schedule TSVs are
-    removed, so none is left from an earlier run in the same directory."""
+    A metrics line that is not a JSON object with a ``final_fidelity``
+    raises ValueError naming the file and the line.  The schedule TSVs time
+    each row as step * dt, with the run's dt read from its config.json.
+    Without a best schedule, the schedule TSVs are removed, so none is left
+    from an earlier run in the same directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
         raise FileNotFoundError(f"no metrics.jsonl under {run_dir}")
     fidelities = []
     with open(metrics_path) as fh:
-        for line in fh:
-            record = json.loads(line)
+        for number, line in enumerate(fh, 1):
+            where = f"{metrics_path} line {number}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}, column {exc.colno}: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
+            if "final_fidelity" not in record:
+                raise ValueError(f"{where}: no final_fidelity")
             fidelities.append((record.get("episode", record.get("iteration")),
                                record["final_fidelity"]))
     written = []

@@ -108,6 +108,17 @@ def _build_section(cls, section: dict, name: str):
     return cls(**kwargs)
 
 
+def _section(raw: dict, name: str) -> dict:
+    """A copy of section ``name``; an absent or null section is empty, and
+    any other value that is not a mapping raises ValueError naming it."""
+    section = raw.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a mapping, got {type(section).__name__}")
+    return dict(section)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
@@ -122,10 +133,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError("missing required field: seed")
     _check_type(int, raw["seed"], "seed")
 
-    env_section = dict(raw.get("env") or {})
+    env_section = _section(raw, "env")
     # Physical constants may live in a dedicated section; they land on
     # the environment, which owns the Hamiltonian constants.
-    physics = raw.get("physics") or {}
+    physics = _section(raw, "physics")
     for key in physics:
         if key not in ("u", "ez", "eps_init", "tun_init", "eps_bounds", "tun_bounds"):
             raise ValueError(f"unknown key physics.{key}")
@@ -139,8 +150,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=raw["seed"],
         output_dir=str(raw.get("output_dir", "runs/out")),
         env=_build_section(EnvConfig, env_section, "env"),
-        td=_build_section(TdConfig, dict(raw.get("td") or {}), "td"),
-        ppo=_build_section(PpoConfig, dict(raw.get("ppo") or {}), "ppo"),
+        td=_build_section(TdConfig, _section(raw, "td"), "td"),
+        ppo=_build_section(PpoConfig, _section(raw, "ppo"), "ppo"),
     )
     cfg.validate()
     return cfg

@@ -16,7 +16,8 @@ episode.
 ``VecGateEnv`` steps a batch of episodes in lockstep and holds the one
 implementation of the transition: both action interfaces with the
 discrete step size, propagation, gate pipeline, reward, termination and
-observation, all batch-first.  ``GateEnv`` is its one-row case, and
+observation, all batch-first.  There is one env API: ``GateEnv`` is a
+``VecGateEnv`` of one row, read as row 0 of the same arrays, and
 ``replay_schedule`` runs the same gate pipeline over all steps of a
 schedule at once, read as one (T, 3) control array (a ``PulseSchedule``
 converts by ``np.asarray``).
@@ -142,13 +143,13 @@ def _pairs(entries: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepResult:
-    """One step's outcome; from ``VecGateEnv`` every field and info value is
-    an array over the rows."""
+    """One step's outcome: every field and info value is an array over the
+    rows."""
 
     observation: np.ndarray
-    reward: float
-    terminated: bool
-    truncated: bool
+    reward: np.ndarray
+    terminated: np.ndarray
+    truncated: np.ndarray
     info: dict
 
 
@@ -445,48 +446,14 @@ class VecGateEnv:
         )
 
 
-class GateEnv:
-    """One episode: the single row of a one-row ``VecGateEnv``."""
+class GateEnv(VecGateEnv):
+    """One episode: a ``VecGateEnv`` of one row.  Its steps take one action
+    per row and its results are arrays over the row, as for any batch.
+    ``benchmarks/tracing.py`` wraps the inherited step methods and reset on
+    this class."""
 
     def __init__(self, config: EnvConfig = EnvConfig()):
-        self._batch = VecGateEnv(config, 1)
-        self.config = config
-
-    def reset(self) -> np.ndarray:
-        """Start a new episode."""
-        return self._batch.reset()[0]
-
-    @property
-    def steps(self) -> int:
-        return int(self._batch.steps[0])
-
-    @property
-    def delta(self) -> float:
-        """The discrete step size."""
-        return float(self._batch.delta[0])
-
-    @property
-    def fidelity_report(self) -> sim.FidelityReport:
-        return self._batch.report.row(0)
-
-    @staticmethod
-    def _row(res: StepResult) -> StepResult:
-        return StepResult(
-            res.observation[0], res.reward.item(), res.terminated.item(),
-            res.truncated.item(), {k: v.item() for k, v in res.info.items()},
-        )
-
-    # benchmarks/tracing.py wraps the two step methods and reset.
-    def step_discrete(self, action: int) -> StepResult:
-        """See ``VecGateEnv.step_discrete``."""
-        return self._row(self._batch.step_discrete([action]))
-
-    def step_continuous(self, action) -> StepResult:
-        """See ``VecGateEnv.step_continuous``."""
-        return self._row(self._batch.step_continuous([action]))
-
-    def export_schedule(self) -> PulseSchedule:
-        return self._batch.export_schedule(0)
+        super().__init__(config, 1)
 
 
 def replay_schedule(

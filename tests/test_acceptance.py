@@ -57,16 +57,16 @@ def test_criterion_3_unitarity_and_replay():
         env.reset()
         last = None
         for _ in range(200):
-            last = env.step_discrete(int(rng.integers(27)))
-            if last.terminated or last.truncated:
+            last = env.step_discrete([int(rng.integers(27))])
+            if last.terminated[0] or last.truncated[0]:
                 break
-        u = dense_unitary(env.export_schedule())
+        u = dense_unitary(env.export_schedule(0))
         worst_unitarity = max(
             worst_unitarity, float(np.max(np.abs(u.conj().T @ u - np.eye(16))))
         )
-        replayed, _ = replay_schedule(env.export_schedule())
+        replayed, _ = replay_schedule(env.export_schedule(0))
         worst_replay = max(
-            worst_replay, abs(replayed.fidelity - last.info["fidelity"])
+            worst_replay, abs(replayed.fidelity - last.info["fidelity"][0])
         )
     ok = worst_unitarity < 1e-10 and worst_replay <= 1e-12
     report(

@@ -261,6 +261,19 @@ class TestTrainTd:
             assert s.epsilon == pytest.approx(max(0.01, 0.995**k), abs=0)
             assert s.gate_duration == s.steps * 1.0
 
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    def test_stats_are_python_numbers(self, obs_mode):
+        # The env's fields are arrays over its one row; metrics.jsonl's
+        # json.dumps rejects a numpy integer and would repr a numpy float.
+        cfg = TdConfig(episodes_max=3, target_mean_fidelity=1.0)
+        result = train_td(GateEnv(EnvConfig(obs_mode=obs_mode)), "qlearning", cfg, seed=5)
+        python_type = {"int": int, "float": float}
+        for s in result.stats:
+            for f in dataclasses.fields(s):
+                assert type(getattr(s, f.name)) is python_type[f.type], f.name
+        assert type(result.best_fidelity) is float
+        assert type(result.best_duration) is float
+
     def test_determinism(self):
         cfg = TdConfig(episodes_max=8)
         streams = []

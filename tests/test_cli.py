@@ -365,16 +365,41 @@ class TestValidate:
         assert cli.main(["validate", path]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value, kind", [
+        ("env", 5, "int"),
+        ("env", 0, "int"),
+        ("env", [1, 2], "list"),
+        ("env", "abc", "str"),
+        ("physics", ["u"], "list"),
+        ("td", 0.5, "float"),
+        ("ppo", True, "bool"),
+    ])
+    def test_section_not_a_mapping_named(self, tmp_path, capsys, section, value, kind):
+        path = write_config(
+            tmp_path / "c.yaml", {"algorithm": "qlearning", "seed": 1, section: value}
+        )
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err == f"error: {section} must be a mapping, got {kind}\n"
+
+    @pytest.mark.parametrize("section", ["env", "physics", "td", "ppo"])
+    def test_null_section_reads_as_defaults(self, tmp_path, section):
+        path = write_config(
+            tmp_path / "c.yaml", {"algorithm": "qlearning", "seed": 1, section: None}
+        )
+        assert parse_config(path) == parse_config(
+            write_config(tmp_path / "d.yaml", {"algorithm": "qlearning", "seed": 1})
+        )
+
 
 class TestReplay:
     def test_one_step_schedule_matches_environment(self, tmp_path):
         env = GateEnv()
         env.reset()
-        res = env.step_discrete(0)
+        res = env.step_discrete([0])
         path = tmp_path / "s.csv"
-        env.export_schedule().to_csv(path)
+        env.export_schedule(0).to_csv(path)
         out = cli.run_replay(path, EnvConfig())
-        assert out["final_fidelity"] == res.info["fidelity"]
+        assert out["final_fidelity"] == res.info["fidelity"][0]
 
     def test_empty_schedule_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -564,6 +589,18 @@ class TestExportPlots:
 
     def test_missing_run_artifacts(self, tmp_path):
         assert cli.main(["export-plots", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"episode": 1}\n', "line 2: no final_fidelity"),
+        ("[1,2]\n", "line 2: expected a JSON object, got list"),
+        ('{"episode": 1, "fi', "line 2, column 16: Unterminated string starting at"),
+    ], ids=["no_final_fidelity", "not_an_object", "truncated"])
+    def test_bad_metrics_line_named(self, tmp_path, capsys, line, message):
+        run = self.constant_schedule_run(tmp_path / "run")
+        metrics = run / "metrics.jsonl"
+        metrics.write_text(metrics.read_text() + line)
+        assert cli.main(["export-plots", str(run)]) == 1
+        assert capsys.readouterr().err == f"error: {metrics} {message}\n"
 
 
 class TestCheckpoint:

@@ -35,10 +35,11 @@ def oracle_observation(venv: VecGateEnv, u_acc=None, fidelity=None) -> np.ndarra
 
 
 def run_actions(env, actions):
+    """Step row 0 of a ``GateEnv`` through the actions until its episode ends."""
     results = []
     for a in actions:
-        results.append(env.step_discrete(a))
-        if results[-1].terminated or results[-1].truncated:
+        results.append(env.step_discrete([a]))
+        if results[-1].terminated[0] or results[-1].truncated[0]:
             break
     return results
 
@@ -96,11 +97,11 @@ class TestConfig:
 class TestReset:
     def test_identity_observation_fidelity(self):
         obs = GateEnv().reset()
-        assert obs[-1] == pytest.approx(0.4, abs=1e-12)
+        assert obs[0, -1] == pytest.approx(0.4, abs=1e-12)
 
     def test_feature_lengths(self):
-        assert len(GateEnv(EnvConfig()).reset()) == 13
-        assert len(GateEnv(EnvConfig(obs_mode="full16")).reset()) == 73
+        assert GateEnv(EnvConfig()).reset().shape == (1, 13)
+        assert GateEnv(EnvConfig(obs_mode="full16")).reset().shape == (1, 73)
 
     def test_reset_twice_same_observation(self):
         env = GateEnv()
@@ -112,27 +113,23 @@ class TestReset:
 class TestBeforeReset:
     """Episode state read before the first reset fails by name."""
 
-    @pytest.mark.parametrize("read", [
-        lambda env: env.steps,
-        lambda env: env.delta,
-        lambda env: env.fidelity_report,
-        lambda env: env.export_schedule(),
-    ], ids=["steps", "delta", "fidelity_report", "export_schedule"])
-    def test_gate_env(self, read):
-        with pytest.raises(RuntimeError, match="^environment not reset$"):
-            read(GateEnv())
+    READS = {
+        "steps": lambda venv: venv.steps,
+        "delta": lambda venv: venv.delta,
+        "report": lambda venv: venv.report,
+        "returns": lambda venv: venv.returns,
+        "export_schedule": lambda venv: venv.export_schedule(venv.n_envs - 1),
+        "reset_rows": lambda venv: venv.reset(np.arange(venv.n_envs) == 0),
+    }
 
-    @pytest.mark.parametrize("read", [
-        lambda venv: venv.steps,
-        lambda venv: venv.delta,
-        lambda venv: venv.report,
-        lambda venv: venv.returns,
-        lambda venv: venv.export_schedule(1),
-        lambda venv: venv.reset(np.array([True, False])),
-    ], ids=["steps", "delta", "report", "returns", "export_schedule", "reset_rows"])
-    def test_vec_gate_env(self, read):
+    # Two rows, and a GateEnv: its one row.
+    @pytest.mark.parametrize("make, read", [
+        *((lambda: VecGateEnv(EnvConfig(), 2), read) for read in READS.values()),
+        *((GateEnv, read) for read in READS.values()),
+    ], ids=[*READS, *(f"gate_env-{name}" for name in READS)])
+    def test_vec_gate_env(self, make, read):
         with pytest.raises(RuntimeError, match="^environment not reset$"):
-            read(VecGateEnv(EnvConfig(), 2))
+            read(make())
 
     def test_unknown_attribute_still_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such"):
@@ -192,7 +189,7 @@ class TestEpisodeState:
         obs = env.reset()
         fresh = obs.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            obs[-1] = 7.0
+            obs[0, -1] = 7.0
         assert env.reset().tobytes() == fresh
 
         venv = VecGateEnv(EnvConfig(), 2)
@@ -216,9 +213,9 @@ def discrete_move(action, delta):
     cfg = EnvConfig(step_sizes=(delta, 0.1, 0.01))
     env = GateEnv(cfg)
     env.reset()
-    info = env.step_discrete(action).info
+    info = env.step_discrete([action]).info
     start = (*cfg.eps_init, cfg.tun_init)
-    return tuple(info[k] - s for k, s in zip(("eps0", "eps1", "tunnel"), start))
+    return tuple(info[k][0] - s for k, s in zip(("eps0", "eps1", "tunnel"), start))
 
 
 class TestDecodeAction:
@@ -239,9 +236,9 @@ class TestDecodeAction:
         env = GateEnv()
         env.reset()
         with pytest.raises(ValueError, match=r"^action index 27 of row 0 outside \[0, 26\]$"):
-            env.step_discrete(27)
+            env.step_discrete([27])
         with pytest.raises(ValueError, match=r"^action index -1 of row 0 outside \[0, 26\]$"):
-            env.step_discrete(-1)
+            env.step_discrete([-1])
 
     def test_covers_all_delta_triples(self):
         triples = {discrete_move(i, 1.0) for i in range(27)}
@@ -305,12 +302,12 @@ class TestStepDiscrete:
             while True:
                 action = 0 if rng.random() < 0.5 else int(rng.choice([18, 9, 1, 26, 13]))
                 controls, hit = reference_discrete_move(controls, delta, action, cfg)
-                res = env.step_discrete(action)
-                got = [res.info[k] for k in ("eps0", "eps1", "tunnel")]
+                res = env.step_discrete([action])
+                got = [res.info[k][0] for k in ("eps0", "eps1", "tunnel")]
                 assert np.array(got).tobytes() == np.array(controls).tobytes()
-                assert res.info["boundary_hit"] == hit
-                new_delta = reference_shrink(delta, res.info["fidelity"], cfg)
-                assert env.delta == new_delta
+                assert res.info["boundary_hit"][0] == hit
+                new_delta = reference_shrink(delta, res.info["fidelity"][0], cfg)
+                assert env.delta[0] == new_delta
                 seen["shrinks"] += new_delta < delta
                 seen["boundary_hit"] += hit
                 lo = cfg.tun_bounds[0]
@@ -318,7 +315,7 @@ class TestStepDiscrete:
                     controls[2] == lo and not hit and np.signbit(controls[2]) != np.signbit(lo)
                 )
                 delta = new_delta
-                if res.terminated or res.truncated:
+                if res.terminated[0] or res.truncated[0]:
                     break
         assert seen[seen_key] > 0 and seen["boundary_hit"] > 0, seen
 
@@ -338,53 +335,53 @@ class TestStepDiscrete:
     def test_no_change_step(self):
         env = GateEnv()
         env.reset()
-        res = env.step_discrete(0)
-        assert res.info["eps0"] == 170.0
-        assert res.info["eps1"] == 70.0
-        assert res.info["tunnel"] == 2.5
-        assert res.reward == -1.0
-        assert res.info["fidelity"] != 0.4  # evolved 1 ns
+        res = env.step_discrete([0])
+        assert res.info["eps0"][0] == 170.0
+        assert res.info["eps1"][0] == 70.0
+        assert res.info["tunnel"][0] == 2.5
+        assert res.reward[0] == -1.0
+        assert res.info["fidelity"][0] != 0.4  # evolved 1 ns
 
     def test_tunnel_clipped_at_zero_with_penalty(self):
         env = GateEnv()
         env.reset()
-        env.step_discrete(ACTION_TUN_DOWN)  # 2.5 -> 1.5
-        env.step_discrete(ACTION_TUN_DOWN)  # 1.5 -> 0.5
-        res = env.step_discrete(ACTION_TUN_DOWN)  # 0.5 -> clip at 0
-        assert res.info["tunnel"] == 0.0
-        assert res.info["boundary_hit"]
-        assert res.reward == -2.0
+        env.step_discrete([ACTION_TUN_DOWN])  # 2.5 -> 1.5
+        env.step_discrete([ACTION_TUN_DOWN])  # 1.5 -> 0.5
+        res = env.step_discrete([ACTION_TUN_DOWN])  # 0.5 -> clip at 0
+        assert res.info["tunnel"][0] == 0.0
+        assert res.info["boundary_hit"][0]
+        assert res.reward[0] == -2.0
 
     def test_truncation_at_step_cap(self):
         env = GateEnv()
         env.reset()
         # kill the exchange so fidelity never reaches the terminal band
         for _ in range(3):
-            res = env.step_discrete(ACTION_TUN_DOWN)
+            res = env.step_discrete([ACTION_TUN_DOWN])
         for _ in range(197):
-            res = env.step_discrete(0)
-        assert res.truncated and not res.terminated
-        assert env.steps == 200
+            res = env.step_discrete([0])
+        assert res.truncated[0] and not res.terminated[0]
+        assert env.steps[0] == 200
 
     def test_no_change_policy_terminates(self):
         env = GateEnv()
         env.reset()
         results = run_actions(env, [0] * 200)
         last = results[-1]
-        assert last.terminated
-        assert last.info["fidelity"] > 0.99
-        assert last.info["gate_duration"] == len(results) * 1.0
+        assert last.terminated[0]
+        assert last.info["fidelity"][0] > 0.99
+        assert last.info["gate_duration"][0] == len(results) * 1.0
 
     def test_step_after_terminal_rejected(self):
         env = GateEnv()
         env.reset()
         run_actions(env, [0] * 200)
         with pytest.raises(RuntimeError, match="reset"):
-            env.step_discrete(0)
+            env.step_discrete([0])
 
     def test_step_before_reset_rejected(self):
         with pytest.raises(RuntimeError, match="reset"):
-            GateEnv().step_discrete(0)
+            GateEnv().step_discrete([0])
 
     def test_adaptive_step_size_monotone(self):
         # strict terminal so the episode survives past the 0.99 band
@@ -392,9 +389,9 @@ class TestStepDiscrete:
         env.reset()
         deltas = []
         for _ in range(40):
-            res = env.step_discrete(0)
-            deltas.append(env.delta)
-            if res.terminated or res.truncated:
+            res = env.step_discrete([0])
+            deltas.append(env.delta[0])
+            if res.terminated[0] or res.truncated[0]:
                 break
         assert all(d in (1.0, 0.1, 0.01) for d in deltas)
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
@@ -405,32 +402,32 @@ class TestStepContinuous:
     def test_midpoint_action(self):
         env = GateEnv()
         env.reset()
-        res = env.step_continuous((0.0, 0.0, 0.0))
-        assert res.info["eps0"] == 0.0
-        assert res.info["eps1"] == 0.0
-        assert res.info["tunnel"] == 2.5
-        assert not res.info["boundary_hit"]
+        res = env.step_continuous([(0.0, 0.0, 0.0)])
+        assert res.info["eps0"][0] == 0.0
+        assert res.info["eps1"][0] == 0.0
+        assert res.info["tunnel"][0] == 2.5
+        assert not res.info["boundary_hit"][0]
 
     def test_endpoint_action(self):
         env = GateEnv()
         env.reset()
-        res = env.step_continuous((1.0, -1.0, 1.0))
-        assert res.info["eps0"] == 750.0
-        assert res.info["eps1"] == -750.0
-        assert res.info["tunnel"] == 5.0
+        res = env.step_continuous([(1.0, -1.0, 1.0)])
+        assert res.info["eps0"][0] == 750.0
+        assert res.info["eps1"][0] == -750.0
+        assert res.info["tunnel"][0] == 5.0
 
     def test_out_of_range_clipped_with_boundary_flag(self):
         env = GateEnv()
         env.reset()
-        res = env.step_continuous((0.0, 0.0, 1.7))
-        assert res.info["tunnel"] == 5.0
-        assert res.info["boundary_hit"]
+        res = env.step_continuous([(0.0, 0.0, 1.7)])
+        assert res.info["tunnel"][0] == 5.0
+        assert res.info["boundary_hit"][0]
 
     def test_wrong_length_rejected(self):
         env = GateEnv()
         env.reset()
         with pytest.raises(ValueError, match="3"):
-            env.step_continuous((0.0, 0.0))
+            env.step_continuous([(0.0, 0.0)])
 
     @pytest.mark.parametrize("lo, hi", [
         (-641.88, 750.0),  # lo + (hi - lo) rounds to 750.0000000000001
@@ -439,17 +436,17 @@ class TestStepContinuous:
     def test_map_rounding_past_the_box_is_clipped(self, lo, hi):
         env = GateEnv(EnvConfig(eps_bounds=(lo, hi)))
         env.reset()
-        res = env.step_continuous((1.0, 1.0, 1.0))
-        assert res.info["eps0"] == res.info["eps1"] == hi
-        assert not res.info["boundary_hit"]
+        res = env.step_continuous([(1.0, 1.0, 1.0)])
+        assert res.info["eps0"][0] == res.info["eps1"][0] == hi
+        assert not res.info["boundary_hit"][0]
 
 
 class TestSchedule:
     def test_single_no_change_record(self):
         env = GateEnv()
         env.reset()
-        env.step_discrete(0)
-        sched = env.export_schedule()
+        env.step_discrete([0])
+        sched = env.export_schedule(0)
         assert sched.rows == [(0, 170.0, 70.0, 2.5)]
 
     def test_one_record_per_step(self):
@@ -457,24 +454,24 @@ class TestSchedule:
         env.reset()
         n = 0
         for a in [1, 2, 9, 18, 0, 4]:
-            res = env.step_discrete(a)
+            res = env.step_discrete([a])
             n += 1
-            if res.terminated or res.truncated:
+            if res.terminated[0] or res.truncated[0]:
                 break
-        assert len(env.export_schedule()) == n
+        assert len(env.export_schedule(0)) == n
 
     def test_export_before_any_step_rejected(self):
         env = GateEnv()
         env.reset()
         with pytest.raises(RuntimeError):
-            env.export_schedule()
+            env.export_schedule(0)
 
     def test_csv_round_trip(self, tmp_path):
         env = GateEnv()
         env.reset()
         for a in [1, 5, 22, 0]:
-            env.step_discrete(a)
-        sched = env.export_schedule()
+            env.step_discrete([a])
+        sched = env.export_schedule(0)
         path = tmp_path / "sched.csv"
         sched.to_csv(path)
         assert PulseSchedule.from_csv(path).rows == sched.rows
@@ -510,12 +507,12 @@ class TestReplay:
         env.reset()
         last = None
         for _ in range(50):
-            last = env.step_discrete(int(rng.integers(27)))
-            if last.terminated or last.truncated:
+            last = env.step_discrete([int(rng.integers(27))])
+            if last.terminated[0] or last.truncated[0]:
                 break
-        report, trace = replay_schedule(env.export_schedule())
-        assert report.fidelity == last.info["fidelity"]
-        assert len(trace) == env.steps
+        report, trace = replay_schedule(env.export_schedule(0))
+        assert report.fidelity == last.info["fidelity"][0]
+        assert len(trace) == env.steps[0]
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_replay_matches_every_step_of_random_episodes(self, mode):
@@ -526,15 +523,15 @@ class TestReplay:
             fidelities = []
             for _ in range(80):
                 if mode == "discrete":
-                    res = env.step_discrete(int(rng.integers(27)))
+                    res = env.step_discrete([int(rng.integers(27))])
                 else:
-                    res = env.step_continuous(rng.uniform(-1.2, 1.2, 3))
-                fidelities.append(res.info["fidelity"])
-                if res.terminated or res.truncated:
+                    res = env.step_continuous([rng.uniform(-1.2, 1.2, 3)])
+                fidelities.append(res.info["fidelity"][0])
+                if res.terminated[0] or res.truncated[0]:
                     break
-            report, trace = replay_schedule(env.export_schedule())
+            report, trace = replay_schedule(env.export_schedule(0))
             assert trace == fidelities
-            assert report == env.fidelity_report
+            assert report == env.report.row(0)
 
     @pytest.mark.parametrize("mode", ["computational4", "full16"])
     def test_trace_bytes_equal_episode_in_both_obs_modes(self, mode):
@@ -548,15 +545,15 @@ class TestReplay:
             fidelities = []
             while True:
                 if rng.random() < 0.3:
-                    res = env.step_discrete(int(rng.integers(27)))
+                    res = env.step_discrete([int(rng.integers(27))])
                 else:
-                    res = env.step_continuous(rng.uniform(-1.2, 1.2, 3))
-                fidelities.append(res.info["fidelity"])
-                if res.terminated or res.truncated:
+                    res = env.step_continuous([rng.uniform(-1.2, 1.2, 3)])
+                fidelities.append(res.info["fidelity"][0])
+                if res.terminated[0] or res.truncated[0]:
                     break
-            report, trace = replay_schedule(env.export_schedule(), cfg)
+            report, trace = replay_schedule(env.export_schedule(0), cfg)
             assert np.array(trace).tobytes() == np.array(fidelities).tobytes()
-            assert report == env.fidelity_report
+            assert report == env.report.row(0)
 
     def test_empty_schedule_is_identity(self):
         # Before its first step an episode holds the identity gate.  It has
@@ -564,10 +561,10 @@ class TestReplay:
         # so the identity of the empty schedule is read from the episode.
         env = GateEnv()
         env.reset()
-        assert env.steps == 0
-        assert env.fidelity_report.fidelity == pytest.approx(0.4, abs=1e-12)
+        assert env.steps[0] == 0
+        assert env.report.row(0).fidelity == pytest.approx(0.4, abs=1e-12)
         with pytest.raises(RuntimeError, match=r"^no steps taken yet$"):
-            env.export_schedule()
+            env.export_schedule(0)
 
     def test_empty_schedule_rejected(self):
         for schedule in (PulseSchedule(), np.zeros((0, 3))):
@@ -809,10 +806,10 @@ class TestVecGateEnv:
         rng = np.random.default_rng(26)
         venv = VecGateEnv(cfg, n)
         envs = [GateEnv(cfg) for _ in range(n)]
-        initial = GateEnv(cfg).reset()
+        initial = GateEnv(cfg).reset()[0]
         obs = venv.reset()
         for i, env in enumerate(envs):
-            assert np.array_equal(env.reset(), obs[i])
+            assert np.array_equal(env.reset()[0], obs[i])
         fidelities = [[] for _ in range(n)]
         seen = {"terminated": 0, "truncated": 0, "boundary_hit": 0}
         if step == "step_discrete":
@@ -826,19 +823,21 @@ class TestVecGateEnv:
                 actions = self.HOLD + scales[:, None] * rng.standard_normal((n, 3))
             res = getattr(venv, step)(actions)
             for i, env in enumerate(envs):
-                single = getattr(env, step)(actions[i])
-                assert venv.delta[i] == env.delta
-                assert res.observation[i].tobytes() == single.observation.tobytes()
-                assert res.reward[i] == single.reward
-                assert res.terminated[i] == single.terminated
-                assert res.truncated[i] == single.truncated
-                assert {k: v[i] for k, v in res.info.items()} == single.info
-                fidelities[i].append(single.info["fidelity"])
-                if single.terminated or single.truncated:
-                    assert venv.export_schedule(i).rows == env.export_schedule().rows
-                    report, trace = replay_schedule(env.export_schedule(), cfg)
+                single = getattr(env, step)(actions[i:i + 1])
+                assert venv.delta[i] == env.delta[0]
+                assert res.observation[i].tobytes() == single.observation[0].tobytes()
+                assert res.reward[i] == single.reward[0]
+                assert res.terminated[i] == single.terminated[0]
+                assert res.truncated[i] == single.truncated[0]
+                assert {k: v[i] for k, v in res.info.items()} == {
+                    k: v[0] for k, v in single.info.items()
+                }
+                fidelities[i].append(single.info["fidelity"][0])
+                if single.terminated[0] or single.truncated[0]:
+                    assert venv.export_schedule(i).rows == env.export_schedule(0).rows
+                    report, trace = replay_schedule(env.export_schedule(0), cfg)
                     assert trace == fidelities[i]
-                    assert report == env.fidelity_report
+                    assert report == env.report.row(0)
                     fidelities[i] = []
                     env.reset()
             for key in ("terminated", "truncated"):
@@ -932,18 +931,6 @@ class TestReturns:
             restarted += int((rows & ~(res.terminated | res.truncated)).sum())
         assert restarted > 0
 
-    def test_gate_env_reports_a_python_float(self):
-        env = GateEnv(EnvConfig(max_steps=5))
-        env.reset()
-        total = 0.0
-        for _ in range(5):
-            res = env.step_discrete(ACTION_TUN_DOWN)
-            total += res.reward
-            assert type(res.info["return"]) is float
-            assert res.info["return"] == total
-        env.reset()
-        assert env.step_discrete(0).info["return"] == env.config.r_step
-
     @pytest.mark.parametrize("fidelity, duration, expected", [
         (0.95, 30.0, True),  # higher F wins, even in a longer gate
         (0.9, 10.0, True),  # equal F in a shorter gate
@@ -961,17 +948,17 @@ class TestInvariants:
         env.reset()
         cfg = env.config
         for _ in range(10_000):
-            res = env.step_discrete(int(rng.integers(27)))
-            assert cfg.eps_bounds[0] <= res.info["eps0"] <= cfg.eps_bounds[1]
-            assert cfg.eps_bounds[0] <= res.info["eps1"] <= cfg.eps_bounds[1]
-            assert cfg.tun_bounds[0] <= res.info["tunnel"] <= cfg.tun_bounds[1]
-            assert res.info["gate_duration"] == env.steps * cfg.dt
-            assert not (res.terminated and res.truncated)
+            res = env.step_discrete([int(rng.integers(27))])
+            assert cfg.eps_bounds[0] <= res.info["eps0"][0] <= cfg.eps_bounds[1]
+            assert cfg.eps_bounds[0] <= res.info["eps1"][0] <= cfg.eps_bounds[1]
+            assert cfg.tun_bounds[0] <= res.info["tunnel"][0] <= cfg.tun_bounds[1]
+            assert res.info["gate_duration"][0] == env.steps[0] * cfg.dt
+            assert not (res.terminated[0] and res.truncated[0])
             expected_r = compute_reward(
-                res.info["fidelity"], res.info["boundary_hit"], res.terminated, cfg
+                res.info["fidelity"][0], res.info["boundary_hit"][0], res.terminated[0], cfg
             )
-            assert res.reward == expected_r
-            if res.terminated or res.truncated:
+            assert res.reward[0] == expected_r
+            if res.terminated[0] or res.truncated[0]:
                 env.reset()
 
     def test_bitwise_determinism(self):
@@ -982,10 +969,10 @@ class TestInvariants:
             env.reset()
             stream = []
             for a in actions:
-                res = env.step_discrete(int(a))
-                stream.append((res.observation.tobytes(), res.reward,
-                               res.terminated, res.truncated))
-                if res.terminated or res.truncated:
+                res = env.step_discrete([int(a)])
+                stream.append((res.observation.tobytes(), res.reward[0],
+                               res.terminated[0], res.truncated[0]))
+                if res.terminated[0] or res.truncated[0]:
                     env.reset()
             streams.append(stream)
         assert streams[0] == streams[1]
@@ -995,11 +982,11 @@ class TestInvariants:
         env = GateEnv()
         env.reset()
         for _ in range(300):
-            res = env.step_discrete(int(rng.integers(27)))
-            assert np.all(res.observation[:-1] >= -1 - 1e-9)
-            assert np.all(res.observation[:-1] <= 1 + 1e-9)
-            assert 0.0 <= res.observation[-1] <= 1.0
-            if res.terminated or res.truncated:
+            res = env.step_discrete([int(rng.integers(27))])
+            assert np.all(res.observation[0, :-1] >= -1 - 1e-9)
+            assert np.all(res.observation[0, :-1] <= 1 + 1e-9)
+            assert 0.0 <= res.observation[0, -1] <= 1.0
+            if res.terminated[0] or res.truncated[0]:
                 env.reset()
 
 
@@ -1031,14 +1018,14 @@ class TestLiveFeatures:
         rng = np.random.default_rng(27)
         env = GateEnv(cfg)
         obs = env.reset()
-        assert obs.tobytes() == oracle_observation(env._batch)[0].tobytes()
+        assert obs[0].tobytes() == oracle_observation(env)[0].tobytes()
         seen = {"boundary_hit": 0, "reset": 0}
         for _ in range(300):
-            res = env.step_discrete(int(rng.integers(27)))
-            assert res.observation.tobytes() == oracle_observation(env._batch)[0].tobytes()
-            seen["boundary_hit"] += res.info["boundary_hit"]
-            if res.terminated or res.truncated:
-                assert env.reset().tobytes() == oracle_observation(env._batch)[0].tobytes()
+            res = env.step_discrete([int(rng.integers(27))])
+            assert res.observation[0].tobytes() == oracle_observation(env)[0].tobytes()
+            seen["boundary_hit"] += int(res.info["boundary_hit"][0])
+            if res.terminated[0] or res.truncated[0]:
+                assert env.reset()[0].tobytes() == oracle_observation(env)[0].tobytes()
                 seen["reset"] += 1
         assert min(seen.values()) > 0, seen
 
