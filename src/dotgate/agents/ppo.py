@@ -162,10 +162,11 @@ def ppo_loss(
     """Clipped-surrogate + value loss with exact gradients.
 
     batch holds observations, actions, old log-probs, normalized
-    advantages, and returns.  Returns (loss components, gradients for
-    the policy net, the log-std vector, and the value net).  With ``out``,
-    the (policy, log-std, value) ``LiveRows.grads``, the gradients are
-    written there and returned; otherwise they are fresh arrays.
+    advantages, and returns.  Returns (the policy_loss, value_loss and
+    entropy components, gradients for the policy net, the log-std vector,
+    and the value net).  With ``out``, the (policy, log-std, value)
+    ``LiveRows.grads``, the gradients are written there and returned;
+    otherwise they are fresh arrays.
     """
     out_policy, out_log_std, out_value = (None, None, None) if out is None else out
     obs = batch["observations"]
@@ -210,7 +211,6 @@ def ppo_loss(
         "policy_loss": policy_loss,
         "value_loss": value_loss,
         "entropy": entropy,
-        "total": policy_loss + value_loss - cfg.entropy_coef * entropy,
     }
     return losses, (g_policy, g_log_std, g_value)
 

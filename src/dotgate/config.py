@@ -39,6 +39,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
         self.env.validate()
@@ -126,11 +128,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in raw:
         if key not in known:
             raise ValueError(f"unknown key {key}")
-    algorithm = raw.get("algorithm")
-    if not algorithm:
-        raise ValueError("missing required field: algorithm")
-    if "seed" not in raw:
-        raise ValueError("missing required field: seed")
+    for key in ("algorithm", "seed"):
+        if key not in raw:
+            raise ValueError(f"missing required field: {key}")
     _check_type(int, raw["seed"], "seed")
 
     env_section = _section(raw, "env")
@@ -146,9 +146,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         env_section[key] = physics[key]
 
     cfg = ExperimentConfig(
-        algorithm=str(algorithm),
+        algorithm=raw["algorithm"],
         seed=raw["seed"],
-        output_dir=str(raw.get("output_dir", "runs/out")),
+        output_dir=raw.get("output_dir", "runs/out"),
         env=_build_section(EnvConfig, env_section, "env"),
         td=_build_section(TdConfig, _section(raw, "td"), "td"),
         ppo=_build_section(PpoConfig, _section(raw, "ppo"), "ppo"),

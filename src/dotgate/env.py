@@ -144,7 +144,9 @@ def _pairs(entries: np.ndarray) -> np.ndarray:
 @dataclass
 class StepResult:
     """One step's outcome: every field and info value is an array over the
-    rows."""
+    rows.  ``info`` holds each row's fidelity, gate_duration (ns),
+    boundary_hit, compensated flag and running return; the controls the
+    step held are the env's ``controls``."""
 
     observation: np.ndarray
     reward: np.ndarray
@@ -377,9 +379,6 @@ class VecGateEnv:
         info = {
             "fidelity": fid,
             "gate_duration": self.steps * cfg.dt,
-            "eps0": controls[:, 0],
-            "eps1": controls[:, 1],
-            "tunnel": controls[:, 2],
             "boundary_hit": boundary_hit,
             "compensated": compensated,
             "return": self.returns,

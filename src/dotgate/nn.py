@@ -136,32 +136,32 @@ def forward(p: MlpParameters, x: np.ndarray):
 
 
 def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParameters:
-    """Exact reverse-mode gradients; batched inputs sum over the batch.
+    """Exact reverse-mode gradients, summed over the batch.
 
-    With no ``out``, fresh arrays are allocated.  With ``out``, arrays of
-    the gradients' shapes such as a network's ``LiveRows.grads``, each
-    gradient is written into its array there and ``out`` is returned.
+    ``cache`` is the (x, h1, h2) of a (batch, in_dim) forward and ``dL_dy``
+    is (batch, out_dim); any other shape raises ValueError naming both.  A
+    one-row forward's cache enters as a batch of one, ``a[None]``.  With no
+    ``out``, fresh arrays are allocated.  With ``out``, arrays of the
+    gradients' shapes such as a network's ``LiveRows.grads``, each gradient
+    is written into its array there and ``out`` is returned.
     """
     x, h1, h2 = cache
-    dL_dy = np.asarray(dL_dy, dtype=float)
-    if dL_dy.shape != (*x.shape[:-1], p.out_dim):
-        raise ValueError(f"dL_dy shape {dL_dy.shape} inconsistent with cache")
+    g = np.asarray(dL_dy, dtype=float)
+    if x.ndim != 2 or g.shape != (len(x), p.out_dim):
+        raise ValueError(
+            f"backward takes a (batch, in_dim) cache and (batch, {p.out_dim}) dL_dy, "
+            f"got x {x.shape} and dL_dy {g.shape}"
+        )
     _, w2, w3 = p.weights
     dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
 
-    batched = x.ndim == 2
-    x2 = x if batched else x[None, :]
-    h1_2 = h1 if batched else h1[None, :]
-    h2_2 = h2 if batched else h2[None, :]
-    g = dL_dy if batched else dL_dy[None, :]
-
-    dw3 = np.matmul(h2_2.T, g, out=dw3)
+    dw3 = np.matmul(h2.T, g, out=dw3)
     db3 = g.sum(axis=0, out=db3)
-    g = _through_tanh(g @ w3.T, h2_2)
-    dw2 = np.matmul(h1_2.T, g, out=dw2)
+    g = _through_tanh(g @ w3.T, h2)
+    dw2 = np.matmul(h1.T, g, out=dw2)
     db2 = g.sum(axis=0, out=db2)
-    g = _through_tanh(g @ w2.T, h1_2)
-    dw1 = np.matmul(x2.T, g, out=dw1)
+    g = _through_tanh(g @ w2.T, h1)
+    dw1 = np.matmul(x.T, g, out=dw1)
     db1 = g.sum(axis=0, out=db1)
     if out is not None:
         return out

@@ -3,7 +3,9 @@
 The two dots are modeled as a four-mode fermionic Fock space (dot0-up,
 dot0-down, dot1-up, dot1-down), giving a 16-dimensional Hilbert space.
 The Hamiltonian collects on-site energies, Zeeman splittings, Hubbard
-repulsion, and tunnel coupling (with Jordan-Wigner fermionic signs).
+repulsion, and tunnel coupling.  Every term is read off the occupation
+bits: a hop moves one electron of one spin between the dots, and its
+Jordan-Wigner sign is the occupation of the mode between the two.
 
 Basis indices are big-endian occupation bitstrings over the mode order
 above, so the (1,1)-charge computational states sit at indices
@@ -69,28 +71,19 @@ PHASE_TOL = 1e-8
 _OCC = (np.arange(DIM_FULL)[:, None] >> np.arange(N_MODES - 1, -1, -1)) & 1
 
 
-def _annihilation(mode: int) -> np.ndarray:
-    """Jordan-Wigner annihilation operator for one mode (16x16, real)."""
-    a = np.zeros((DIM_FULL, DIM_FULL))
-    bit = 1 << (N_MODES - 1 - mode)
-    for s in range(DIM_FULL):
-        if s & bit:
-            parity = int(_OCC[s, :mode].sum())
-            a[s & ~bit, s] = -1.0 if parity % 2 else 1.0
-    return a
-
-
-def _hopping_operator() -> np.ndarray:
-    """Sum over spin of c0^dag c1 + h.c. between the two dots."""
-    hop = np.zeros((DIM_FULL, DIM_FULL))
+def _hop(a, b) -> np.ndarray:
+    """<a| sum over spin s of c0s^dag c1s + h.c. |b> for arrays of basis
+    states a, b: nonzero where one electron of spin s moves between the dots
+    (modes s and s + 2), with the Jordan-Wigner sign (-1)^n, n the
+    occupation of the mode between them (s + 1)."""
+    hop = 0.0
     for spin in range(2):
-        a0 = _annihilation(0 + spin)   # dot0, this spin
-        a1 = _annihilation(2 + spin)   # dot1, this spin
-        hop += a0.T @ a1 + a1.T @ a0
+        dot0, dot1 = spin, spin + 2
+        pair = (1 << (N_MODES - 1 - dot0)) | (1 << (N_MODES - 1 - dot1))
+        moved = ((a ^ b) == pair) & (_OCC[b, dot0] != _OCC[b, dot1])
+        hop = hop + np.where(moved, 1.0 - 2.0 * _OCC[b, spin + 1], 0.0)
     return hop
 
-
-_HOP = _hopping_operator()
 
 # -- (N, S_z) sectors packed into 4x4 slots ---------------------------------
 
@@ -141,7 +134,7 @@ def _slot_terms() -> np.ndarray:
     diagonals += [up[:, d] * down[:, d] for d in range(2)]
     eye = np.eye(SLOT_DIM)
     terms = [f[SLOTS][:, :, None] * eye for f in diagonals]
-    terms.insert(2, -_HOP[SLOTS[:, :, None], SLOTS[:, None, :]])
+    terms.insert(2, -_hop(SLOTS[:, :, None], SLOTS[:, None, :]))
     return np.stack(terms).reshape(len(terms), -1)
 
 
@@ -274,7 +267,8 @@ class FidelityReport:
 
     fidelity = (unitarity_trace + overlap) / (d*(d+1)) with d = 4, where
     unitarity_trace = Tr(U^dag U) and overlap = |Tr(U_target^dag U)|^2.
-    The report of a stack of gates holds arrays over the stack.
+    Each field has the stack's shape: arrays over a stack of gates, and
+    numpy float64 scalars, which are ``float`` instances, for one gate.
     """
 
     fidelity: float | np.ndarray
@@ -424,9 +418,9 @@ def try_phase_compensate(u4: np.ndarray):
 
 
 def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityReport:
-    """Fidelity of a projected, compensated 4x4 gate against the target.
+    """Fidelity of projected, compensated (..., 4, 4) gates against the target.
 
-    For a stack (..., 4, 4) the report's fields are arrays over the stack.
+    The report's fields have the stack's shape (see ``FidelityReport``).
     Each sum runs over one gate's own 16 entries, so a gate's bits do not
     depend on the stack it is in.
     """
@@ -441,6 +435,4 @@ def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityRep
     overlap = np.abs((u * u_target.ravel().conj()).sum(axis=-1)) ** 2  # |Tr(T^dag U)|^2
     d = DIM_COMP
     fidelity = (unitarity + overlap) / (d * (d + 1))
-    if u_final.ndim == 2:
-        return FidelityReport(float(fidelity), float(unitarity), float(overlap))
     return FidelityReport(fidelity, unitarity, overlap)

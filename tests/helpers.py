@@ -179,10 +179,11 @@ def finite_diff_check(params, x, loss_weights, h=1e-5, rel_tol=1e-5, abs_floor=1
     exact and any mismatch isolates the backward pass.  The +h and -h
     forwards of up to ``_FD_CHUNK`` entries run as one stacked forward.
     An entry fails when |fd - analytic| >= abs_floor and its relative error
-    is >= rel_tol.  Returns an FdReport.
+    is >= rel_tol.  Returns an FdReport.  x and loss_weights are one row;
+    ``nn.backward`` takes them as a batch of one.
     """
-    y, cache = nn.forward(params, x)
-    grads = nn.backward(params, cache, loss_weights)
+    _, cache = nn.forward(params, x[None])
+    grads = nn.backward(params, cache, loss_weights[None])
     arrays = params.as_list()
 
     worst_abs = worst_rel = 0.0
@@ -225,18 +226,14 @@ def reference_backward(p, cache, dL_dy):
     """nn.backward with a fresh temporary per operation."""
     x, h1, h2 = cache
     _, w2, w3 = p.weights
-    batched = x.ndim == 2
-    x2 = x if batched else x[None, :]
-    h1_2 = h1 if batched else h1[None, :]
-    h2_2 = h2 if batched else h2[None, :]
-    g = dL_dy if batched else dL_dy[None, :]
-    dw3 = h2_2.T @ g
+    g = dL_dy
+    dw3 = h2.T @ g
     db3 = g.sum(axis=0)
-    g = (g @ w3.T) * (1.0 - h2_2**2)
-    dw2 = h1_2.T @ g
+    g = (g @ w3.T) * (1.0 - h2**2)
+    dw2 = h1.T @ g
     db2 = g.sum(axis=0)
-    g = (g @ w2.T) * (1.0 - h1_2**2)
-    dw1 = x2.T @ g
+    g = (g @ w2.T) * (1.0 - h1**2)
+    dw1 = x.T @ g
     db1 = g.sum(axis=0)
     return nn.MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
 

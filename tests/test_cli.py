@@ -14,6 +14,7 @@ import yaml
 from dotgate import cli, nn
 from dotgate.agents import PpoConfig, TdConfig, train_ppo, train_td
 from dotgate.config import (
+    ALGORITHMS,
     ExperimentConfig,
     canonical_bytes,
     config_digest,
@@ -380,6 +381,26 @@ class TestValidate:
         )
         assert cli.main(["validate", path]) == 1
         assert capsys.readouterr().err == f"error: {section} must be a mapping, got {kind}\n"
+
+    @pytest.mark.parametrize("value, shown", [
+        (None, "None"), ([1, 2], "[1, 2]"), (5, "5"), ("", "''"),
+    ])
+    def test_output_dir_not_a_non_empty_string_named(self, tmp_path, capsys, value, shown):
+        path = write_config(
+            tmp_path / "c.yaml", {"algorithm": "qlearning", "seed": 1, "output_dir": value}
+        )
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output_dir must be a non-empty string, got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("value, shown", [(0, "0"), (None, "None"), ("", "''")])
+    def test_algorithm_not_among_the_algorithms_named(self, tmp_path, capsys, value, shown):
+        path = write_config(tmp_path / "c.yaml", {"algorithm": value, "seed": 1})
+        assert cli.main(["validate", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: algorithm must be one of {ALGORITHMS}, got {shown}\n"
+        )
 
     @pytest.mark.parametrize("section", ["env", "physics", "td", "ppo"])
     def test_null_section_reads_as_defaults(self, tmp_path, section):

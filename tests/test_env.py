@@ -213,9 +213,9 @@ def discrete_move(action, delta):
     cfg = EnvConfig(step_sizes=(delta, 0.1, 0.01))
     env = GateEnv(cfg)
     env.reset()
-    info = env.step_discrete([action]).info
+    env.step_discrete([action])
     start = (*cfg.eps_init, cfg.tun_init)
-    return tuple(info[k][0] - s for k, s in zip(("eps0", "eps1", "tunnel"), start))
+    return tuple(c - s for c, s in zip(env.controls[0], start))
 
 
 class TestDecodeAction:
@@ -303,8 +303,7 @@ class TestStepDiscrete:
                 action = 0 if rng.random() < 0.5 else int(rng.choice([18, 9, 1, 26, 13]))
                 controls, hit = reference_discrete_move(controls, delta, action, cfg)
                 res = env.step_discrete([action])
-                got = [res.info[k][0] for k in ("eps0", "eps1", "tunnel")]
-                assert np.array(got).tobytes() == np.array(controls).tobytes()
+                assert env.controls[0].tobytes() == np.array(controls).tobytes()
                 assert res.info["boundary_hit"][0] == hit
                 new_delta = reference_shrink(delta, res.info["fidelity"][0], cfg)
                 assert env.delta[0] == new_delta
@@ -324,21 +323,22 @@ class TestStepDiscrete:
         cfg = EnvConfig()
         venv = VecGateEnv(cfg, 27)
         venv.reset()
-        res = venv.step_discrete(np.arange(27))
+        venv.step_discrete(np.arange(27))
         start, delta = [*cfg.eps_init, cfg.tun_init], cfg.step_sizes[0]
         for action in range(27):
             controls, _ = reference_discrete_move(start, delta, action, cfg)
-            got = [res.info[k][action] for k in ("eps0", "eps1", "tunnel")]
-            assert np.array(got).tobytes() == np.array(controls).tobytes(), action
+            assert venv.controls[action].tobytes() == np.array(controls).tobytes(), action
         assert len({tuple(row) for row in venv.controls.tolist()}) == 27
 
     def test_no_change_step(self):
         env = GateEnv()
         env.reset()
         res = env.step_discrete([0])
-        assert res.info["eps0"][0] == 170.0
-        assert res.info["eps1"][0] == 70.0
-        assert res.info["tunnel"][0] == 2.5
+        # The controls are the env's alone; info holds no copy of them.
+        assert set(res.info) == {"fidelity", "gate_duration", "boundary_hit", "compensated", "return"}
+        assert env.controls[0, 0] == 170.0
+        assert env.controls[0, 1] == 70.0
+        assert env.controls[0, 2] == 2.5
         assert res.reward[0] == -1.0
         assert res.info["fidelity"][0] != 0.4  # evolved 1 ns
 
@@ -348,7 +348,7 @@ class TestStepDiscrete:
         env.step_discrete([ACTION_TUN_DOWN])  # 2.5 -> 1.5
         env.step_discrete([ACTION_TUN_DOWN])  # 1.5 -> 0.5
         res = env.step_discrete([ACTION_TUN_DOWN])  # 0.5 -> clip at 0
-        assert res.info["tunnel"][0] == 0.0
+        assert env.controls[0, 2] == 0.0
         assert res.info["boundary_hit"][0]
         assert res.reward[0] == -2.0
 
@@ -403,24 +403,24 @@ class TestStepContinuous:
         env = GateEnv()
         env.reset()
         res = env.step_continuous([(0.0, 0.0, 0.0)])
-        assert res.info["eps0"][0] == 0.0
-        assert res.info["eps1"][0] == 0.0
-        assert res.info["tunnel"][0] == 2.5
+        assert env.controls[0, 0] == 0.0
+        assert env.controls[0, 1] == 0.0
+        assert env.controls[0, 2] == 2.5
         assert not res.info["boundary_hit"][0]
 
     def test_endpoint_action(self):
         env = GateEnv()
         env.reset()
         res = env.step_continuous([(1.0, -1.0, 1.0)])
-        assert res.info["eps0"][0] == 750.0
-        assert res.info["eps1"][0] == -750.0
-        assert res.info["tunnel"][0] == 5.0
+        assert env.controls[0, 0] == 750.0
+        assert env.controls[0, 1] == -750.0
+        assert env.controls[0, 2] == 5.0
 
     def test_out_of_range_clipped_with_boundary_flag(self):
         env = GateEnv()
         env.reset()
         res = env.step_continuous([(0.0, 0.0, 1.7)])
-        assert res.info["tunnel"][0] == 5.0
+        assert env.controls[0, 2] == 5.0
         assert res.info["boundary_hit"][0]
 
     def test_wrong_length_rejected(self):
@@ -437,7 +437,7 @@ class TestStepContinuous:
         env = GateEnv(EnvConfig(eps_bounds=(lo, hi)))
         env.reset()
         res = env.step_continuous([(1.0, 1.0, 1.0)])
-        assert res.info["eps0"][0] == res.info["eps1"][0] == hi
+        assert env.controls[0, 0] == env.controls[0, 1] == hi
         assert not res.info["boundary_hit"][0]
 
 
@@ -949,9 +949,9 @@ class TestInvariants:
         cfg = env.config
         for _ in range(10_000):
             res = env.step_discrete([int(rng.integers(27))])
-            assert cfg.eps_bounds[0] <= res.info["eps0"][0] <= cfg.eps_bounds[1]
-            assert cfg.eps_bounds[0] <= res.info["eps1"][0] <= cfg.eps_bounds[1]
-            assert cfg.tun_bounds[0] <= res.info["tunnel"][0] <= cfg.tun_bounds[1]
+            assert cfg.eps_bounds[0] <= env.controls[0, 0] <= cfg.eps_bounds[1]
+            assert cfg.eps_bounds[0] <= env.controls[0, 1] <= cfg.eps_bounds[1]
+            assert cfg.tun_bounds[0] <= env.controls[0, 2] <= cfg.tun_bounds[1]
             assert res.info["gate_duration"][0] == env.steps[0] * cfg.dt
             assert not (res.terminated[0] and res.truncated[0])
             expected_r = compute_reward(

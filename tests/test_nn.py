@@ -116,8 +116,8 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         p = nn.init_mlp(5, 3, seed=40)
-        _, cache = nn.forward(p, np.ones(5))
-        g = nn.backward(p, cache, np.zeros(3))
+        _, cache = nn.forward(p, np.ones((1, 5)))
+        g = nn.backward(p, cache, np.zeros((1, 3)))
         assert all(np.all(a == 0) for a in g.as_list())
 
     def test_single_linear_layer_hand_derivative(self):
@@ -128,9 +128,9 @@ class TestBackward:
         p.weights[0][0, 0] = 1.0
         p.weights[1][0, 0] = 1.0
         p.weights[2][0, 0] = 1.0
-        x = np.array([1e-6])
+        x = np.array([[1e-6]])
         _, cache = nn.forward(p, x)
-        g = nn.backward(p, cache, np.array([1.0]))
+        g = nn.backward(p, cache, np.array([[1.0]]))
         # d y / d b3 = 1 exactly; d y / d w3 = h2 ~ x
         assert g.biases[2][0] == 1.0
         assert g.weights[2][0, 0] == pytest.approx(1e-6, rel=1e-3)
@@ -163,12 +163,13 @@ class TestBackward:
     @pytest.mark.parametrize("obs_mode, out_dim", [("full16", 27), ("computational4", 3),
                                                    ("computational4", 1)])
     def test_out_equals_allocated_bitwise(self, rows, obs_mode, out_dim):
+        # rows=None: a one-row forward, whose cache enters as a batch of one.
         rng = np.random.default_rng(47 + out_dim)
         live, x = live_inputs(obs_mode, rng, rows)
         trainable = nn.LiveRows([nn.init_mlp(x.shape[-1], out_dim, seed=48)], live, 0.001, 0.0)
         (p,), (out,) = trainable.parts, trainable.grads
-        _, cache = nn.forward(p, x[..., live])
-        dy = rng.normal(size=(*x.shape[:-1], out_dim))
+        cache = batch_cache(nn.forward(p, x[..., live])[1])
+        dy = rng.normal(size=(len(cache[0]), out_dim))
         want = nn.backward(p, cache, dy)
         got = nn.backward(p, cache, dy, out=out)
         assert got is out
@@ -192,6 +193,18 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(p, cache, dy, out=fewer_rows)
 
+    def test_cache_of_other_rank_rejected_naming_the_shapes(self):
+        p = nn.init_mlp(5, 3, seed=39)
+        _, row = nn.forward(p, np.ones(5))
+        with pytest.raises(ValueError, match=r"\(batch, in_dim\) cache .* got x \(5,\) and dL_dy \(3,\)$"):
+            nn.backward(p, row, np.ones(3))
+        _, stack = nn.forward(p, np.ones((2, 1, 5)))
+        with pytest.raises(ValueError, match=r"got x \(2, 1, 5\) and dL_dy \(2, 1, 3\)$"):
+            nn.backward(p, stack, np.ones((2, 1, 3)))
+        _, batch = nn.forward(p, np.ones((4, 5)))
+        with pytest.raises(ValueError, match=r"got x \(4, 5\) and dL_dy \(4, 2\)$"):
+            nn.backward(p, batch, np.ones((4, 2)))
+
     def test_batched_gradients_sum(self):
         rng = np.random.default_rng(43)
         p = nn.init_mlp(4, 2, seed=44)
@@ -201,8 +214,8 @@ class TestBackward:
         g_batch = nn.backward(p, cache, dys)
         acc = [np.zeros_like(a) for a in g_batch.as_list()]
         for i in range(5):
-            _, c = nn.forward(p, xs[i])
-            g = nn.backward(p, c, dys[i])
+            _, c = nn.forward(p, xs[i:i + 1])
+            g = nn.backward(p, c, dys[i:i + 1])
             for a, b in zip(acc, g.as_list()):
                 a += b
         for a, b in zip(acc, g_batch.as_list()):
@@ -248,9 +261,9 @@ class TestAdam:
             s = nn.init_adam(flat)
             rng = np.random.default_rng(52)
             for _ in range(10):
-                x = rng.normal(size=4)
+                x = rng.normal(size=(1, 4))
                 y, cache = nn.forward(p, x)
-                loss, dy = nn.mse_loss(y, np.zeros(2))
+                loss, dy = nn.mse_loss(y, np.zeros((1, 2)))
                 g = packed(nn.backward(p, cache, dy))
                 nn.adam_update([flat], [g], s)
             outs.append([a.tobytes() for a in p.as_list()])
@@ -401,6 +414,12 @@ class TestPackedAdam:
         assert peak < 0.2 * flat.nbytes, f"peak {peak} B for a {flat.nbytes} B vector"
 
 
+def batch_cache(cache):
+    """A forward's cache as ``backward`` takes it: a one-row forward's as a
+    batch of one, a batch's as it is."""
+    return tuple(np.atleast_2d(a) for a in cache)
+
+
 def live_inputs(obs_mode: str, rng, rows=None):
     """The mode's live features and random inputs in the dense layout, exact
     zeros at every other feature, as the environment's matrices are."""
@@ -418,38 +437,23 @@ class TestLiveRows:
     @pytest.mark.parametrize("rows", [None, 1, 32, 64])
     @pytest.mark.parametrize("out_dim", [27, 3, 1])
     def test_narrowed_backward_equals_full_width_rows_bitwise(self, obs_mode, rows, out_dim):
+        # rows=None: a one-row forward, whose cache enters as a batch of one.
         rng = np.random.default_rng(80 + out_dim)
         live, x = live_inputs(obs_mode, rng, rows)
         p = nn.init_mlp(x.shape[-1], out_dim, seed=81)
-        _, cache = nn.forward(p, x)
-        dy = rng.normal(size=(*x.shape[:-1], out_dim))
+        x, h1, h2 = cache = batch_cache(nn.forward(p, x)[1])
+        dy = rng.normal(size=(len(x), out_dim))
         full = nn.backward(p, cache, dy)
         trainable = nn.LiveRows([p], live, 0.001, 0.0)
         (p_live,), (grads,) = trainable.parts, trainable.grads
         # The live-width network's backward at the same hidden activations.
-        gathered = nn.backward(p_live, (x[..., live], *cache[1:]), dy, out=grads)
+        gathered = nn.backward(p_live, (x[:, live], h1, h2), dy, out=grads)
         dead = np.ones(x.shape[-1], dtype=bool)
         dead[live] = False
         assert np.all(full.weights[0][dead] == 0)
         assert gathered.weights[0].tobytes() == full.weights[0][live].tobytes()
         for got, want in zip(gathered.as_list()[1:], full.as_list()[1:]):
             assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("obs_mode, in_dim", [("computational4", 33), ("full16", 513)])
-    def test_row_and_its_batch_of_one_give_the_same_bytes(self, obs_mode, in_dim):
-        # train_td hands backward (1, obs_dim) slices of a stacked forward,
-        # of a network drawn at the dense layout's width in_dim.
-        rng = np.random.default_rng(82)
-        live, x = live_inputs(obs_mode, rng)
-        assert x.shape == (in_dim,)
-        trainable = nn.LiveRows([nn.init_mlp(in_dim, 27, seed=83)], live, 0.001, 0.0)
-        (p,), (row,) = trainable.parts, trainable.grads
-        _, cache = nn.forward(p, x[live])
-        dy = rng.normal(size=27)
-        (batch,) = nn.LiveRows([p], np.arange(len(live)), 0.001, 0.0).grads
-        nn.backward(p, cache, dy, out=row)
-        nn.backward(p, tuple(a[None] for a in cache), dy[None], out=batch)
-        assert as_bytes(*batch.as_list()) == as_bytes(*row.as_list())
 
     def test_pack_unpack(self):
         live = np.array([0, 2, 3])
@@ -577,12 +581,11 @@ class TestMatchesReferenceExpressions:
     def test_backward(self, rows, in_dim, out_dim):
         rng = np.random.default_rng(rows * 1000 + in_dim)
         p = nn.init_mlp(in_dim, out_dim, seed=rows)
-        for x in (rng.normal(size=(rows, in_dim)), rng.normal(size=in_dim)):
-            y, cache = nn.forward(p, x)
-            dy = rng.normal(size=y.shape)
-            got = nn.backward(p, cache, dy).as_list()
-            want = reference_backward(p, cache, dy).as_list()
-            assert as_bytes(*got) == as_bytes(*want)
+        y, cache = nn.forward(p, rng.normal(size=(rows, in_dim)))
+        dy = rng.normal(size=y.shape)
+        got = nn.backward(p, cache, dy).as_list()
+        want = reference_backward(p, cache, dy).as_list()
+        assert as_bytes(*got) == as_bytes(*want)
 
     @pytest.mark.parametrize("rows", [1, 8, 64])
     def test_gaussian_logprob(self, rows):

@@ -15,6 +15,7 @@ from helpers import (
     SZ_OP,
     dense,
     dense_hamiltonian,
+    jw_annihilators,
     occupation_energy,
     random_hermitian,
     random_slot_stack,
@@ -111,6 +112,17 @@ class TestBuildHamiltonian:
         # dot0-up occupied (1000 = 8) <-> dot1-up occupied (0010 = 2)
         assert h[8, 2] == pytest.approx(-1.5)
         assert h[2, 8] == pytest.approx(-1.5)
+
+    @pytest.mark.parametrize("tun", [0.0, 1.5, 2.5 / 3, 5.0])
+    def test_hopping_slots_equal_jordan_wigner_products_bitwise(self, tun):
+        # With every other control and constant zero, H is -tun times the
+        # hopping, each zero entry +0.0; the hopping here is the sum over
+        # spin of c0^dag c1 + h.c. from independently built JW operators.
+        a = jw_annihilators()
+        hop = sum(a[spin].T @ a[2 + spin] + a[2 + spin].T @ a[spin] for spin in range(2))
+        want = 0.0 - tun * hop[sim.SLOTS[:, :, None], sim.SLOTS[:, None, :]]
+        h = sim.build_hamiltonian(sim.HamiltonianParams((0.0, 0.0, tun), u=(0, 0), ez=(0, 0)))
+        assert h.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "field,params",
@@ -369,6 +381,7 @@ class TestPhaseCompensation:
 class TestGateFidelity:
     def test_perfect_cz(self):
         rep = sim.gate_fidelity(sim.CZ, sim.CZ)
+        assert all(isinstance(v, float) for v in vars(rep).values())
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
         assert rep.unitarity_trace == pytest.approx(4.0, abs=1e-12)
         assert rep.overlap == pytest.approx(16.0, abs=1e-12)
