@@ -40,6 +40,18 @@ methods rather than the ``np.mean`` / ``np.all`` / ``np.sum`` wrappers, and
 ``backward`` applies the tanh derivative in place.  Each such form runs the
 same floating-point operations in the same order as the plain expression,
 so every result is bit for bit the same.
+
+The network products of 1-D and 2-D arrays go straight to BLAS through
+``np.dot``.  ``np.matmul`` runs a product whose inner dimension is 1, such
+as the outer products of a one-row backward, in numpy's own loop rather
+than BLAS, several times slower for a 64 x 64 result.  On finite inputs
+the two give the same values for every shape the learners use; in a
+product with inner dimension 1 an exact zero may come out -0.0 from BLAS
+where numpy's loop gives +0.0.  Only ``adam_update`` reads a gradient, and
+its first moment is never -0.0, so that sign reaches no parameter.  A
+stack keeps ``np.matmul``, whose one product per slice gives a lone row's
+bits.  ``np.dot`` writes only into a C-contiguous float64 array of the
+result's shape, so ``backward`` checks its ``out`` arrays for exactly that.
 """
 
 from __future__ import annotations
@@ -129,9 +141,17 @@ def forward(p: MlpParameters, x: np.ndarray):
         raise ValueError(f"input dim {x.shape[-1]} != network in_dim {p.in_dim}")
     w1, w2, w3 = p.weights
     b1, b2, b3 = p.biases
-    h1 = np.tanh(x @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    y = h2 @ w3 + b3
+    # A stack keeps np.matmul: one gemv per slice, a lone row's bits, where
+    # one (k, in_dim) gemm would sum in another order.
+    product = np.matmul if x.ndim == 3 else np.dot
+    h1 = product(x, w1)
+    h1 += b1
+    np.tanh(h1, out=h1)
+    h2 = product(h1, w2)
+    h2 += b2
+    np.tanh(h2, out=h2)
+    y = product(h2, w3)
+    y += b3
     return y, (x, h1, h2)
 
 
@@ -141,9 +161,10 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParamet
     ``cache`` is the (x, h1, h2) of a (batch, in_dim) forward and ``dL_dy``
     is (batch, out_dim); any other shape raises ValueError naming both.  A
     one-row forward's cache enters as a batch of one, ``a[None]``.  With no
-    ``out``, fresh arrays are allocated.  With ``out``, arrays of the
-    gradients' shapes such as a network's ``LiveRows.grads``, each gradient
-    is written into its array there and ``out`` is returned.
+    ``out``, fresh arrays are allocated.  With ``out``, C-contiguous float64
+    arrays of the gradients' shapes such as a network's ``LiveRows.grads``,
+    each gradient is written into its array there and ``out`` is returned;
+    any other ``out`` array raises ValueError naming its gradient.
     """
     x, h1, h2 = cache
     g = np.asarray(dL_dy, dtype=float)
@@ -153,19 +174,37 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParamet
             f"got x {x.shape} and dL_dy {g.shape}"
         )
     _, w2, w3 = p.weights
-    dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
+    dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else _checked_out(p, out)
 
-    dw3 = np.matmul(h2.T, g, out=dw3)
+    dw3 = np.dot(h2.T, g, out=dw3)
     db3 = g.sum(axis=0, out=db3)
-    g = _through_tanh(g @ w3.T, h2)
-    dw2 = np.matmul(h1.T, g, out=dw2)
+    g = _through_tanh(np.dot(g, w3.T), h2)
+    dw2 = np.dot(h1.T, g, out=dw2)
     db2 = g.sum(axis=0, out=db2)
-    g = _through_tanh(g @ w2.T, h1)
-    dw1 = np.matmul(x.T, g, out=dw1)
+    g = _through_tanh(np.dot(g, w2.T), h1)
+    dw1 = np.dot(x.T, g, out=dw1)
     db1 = g.sum(axis=0, out=db1)
     if out is not None:
         return out
     return MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
+
+
+_GRADIENT_NAMES = ("dw1", "dw2", "dw3", "db1", "db2", "db3")
+
+
+def _checked_out(p: MlpParameters, out: MlpParameters) -> list[np.ndarray]:
+    """``out``'s arrays, each a C-contiguous float64 array of its
+    parameter's shape, the only arrays ``np.dot`` writes into; any other
+    raises ValueError naming the gradient."""
+    arrays = out.as_list()
+    for name, a, like in zip(_GRADIENT_NAMES, arrays, p.as_list()):
+        if not (a.flags.c_contiguous and a.dtype == np.float64 and a.shape == like.shape):
+            layout = "C-contiguous" if a.flags.c_contiguous else f"strided {a.strides}"
+            raise ValueError(
+                f"out {name} must be a C-contiguous float64 {like.shape} array, "
+                f"got a {layout} {a.dtype} {a.shape} array"
+            )
+    return arrays
 
 
 def _through_tanh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -354,19 +393,55 @@ def save_checkpoint(path, networks: dict, extras: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Read back networks and extras written by save_checkpoint."""
+    """Read back networks and extras written by save_checkpoint.
+
+    A checkpoint with no ``format_version`` or another version, or a network
+    missing one of its six arrays, holding a non-finite entry or with layer
+    shapes that do not chain, raises ValueError naming the network and the
+    array.
+    """
     with np.load(path) as data:
+        if "format_version" not in data.files:
+            raise ValueError("checkpoint has no format_version")
         version = int(data["format_version"])
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
-        names = {k.split("__")[0] for k in data.files if "__w0" in k}
-        networks = {}
-        for name in names:
-            networks[name] = MlpParameters(
-                weights=tuple(data[f"{name}__w{i}"] for i in range(3)),
-                biases=tuple(data[f"{name}__b{i}"] for i in range(3)),
-            )
+        names = {
+            k.split("__")[0] for k in data.files if "__" in k and not k.startswith("extra__")
+        }
+        networks = {name: _network(data, name) for name in names}
         extras = {
             k[len("extra__"):]: data[k] for k in data.files if k.startswith("extra__")
         }
     return networks, extras
+
+
+def _network(data, name: str) -> MlpParameters:
+    """Network ``name`` of an open checkpoint, its arrays checked."""
+    keys = [f"{name}__w{i}" for i in range(3)] + [f"{name}__b{i}" for i in range(3)]
+    arrays = []
+    for key in keys:
+        if key not in data.files:
+            raise ValueError(f"checkpoint network {name!r} has no array {key}")
+        a = data[key]
+        if not np.isfinite(a).all():
+            raise ValueError(f"checkpoint network {name!r}: {key} holds non-finite entries")
+        arrays.append(a)
+    rows = None
+    for w_key, b_key, w, b in zip(keys[:3], keys[3:], arrays[:3], arrays[3:]):
+        if w.ndim != 2:
+            raise ValueError(
+                f"checkpoint network {name!r}: {w_key} has shape {w.shape}, not a matrix"
+            )
+        if rows is not None and w.shape[0] != rows:
+            raise ValueError(
+                f"checkpoint network {name!r}: {w_key} has {w.shape[0]} rows, "
+                f"where the layer before it has {rows} outputs"
+            )
+        if b.shape != (w.shape[1],):
+            raise ValueError(
+                f"checkpoint network {name!r}: {b_key} has shape {b.shape}, "
+                f"where {w_key} {w.shape} needs ({w.shape[1]},)"
+            )
+        rows = w.shape[1]
+    return MlpParameters.from_list(arrays)

@@ -1,9 +1,13 @@
 """Network forward/backward, Adam, and the loss/log-density functions."""
 
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotgate import nn
 from helpers import (
@@ -193,6 +197,30 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(p, cache, dy, out=fewer_rows)
 
+    @pytest.mark.parametrize("index, bad, got", [
+        (1, np.zeros((64, 128))[:, ::2], "a strided (1024, 16) float64 (64, 64)"),
+        (1, np.zeros((64, 64)).T, "a strided (8, 512) float64 (64, 64)"),
+        (1, np.zeros((64, 64), dtype=np.float32), "a C-contiguous float32 (64, 64)"),
+        (1, np.zeros((64, 65)), "a C-contiguous float64 (64, 65)"),
+        (0, np.zeros((13, 64), dtype=np.float32), "a C-contiguous float32 (13, 64)"),
+        (5, np.zeros(6)[::2], "a strided (16,) float64 (3,)"),
+        (5, np.zeros(4), "a C-contiguous float64 (4,)"),
+    ])
+    def test_out_must_be_c_contiguous_float64_of_the_gradients_shape(self, index, bad, got):
+        # np.dot writes only into such an array, where np.matmul(out=) takes
+        # a strided view; each of the six arrays is held to it.
+        rng = np.random.default_rng(51)
+        p = nn.init_mlp(13, 3, seed=52)
+        _, cache = nn.forward(p, rng.normal(size=(8, 13)))
+        (out,) = nn.LiveRows([p], np.arange(13), 0.001, 0.0).grads
+        arrays = out.as_list()
+        name = ["dw1", "dw2", "dw3", "db1", "db2", "db3"][index]
+        want = arrays[index].shape
+        arrays[index] = bad
+        message = f"out {name} must be a C-contiguous float64 {want} array, got {got} array"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.backward(p, cache, rng.normal(size=(8, 3)), out=nn.MlpParameters.from_list(arrays))
+
     def test_cache_of_other_rank_rejected_naming_the_shapes(self):
         p = nn.init_mlp(5, 3, seed=39)
         _, row = nn.forward(p, np.ones(5))
@@ -220,6 +248,129 @@ class TestBackward:
                 a += b
         for a, b in zip(acc, g_batch.as_list()):
             assert np.max(np.abs(a - b)) < 1e-12
+
+
+# The products the learners run, as (a shape, b shape, operand given
+# transposed): the one-row TD backward's outer products and its products
+# with a transposed weight, one-row forwards (1-D input), PPO's 8-row
+# rollout and 64-row minibatch, and its value head's N = 1 and K = 1
+# products, at a minibatch of 64 rows and of one.
+LEARNER_PRODUCTS = [
+    ((73, 1), (1, 64), "a"), ((64, 1), (1, 64), "a"), ((64, 1), (1, 27), "a"),
+    ((1, 27), (27, 64), "b"), ((1, 64), (64, 64), "b"),
+    ((73,), (73, 64), ""), ((64,), (64, 64), ""), ((64,), (64, 27), ""),
+    ((8, 13), (13, 64), ""), ((8, 64), (64, 3), ""), ((8, 64), (64, 1), ""),
+    ((64, 13), (13, 64), ""), ((64, 64), (64, 64), ""), ((64, 64), (64, 3), ""),
+    ((13, 64), (64, 64), "a"), ((64, 64), (64, 3), "a"), ((64, 3), (3, 64), "b"),
+    ((64, 64), (64, 1), "a"), ((64, 1), (1, 64), "b"),
+    ((64, 1), (1, 1), "a"), ((1, 1), (1, 64), "b"),
+]
+
+
+def special_floats(seed: int, shape, zeros: float, subnormals: float) -> np.ndarray:
+    """Normal draws with a share of exact zeros of either sign and of
+    subnormals, each entry's sign random."""
+    rng = np.random.default_rng(seed)
+    normals = max(0.0, 1.0 - zeros - subnormals)
+    scale = rng.choice([0.0, 1e-310, 1.0], size=shape, p=[zeros, subnormals, normals])
+    return rng.normal(size=shape) * scale
+
+
+def operand(seed, shape, transposed, zeros, subnormals) -> np.ndarray:
+    """An operand of ``shape``, as the transposed view of a C array if
+    ``transposed``, as ``h.T`` and ``w.T`` enter ``backward``."""
+    if transposed:
+        return special_floats(seed, shape[::-1], zeros, subnormals).T
+    return special_floats(seed, shape, zeros, subnormals)
+
+
+def same_but_zero_signs(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal in value, with bytes that differ only where both are zero."""
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    return got.shape == want.shape and np.array_equal(got, want) and (got[differ] == 0).all()
+
+
+class TestBlasProducts:
+    """``np.dot`` in place of ``np.matmul`` changes no bit that reaches a
+    parameter."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        product=st.sampled_from(LEARNER_PRODUCTS),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        subnormals=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_dot_equals_matmul_but_for_the_sign_of_a_zero(self, product, seed, zeros, subnormals):
+        a_shape, b_shape, transposed = product
+        subnormals = min(subnormals, 1.0 - zeros)
+        a = operand(seed, a_shape, "a" in transposed, zeros, subnormals)
+        b = operand(seed + 1, b_shape, "b" in transposed, zeros, subnormals)
+        assert same_but_zero_signs(np.dot(a, b), np.matmul(a, b))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 8),
+           zeros=st.sampled_from([0.1, 0.5, 0.9]))
+    def test_adam_update_ignores_the_sign_of_a_zero_gradient(self, seed, steps, zeros):
+        rng = np.random.default_rng(seed)
+        theta = special_floats(seed, 50, 0.2, 0.1)
+        flipped = theta.copy()
+        states = [nn.init_adam(theta, lr=0.01, lr_decay=0.1),
+                  nn.init_adam(flipped, lr=0.01, lr_decay=0.1)]
+        for step in range(steps):
+            g = special_floats(int(rng.integers(2**32)), 50, zeros, 0.1)
+            nn.adam_update([theta], [g], states[0])
+            nn.adam_update([flipped], [np.where(g == 0.0, -g, g)], states[1])
+            assert not np.signbit(states[0].m[states[0].m == 0.0]).any()
+            assert theta.tobytes() == flipped.tobytes(), f"step {step}"
+            assert states[0].m.tobytes() == states[1].m.tobytes()
+            assert states[0].v.tobytes() == states[1].v.tobytes()
+
+
+# Each learner's networks as (in_dim, out_dim, rows, upstream gradient):
+# TD's one-row Q-net, whose gradient has one nonzero entry, and PPO's
+# policy and value heads on 64-row minibatches and on a batch of one.
+LEARNER_NETWORKS = [
+    pytest.param(73, 27, 1, "one-hot", id="td"),
+    pytest.param(13, 3, 64, "normal", id="ppo-policy"),
+    pytest.param(13, 1, 64, "normal", id="ppo-value"),
+    pytest.param(13, 1, 1, "normal", id="ppo-value-one-row"),
+]
+
+
+class TestNonFiniteBackward:
+    """A NaN or inf in the cache or in dL_dy reaches the gradient, so the
+    next ``LiveRows.update()`` refuses it."""
+
+    @pytest.mark.parametrize("in_dim, out_dim, rows, upstream", LEARNER_NETWORKS)
+    @pytest.mark.parametrize("where", ["x", "h1", "h2", "dL_dy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("zero_upstream", [False, True])
+    def test_update_raises(self, in_dim, out_dim, rows, upstream, where, bad, zero_upstream):
+        rng = np.random.default_rng(in_dim + rows)
+        trainable = nn.LiveRows([nn.init_mlp(in_dim, out_dim, seed=90)], np.arange(in_dim),
+                                0.001, 0.0)
+        (p,), (grads,) = trainable.parts, trainable.grads
+        before = trainable.flat.copy()
+        _, cache = nn.forward(p, rng.uniform(-1.0, 1.0, size=(rows, in_dim)))
+        dy = np.zeros((rows, out_dim))
+        if not zero_upstream and upstream == "one-hot":
+            dy[0, 3] = 0.25
+        elif not zero_upstream:
+            dy[...] = rng.normal(size=dy.shape)
+        arrays = dict(zip(["x", "h1", "h2", "dL_dy"], [*cache, dy]))
+        target = arrays[where]
+        # Every entry of the first and the last row, one at a time.
+        for row, col in itertools.product((0, -1), range(target.shape[1])):
+            saved = target[row, col]
+            target[row, col] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                nn.backward(p, (arrays["x"], arrays["h1"], arrays["h2"]), arrays["dL_dy"],
+                            out=grads)
+            with pytest.raises(ValueError, match="^non-finite gradient"):
+                trainable.update()
+            target[row, col] = saved
+        assert trainable.flat.tobytes() == before.tobytes() and trainable.adam.t == 0
 
 
 def packed(p) -> np.ndarray:
@@ -642,4 +793,42 @@ class TestCheckpoint:
         payload["format_version"] = np.array(1)
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=r"^unsupported checkpoint format version 1$"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"format_version": None}, "checkpoint has no format_version"),
+        ({"q__w1": None}, "checkpoint network 'q' has no array q__w1"),
+        ({"q__b2": None}, "checkpoint network 'q' has no array q__b2"),
+        ({"q__w0": np.full((13, 64), np.nan)},
+         "checkpoint network 'q': q__w0 holds non-finite entries"),
+        ({"q__b1": np.full(64, -np.inf)}, "checkpoint network 'q': q__b1 holds non-finite entries"),
+        ({"q__w0": np.zeros(64)}, "checkpoint network 'q': q__w0 has shape (64,), not a matrix"),
+        ({"q__w1": np.zeros((32, 64))},
+         "checkpoint network 'q': q__w1 has 32 rows, where the layer before it has 64 outputs"),
+        ({"q__w2": np.zeros((64, 27, 1))},
+         "checkpoint network 'q': q__w2 has shape (64, 27, 1), not a matrix"),
+        ({"q__b2": np.zeros(26)},
+         "checkpoint network 'q': q__b2 has shape (26,), where q__w2 (64, 27) needs (27,)"),
+    ])
+    def test_bad_checkpoint_rejected_naming_the_array(self, tmp_path, change, message):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, {"q": nn.init_mlp(13, 27, seed=63)})
+        with np.load(path) as data:
+            payload = dict(data)
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.load_checkpoint(path)
+
+    def test_the_bad_network_is_named_among_several(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        policy, value = nn.init_mlp(13, 3, seed=64), nn.init_mlp(13, 1, seed=65)
+        value.weights[2][5, 0] = np.nan
+        nn.save_checkpoint(path, {"policy": policy, "value": value}, {"log_std": np.zeros(3)})
+        message = r"^checkpoint network 'value': value__w2 holds non-finite"
+        with pytest.raises(ValueError, match=message):
             nn.load_checkpoint(path)
