@@ -41,17 +41,16 @@ methods rather than the ``np.mean`` / ``np.all`` / ``np.sum`` wrappers, and
 same floating-point operations in the same order as the plain expression,
 so every result is bit for bit the same.
 
-The network products of 1-D and 2-D arrays go straight to BLAS through
-``np.dot``.  ``np.matmul`` runs a product whose inner dimension is 1, such
-as the outer products of a one-row backward, in numpy's own loop rather
-than BLAS, several times slower for a 64 x 64 result.  On finite inputs
-the two give the same values for every shape the learners use; in a
-product with inner dimension 1 an exact zero may come out -0.0 from BLAS
-where numpy's loop gives +0.0.  Only ``adam_update`` reads a gradient, and
-its first moment is never -0.0, so that sign reaches no parameter.  A
-stack keeps ``np.matmul``, whose one product per slice gives a lone row's
-bits.  ``np.dot`` writes only into a C-contiguous float64 array of the
-result's shape, so ``backward`` checks its ``out`` arrays for exactly that.
+``backward``'s five products go straight to BLAS through ``np.dot``.
+``np.matmul`` runs a product whose inner dimension is 1, such as the outer
+products of a one-row backward, in numpy's own loop rather than BLAS,
+several times slower for a 64 x 64 result.  On finite inputs the two give
+the same values for every shape the learners use; in a product with inner
+dimension 1 an exact zero may come out -0.0 from BLAS where numpy's loop
+gives +0.0.  Only ``adam_update`` reads a gradient, and its first moment
+is never -0.0, so that sign reaches no parameter.  ``forward`` keeps
+``@``: none of its products has inner dimension 1, so they already reach
+BLAS, and a stack's one product per slice gives a lone row's bits.
 """
 
 from __future__ import annotations
@@ -141,17 +140,9 @@ def forward(p: MlpParameters, x: np.ndarray):
         raise ValueError(f"input dim {x.shape[-1]} != network in_dim {p.in_dim}")
     w1, w2, w3 = p.weights
     b1, b2, b3 = p.biases
-    # A stack keeps np.matmul: one gemv per slice, a lone row's bits, where
-    # one (k, in_dim) gemm would sum in another order.
-    product = np.matmul if x.ndim == 3 else np.dot
-    h1 = product(x, w1)
-    h1 += b1
-    np.tanh(h1, out=h1)
-    h2 = product(h1, w2)
-    h2 += b2
-    np.tanh(h2, out=h2)
-    y = product(h2, w3)
-    y += b3
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    y = h2 @ w3 + b3
     return y, (x, h1, h2)
 
 
@@ -161,10 +152,11 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParamet
     ``cache`` is the (x, h1, h2) of a (batch, in_dim) forward and ``dL_dy``
     is (batch, out_dim); any other shape raises ValueError naming both.  A
     one-row forward's cache enters as a batch of one, ``a[None]``.  With no
-    ``out``, fresh arrays are allocated.  With ``out``, C-contiguous float64
-    arrays of the gradients' shapes such as a network's ``LiveRows.grads``,
-    each gradient is written into its array there and ``out`` is returned;
-    any other ``out`` array raises ValueError naming its gradient.
+    ``out``, fresh arrays are allocated.  With ``out``, arrays of the
+    gradients' shapes such as a network's ``LiveRows.grads``, each gradient
+    is written into its array there and ``out`` is returned.  ``np.dot``
+    writes a weight gradient only into a C-contiguous float64 array; an
+    ``out`` array it cannot write into raises ValueError naming its gradient.
     """
     x, h1, h2 = cache
     g = np.asarray(dL_dy, dtype=float)
@@ -174,16 +166,21 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParamet
             f"got x {x.shape} and dL_dy {g.shape}"
         )
     _, w2, w3 = p.weights
-    dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else _checked_out(p, out)
+    dw1, dw2, dw3, db1, db2, db3 = [None] * 6 if out is None else out.as_list()
 
-    dw3 = np.dot(h2.T, g, out=dw3)
-    db3 = g.sum(axis=0, out=db3)
-    g = _through_tanh(np.dot(g, w3.T), h2)
-    dw2 = np.dot(h1.T, g, out=dw2)
-    db2 = g.sum(axis=0, out=db2)
-    g = _through_tanh(np.dot(g, w2.T), h1)
-    dw1 = np.dot(x.T, g, out=dw1)
-    db1 = g.sum(axis=0, out=db1)
+    try:
+        dw3 = np.dot(h2.T, g, out=dw3)
+        db3 = g.sum(axis=0, out=db3)
+        g = _through_tanh(np.dot(g, w3.T), h2)
+        dw2 = np.dot(h1.T, g, out=dw2)
+        db2 = g.sum(axis=0, out=db2)
+        g = _through_tanh(np.dot(g, w2.T), h1)
+        dw1 = np.dot(x.T, g, out=dw1)
+        db1 = g.sum(axis=0, out=db1)
+    except ValueError:
+        if out is not None:
+            _check_out(p, out)
+        raise
     if out is not None:
         return out
     return MlpParameters(weights=(dw1, dw2, dw3), biases=(db1, db2, db3))
@@ -192,19 +189,20 @@ def backward(p: MlpParameters, cache, dL_dy: np.ndarray, out=None) -> MlpParamet
 _GRADIENT_NAMES = ("dw1", "dw2", "dw3", "db1", "db2", "db3")
 
 
-def _checked_out(p: MlpParameters, out: MlpParameters) -> list[np.ndarray]:
-    """``out``'s arrays, each a C-contiguous float64 array of its
-    parameter's shape, the only arrays ``np.dot`` writes into; any other
-    raises ValueError naming the gradient."""
-    arrays = out.as_list()
-    for name, a, like in zip(_GRADIENT_NAMES, arrays, p.as_list()):
-        if not (a.flags.c_contiguous and a.dtype == np.float64 and a.shape == like.shape):
-            layout = "C-contiguous" if a.flags.c_contiguous else f"strided {a.strides}"
-            raise ValueError(
-                f"out {name} must be a C-contiguous float64 {like.shape} array, "
-                f"got a {layout} {a.dtype} {a.shape} array"
-            )
-    return arrays
+def _check_out(p: MlpParameters, out: MlpParameters) -> None:
+    """Raise ValueError naming the first ``out`` array ``backward`` cannot
+    write its gradient into: ``np.dot`` writes a weight gradient only into
+    a C-contiguous float64 array of its shape, ``.sum`` a bias gradient into
+    any array of its shape.  Run only once a write has failed."""
+    for name, a, like in zip(_GRADIENT_NAMES, out.as_list(), p.as_list()):
+        layout = "C-contiguous" if a.flags.c_contiguous else f"strided {a.strides}"
+        got = f"got a {layout} {a.dtype} {a.shape} array"
+        if name.startswith("dw") and not (
+            a.flags.c_contiguous and a.dtype == np.float64 and a.shape == like.shape
+        ):
+            raise ValueError(f"out {name} must be a C-contiguous float64 {like.shape} array, {got}")
+        if a.shape != like.shape:
+            raise ValueError(f"out {name} must be a {like.shape} array, {got}")
 
 
 def _through_tanh(g: np.ndarray, h: np.ndarray) -> np.ndarray:

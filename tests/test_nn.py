@@ -203,12 +203,11 @@ class TestBackward:
         (1, np.zeros((64, 64), dtype=np.float32), "a C-contiguous float32 (64, 64)"),
         (1, np.zeros((64, 65)), "a C-contiguous float64 (64, 65)"),
         (0, np.zeros((13, 64), dtype=np.float32), "a C-contiguous float32 (13, 64)"),
-        (5, np.zeros(6)[::2], "a strided (16,) float64 (3,)"),
         (5, np.zeros(4), "a C-contiguous float64 (4,)"),
     ])
-    def test_out_must_be_c_contiguous_float64_of_the_gradients_shape(self, index, bad, got):
-        # np.dot writes only into such an array, where np.matmul(out=) takes
-        # a strided view; each of the six arrays is held to it.
+    def test_out_np_dot_cannot_write_into_is_named(self, index, bad, got):
+        # np.dot writes a weight gradient only into a C-contiguous float64
+        # array of its shape, where np.matmul(out=) takes a strided view.
         rng = np.random.default_rng(51)
         p = nn.init_mlp(13, 3, seed=52)
         _, cache = nn.forward(p, rng.normal(size=(8, 13)))
@@ -217,9 +216,34 @@ class TestBackward:
         name = ["dw1", "dw2", "dw3", "db1", "db2", "db3"][index]
         want = arrays[index].shape
         arrays[index] = bad
-        message = f"out {name} must be a C-contiguous float64 {want} array, got {got} array"
+        kind = "C-contiguous float64 " if name.startswith("dw") else ""
+        message = f"out {name} must be a {kind}{want} array, got {got} array"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             nn.backward(p, cache, rng.normal(size=(8, 3)), out=nn.MlpParameters.from_list(arrays))
+
+    def test_strided_bias_out_takes_its_gradient(self):
+        # A bias gradient is written by .sum(out=), which takes a strided view.
+        rng = np.random.default_rng(53)
+        p = nn.init_mlp(13, 3, seed=54)
+        _, cache = nn.forward(p, rng.normal(size=(8, 13)))
+        dy = rng.normal(size=(8, 3))
+        want = nn.backward(p, cache, dy)
+        (out,) = nn.LiveRows([p], np.arange(13), 0.001, 0.0).grads
+        arrays = out.as_list()
+        arrays[5] = np.zeros(6)[::2]
+        got = nn.backward(p, cache, dy, out=nn.MlpParameters.from_list(arrays))
+        assert as_bytes(*got.as_list()) == as_bytes(*want.as_list())
+
+    def test_failure_with_writable_out_is_not_blamed_on_out(self):
+        # A cache whose h2 does not match the network fails in np.dot; every
+        # out array is writable, so np.dot's own error stands.
+        rng = np.random.default_rng(55)
+        p = nn.init_mlp(13, 3, seed=56)
+        x, h1, h2 = nn.forward(p, rng.normal(size=(8, 13)))[1]
+        (out,) = nn.LiveRows([p], np.arange(13), 0.001, 0.0).grads
+        with pytest.raises(ValueError) as caught:
+            nn.backward(p, (x, h1, h2[:, :60]), rng.normal(size=(8, 3)), out=out)
+        assert "out " not in str(caught.value)
 
     def test_cache_of_other_rank_rejected_naming_the_shapes(self):
         p = nn.init_mlp(5, 3, seed=39)
@@ -250,18 +274,16 @@ class TestBackward:
             assert np.max(np.abs(a - b)) < 1e-12
 
 
-# The products the learners run, as (a shape, b shape, operand given
-# transposed): the one-row TD backward's outer products and its products
-# with a transposed weight, one-row forwards (1-D input), PPO's 8-row
-# rollout and 64-row minibatch, and its value head's N = 1 and K = 1
-# products, at a minibatch of 64 rows and of one.
+# The products of backward, as (a shape, b shape, operand given transposed):
+# a weight gradient h.T @ g and the product g @ w.T with a transposed
+# weight, for TD's one-row backward (73 -> 64 -> 64 -> 27, its outer
+# products K = 1), PPO's 64-row minibatch (13 -> 64 -> 64 -> 3) and its
+# value head's N = 1 products, at a minibatch of 64 rows and of one (K = 1).
 LEARNER_PRODUCTS = [
     ((73, 1), (1, 64), "a"), ((64, 1), (1, 64), "a"), ((64, 1), (1, 27), "a"),
     ((1, 27), (27, 64), "b"), ((1, 64), (64, 64), "b"),
-    ((73,), (73, 64), ""), ((64,), (64, 64), ""), ((64,), (64, 27), ""),
-    ((8, 13), (13, 64), ""), ((8, 64), (64, 3), ""), ((8, 64), (64, 1), ""),
-    ((64, 13), (13, 64), ""), ((64, 64), (64, 64), ""), ((64, 64), (64, 3), ""),
-    ((13, 64), (64, 64), "a"), ((64, 64), (64, 3), "a"), ((64, 3), (3, 64), "b"),
+    ((13, 64), (64, 64), "a"), ((64, 64), (64, 64), "a"), ((64, 64), (64, 3), "a"),
+    ((64, 3), (3, 64), "b"), ((64, 64), (64, 64), "b"),
     ((64, 64), (64, 1), "a"), ((64, 1), (1, 64), "b"),
     ((64, 1), (1, 1), "a"), ((1, 1), (1, 64), "b"),
 ]
