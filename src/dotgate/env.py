@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,6 +47,10 @@ import numpy as np
 from . import sim
 
 N_ACTIONS = 27  # 3 choices (hold / up / down) per control, 3 controls
+
+# The most step propagators one env keeps for its discrete steps to reuse:
+# 4096 full16 rows of (4, 4, 4) complex slots are 4 MB.
+PROPAGATOR_CACHE_ROWS = 4096
 
 # Row k: the (eps0, eps1, tunnel) moves of action k in units of the step
 # size.  Base-3 digits, eps0 lowest: digit 0 holds, 1 adds, 2 subtracts.
@@ -273,6 +278,18 @@ class VecGateEnv:
     for bit.  The episode state exists from the first ``reset``; before it,
     reading an entry or stepping raises RuntimeError.  A finished row must
     be reset, with ``reset(rows)``, before the next step.
+
+    Discrete moves keep the controls on a lattice that episodes walk back
+    over, so the env keeps the step propagators its discrete steps built,
+    keyed by a row's control bytes (``controls[i].tobytes()``: -0.0 and
+    +0.0 are different keys).  ``step_discrete`` reads a row that an
+    earlier step of this env propagated from there and builds only the
+    others; ``step_continuous`` and ``advance`` neither read nor fill it.
+    It outlives ``reset``, is not part of ``_initial``, is never shared
+    between envs and holds at most ``PROPAGATOR_CACHE_ROWS`` rows, dropping
+    the oldest first.  A propagator's bits do not depend on the stack it
+    was built in, so a reused row equals a rebuilt one bit for bit; a row
+    is kept only once its controls passed validation.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -286,6 +303,7 @@ class VecGateEnv:
             np.array(b) for b in zip(config.eps_bounds, config.eps_bounds, config.tun_bounds)
         )
         self._rows = np.arange(n_envs)
+        self._propagators = OrderedDict()  # control bytes -> read-only (k, 4, 4)
         self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
         # Where each observed feature sits among the floats of its source: the
         # gate, laid out as the dense 4x4 block, or the stack of all slots,
@@ -349,21 +367,14 @@ class VecGateEnv:
         arrays, with (n_envs, obs_dim) observations.  Out of bounds or
         non-finite controls raise ValueError naming the row and the control.
         """
+        return self._advance(controls, boundary_hit, reuse=False)
+
+    def _advance(self, controls, boundary_hit, reuse: bool) -> StepResult:
+        """``advance``, reading and filling the propagator cache if ``reuse``."""
         if self._done.any():  # before the first reset: "environment not reset"
             raise RuntimeError("step called on a finished episode; reset first")
         cfg = self.config
-        try:
-            h = sim.build_hamiltonian(sim.HamiltonianParams(controls, cfg.u, cfg.ez, self.slots))
-        except ValueError:
-            # The batched message counts lockstep rows as steps; name the row.
-            for row, c in enumerate(controls):
-                try:
-                    sim.HamiltonianParams(c, cfg.u, cfg.ez).validate()
-                except ValueError as exc:
-                    raise ValueError(f"row {row}: {exc}") from None
-            raise
-        u_step = sim.step_unitaries(h, cfg.dt)
-        self.u_acc = sim.accumulate(u_step, self.u_acc)
+        self.u_acc = sim.accumulate(self._propagate(controls, reuse), self.u_acc)
         self._history[self._rows, self.steps] = controls
         self.controls = controls
         self.steps = self.steps + 1
@@ -385,12 +396,59 @@ class VecGateEnv:
         }
         return StepResult(self.observation, reward, terminated, truncated, info)
 
+    def _propagate(self, controls: np.ndarray, reuse: bool) -> np.ndarray:
+        """The (n_envs, k, 4, 4) step propagators of (n_envs, 3) controls.
+
+        The rows to build go through one ``sim.build_hamiltonian`` and one
+        ``sim.step_unitaries`` call.  Without ``reuse`` that is every row.
+        With it, a row whose control bytes are in the cache is read from
+        there, and each row built is put there, the oldest dropped past
+        ``PROPAGATOR_CACHE_ROWS``.  A control row that fails validation
+        raises ValueError naming its row among all n_envs and is not kept.
+        """
+        cfg = self.config
+        build = controls
+        if reuse:
+            cache = self._propagators
+            raw, width = controls.tobytes(), controls.itemsize * controls.shape[-1]
+            keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+            found = [cache.get(key) for key in keys]
+            new = [row for row, u in enumerate(found) if u is None]
+            if not new:
+                return np.asarray(found)
+            if len(new) < len(found):
+                build = controls[new]
+        try:
+            h = sim.build_hamiltonian(sim.HamiltonianParams(build, cfg.u, cfg.ez, self.slots))
+        except ValueError:
+            # The batched message counts lockstep rows as steps; name the row.
+            for row, c in enumerate(controls):
+                try:
+                    sim.HamiltonianParams(c, cfg.u, cfg.ez).validate()
+                except ValueError as exc:
+                    raise ValueError(f"row {row}: {exc}") from None
+            raise
+        u_step = sim.step_unitaries(h, cfg.dt)
+        if not reuse:
+            return u_step
+        u_step.flags.writeable = False
+        for row, u in zip(new, u_step):
+            found[row] = cache[keys[row]] = u
+        while len(cache) > PROPAGATOR_CACHE_ROWS:
+            cache.popitem(last=False)
+        return u_step if len(new) == len(found) else np.asarray(found)
+
     def step_discrete(self, actions) -> StepResult:
         """One action index in [0, 26] per row: move each control of the row
         by -delta, 0 or +delta (the action's row of ``_MOVES``), clipped to
         its bounds; a clip counts as a boundary hit.  A row's delta shrinks
         to the next step size once its fidelity passes each step threshold,
-        and is reset to the first with the row."""
+        and is reset to the first with the row.
+
+        A row whose control bytes an earlier discrete step of this env
+        propagated reuses that step propagator, bit for bit the one a
+        rebuild would give (see ``VecGateEnv``); the other rows are built
+        in one batch and kept for later steps."""
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
             raise ValueError(
@@ -401,7 +459,7 @@ class VecGateEnv:
                 raise ValueError(f"action index {a} of row {row} outside [0, {N_ACTIONS - 1}]")
         raw = self.controls + _MOVES.take(actions, axis=0) * self.delta[:, None]
         controls = self._clip(raw)
-        res = self.advance(controls, (controls != raw).any(axis=-1))
+        res = self._advance(controls, (controls != raw).any(axis=-1), reuse=True)
         (t0, t1), (_, s1, s2) = self.config.step_thresholds, self.config.step_sizes
         fid = res.info["fidelity"]
         if (fid > t0).any():  # t0 <= t1, so no row shrinks otherwise

@@ -317,7 +317,8 @@ def adam_update(arrays, grads, s: AdamState) -> None:
     parameters are written into ``arrays[0]``, and ``s`` has its moments
     and step count advanced.  The arithmetic is the textbook expression,
     operation for operation, so the result does not depend on how the
-    parameters were packed.
+    parameters were packed; the one exception is a bias-correction division
+    by exactly 1.0, which is skipped, since x / 1.0 is x bit for bit.
     """
     a = _only(arrays, "parameter")
     g = _only(grads, "gradient")
@@ -334,12 +335,15 @@ def adam_update(arrays, grads, s: AdamState) -> None:
     np.square(g, out=tmp)
     np.multiply(1.0 - ADAM_BETA2, tmp, out=tmp)
     np.add(v, tmp, out=v)
-    # a -= lr_t * m_hat / (sqrt(v_hat) + eps)
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
-    np.sqrt(tmp, out=tmp)
+    # a -= lr_t * m_hat / (sqrt(v_hat) + eps).  Once a bias correction
+    # 1 - beta**t rounds to 1.0 (from t = 356 for m, t = 37412 for v),
+    # dividing by it moves no bit, so that pass is skipped.
+    bias1, bias2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    v_hat = v if bias2 == 1.0 else np.divide(v, bias2, out=tmp)
+    np.sqrt(v_hat, out=tmp)
     np.add(tmp, ADAM_EPS, out=tmp)
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    np.multiply(lr_t, step, out=step)
+    m_hat = m if bias1 == 1.0 else np.divide(m, bias1, out=step)
+    np.multiply(lr_t, m_hat, out=step)
     np.divide(step, tmp, out=step)
     np.subtract(a, step, out=a)
     s.t = t
@@ -393,10 +397,10 @@ def save_checkpoint(path, networks: dict, extras: dict | None = None) -> None:
 def load_checkpoint(path):
     """Read back networks and extras written by save_checkpoint.
 
-    A checkpoint with no ``format_version`` or another version, or a network
+    A checkpoint with no ``format_version`` or another version, a network
     missing one of its six arrays, holding a non-finite entry or with layer
-    shapes that do not chain, raises ValueError naming the network and the
-    array.
+    shapes that do not chain, or an extra holding a non-finite entry, raises
+    ValueError naming the network and the array, or the extra.
     """
     with np.load(path) as data:
         if "format_version" not in data.files:
@@ -411,6 +415,9 @@ def load_checkpoint(path):
         extras = {
             k[len("extra__"):]: data[k] for k in data.files if k.startswith("extra__")
         }
+    for name, a in extras.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"checkpoint extra {name!r} holds non-finite entries")
     return networks, extras
 
 

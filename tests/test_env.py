@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dotgate import cli, sim
 from dotgate.env import (
+    PROPAGATOR_CACHE_ROWS,
     EnvConfig,
     GateEnv,
     PulseSchedule,
@@ -618,20 +619,21 @@ def runs_schedule():
     return schedule_of([c for c, n in runs for _ in range(n)]), len(runs)
 
 
+def count_step_rows(monkeypatch) -> list[int]:
+    """Record the rows of every ``sim.step_unitaries`` call from now on."""
+    rows = []
+    step_unitaries = sim.step_unitaries
+
+    def counted(h, *args):
+        rows.append(len(h))
+        return step_unitaries(h, *args)
+
+    monkeypatch.setattr(sim, "step_unitaries", counted)
+    return rows
+
+
 class TestReplayRuns:
     """Replay builds one propagator per run of bit-identical rows."""
-
-    @staticmethod
-    def count_step_rows(monkeypatch):
-        rows = []
-        step_unitaries = sim.step_unitaries
-
-        def counted(h, *args):
-            rows.append(len(h))
-            return step_unitaries(h, *args)
-
-        monkeypatch.setattr(sim, "step_unitaries", counted)
-        return rows
 
     @staticmethod
     def outcome(replay, schedule):
@@ -657,12 +659,12 @@ class TestReplayRuns:
         assert self.outcome(replay_schedule, schedule) == self.outcome(replay_per_row, schedule)
 
     def test_sweep_builds_one_propagator(self, monkeypatch):
-        rows = self.count_step_rows(monkeypatch)
+        rows = count_step_rows(monkeypatch)
         replay_schedule(schedule_of([(170.0, 70.0, 2.5)] * 200))
         assert rows == [1]
 
     def test_signed_zeros_start_new_runs(self, monkeypatch):
-        rows = self.count_step_rows(monkeypatch)
+        rows = count_step_rows(monkeypatch)
         schedule, n_runs = runs_schedule()
         replay_schedule(schedule)
         assert rows == [n_runs]
@@ -675,7 +677,7 @@ class TestReplayRuns:
         assert 1 in lengths and 5 in lengths
         a, b = (170.0, 70.0, 2.5), (-750.0, -300.0, 5.0)
         schedule = schedule_of([(a, b)[k % 2] for k, n in enumerate(lengths) for _ in range(n)])
-        rows = self.count_step_rows(monkeypatch)
+        rows = count_step_rows(monkeypatch)
         report, trace = replay_schedule(schedule)
         assert rows == [len(lengths)]
         want_report, want_trace = replay_per_row(schedule)
@@ -899,6 +901,141 @@ class TestVecGateEnv:
         venv.reset()
         with pytest.raises(ValueError, match=message):
             venv.advance(controls, np.zeros(len(controls), dtype=bool))
+
+
+def assert_same_step(res, want, venv, ref):
+    """Two envs' steps and episode states agree byte for byte."""
+    assert res.observation.tobytes() == want.observation.tobytes()
+    for name in ("reward", "terminated", "truncated"):
+        assert getattr(res, name).tobytes() == getattr(want, name).tobytes()
+    assert res.info.keys() == want.info.keys()
+    for key, value in res.info.items():
+        assert value.tobytes() == want.info[key].tobytes(), key
+    assert venv.u_acc.tobytes() == ref.u_acc.tobytes()
+    assert venv.controls.tobytes() == ref.controls.tobytes()
+
+
+ACTION_EPS0_UP, ACTION_EPS0_DOWN = 1, 2  # base-3 digits (1, 0, 0) and (2, 0, 0)
+
+
+class TestPropagatorCache:
+    """``step_discrete`` reuses the step propagators of control rows an
+    earlier discrete step of the same env built, with every bit unchanged."""
+
+    def walk(self, rng, n_steps):
+        """Actions that walk back and forth on the control lattice, so that
+        most steps revisit a point, with random moves and holds between."""
+        back_and_forth = [ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0, ACTION_TUN_DOWN]
+        return [
+            back_and_forth[t % 4] if rng.random() < 0.6 else int(rng.integers(27))
+            for t in range(n_steps)
+        ]
+
+    @pytest.mark.parametrize("mode", ["computational4", "full16"])
+    @pytest.mark.parametrize("bound", [None, 3])
+    def test_revisiting_episodes_equal_an_emptied_cache_stepwise(self, monkeypatch, mode, bound):
+        # bound=3 forces evictions on most steps.
+        if bound is not None:
+            monkeypatch.setattr("dotgate.env.PROPAGATOR_CACHE_ROWS", bound)
+        limit = PROPAGATOR_CACHE_ROWS if bound is None else bound
+        cfg = EnvConfig(obs_mode=mode, max_steps=40, step_thresholds=(0.9, 0.95))
+        env, ref = GateEnv(cfg), GateEnv(cfg)
+        rows = count_step_rows(monkeypatch)
+        rng = np.random.default_rng(41)
+        steps = hits = 0
+        for _ in range(4):
+            env.reset(), ref.reset()
+            for action in self.walk(rng, cfg.max_steps):
+                built = len(rows)
+                res = env.step_discrete([action])
+                hits += len(rows) == built
+                ref._propagators.clear()
+                assert_same_step(res, ref.step_discrete([action]), env, ref)
+                assert len(env._propagators) <= limit
+                steps += 1
+                if res.terminated[0] or res.truncated[0]:
+                    break
+            assert env.export_schedule(0).rows == ref.export_schedule(0).rows
+        assert steps > 40 and hits > steps // 4, (steps, hits)
+
+    def test_hits_and_misses_in_one_step_stay_bitwise(self, monkeypatch):
+        cfg = EnvConfig()
+        venv, ref = VecGateEnv(cfg, 4), VecGateEnv(cfg, 4)
+        venv.reset(), ref.reset()
+        rows = count_step_rows(monkeypatch)
+        # Step 1: rows 0 and 3 hold the initial controls, a duplicate within
+        # one step, and rows 1 and 2 move eps0 up and down: all four miss.
+        # Step 2: rows 0, 1 and 2 are back at the initial controls (hits) and
+        # row 3 moves (a miss), so one batch mixes both.  Step 3: rows 0 and
+        # 1 reach the points rows 1 and 2 of step 1's batch built, row 2
+        # holds and row 3 moves on (a miss).
+        for actions, built in (([0, ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0], [4]),
+                               ([0, ACTION_EPS0_DOWN, ACTION_EPS0_UP, ACTION_TUN_DOWN], [1]),
+                               ([ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0, ACTION_EPS0_UP], [1])):
+            rows.clear()
+            res = venv.step_discrete(actions)
+            assert rows == built
+            ref._propagators.clear()
+            assert_same_step(res, ref.step_discrete(actions), venv, ref)
+        assert len(venv._propagators) == 5
+
+    def test_the_oldest_rows_are_dropped_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr("dotgate.env.PROPAGATOR_CACHE_ROWS", 5)
+        cfg = EnvConfig(max_steps=200)
+        venv = VecGateEnv(cfg, 3)
+        venv.reset()
+        rng = np.random.default_rng(42)
+        kept = {}  # the keys in insertion order, as the cache must hold them
+        for _ in range(60):
+            res = venv.step_discrete(rng.integers(27, size=3))
+            for row in venv.controls:
+                kept.setdefault(row.tobytes(), None)
+            while len(kept) > 5:
+                del kept[next(iter(kept))]
+            assert list(venv._propagators) == list(kept)
+            if (res.terminated | res.truncated).any():
+                venv.reset(res.terminated | res.truncated)
+        assert len(kept) == 5
+
+    def test_reset_keeps_it_and_envs_do_not_share_it(self):
+        env = GateEnv()
+        assert "_propagators" not in env._initial
+        env.reset()
+        env.step_discrete([ACTION_EPS0_UP])
+        env.reset()
+        assert list(env._propagators) == [np.array([171.0, 70.0, 2.5]).tobytes()]
+        assert not GateEnv()._propagators
+
+    def test_signed_zeros_are_different_keys(self, monkeypatch):
+        # A move down from tunnel 0.0 is clipped to the lower bound -0.0 and a
+        # hold then adds +0.0, which gives +0.0: two keys for equal values.
+        env = GateEnv(EnvConfig(tun_init=0.0, tun_bounds=(-0.0, 5.0)))
+        env.reset()
+        rows = count_step_rows(monkeypatch)
+        tunnel = []
+        for action in (ACTION_TUN_DOWN, 0, ACTION_TUN_DOWN, 0):
+            env.step_discrete([action])
+            tunnel.append(env.controls[0, 2].tobytes())
+        assert tunnel == [np.array(x).tobytes() for x in (-0.0, 0.0, -0.0, 0.0)]
+        assert rows == [1, 1]
+        assert len(env._propagators) == 2
+
+    def test_continuous_steps_leave_it_empty(self):
+        venv = VecGateEnv(EnvConfig(), 2)
+        venv.reset()
+        for _ in range(3):
+            venv.step_continuous(np.zeros((2, 3)))
+        venv.advance(venv.controls, np.zeros(2, dtype=bool))
+        assert not venv._propagators
+
+    def test_bad_controls_named_by_row_and_not_kept(self):
+        venv = VecGateEnv(EnvConfig(), 3)
+        venv.reset()
+        venv.step_discrete([0, 0, 0])
+        controls = np.array([[170.0, 70.0, 2.5], [900.0, 70.0, 2.5], [170.0, 70.0, np.inf]])
+        with pytest.raises(ValueError, match=r"^row 1: eps0=900.0 outside \(-750.0, 750.0\) GHz$"):
+            venv._advance(controls, np.zeros(3, dtype=bool), reuse=True)
+        assert list(venv._propagators) == [controls[0].tobytes()]
 
 
 class TestReturns:

@@ -531,6 +531,30 @@ class TestPackedAdam:
             for got, want in ((flat, arrays), (s.m, m), (s.v, v)):
                 assert got.tobytes() == nn.pack(want).tobytes(), f"step {step}"
 
+    @pytest.mark.parametrize("beta, first_t", [(nn.ADAM_BETA1, 356), (nn.ADAM_BETA2, 37412)])
+    def test_matches_reference_across_a_bias_correction_reaching_one(self, beta, first_t):
+        # From step first_t on, 1 - beta**t is exactly 1.0 and adam_update
+        # skips dividing by it; each step must still equal the reference.
+        assert 1.0 - beta ** (first_t - 1) < 1.0 == 1.0 - beta**first_t
+        rng = np.random.default_rng(66)
+        shape = (40,)
+        lr, lr_decay = 0.003, 0.01
+        arrays = [rng.normal(size=shape) * 1e-3]
+        m = [rng.normal(size=shape) * 1e-2]
+        v = [rng.uniform(0.0, 1e-3, size=shape)]
+        t = first_t - 6
+        flat = nn.pack(arrays)
+        s = nn.init_adam(flat, lr=lr, lr_decay=lr_decay)
+        s.m[:], s.v[:], s.t = m[0], v[0], t
+        for _ in range(12):
+            grads = [rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 1, size=shape)]
+            nn.adam_update([flat], [nn.pack(grads)], s)
+            arrays, m, v, t = reference_adam(arrays, grads, m, v, t, lr, lr_decay)
+            assert s.t == t
+            for got, want in ((flat, arrays), (s.m, m), (s.v, v)):
+                assert got.tobytes() == nn.pack(want).tobytes(), f"step {t}"
+        assert t == first_t + 6
+
     def test_ppo_parts_packed_match_three_separate_states(self):
         from dotgate.agents import PpoConfig, ppo
 
@@ -844,6 +868,15 @@ class TestCheckpoint:
                 payload[key] = value
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_extra_rejected_naming_it(self, tmp_path, bad):
+        path = tmp_path / "ckpt.npz"
+        nn.save_checkpoint(path, {"policy": nn.init_mlp(13, 3, seed=67)},
+                           {"log_std": np.array([bad, 0.0, 0.0]), "scale": np.ones(2)})
+        message = r"^checkpoint extra 'log_std' holds non-finite entries$"
+        with pytest.raises(ValueError, match=message):
             nn.load_checkpoint(path)
 
     def test_the_bad_network_is_named_among_several(self, tmp_path):

@@ -499,6 +499,31 @@ class TestStepUnitaries:
             single = sim.step_unitaries(sim.build_hamiltonian(params), 1.0)
             assert np.array_equal(stacked[t], single)
 
+    # Controls the env's discrete steps reach: signed zeros and the box edges
+    # as well as any point inside.
+    EPS = st.one_of(st.sampled_from([-750.0, -0.0, 0.0, 750.0]), st.floats(*sim.EPS_BOUNDS))
+    TUN = st.one_of(st.sampled_from([-0.0, 0.0, 5.0]), st.floats(*sim.TUN_BOUNDS))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        distinct=st.lists(st.tuples(EPS, EPS, TUN), min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=32),
+        slots=st.sampled_from([sim.GATE_SLOTS, sim.ALL_SLOTS]),
+    )
+    def test_any_batch_row_equals_its_one_row_call_bitwise(self, distinct, picks, slots):
+        # The env's propagator cache reuses a row built in one batch for a
+        # row of another, so each row's bits must not depend on the batch.
+        controls = np.array([distinct[i % len(distinct)] for i in picks])
+
+        def step(rows):
+            h = sim.build_hamiltonian(sim.HamiltonianParams(rows, U, EZ, slots))
+            return sim.step_unitaries(h, 1.0)
+
+        stacked = step(controls)
+        assert stacked.shape == (len(controls), *slots.shape)
+        for t in range(len(controls)):
+            assert stacked[t].tobytes() == step(controls[t:t + 1])[0].tobytes()
+
     def test_unitary_with_exact_zeros_between_sectors(self):
         slots = propagate(random_controls(np.random.default_rng(33), 1))[0]
         u = dense(slots)
