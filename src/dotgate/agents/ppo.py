@@ -228,7 +228,7 @@ class _Rollout:
     def __init__(self, env: VecGateEnv, seed_seqs):
         self.env = env
         self.rngs = [np.random.default_rng(s) for s in seed_seqs]
-        self.reset_obs = env.reset()[0]
+        self.reset_obs = env.observation[0]  # an env is built reset
 
     def collect(self, policy, log_std, value_net, cfg: PpoConfig):
         """Roll one fixed-length segment per row.

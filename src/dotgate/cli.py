@@ -52,11 +52,16 @@ _METRIC_KEYS = {
 def _metrics_line(stats, seed: int) -> str:
     """One metrics.jsonl line: every field of a TD ``EpisodeStats`` or PPO
     ``IterationStats`` except the wall-clock ``wall_ms``, keyed by
-    ``_METRIC_KEYS``, plus the run's seed, as sorted-key JSON."""
-    record = {_METRIC_KEYS.get(k, k): v for k, v in dataclasses.asdict(stats).items()}
-    del record["wall_ms"]
+    ``_METRIC_KEYS``, plus the run's seed, as sorted-key strict JSON: an
+    infinite stat (no episode ended yet) is null, as in the manifest."""
+    record = {_METRIC_KEYS.get(k, k): None if np.isinf(v) else v
+              for k, v in dataclasses.asdict(stats).items() if k != "wall_ms"}
     record["seed"] = seed
-    return json.dumps(record, sort_keys=True) + "\n"
+    try:
+        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        bad = sorted(key for key, v in record.items() if v != v)
+        raise ValueError(f"metrics stats {bad} are not finite") from None
 
 
 def run_train(cfg: cfgmod.ExperimentConfig) -> dict:

@@ -16,7 +16,8 @@ episode.
 ``VecGateEnv`` steps a batch of episodes in lockstep and holds the one
 implementation of the transition: both action interfaces with the
 discrete step size, propagation, gate pipeline, reward, termination and
-observation, all batch-first.  There is one env API: ``GateEnv`` is a
+observation, all batch-first; it is built reset and stepped only through
+its two action maps.  There is one env API: ``GateEnv`` is a
 ``VecGateEnv`` of one row, read as row 0 of the same arrays, and
 ``replay_schedule`` runs the same gate pipeline over all steps of a
 schedule at once, read as one (T, 3) control array (a ``PulseSchedule``
@@ -62,7 +63,12 @@ _CSV_TYPES = (int, float, float, float)
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Physics constants, control bounds, and episode/reward settings."""
+    """Physics constants, control bounds, and episode/reward settings.
+
+    The discrete step size shrinks from ``step_sizes[0]`` as F passes each of
+    ``step_thresholds``, but not while ``f_terminal`` >= the first, as at the
+    defaults (both 0.99): that step ends the episode, and the reset that must
+    follow restores ``step_sizes[0]``, so no live row moves by less."""
 
     eps_init: tuple[float, float] = (170.0, 70.0)
     tun_init: float = 2.5
@@ -264,32 +270,29 @@ def _put(rows: np.ndarray, new, old):
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
-    Each row holds its own episode state, the entries of ``_initial``:
-    controls, accumulated unitary, step counter, discrete step size
-    ``delta``, running return ``returns`` (which ``info["return"]``
-    reports), ...  ``_initial``, built with the env, holds every entry's
-    fresh value, and its keys are the one list of the episode state.  The
-    unitaries carry only the slots ``slots`` that the observation and the
-    gate read, and the observation holds the features
-    ``config.live_features``.  A step runs one Hamiltonian
-    build, one propagator call, one stacked accumulate and one gate pipeline
-    over all rows.  A row's numbers do not depend on the other rows, so
-    every row equals a ``GateEnv`` episode driven by the same actions, bit
-    for bit.  The episode state exists from the first ``reset``; before it,
-    reading an entry or stepping raises RuntimeError.  A finished row must
-    be reset, with ``reset(rows)``, before the next step.
+    Each row holds its own episode state, whose fresh values ``_initial``
+    holds by attribute name, the one list of that state: controls,
+    accumulated unitary, step counter, discrete step size ``delta``, running
+    return ``returns`` (which ``info["return"]`` reports), ...  An env is
+    built reset, and a finished row must be reset, with ``reset(rows)``,
+    before its next step.  Controls reach a step only through the two action
+    maps, which end in ``_clip`` to the box that ``EnvConfig.validate``
+    holds inside the physical bounds.  The unitaries carry only the
+    ``slots`` that the observation and the gate read.  A step runs one
+    Hamiltonian build, one propagator call, one stacked accumulate and one
+    gate pipeline over all rows, and a row's numbers do not depend on the
+    others, so every row equals a ``GateEnv`` episode driven by the same
+    actions, bit for bit.
 
-    Discrete moves keep the controls on a lattice that episodes walk back
-    over, so the env keeps the step propagators its discrete steps built,
-    keyed by a row's control bytes (``controls[i].tobytes()``: -0.0 and
-    +0.0 are different keys).  ``step_discrete`` reads a row that an
-    earlier step of this env propagated from there and builds only the
-    others; ``step_continuous`` and ``advance`` neither read nor fill it.
-    It outlives ``reset``, is not part of ``_initial``, is never shared
-    between envs and holds at most ``PROPAGATOR_CACHE_ROWS`` rows, dropping
-    the oldest first.  A propagator's bits do not depend on the stack it
-    was built in, so a reused row equals a rebuilt one bit for bit; a row
-    is kept only once its controls passed validation.
+    Discrete moves walk back over a lattice of controls, so ``step_discrete``
+    keeps the step propagators it builds, keyed by a row's control bytes
+    (``controls[i].tobytes()``: -0.0 and +0.0 differ), and reads the rows an
+    earlier discrete step of this env built; ``step_continuous`` neither
+    reads nor fills the cache.  It outlives ``reset``, is not part of
+    ``_initial``, is never shared between envs and holds at most
+    ``PROPAGATOR_CACHE_ROWS`` rows, dropping the oldest first.  A
+    propagator's bits do not depend on the stack it was built in, so a
+    reused row equals a rebuilt one bit for bit.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -313,10 +316,9 @@ class VecGateEnv:
         if config.obs_mode == "full16":
             features = 2 * sim.DENSE_POSITIONS.ravel()[features // 2] + features % 2
         self._source = np.append(features, 0)
-        # The episode state of fresh episodes in every row, by attribute name:
-        # the one table of what an episode starts from.  Its arrays, the
-        # report's fields too, are read-only: reset hands them out, and they
-        # are only ever replaced, whole or row by row.
+        # The fresh episode state.  Its arrays, the report's fields too, are
+        # read-only: reset hands them out, and they are only ever replaced,
+        # whole or row by row.
         u_acc = np.tile(self.slots.identity, (n_envs, 1, 1, 1))
         u_gate, _, report = _gate(u_acc)
         self._initial = {
@@ -332,13 +334,7 @@ class VecGateEnv:
         for value in (*self._initial.values(), *vars(report).values()):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: for an entry of the episode
-        # state, before the first reset.
-        if name in self.__dict__.get("_initial", ()):
-            raise RuntimeError("environment not reset")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.reset()
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Start new episodes in ``rows``, a boolean mask (default: all rows).
@@ -360,18 +356,10 @@ class VecGateEnv:
         obs[:, -1] = report.fidelity
         return obs
 
-    def advance(self, controls: np.ndarray, boundary_hit: np.ndarray) -> StepResult:
-        """Hold in-bounds (n_envs, 3) controls (eps0, eps1, tunnel) for one dt.
-
-        Returns a StepResult whose fields, and info values, are (n_envs,)
-        arrays, with (n_envs, obs_dim) observations.  Out of bounds or
-        non-finite controls raise ValueError naming the row and the control.
-        """
-        return self._advance(controls, boundary_hit, reuse=False)
-
     def _advance(self, controls, boundary_hit, reuse: bool) -> StepResult:
-        """``advance``, reading and filling the propagator cache if ``reuse``."""
-        if self._done.any():  # before the first reset: "environment not reset"
+        """Hold an action map's (n_envs, 3) controls for one dt, reading and
+        filling the propagator cache if ``reuse``."""
+        if self._done.any():
             raise RuntimeError("step called on a finished episode; reset first")
         cfg = self.config
         self.u_acc = sim.accumulate(self._propagate(controls, reuse), self.u_acc)
@@ -403,8 +391,7 @@ class VecGateEnv:
         ``sim.step_unitaries`` call.  Without ``reuse`` that is every row.
         With it, a row whose control bytes are in the cache is read from
         there, and each row built is put there, the oldest dropped past
-        ``PROPAGATOR_CACHE_ROWS``.  A control row that fails validation
-        raises ValueError naming its row among all n_envs and is not kept.
+        ``PROPAGATOR_CACHE_ROWS``.  A build that raises keeps no row.
         """
         cfg = self.config
         build = controls
@@ -418,16 +405,7 @@ class VecGateEnv:
                 return np.asarray(found)
             if len(new) < len(found):
                 build = controls[new]
-        try:
-            h = sim.build_hamiltonian(sim.HamiltonianParams(build, cfg.u, cfg.ez, self.slots))
-        except ValueError:
-            # The batched message counts lockstep rows as steps; name the row.
-            for row, c in enumerate(controls):
-                try:
-                    sim.HamiltonianParams(c, cfg.u, cfg.ez).validate()
-                except ValueError as exc:
-                    raise ValueError(f"row {row}: {exc}") from None
-            raise
+        h = sim.build_hamiltonian(sim.HamiltonianParams(build, cfg.u, cfg.ez, self.slots))
         u_step = sim.step_unitaries(h, cfg.dt)
         if not reuse:
             return u_step
@@ -443,12 +421,9 @@ class VecGateEnv:
         by -delta, 0 or +delta (the action's row of ``_MOVES``), clipped to
         its bounds; a clip counts as a boundary hit.  A row's delta shrinks
         to the next step size once its fidelity passes each step threshold,
-        and is reset to the first with the row.
-
-        A row whose control bytes an earlier discrete step of this env
-        propagated reuses that step propagator, bit for bit the one a
-        rebuild would give (see ``VecGateEnv``); the other rows are built
-        in one batch and kept for later steps."""
+        and is reset to the first with the row (inert at the defaults: see
+        ``EnvConfig``).  Rows reuse the step propagators that earlier
+        discrete steps built, bit for bit (see ``VecGateEnv``)."""
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
             raise ValueError(
@@ -491,7 +466,7 @@ class VecGateEnv:
         clipped = np.clip(actions, -1.0, 1.0)
         boundary_hit = (clipped != actions).any(axis=-1)
         controls = self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo)
-        return self.advance(self._clip(controls), boundary_hit)
+        return self._advance(self._clip(controls), boundary_hit, reuse=False)
 
     def export_schedule(self, row: int) -> PulseSchedule:
         """The controls applied so far in the episode of one row."""

@@ -5,6 +5,13 @@ import platform
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+# Every property test is deterministic: the same examples on every run, with
+# no wall-clock deadline and no example database carried between runs.  A
+# test's own ``@settings`` sets only its ``max_examples``.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def openblas_core() -> str:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from dotgate import cli, nn
-from dotgate.agents import PpoConfig, TdConfig, train_ppo, train_td
+from dotgate.agents import IterationStats, PpoConfig, TdConfig, train_ppo, train_td
 from dotgate.config import (
     ALGORITHMS,
     ExperimentConfig,
@@ -278,6 +278,29 @@ class TestTrain:
         cli.run_train(config_from_dict({**raw, "output_dir": str(tmp_path)}))
         metrics = (tmp_path / "metrics.jsonl").read_bytes()
         assert hashlib.sha256(metrics).hexdigest() == digest
+
+    def test_metrics_lines_are_strict_json(self, tmp_path):
+        # 20 steps of two rows end no episode, so the best duration is inf.
+        raw = {"algorithm": "ppo", "seed": 3, "output_dir": str(tmp_path),
+               "ppo": {"horizon": 20, "n_envs": 2, "iterations_max": 2}}
+        cli.run_train(config_from_dict(raw))
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [r["gate_duration_ns"] for r in records] == [None, None]
+        assert [r["episodes"] for r in records] == [0, 0]
+
+    def test_nan_stat_named(self):
+        stats = IterationStats(
+            iteration=0, episodes=1, mean_return=-3.0, mean_final_fidelity=0.5,
+            best_fidelity=0.5, best_duration=3.0, policy_loss=math.nan,
+            value_loss=1.0, entropy=2.0, wall_ms=1.0,
+        )
+        with pytest.raises(ValueError, match=r"^metrics stats \['policy_loss'\] are not finite$"):
+            cli._metrics_line(stats, seed=0)
 
     def test_rerun_without_best_schedule_leaves_none_behind(self, tmp_path):
         run = tmp_path / "run"

@@ -316,7 +316,7 @@ class TestBlasProducts:
     """``np.dot`` in place of ``np.matmul`` changes no bit that reaches a
     parameter."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(
         product=st.sampled_from(LEARNER_PRODUCTS),
         seed=st.integers(0, 2**32 - 1),
@@ -330,7 +330,7 @@ class TestBlasProducts:
         b = operand(seed + 1, b_shape, "b" in transposed, zeros, subnormals)
         assert same_but_zero_signs(np.dot(a, b), np.matmul(a, b))
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 8),
            zeros=st.sampled_from([0.1, 0.5, 0.9]))
     def test_adam_update_ignores_the_sign_of_a_zero_gradient(self, seed, steps, zeros):

@@ -443,7 +443,7 @@ class TestSectors:
         expected = [[3, 6, 9, 12], [1, 4, 2, 8], [7, 13, 11, 14], [0, 5, 10, 15]]
         assert sim.SLOTS.tolist() == expected
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         eps0=st.floats(*sim.EPS_BOUNDS),
         eps1=st.floats(*sim.EPS_BOUNDS),
@@ -504,7 +504,7 @@ class TestStepUnitaries:
     EPS = st.one_of(st.sampled_from([-750.0, -0.0, 0.0, 750.0]), st.floats(*sim.EPS_BOUNDS))
     TUN = st.one_of(st.sampled_from([-0.0, 0.0, 5.0]), st.floats(*sim.TUN_BOUNDS))
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(
         distinct=st.lists(st.tuples(EPS, EPS, TUN), min_size=1, max_size=8),
         picks=st.lists(st.integers(0, 7), min_size=1, max_size=32),
