@@ -133,11 +133,12 @@ def _write_tsv(path, header, rows) -> None:
 def export_plots(run_dir) -> list[Path]:
     """Re-derive plot-data TSVs from the stored metrics and best schedule.
 
-    A metrics line that is not a JSON object with a ``final_fidelity``
-    raises ValueError naming the file and the line.  The schedule TSVs time
-    each row as step * dt, with the run's dt read from its config.json.
-    Without a best schedule, the schedule TSVs are removed, so none is left
-    from an earlier run in the same directory."""
+    A metrics line that is not a JSON object with a finite number as
+    ``final_fidelity`` and an ``episode`` or ``iteration`` raises ValueError
+    naming the file and the line.  The schedule TSVs time each row as
+    step * dt, with the run's dt read from its config.json.  Without a best
+    schedule, the schedule TSVs are removed, so none is left from an earlier
+    run in the same directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
@@ -154,8 +155,13 @@ def export_plots(run_dir) -> list[Path]:
                 raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
             if "final_fidelity" not in record:
                 raise ValueError(f"{where}: no final_fidelity")
-            fidelities.append((record.get("episode", record.get("iteration")),
-                               record["final_fidelity"]))
+            fidelity = record["final_fidelity"]
+            if type(fidelity) not in (int, float) or not np.isfinite(fidelity):
+                raise ValueError(f"{where}: final_fidelity {fidelity!r} is not a finite number")
+            episode = record.get("episode", record.get("iteration"))
+            if episode is None:
+                raise ValueError(f"{where}: no episode or iteration")
+            fidelities.append((episode, fidelity))
     written = []
 
     rows = []

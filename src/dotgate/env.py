@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,35 +254,22 @@ def _gate(u_acc: np.ndarray):
     return u_gate, compensated, sim.gate_fidelity(u_gate)
 
 
-def _put(rows: np.ndarray, new, old):
-    """A C-order copy of old whose selected rows come from new; a
-    ``sim.FidelityReport`` is copied field by field."""
-    if isinstance(old, sim.FidelityReport):
-        return sim.FidelityReport(*(
-            _put(rows, getattr(new, f.name), getattr(old, f.name))
-            for f in fields(old)
-        ))
-    out = old.copy()
-    out[rows] = new[rows]
-    return out
-
-
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
-    Each row holds its own episode state, whose fresh values ``_initial``
-    holds by attribute name, the one list of that state: controls,
-    accumulated unitary, step counter, discrete step size ``delta``, running
-    return ``returns`` (which ``info["return"]`` reports), ...  An env is
-    built reset, and a finished row must be reset, with ``reset(rows)``,
-    before its next step.  Controls reach a step only through the two action
-    maps, which end in ``_clip`` to the box that ``EnvConfig.validate``
-    holds inside the physical bounds.  The unitaries carry only the
-    ``slots`` that the observation and the gate read.  A step runs one
-    Hamiltonian build, one propagator call, one stacked accumulate and one
-    gate pipeline over all rows, and a row's numbers do not depend on the
-    others, so every row equals a ``GateEnv`` episode driven by the same
-    actions, bit for bit.
+    Each row holds its own episode state, and ``_initial`` holds the fresh
+    episode as one row by attribute name, the one list of that state:
+    controls, accumulated unitary, fidelity, step counter, discrete step size
+    ``delta``, running return ``returns`` (which ``info["return"]``
+    reports), ...  An env is built reset, and a finished row must be reset,
+    with ``reset(rows)``, before its next step.  Controls reach a step only
+    through the two action maps, which end in ``_clip`` to the box that
+    ``EnvConfig.validate`` holds inside the physical bounds.  The unitaries
+    carry only the ``slots`` that the observation and the gate read.  A step
+    runs one Hamiltonian build, one propagator call, one stacked accumulate
+    and one gate pipeline over all rows, and a row's numbers do not depend
+    on the others, so every row equals a ``GateEnv`` episode driven by the
+    same actions, bit for bit.
 
     Discrete moves walk back over a lattice of controls, so ``step_discrete``
     keeps the step propagators it builds, keyed by a row's control bytes
@@ -316,44 +303,44 @@ class VecGateEnv:
         if config.obs_mode == "full16":
             features = 2 * sim.DENSE_POSITIONS.ravel()[features // 2] + features % 2
         self._source = np.append(features, 0)
-        # The fresh episode state.  Its arrays, the report's fields too, are
-        # read-only: reset hands them out, and they are only ever replaced,
-        # whole or row by row.
-        u_acc = np.tile(self.slots.identity, (n_envs, 1, 1, 1))
+        # The fresh episode state: one row, the same for every row of every env.
+        u_acc = self.slots.identity[None]
         u_gate, _, report = _gate(u_acc)
         self._initial = {
-            "controls": np.tile([*config.eps_init, config.tun_init], (n_envs, 1)),
+            "controls": np.array([[*config.eps_init, config.tun_init]]),
             "u_acc": u_acc,
-            "report": report,
-            "observation": self._observations(u_gate, u_acc, report),
-            "steps": np.zeros(n_envs, dtype=int),
-            "delta": np.full(n_envs, config.step_sizes[0]),
-            "returns": np.zeros(n_envs),
-            "_done": np.zeros(n_envs, dtype=bool),
+            "fidelity": report.fidelity,
+            "observation": self._observations(u_gate, u_acc, report.fidelity),
+            "steps": np.zeros(1, dtype=int),
+            "delta": np.array([config.step_sizes[0]]),
+            "returns": np.zeros(1),
+            "_done": np.zeros(1, dtype=bool),
         }
-        for value in (*self._initial.values(), *vars(report).values()):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
         self.reset()
 
     def reset(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Start new episodes in ``rows``, a boolean mask (default: all rows).
 
-        Each entry of ``_initial`` is assigned whole, or put into the chosen
-        rows of a copy of the current value.  Returns the observations of all
-        rows (read-only after a full reset); arrays handed out earlier stay.
+        Each fresh row of ``_initial`` is repeated over all rows, or written
+        into the chosen rows of a copy of the current value, so no array
+        handed out, earlier or now, is ever written.  Returns the observations.
         """
         for name, fresh in self._initial.items():
-            setattr(self, name, fresh if rows is None else _put(rows, fresh, getattr(self, name)))
+            if rows is None:
+                value = np.repeat(fresh, self.n_envs, axis=0)
+            else:
+                value = getattr(self, name).copy()
+                value[rows] = fresh
+            setattr(self, name, value)
         return self.observation
 
-    def _observations(self, u_gate, u_acc, report) -> np.ndarray:
+    def _observations(self, u_gate, u_acc, fidelity) -> np.ndarray:
         """The live features of each row's gate (or, for full16, dense
         accumulated unitary), then the row's fidelity: one fixed gather from
         the floats of the (re, im) pairs."""
         source = u_gate if self.config.obs_mode == "computational4" else u_acc
-        obs = source.reshape(self.n_envs, -1).view(float).take(self._source, axis=1)
-        obs[:, -1] = report.fidelity
+        obs = source.reshape(len(source), -1).view(float).take(self._source, axis=1)
+        obs[:, -1] = fidelity
         return obs
 
     def _advance(self, controls, boundary_hit, reuse: bool) -> StepResult:
@@ -366,9 +353,9 @@ class VecGateEnv:
         self._history[self._rows, self.steps] = controls
         self.controls = controls
         self.steps = self.steps + 1
-        u_gate, compensated, self.report = _gate(self.u_acc)
-        self.observation = self._observations(u_gate, self.u_acc, self.report)
-        fid = self.report.fidelity
+        u_gate, compensated, report = _gate(self.u_acc)
+        fid = self.fidelity = report.fidelity
+        self.observation = self._observations(u_gate, self.u_acc, fid)
         terminated = fid > cfg.f_terminal
         at_cap = self.steps >= cfg.max_steps
         truncated = at_cap & ~terminated
@@ -429,6 +416,8 @@ class VecGateEnv:
             raise ValueError(
                 f"discrete actions must have shape ({self.n_envs},), got {actions.shape}"
             )
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"discrete actions must be integers, got dtype {actions.dtype}")
         for row, a in enumerate(actions.tolist()):
             if not 0 <= a < N_ACTIONS:
                 raise ValueError(f"action index {a} of row {row} outside [0, {N_ACTIONS - 1}]")

@@ -397,15 +397,21 @@ def save_checkpoint(path, networks: dict, extras: dict | None = None) -> None:
 def load_checkpoint(path):
     """Read back networks and extras written by save_checkpoint.
 
-    A checkpoint with no ``format_version`` or another version, a network
-    missing one of its six arrays, holding a non-finite entry or with layer
-    shapes that do not chain, or an extra holding a non-finite entry, raises
-    ValueError naming the network and the array, or the extra.
+    A checkpoint with no ``format_version``, or one that is not a 0-d
+    integer array or is another version, a network missing one of its six
+    arrays, holding a non-finite entry or with layer shapes that do not
+    chain, or an extra holding a non-finite entry, raises ValueError naming
+    the network and the array, or the extra.
     """
     with np.load(path) as data:
         if "format_version" not in data.files:
             raise ValueError("checkpoint has no format_version")
-        version = int(data["format_version"])
+        version = data["format_version"]
+        if version.shape or version.dtype.kind not in "iu":
+            raise ValueError(
+                f"checkpoint format_version must be one integer, got {version.tolist()!r} "
+                f"of dtype {version.dtype}"
+            )
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         names = {

@@ -408,7 +408,7 @@ def dense_layout_observations(env_config: EnvConfig, steps: int = 40) -> np.ndar
     rng = np.random.default_rng(36)
     venv = VecGateEnv(env_config, 4)
     venv.reset()
-    observations = [dense_observation(env_config.obs_mode, venv.u_acc, venv.report.fidelity)]
+    observations = [dense_observation(env_config.obs_mode, venv.u_acc, venv.fidelity)]
     for _ in range(steps):
         res = venv.step_continuous(rng.uniform(-1.0, 1.0, (4, 3)))
         observations.append(dense_observation(env_config.obs_mode, venv.u_acc, res.info["fidelity"]))

@@ -638,7 +638,17 @@ class TestExportPlots:
         ('{"episode": 1}\n', "line 2: no final_fidelity"),
         ("[1,2]\n", "line 2: expected a JSON object, got list"),
         ('{"episode": 1, "fi', "line 2, column 16: Unterminated string starting at"),
-    ], ids=["no_final_fidelity", "not_an_object", "truncated"])
+        ('{"episode": 1, "final_fidelity": "0.5"}\n',
+         "line 2: final_fidelity '0.5' is not a finite number"),
+        ('{"episode": 1, "final_fidelity": null}\n',
+         "line 2: final_fidelity None is not a finite number"),
+        ('{"episode": 1, "final_fidelity": true}\n',
+         "line 2: final_fidelity True is not a finite number"),
+        ('{"episode": 1, "final_fidelity": NaN}\n',
+         "line 2: final_fidelity nan is not a finite number"),
+        ('{"final_fidelity": 0.5}\n', "line 2: no episode or iteration"),
+    ], ids=["no_final_fidelity", "not_an_object", "truncated", "string_fidelity",
+            "null_fidelity", "bool_fidelity", "nan_fidelity", "no_episode"])
     def test_bad_metrics_line_named(self, tmp_path, capsys, line, message):
         run = self.constant_schedule_run(tmp_path / "run")
         metrics = run / "metrics.jsonl"

@@ -31,8 +31,15 @@ def oracle_observation(venv: VecGateEnv, u_acc=None, fidelity=None) -> np.ndarra
     ``live_features``."""
     cfg = venv.config
     u_acc = venv.u_acc if u_acc is None else u_acc
-    fidelity = venv.report.fidelity if fidelity is None else fidelity
+    fidelity = venv.fidelity if fidelity is None else fidelity
     return dense_observation(cfg.obs_mode, u_acc, fidelity)[:, cfg.live_features]
+
+
+def episode_report(env: GateEnv) -> sim.FidelityReport:
+    """The whole fidelity report of a ``GateEnv``'s episode, recomputed from
+    its accumulated unitary."""
+    u_gate = sim.compensate(sim.project_to_computational(env.u_acc))[0]
+    return sim.gate_fidelity(u_gate).row(0)
 
 
 def run_actions(env, actions):
@@ -121,14 +128,15 @@ class TestBeforeReset:
         built = VecGateEnv(cfg, 2)
         assert len(built._initial) == 8
         for name, fresh in built._initial.items():
-            assert getattr(built, name) is fresh, name
+            assert len(fresh) == 1, name
+            assert row_bytes(getattr(built, name)) == 2 * row_bytes(fresh), name
         with pytest.raises(RuntimeError, match="^no steps taken yet$"):
             built.export_schedule(1)
 
         reset_rows = VecGateEnv(cfg, 2)
         reset_rows.reset(np.array([True, False]))
         for name, fresh in reset_rows._initial.items():
-            assert row_bytes(getattr(reset_rows, name)) == row_bytes(fresh), name
+            assert row_bytes(getattr(reset_rows, name)) == 2 * row_bytes(fresh), name
 
         # The first steps equal those of an env reset before them, byte for byte.
         ref = VecGateEnv(cfg, 2)
@@ -143,23 +151,20 @@ class TestBeforeReset:
 
 
 def row_bytes(value) -> list:
-    """The bytes of each row of an episode-state entry; for a fidelity
-    report, each row's tuple of the bytes of every field."""
-    if isinstance(value, sim.FidelityReport):
-        return list(zip(*(row_bytes(getattr(value, f.name)) for f in dataclasses.fields(value))))
+    """The bytes of each row of an episode-state entry."""
     return [row.tobytes() for row in value]
 
 
 class TestEpisodeState:
-    """``VecGateEnv._initial`` is the one table of the episode state, and
-    ``reset`` restores it whole or row by row."""
+    """``VecGateEnv._initial`` is the one table of the episode state, one
+    fresh row, and ``reset`` writes it into every row or the chosen rows."""
 
     @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
     def test_partial_reset_restores_fresh_rows_only(self, obs_mode):
         n = 3
         venv = VecGateEnv(EnvConfig(obs_mode=obs_mode, max_steps=12), n)
         venv.reset()
-        fresh = {name: row_bytes(value) for name, value in venv._initial.items()}
+        fresh = {name: row_bytes(value)[0] for name, value in venv._initial.items()}
         rng = np.random.default_rng(41)
         done = np.zeros(n, dtype=bool)
         kept = restored = 0
@@ -172,7 +177,7 @@ class TestEpisodeState:
                 for name in venv._initial:
                     after = row_bytes(getattr(venv, name))
                     for i in range(n):
-                        assert after[i] == (fresh[name][i] if rows[i] else before[name][i]), name
+                        assert after[i] == (fresh[name] if rows[i] else before[name][i]), name
                     assert row_bytes(handed_out[name]) == before[name], name
                 restored += int(rows.sum())
                 kept += int((~rows & (venv.steps > 0)).sum())
@@ -180,27 +185,27 @@ class TestEpisodeState:
             done = res.terminated | res.truncated
         assert restored >= 10 and kept >= 10
 
-    def test_handed_out_state_is_read_only(self):
-        env = GateEnv()
-        obs = env.reset()
-        fresh = obs.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            obs[0, -1] = 7.0
-        assert env.reset().tobytes() == fresh
+    @pytest.mark.parametrize("obs_mode", ["computational4", "full16"])
+    def test_fresh_row_does_not_depend_on_n_envs(self, obs_mode):
+        cfg = EnvConfig(obs_mode=obs_mode)
+        one, five = VecGateEnv(cfg, 1)._initial, VecGateEnv(cfg, 5)._initial
+        assert list(one) == list(five)
+        for name in one:
+            assert one[name].dtype == five[name].dtype, name
+            assert one[name].shape == five[name].shape, name
+            assert one[name].tobytes() == five[name].tobytes(), name
 
+    def test_writes_into_handed_out_state_reach_no_fresh_episode(self):
         venv = VecGateEnv(EnvConfig(), 2)
-        venv.reset()
-        fresh = {name: row_bytes(value) for name, value in venv._initial.items()}
-        with pytest.raises(ValueError, match="read-only"):
-            venv.controls[0, 0] = -999
-        report = venv._initial["report"]
-        entries = [v for v in venv._initial.values() if v is not report]
-        for array in entries + [getattr(report, f.name) for f in dataclasses.fields(report)]:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[1]
-        venv.reset()
-        assert {name: row_bytes(getattr(venv, name)) for name in venv._initial} == fresh
+        fresh = {name: 2 * row_bytes(value) for name, value in venv._initial.items()}
+        for rows in (None, np.array([True, True]), None):
+            res = venv.step_discrete([1, 18])
+            state = [getattr(venv, name) for name in venv._initial]
+            for value in (*state, res.observation, *res.info.values()):
+                value[...] = np.ones((), value.dtype)
+            obs = venv.reset(rows)
+            assert {name: row_bytes(getattr(venv, name)) for name in venv._initial} == fresh
+            obs[...] = 7.0
 
 
 def discrete_move(action, delta):
@@ -235,6 +240,17 @@ class TestDecodeAction:
             env.step_discrete([27])
         with pytest.raises(ValueError, match=r"^action index -1 of row 0 outside \[0, 26\]$"):
             env.step_discrete([-1])
+
+    @pytest.mark.parametrize("actions, dtype", [
+        ([2.5], "float64"), ([2.0], "float64"), (["3"], "<U1"), ([True], "bool"),
+    ])
+    def test_non_integer_actions_named(self, actions, dtype):
+        env = GateEnv()
+        with pytest.raises(ValueError, match=rf"^discrete actions must be integers, got dtype {dtype}$"):
+            env.step_discrete(actions)
+        assert env.steps[0] == 0
+        env.step_discrete(np.array([3], dtype=np.uint8))
+        assert env.steps[0] == 1
 
     def test_covers_all_delta_triples(self):
         triples = {discrete_move(i, 1.0) for i in range(27)}
@@ -523,7 +539,7 @@ class TestReplay:
                     break
             report, trace = replay_schedule(env.export_schedule(0))
             assert trace == fidelities
-            assert report == env.report.row(0)
+            assert report == episode_report(env)
 
     @pytest.mark.parametrize("mode", ["computational4", "full16"])
     def test_trace_bytes_equal_episode_in_both_obs_modes(self, mode):
@@ -545,7 +561,7 @@ class TestReplay:
                     break
             report, trace = replay_schedule(env.export_schedule(0), cfg)
             assert np.array(trace).tobytes() == np.array(fidelities).tobytes()
-            assert report == env.report.row(0)
+            assert report == episode_report(env)
 
     def test_empty_schedule_is_identity(self):
         # Before its first step an episode holds the identity gate.  It has
@@ -554,7 +570,7 @@ class TestReplay:
         env = GateEnv()
         env.reset()
         assert env.steps[0] == 0
-        assert env.report.row(0).fidelity == pytest.approx(0.4, abs=1e-12)
+        assert env.fidelity[0] == pytest.approx(0.4, abs=1e-12)
         with pytest.raises(RuntimeError, match=r"^no steps taken yet$"):
             env.export_schedule(0)
 
@@ -830,7 +846,7 @@ class TestVecGateEnv:
                     assert venv.export_schedule(i).rows == env.export_schedule(0).rows
                     report, trace = replay_schedule(env.export_schedule(0), cfg)
                     assert trace == fidelities[i]
-                    assert report == env.report.row(0)
+                    assert report == episode_report(env)
                     fidelities[i] = []
                     env.reset()
             for key in ("terminated", "truncated"):
@@ -1262,7 +1278,7 @@ class TestFull16Observation:
         u.real[0, :, 0, 0] = -0.0  # a live diagonal entry of every slot
         u.imag[1] = -0.0  # every entry of the row, also those between sectors
         report = sim.gate_fidelity(sim.project_to_computational(u))
-        got = venv._observations(None, u, report)
+        got = venv._observations(None, u, report.fidelity)
         want = oracle_observation(venv, u, report.fidelity)
         assert got.tobytes() == want.tobytes()
         assert np.signbit(got[0, 0]) and np.signbit(got[1, 1])

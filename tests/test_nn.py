@@ -855,6 +855,14 @@ class TestCheckpoint:
          "checkpoint network 'q': q__w2 has shape (64, 27, 1), not a matrix"),
         ({"q__b2": np.zeros(26)},
          "checkpoint network 'q': q__b2 has shape (26,), where q__w2 (64, 27) needs (27,)"),
+        ({"format_version": np.array(2.5)},
+         "checkpoint format_version must be one integer, got 2.5 of dtype float64"),
+        ({"format_version": np.array("2")},
+         "checkpoint format_version must be one integer, got '2' of dtype <U1"),
+        ({"format_version": np.array([2, 2])},
+         "checkpoint format_version must be one integer, got [2, 2] of dtype int64"),
+        ({"format_version": np.array(True)},
+         "checkpoint format_version must be one integer, got True of dtype bool"),
     ])
     def test_bad_checkpoint_rejected_naming_the_array(self, tmp_path, change, message):
         path = tmp_path / "ckpt.npz"
