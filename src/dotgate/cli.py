@@ -134,11 +134,11 @@ def export_plots(run_dir) -> list[Path]:
     """Re-derive plot-data TSVs from the stored metrics and best schedule.
 
     A metrics line that is not a JSON object with a finite number as
-    ``final_fidelity`` and an ``episode`` or ``iteration`` raises ValueError
-    naming the file and the line.  The schedule TSVs time each row as
-    step * dt, with the run's dt read from its config.json.  Without a best
-    schedule, the schedule TSVs are removed, so none is left from an earlier
-    run in the same directory."""
+    ``final_fidelity`` and an integer >= 0 as ``episode`` or ``iteration``
+    raises ValueError naming the file and the line.  The schedule TSVs time
+    each row as step * dt, with the run's dt read from its config.json.
+    Without a best schedule, the schedule TSVs are removed, so none is left
+    from an earlier run in the same directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.jsonl"
     if not metrics_path.exists():
@@ -158,9 +158,12 @@ def export_plots(run_dir) -> list[Path]:
             fidelity = record["final_fidelity"]
             if type(fidelity) not in (int, float) or not np.isfinite(fidelity):
                 raise ValueError(f"{where}: final_fidelity {fidelity!r} is not a finite number")
-            episode = record.get("episode", record.get("iteration"))
-            if episode is None:
+            key = "episode" if "episode" in record else "iteration"
+            if key not in record:
                 raise ValueError(f"{where}: no episode or iteration")
+            episode = record[key]
+            if type(episode) is not int or episode < 0:
+                raise ValueError(f"{where}: {key} {episode!r} is not an integer >= 0")
             fidelities.append((episode, fidelity))
     written = []
 

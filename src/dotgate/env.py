@@ -254,6 +254,28 @@ def _gate(u_acc: np.ndarray):
     return u_gate, compensated, sim.gate_fidelity(u_gate)
 
 
+def _build(controls, config: EnvConfig, slots) -> np.ndarray:
+    """The (N, k, 4, 4) step propagators of (N, 3) controls, built anew."""
+    h = sim.build_hamiltonian(sim.HamiltonianParams(controls, config.u, config.ez, slots))
+    return sim.step_unitaries(h, config.dt)
+
+
+def _step_propagators(controls, config: EnvConfig, slots, cache: dict) -> np.ndarray:
+    """The (N, k, 4, 4) step propagators of (N, 3) controls, each row's
+    read-only one looked up in ``cache`` by the row's bytes (-0.0 and +0.0
+    differ).  The distinct rows missing there are built by one ``_build``,
+    in first-occurrence order, and kept; a build that raises keeps none."""
+    raw, width = controls.tobytes(), controls.itemsize * controls.shape[-1]
+    keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    if missing:
+        rows = np.frombuffer(b"".join(missing), controls.dtype).reshape(len(missing), -1)
+        u_step = _build(rows, config, slots)
+        u_step.flags.writeable = False
+        cache.update(zip(missing, u_step))
+    return np.asarray([cache[key] for key in keys])
+
+
 class VecGateEnv:
     """n_envs episodes advanced in lockstep as the rows of one batch.
 
@@ -266,17 +288,17 @@ class VecGateEnv:
     through the two action maps, which end in ``_clip`` to the box that
     ``EnvConfig.validate`` holds inside the physical bounds.  The unitaries
     carry only the ``slots`` that the observation and the gate read.  A step
-    runs one Hamiltonian build, one propagator call, one stacked accumulate
-    and one gate pipeline over all rows, and a row's numbers do not depend
-    on the others, so every row equals a ``GateEnv`` episode driven by the
-    same actions, bit for bit.
+    runs at most one Hamiltonian build and one propagator call, then one
+    stacked accumulate and one gate pipeline over all rows, and a row's
+    numbers do not depend on the others, so every row equals a ``GateEnv``
+    episode driven by the same actions, bit for bit.
 
     Discrete moves walk back over a lattice of controls, so ``step_discrete``
-    keeps the step propagators it builds, keyed by a row's control bytes
-    (``controls[i].tobytes()``: -0.0 and +0.0 differ), and reads the rows an
-    earlier discrete step of this env built; ``step_continuous`` neither
-    reads nor fills the cache.  It outlives ``reset``, is not part of
-    ``_initial``, is never shared between envs and holds at most
+    looks its rows up in a cache keyed by a row's control bytes (see
+    ``_step_propagators``): a batch builds each distinct row this env has not
+    built yet once, and reads the others; ``step_continuous`` builds every
+    row and neither reads nor fills the cache.  It outlives ``reset``, is not
+    part of ``_initial``, is never shared between envs and holds at most
     ``PROPAGATOR_CACHE_ROWS`` rows, dropping the oldest first.  A
     propagator's bits do not depend on the stack it was built in, so a
     reused row equals a rebuilt one bit for bit.
@@ -372,36 +394,15 @@ class VecGateEnv:
         return StepResult(self.observation, reward, terminated, truncated, info)
 
     def _propagate(self, controls: np.ndarray, reuse: bool) -> np.ndarray:
-        """The (n_envs, k, 4, 4) step propagators of (n_envs, 3) controls.
-
-        The rows to build go through one ``sim.build_hamiltonian`` and one
-        ``sim.step_unitaries`` call.  Without ``reuse`` that is every row.
-        With it, a row whose control bytes are in the cache is read from
-        there, and each row built is put there, the oldest dropped past
-        ``PROPAGATOR_CACHE_ROWS``.  A build that raises keeps no row.
-        """
-        cfg = self.config
-        build = controls
-        if reuse:
-            cache = self._propagators
-            raw, width = controls.tobytes(), controls.itemsize * controls.shape[-1]
-            keys = [raw[i:i + width] for i in range(0, len(raw), width)]
-            found = [cache.get(key) for key in keys]
-            new = [row for row, u in enumerate(found) if u is None]
-            if not new:
-                return np.asarray(found)
-            if len(new) < len(found):
-                build = controls[new]
-        h = sim.build_hamiltonian(sim.HamiltonianParams(build, cfg.u, cfg.ez, self.slots))
-        u_step = sim.step_unitaries(h, cfg.dt)
+        """The (n_envs, k, 4, 4) step propagators of (n_envs, 3) controls, read
+        through the cache if ``reuse``, then cut to ``PROPAGATOR_CACHE_ROWS``."""
         if not reuse:
-            return u_step
-        u_step.flags.writeable = False
-        for row, u in zip(new, u_step):
-            found[row] = cache[keys[row]] = u
+            return _build(controls, self.config, self.slots)
+        cache = self._propagators
+        u_step = _step_propagators(controls, self.config, self.slots, cache)
         while len(cache) > PROPAGATOR_CACHE_ROWS:
             cache.popitem(last=False)
-        return u_step if len(new) == len(found) else np.asarray(found)
+        return u_step
 
     def step_discrete(self, actions) -> StepResult:
         """One action index in [0, 26] per row: move each control of the row
@@ -444,11 +445,14 @@ class VecGateEnv:
         components outside are clipped, which counts as a boundary hit.  The
         map can round one ulp past a bound, so the controls then go through
         ``_clip`` too; that clip is no boundary hit."""
-        actions = np.asarray(actions, dtype=float)
+        actions = np.asarray(actions)
         if actions.shape != (self.n_envs, 3):
             raise ValueError(
                 f"continuous actions must have shape ({self.n_envs}, 3), got {actions.shape}"
             )
+        if actions.dtype.kind not in "iuf":
+            raise ValueError(f"continuous actions must be numbers, got dtype {actions.dtype}")
+        actions = actions.astype(float, copy=False)
         if not np.isfinite(actions).all():
             row = int(np.argwhere(~np.isfinite(actions))[0, 0])
             raise ValueError(f"continuous action {actions[row]} of row {row} is not finite")
@@ -489,13 +493,13 @@ def replay_schedule(
     read, so only its slots (``sim.GATE_SLOTS``) are propagated, whatever the
     observation mode.  A piecewise-constant pulse repeats its step
     propagator, so consecutive rows with bit-identical controls form a run,
-    and one batched Hamiltonian build and one batched ``sim.step_unitaries``
-    call cover the first row of each run: a constant sweep costs one build
-    and one ``eigh``.  The steps are accumulated in order into one stack by
-    bare ``np.matmul`` calls on views made once, the same product as
-    ``sim.accumulate`` without its per-call shape check (both stacks carry
-    the gate's slots by construction), and the gate pipeline runs once over
-    all accumulated unitaries.  Every slot of these calls equals the
+    and the run starts go through ``_step_propagators`` with a fresh cache:
+    one batched build covers each distinct run start once, so a constant
+    sweep costs one build and one ``eigh``.  The steps are accumulated in
+    order into one stack by bare ``np.matmul`` calls on views made once, the
+    same product as ``sim.accumulate`` without its per-call shape check (both
+    stacks carry the gate's slots by construction), and the gate pipeline
+    runs once over all accumulated unitaries.  Every slot of these calls equals the
     environment's bit for bit, so the returned fidelities match the producing
     episode bitwise.  Returns the final report and the per-step fidelity
     trace.
@@ -511,10 +515,7 @@ def replay_schedule(
     starts = np.ones(len(controls), dtype=bool)
     starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     slots = sim.GATE_SLOTS
-    u_runs = sim.step_unitaries(
-        sim.build_hamiltonian(sim.HamiltonianParams(controls[starts], config.u, config.ez, slots)),
-        config.dt,
-    )
+    u_runs = _step_propagators(controls[starts], config, slots, {})
     # Row 0 is the identity before the first step.
     u_acc = np.empty((len(controls) + 1, *slots.shape), dtype=complex)
     u_acc[0] = slots.identity

@@ -399,9 +399,10 @@ def load_checkpoint(path):
 
     A checkpoint with no ``format_version``, or one that is not a 0-d
     integer array or is another version, a network missing one of its six
-    arrays, holding a non-finite entry or with layer shapes that do not
-    chain, or an extra holding a non-finite entry, raises ValueError naming
-    the network and the array, or the extra.
+    arrays, holding a non-floating array or a non-finite entry or with layer
+    shapes that do not chain, or an extra that is not a floating array or
+    holds a non-finite entry, raises ValueError naming the network and the
+    array, or the extra.
     """
     with np.load(path) as data:
         if "format_version" not in data.files:
@@ -422,6 +423,10 @@ def load_checkpoint(path):
             k[len("extra__"):]: data[k] for k in data.files if k.startswith("extra__")
         }
     for name, a in extras.items():
+        if a.dtype.kind != "f":
+            raise ValueError(
+                f"checkpoint extra {name!r} must be a floating array, got dtype {a.dtype}"
+            )
         if not np.isfinite(a).all():
             raise ValueError(f"checkpoint extra {name!r} holds non-finite entries")
     return networks, extras
@@ -435,6 +440,10 @@ def _network(data, name: str) -> MlpParameters:
         if key not in data.files:
             raise ValueError(f"checkpoint network {name!r} has no array {key}")
         a = data[key]
+        if a.dtype.kind != "f":
+            raise ValueError(
+                f"checkpoint network {name!r}: {key} must be a floating array, got dtype {a.dtype}"
+            )
         if not np.isfinite(a).all():
             raise ValueError(f"checkpoint network {name!r}: {key} holds non-finite entries")
         arrays.append(a)

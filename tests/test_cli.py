@@ -647,8 +647,22 @@ class TestExportPlots:
         ('{"episode": 1, "final_fidelity": NaN}\n',
          "line 2: final_fidelity nan is not a finite number"),
         ('{"final_fidelity": 0.5}\n', "line 2: no episode or iteration"),
+        ('{"episode": "x", "final_fidelity": 0.5}\n',
+         "line 2: episode 'x' is not an integer >= 0"),
+        ('{"episode": 1.5, "final_fidelity": 0.5}\n',
+         "line 2: episode 1.5 is not an integer >= 0"),
+        ('{"episode": true, "final_fidelity": 0.5}\n',
+         "line 2: episode True is not an integer >= 0"),
+        ('{"iteration": [1], "final_fidelity": 0.5}\n',
+         "line 2: iteration [1] is not an integer >= 0"),
+        ('{"iteration": -1, "final_fidelity": 0.5}\n',
+         "line 2: iteration -1 is not an integer >= 0"),
+        ('{"episode": null, "final_fidelity": 0.5}\n',
+         "line 2: episode None is not an integer >= 0"),
     ], ids=["no_final_fidelity", "not_an_object", "truncated", "string_fidelity",
-            "null_fidelity", "bool_fidelity", "nan_fidelity", "no_episode"])
+            "null_fidelity", "bool_fidelity", "nan_fidelity", "no_episode",
+            "string_episode", "float_episode", "bool_episode", "list_iteration",
+            "negative_iteration", "null_episode"])
     def test_bad_metrics_line_named(self, tmp_path, capsys, line, message):
         run = self.constant_schedule_run(tmp_path / "run")
         metrics = run / "metrics.jsonl"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dotgate import cli, sim
 from dotgate.env import (
+    N_ACTIONS,
     PROPAGATOR_CACHE_ROWS,
     EnvConfig,
     GateEnv,
@@ -437,6 +438,22 @@ class TestStepContinuous:
         with pytest.raises(ValueError, match="3"):
             env.step_continuous([(0.0, 0.0)])
 
+    @pytest.mark.parametrize("actions, dtype", [
+        ([["0.5", "0", "1"]], "<U3"),
+        ([[True, False, True]], "bool"),
+        ([["0.5", "0", True]], "<U5"),
+        ([[0.5, "0", 1]], "<U32"),
+        ([[0.5, None, 0.0]], "object"),
+        ([[1j, 0.0, 0.0]], "complex128"),
+    ], ids=["strings", "bools", "mixed_string_bool", "mixed_number_string", "none", "complex"])
+    def test_non_number_actions_named(self, actions, dtype):
+        env = GateEnv()
+        with pytest.raises(ValueError, match=rf"^continuous actions must be numbers, got dtype {dtype}$"):
+            env.step_continuous(actions)
+        assert env.steps[0] == 0
+        env.step_continuous(np.array([[1, 0, -1]], dtype=np.int8))
+        assert env.controls.tolist() == [[750.0, 0.0, 0.0]]
+
     @pytest.mark.parametrize("lo, hi", [
         (-641.88, 750.0),  # lo + (hi - lo) rounds to 750.0000000000001
         (-176.77357991437918, 171.32765656735737),  # ... to 171.3276565673574
@@ -639,8 +656,23 @@ def count_step_rows(monkeypatch) -> list[int]:
     return rows
 
 
+def count_built_controls(monkeypatch) -> list[bytes]:
+    """Record the control bytes of every ``sim.build_hamiltonian`` call from
+    now on."""
+    built = []
+    build_hamiltonian = sim.build_hamiltonian
+
+    def counted(params):
+        built.append(np.asarray(params.controls).tobytes())
+        return build_hamiltonian(params)
+
+    monkeypatch.setattr(sim, "build_hamiltonian", counted)
+    return built
+
+
 class TestReplayRuns:
-    """Replay builds one propagator per run of bit-identical rows."""
+    """Replay builds one propagator per distinct run start: runs of
+    bit-identical rows share one, and so do runs of the same controls."""
 
     @staticmethod
     def outcome(replay, schedule):
@@ -674,7 +706,8 @@ class TestReplayRuns:
         rows = count_step_rows(monkeypatch)
         schedule, n_runs = runs_schedule()
         replay_schedule(schedule)
-        assert rows == [n_runs]
+        # Run 3 repeats run 1's controls; 0.0 and -0.0 still build apart.
+        assert rows == [n_runs - 1]
 
     def test_alternating_and_single_row_runs(self, monkeypatch):
         # Runs of A and B in turn, 1-5 rows long: each run's rows must read
@@ -686,7 +719,7 @@ class TestReplayRuns:
         schedule = schedule_of([(a, b)[k % 2] for k, n in enumerate(lengths) for _ in range(n)])
         rows = count_step_rows(monkeypatch)
         report, trace = replay_schedule(schedule)
-        assert rows == [len(lengths)]
+        assert rows == [2]
         want_report, want_trace = replay_per_row(schedule)
         assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
         assert report == want_report
@@ -737,7 +770,13 @@ class TestReplayInputs:
         array = np.asarray(schedule)
         assert array.shape == (len(controls), 3)
         assert array.tobytes() == np.array(controls, dtype=float).reshape(-1, 3).tobytes()
-        assert replay_bytes(array) == replay_bytes(schedule)
+        with pytest.MonkeyPatch.context() as mp:
+            built = count_built_controls(mp)
+            assert replay_bytes(array) == replay_bytes(schedule)
+        # Each replay builds the distinct rows, in first-occurrence order, in
+        # one call: every distinct row starts a run where it first appears.
+        distinct = b"".join(dict.fromkeys(row.tobytes() for row in array))
+        assert built == [distinct, distinct]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 60, 200])
     @pytest.mark.parametrize("row", [(170.0, 70.0, 2.5), (-750.0, -300.0, 5.0), (-0.0, 0.0, 0.0)])
@@ -955,12 +994,13 @@ class TestPropagatorCache:
         venv.reset(), ref.reset()
         rows = count_step_rows(monkeypatch)
         # Step 1: rows 0 and 3 hold the initial controls, a duplicate within
-        # one step, and rows 1 and 2 move eps0 up and down: all four miss.
+        # one step built once, and rows 1 and 2 move eps0 up and down: all
+        # four miss, three distinct rows.
         # Step 2: rows 0, 1 and 2 are back at the initial controls (hits) and
         # row 3 moves (a miss), so one batch mixes both.  Step 3: rows 0 and
         # 1 reach the points rows 1 and 2 of step 1's batch built, row 2
         # holds and row 3 moves on (a miss).
-        for actions, built in (([0, ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0], [4]),
+        for actions, built in (([0, ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0], [3]),
                                ([0, ACTION_EPS0_DOWN, ACTION_EPS0_UP, ACTION_TUN_DOWN], [1]),
                                ([ACTION_EPS0_UP, ACTION_EPS0_DOWN, 0, ACTION_EPS0_UP], [1])):
             rows.clear()
@@ -969,6 +1009,27 @@ class TestPropagatorCache:
             ref._propagators.clear()
             assert_same_step(res, ref.step_discrete(actions), venv, ref)
         assert len(venv._propagators) == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_a_batch_builds_each_distinct_new_row_once(self, monkeypatch, k):
+        # 8 rows step to k distinct new controls, each reached by 1-8 rows.
+        rng = np.random.default_rng(k)
+        moves = rng.choice(np.arange(1, N_ACTIONS), k, replace=False)
+        actions = rng.permutation(np.append(moves, rng.choice(moves, 8 - k)))
+        cfg = EnvConfig()
+        venv, ref = VecGateEnv(cfg, 8), VecGateEnv(cfg, 8)
+        rows = count_step_rows(monkeypatch)
+        res = venv.step_discrete(actions)
+        assert rows == [k]
+        assert len(venv._propagators) == k
+        ref._propagators.clear()
+        assert_same_step(res, ref.step_discrete(actions), venv, ref)
+        # A row built for several rows equals the row's own one-row build.
+        for row, action in enumerate(actions.tolist()):
+            env = GateEnv(cfg)
+            env.step_discrete([action])
+            assert venv.u_acc[row].tobytes() == env.u_acc[0].tobytes()
+            assert venv.observation[row].tobytes() == env.observation[0].tobytes()
 
     def test_the_oldest_rows_are_dropped_past_the_bound(self, monkeypatch):
         monkeypatch.setattr("dotgate.env.PROPAGATOR_CACHE_ROWS", 5)

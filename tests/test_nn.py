@@ -863,6 +863,16 @@ class TestCheckpoint:
          "checkpoint format_version must be one integer, got [2, 2] of dtype int64"),
         ({"format_version": np.array(True)},
          "checkpoint format_version must be one integer, got True of dtype bool"),
+        ({"q__w0": np.full((13, 64), "0.5")},
+         "checkpoint network 'q': q__w0 must be a floating array, got dtype <U3"),
+        ({"q__b0": np.zeros(64, dtype=bool)},
+         "checkpoint network 'q': q__b0 must be a floating array, got dtype bool"),
+        ({"q__w2": np.zeros((64, 27), dtype=int)},
+         "checkpoint network 'q': q__w2 must be a floating array, got dtype int64"),
+        ({"extra__log_std": np.array(["0.1", "0.2", "0.3"])},
+         "checkpoint extra 'log_std' must be a floating array, got dtype <U3"),
+        ({"extra__log_std": np.array([True, False, True])},
+         "checkpoint extra 'log_std' must be a floating array, got dtype bool"),
     ])
     def test_bad_checkpoint_rejected_naming_the_array(self, tmp_path, change, message):
         path = tmp_path / "ckpt.npz"
