@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,6 +89,11 @@ class EnvConfig:
     step_thresholds: tuple[float, float] = (0.99, 0.999)
 
     def validate(self) -> None:
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                value = getattr(self, f.name)
+                if np.shape(value) != (len(f.default),):
+                    raise ValueError(f"{f.name}={value!r} must have {len(f.default)} entries")
         for name, bounds, physical, starts in (
             ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS,
              {f"eps_init[{i}]": e for i, e in enumerate(self.eps_init)}),
@@ -346,7 +351,16 @@ class VecGateEnv:
         Each fresh row of ``_initial`` is repeated over all rows, or written
         into the chosen rows of a copy of the current value, so no array
         handed out, earlier or now, is ever written.  Returns the observations.
+        A mask that is not a boolean array of shape (n_envs,) raises
+        ValueError, naming its dtype and shape.
         """
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.dtype != bool or rows.shape != (self.n_envs,):
+                raise ValueError(
+                    f"rows must be a boolean mask of shape ({self.n_envs},), "
+                    f"got dtype {rows.dtype} and shape {rows.shape}"
+                )
         for name, fresh in self._initial.items():
             if rows is None:
                 value = np.repeat(fresh, self.n_envs, axis=0)

@@ -19,10 +19,10 @@ H conserves the particle number N and the spin S_z, so it never couples
 states of different (N, S_z).  Those sectors are read off the occupation
 table and packed, by one fixed basis permutation, into four 4x4 diagonal
 slots ({3,6,9,12}, {1,4}+{2,8}, {7,13}+{11,14}, {0,5,10,15}).  The step
-path keeps every operator in that slot form: real H blocks, one stacked
-``eigh`` into slot unitaries, slot-by-slot accumulation, and a gate
-gathered straight from the slots; entries between two sectors sharing a
-slot stay exact zeros.
+path keeps every operator in that slot form: real H blocks, slot unitaries
+from one stacked ``eigh``, slot-by-slot accumulation, and a gate gathered
+straight from the slots; entries between two sectors sharing a slot stay
+exact zeros.
 
 H never couples two slots, so a stack may carry only the slots an output
 reads, as a ``SlotSet``: (..., k, 4, 4) instead of (..., 4, 4, 4).  The
@@ -33,9 +33,10 @@ runs on either stack, and each slot gets the same bits in both.  Only the
 build is told which slots to carry: a stack's slot count names its set.
 ``DENSE_POSITIONS`` maps each entry of the dense 16x16 matrix to its place
 in a four-slot stack; the full16 observation reads through it, and the
-tests build their dense view from it to check against the dense reference
-``evolve_step``.  Every function takes a leading batch axis and gives each
-row the bits it would get alone.
+tests build their dense view from it to check against ``evolve_step``,
+the one matrix exponential, which they run on the dense 16x16 H and the
+step path on slot stacks.  Every function takes a leading batch axis and
+gives each row the bits it would get alone.
 
 A step's controls are a row of three floats in ``CONTROL_NAMES`` order,
 held everywhere, ``HamiltonianParams`` included, as (..., 3) arrays.
@@ -311,39 +312,16 @@ def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
     return (coef[:, :, None] * slots.terms).sum(axis=1).reshape(*lead, *slots.shape)
 
 
-def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
-    """Step propagators exp(-i 2*pi h dt) of (..., k, 4, 4) Hamiltonians of
-    the slots that k names (see ``_slots_of``).
-
-    Each slot of h must be Hermitian, as every ``build_hamiltonian`` output
-    is.  One ``eigh`` over the stack (real-symmetric for real h) gives
-    complex slot unitaries.  ``eigh`` may mix degenerate eigenvectors of the
-    sectors in a slot, so the entries between them are reset to exact
-    zeros.  Each matrix of a stack equals its own unstacked result bit for
-    bit, whatever the stack holds beside it.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt={dt} must be positive")
-    slots = _slots_of(h)
-    try:
-        energies, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for {h.shape} slot blocks: {exc}"
-        ) from exc
-    phases = np.exp(-2j * np.pi * dt * energies)
-    u = (vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    np.copyto(u, 0, where=slots.cross_sector)
-    return u
-
-
 def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """Unitary exp(-i 2*pi h dt) of any dense Hermitian h, by ``eigh``.
+    """Unitaries exp(-i 2*pi h dt) of (..., n, n) Hermitian h, by ``eigh``:
+    the simulator's one matrix exponential.
 
     h in GHz, dt in ns; the 2*pi converts linear frequencies to angular.
-    The simulator uses ``step_unitaries``, which works in the sector slots.
+    ``step_unitaries`` runs it on slot stacks; the tests run it on dense
+    16x16 matrices as the oracle of the slot path.  Each matrix of a stack
+    equals its own unstacked result bit for bit.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt={dt} must be positive")
     try:
         energies, vectors = np.linalg.eigh(h)
@@ -351,8 +329,23 @@ def evolve_step(h: np.ndarray, dt: float) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed for {h.shape} Hamiltonian: {exc}"
         ) from exc
-    phases = np.exp(-2j * np.pi * energies * dt)
-    return (vectors * phases) @ vectors.conj().T
+    phases = np.exp(-2j * np.pi * dt * energies)
+    return (vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+
+
+def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
+    """Step propagators of (..., k, 4, 4) Hamiltonians of the slots that k
+    names (see ``_slots_of``): ``evolve_step`` on the slot stack, with the
+    entries between two sectors of a slot reset to exact zeros.
+
+    Each slot of h must be Hermitian, as every ``build_hamiltonian`` output
+    is; real h gives a real-symmetric ``eigh``.  ``eigh`` may mix degenerate
+    eigenvectors of the sectors in a slot, hence the reset.
+    """
+    slots = _slots_of(h)
+    u = evolve_step(h, dt)
+    np.copyto(u, 0, where=slots.cross_sector)
+    return u
 
 
 def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:

@@ -54,8 +54,9 @@ def test_traced_runs_and_uninstall_restores_originals(tracing, tmp_path):
         assert compensated is True
         agg = tracer.aggregate(first)
         for name in ("ppo.train_ppo", "td.train_td", "cli.run_replay", "env.step",
-                     "env.replay_schedule", "sim.build_hamiltonian", "sim.accumulate",
-                     "sim.try_phase_compensate", "nn.forward.batch", "nn.adam_update"):
+                     "env.replay_schedule", "sim.build_hamiltonian", "sim.evolve_step",
+                     "sim.accumulate", "sim.try_phase_compensate", "nn.forward.batch",
+                     "nn.adam_update"):
             assert agg.get(name, (0,))[0] > 0, f"{name} never traced"
         assert tracer.counts["env.steps"] > 0
     finally:

@@ -98,6 +98,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             EnvConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ez": (18.4, 19.7, 1.0)}, r"^ez=\(18.4, 19.7, 1.0\) must have 2 entries$"),
+        ({"u": (845.2,)}, r"^u=\(845.2,\) must have 2 entries$"),
+        ({"step_thresholds": (0.99,)}, r"^step_thresholds=\(0.99,\) must have 2 entries$"),
+        ({"step_sizes": (1.0,)}, r"^step_sizes=\(1.0,\) must have 3 entries$"),
+        ({"eps_init": (170.0,)}, r"^eps_init=\(170.0,\) must have 2 entries$"),
+        ({"eps_bounds": (-750.0,)}, r"^eps_bounds=\(-750.0,\) must have 2 entries$"),
+        ({"tun_bounds": (0.0, 4.0, 5.0)}, r"^tun_bounds=\(0.0, 4.0, 5.0\) must have 2 entries$"),
+    ])
+    def test_tuple_field_lengths(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EnvConfig(**kwargs).validate()
+        with pytest.raises(ValueError, match=message):
+            VecGateEnv(EnvConfig(**kwargs), 1)
+
     def test_bounds_inside_physical_range(self):
         EnvConfig(eps_bounds=(-750.0, 750.0), tun_bounds=(0.0, 5.0)).validate()
         EnvConfig(eps_bounds=(-100.0, 600.0), tun_bounds=(1.0, 4.0)).validate()
@@ -916,6 +931,22 @@ class TestVecGateEnv:
             venv.step_continuous(np.zeros((2, 3)))
         venv.reset(np.array([True, True]))
         venv.step_continuous(np.zeros((2, 3)))
+
+    def test_reset_rows_must_be_a_boolean_mask(self):
+        venv = VecGateEnv(EnvConfig(), 3)
+        venv.step_discrete([1, 2, 3])
+        venv.step_discrete([1, 2, 3])
+        for rows, message in (
+            (np.array([0, 1, 0]), r"got dtype int64 and shape \(3,\)$"),
+            (np.array([True, False]), r"got dtype bool and shape \(2,\)$"),
+            (np.ones((3, 1), dtype=bool), r"got dtype bool and shape \(3, 1\)$"),
+        ):
+            message = r"^rows must be a boolean mask of shape \(3,\), " + message
+            with pytest.raises(ValueError, match=message):
+                venv.reset(rows)
+            assert venv.steps.tolist() == [2, 2, 2]
+        venv.reset(np.array([False, True, False]))
+        assert venv.steps.tolist() == [2, 0, 2]
 
     def test_bad_actions_rejected(self):
         venv = VecGateEnv(EnvConfig(), 2)

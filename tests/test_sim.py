@@ -192,6 +192,18 @@ class TestEvolveStep:
         with pytest.raises(ValueError, match="dt"):
             sim.evolve_step(np.zeros((16, 16)), 0.0)
 
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match=r"^dt=nan must be positive$"):
+            sim.evolve_step(np.zeros((16, 16)), float("nan"))
+
+    def test_stack_equals_its_per_matrix_calls_bitwise(self):
+        rng = np.random.default_rng(11)
+        h = np.stack([random_hermitian(rng, 4, scale=100.0) for _ in range(6)])
+        u = sim.evolve_step(h, 0.7)
+        assert u.shape == (6, 4, 4)
+        for i in range(len(h)):
+            assert u[i].tobytes() == sim.evolve_step(h[i], 0.7).tobytes()
+
 
 class TestAccumulate:
     def test_identity_factor(self):
