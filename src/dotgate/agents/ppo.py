@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..env import PulseSchedule, VecGateEnv, improves
+from ..env import PulseSchedule, VecGateEnv, check_fields, improves
 
 
 N_CONTROLS = 3
@@ -59,6 +59,7 @@ class PpoConfig:
     stop_on_target: bool = True
 
     def validate(self) -> None:
+        check_fields(self)
         if not 0 < self.lam <= 1:
             raise ValueError(f"lam={self.lam} outside (0, 1]")
         if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):

@@ -8,15 +8,13 @@ fail loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
-import typing
 from dataclasses import dataclass
 
 import yaml
 
-from .env import EnvConfig
+from .env import EnvConfig, check_fields, check_type, field_types
 from .agents import TdConfig, PpoConfig
 
 ALGORITHMS = ("qlearning", "sarsa", "ppo")
@@ -35,6 +33,7 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def validate(self) -> None:
+        check_fields(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
@@ -62,48 +61,16 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
-# What each scalar field type admits, and how a message names one and many.
-_KINDS = {
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "a number", "numbers"),
-    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
-}
-
-
-def _check_type(kind, value, where: str) -> None:
-    """Reject a value the field's type does not admit; a bool is not a
-    number, an integer field takes no float, and a ``tuple[...]`` field
-    takes a list of its length whose entries have its entry types."""
-    if typing.get_origin(kind) is tuple:
-        entries = typing.get_args(kind)
-        if not (
-            isinstance(value, (list, tuple))
-            and len(value) == len(entries)
-            and all(_KINDS[k][0](v) for k, v in zip(entries, value))
-        ):
-            raise ValueError(
-                f"{where}={value!r} must be a list of {len(entries)} {_KINDS[entries[0]][2]}"
-            )
-    elif kind in _KINDS and not _KINDS[kind][0](value):
-        raise ValueError(f"{where}={value!r} must be {_KINDS[kind][1]}")
-
-
 def _build_section(cls, section: dict, name: str):
     """Instantiate a config dataclass from a dict, rejecting unknown keys
     and scalars of the wrong type."""
-    types = _field_types(cls)
+    types = field_types(cls)
     kwargs = {}
     for key, value in section.items():
         field_name = _SECTION_KEY_ALIASES.get(key, key)
         if field_name not in types:
             raise ValueError(f"unknown key {name}.{key}")
-        _check_type(types[field_name], value, f"{name}.{key}")
+        check_type(types[field_name], value, f"{name}.{key}")
         if isinstance(value, list):
             value = tuple(value)
         kwargs[field_name] = value
@@ -131,7 +98,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("algorithm", "seed"):
         if key not in raw:
             raise ValueError(f"missing required field: {key}")
-    _check_type(int, raw["seed"], "seed")
+    check_type(int, raw["seed"], "seed")
 
     env_section = _section(raw, "env")
     # Physical constants may live in a dedicated section; they land on
@@ -140,7 +107,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in physics:
         if key not in ("u", "ez", "eps_init", "tun_init", "eps_bounds", "tun_bounds"):
             raise ValueError(f"unknown key physics.{key}")
-        _check_type(_field_types(EnvConfig)[key], physics[key], f"physics.{key}")
+        check_type(field_types(EnvConfig)[key], physics[key], f"physics.{key}")
         if key in env_section:
             raise ValueError(f"physics.{key} and env.{key} both set")
         env_section[key] = physics[key]

@@ -39,9 +39,12 @@ as they are.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
+import numbers
+import typing
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +62,52 @@ _MOVES = np.array([[(0.0, 1.0, -1.0)[k // 3**d % 3] for d in range(3)] for k in 
 
 SCHEDULE_CSV_HEADER = ["step", "eps0_ghz", "eps1_ghz", "tunnel_ghz"]
 _CSV_TYPES = (int, float, float, float)
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved type of each field of a config dataclass."""
+    return typing.get_type_hints(cls)
+
+
+# What each scalar field type admits, and how a message names one and many.
+_KINDS = {
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+          "an integer", "integers"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+            "a number", "numbers"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+}
+
+
+def check_type(kind, value, where: str) -> None:
+    """Reject a value the field's type does not admit; a bool is not a
+    number, an integer field takes no float, and a ``tuple[...]`` field
+    takes a list of its length whose entries have its entry types."""
+    if typing.get_origin(kind) is tuple:
+        entries = typing.get_args(kind)
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) == len(entries)
+            and all(_KINDS[k][0](v) for k, v in zip(entries, value))
+        ):
+            raise ValueError(
+                f"{where}={value!r} must be a list of {len(entries)} {_KINDS[entries[0]][2]}"
+            )
+    elif kind in _KINDS and not _KINDS[kind][0](value):
+        raise ValueError(f"{where}={value!r} must be {_KINDS[kind][1]}")
+
+
+def check_fields(cfg) -> None:
+    """``check_type`` on every field of a config dataclass, naming the field;
+    a list or tuple of the wrong length is named with the length wanted."""
+    for name, kind in field_types(type(cfg)).items():
+        value = getattr(cfg, name)
+        size = len(typing.get_args(kind))
+        if typing.get_origin(kind) is tuple and isinstance(value, (list, tuple)) \
+                and len(value) != size:
+            raise ValueError(f"{name}={value!r} must have {size} entries")
+        check_type(kind, value, name)
 
 
 @dataclass(frozen=True)
@@ -89,11 +138,7 @@ class EnvConfig:
     step_thresholds: tuple[float, float] = (0.99, 0.999)
 
     def validate(self) -> None:
-        for f in fields(self):
-            if isinstance(f.default, tuple):
-                value = getattr(self, f.name)
-                if np.shape(value) != (len(f.default),):
-                    raise ValueError(f"{f.name}={value!r} must have {len(f.default)} entries")
+        check_fields(self)
         for name, bounds, physical, starts in (
             ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS,
              {f"eps_init[{i}]": e for i, e in enumerate(self.eps_init)}),
@@ -510,13 +555,12 @@ def replay_schedule(
     and the run starts go through ``_step_propagators`` with a fresh cache:
     one batched build covers each distinct run start once, so a constant
     sweep costs one build and one ``eigh``.  The steps are accumulated in
-    order into one stack by bare ``np.matmul`` calls on views made once, the
-    same product as ``sim.accumulate`` without its per-call shape check (both
-    stacks carry the gate's slots by construction), and the gate pipeline
-    runs once over all accumulated unitaries.  Every slot of these calls equals the
-    environment's bit for bit, so the returned fidelities match the producing
-    episode bitwise.  Returns the final report and the per-step fidelity
-    trace.
+    order by ``sim.accumulate``, the environment's product, written through
+    ``out=`` into one preallocated stack on views made once, and the gate
+    pipeline runs once over all accumulated unitaries.  Every slot of these
+    calls equals the environment's bit for bit, so the returned fidelities
+    match the producing episode bitwise.  Returns the final report and the
+    per-step fidelity trace.
     """
     controls = np.asarray(schedule)
     if controls.ndim != 2:
@@ -533,10 +577,8 @@ def replay_schedule(
     # Row 0 is the identity before the first step.
     u_acc = np.empty((len(controls) + 1, *slots.shape), dtype=complex)
     u_acc[0] = slots.identity
-    # sim.accumulate's product, called bare: per row, call overhead is most
-    # of the cost.
-    runs, acc = list(u_runs), list(u_acc)
+    accumulate, runs, acc = sim.accumulate, list(u_runs), list(u_acc)
     for r, prev, nxt in zip((np.cumsum(starts) - 1).tolist(), acc, acc[1:]):
-        np.matmul(runs[r], prev, out=nxt)
+        accumulate(runs[r], prev, out=nxt)
     _, _, report = _gate(u_acc)
     return report.row(-1), report.fidelity[1:].tolist()

@@ -61,6 +61,7 @@ COMPUTATIONAL_INDICES = (5, 6, 9, 10)
 
 # Target gate: controlled-Z in the computational basis.
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+_CZ_CONJ = CZ.ravel().conj()
 
 EPS_BOUNDS = (-750.0, 750.0)
 TUN_BOUNDS = (0.0, 5.0)
@@ -264,10 +265,10 @@ class HamiltonianParams:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Gate fidelity of a (possibly leaky) 4x4 matrix against a target.
+    """Gate fidelity of a (possibly leaky) 4x4 matrix against CZ.
 
     fidelity = (unitarity_trace + overlap) / (d*(d+1)) with d = 4, where
-    unitarity_trace = Tr(U^dag U) and overlap = |Tr(U_target^dag U)|^2.
+    unitarity_trace = Tr(U^dag U) and overlap = |Tr(CZ^dag U)|^2.
     Each field has the stack's shape: arrays over a stack of gates, and
     numpy float64 scalars, which are ``float`` instances, for one gate.
     """
@@ -348,17 +349,11 @@ def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
-def accumulate(u_step: np.ndarray, u_acc: np.ndarray) -> np.ndarray:
-    """Left-multiply the newest step onto the accumulated unitary, slot by
-    slot for (..., k, 4, 4) slot stacks: a fresh ``u_step @ u_acc``.
-
-    The environment's step calls this; ``env.replay_schedule`` multiplies
-    directly with ``np.matmul``, the same product, to spare the per-row
-    call.
-    """
-    if u_step.shape != u_acc.shape:
-        raise ValueError(f"shape mismatch: {u_step.shape} vs {u_acc.shape}")
-    return np.matmul(u_step, u_acc)
+# Left-multiplies the newest step onto the accumulated unitary, slot by slot
+# for (..., k, 4, 4) slot stacks.  ``VecGateEnv._advance`` and
+# ``env.replay_schedule`` both multiply through this name, and
+# benchmarks/tracing.py wraps it.
+accumulate = np.matmul
 
 
 def project_to_computational(u: np.ndarray) -> np.ndarray:
@@ -410,8 +405,8 @@ def try_phase_compensate(u4: np.ndarray):
     return out, bool(ok)
 
 
-def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityReport:
-    """Fidelity of projected, compensated (..., 4, 4) gates against the target.
+def gate_fidelity(u_final: np.ndarray) -> FidelityReport:
+    """Fidelity of projected, compensated (..., 4, 4) gates against CZ.
 
     The report's fields have the stack's shape (see ``FidelityReport``).
     Each sum runs over one gate's own 16 entries, so a gate's bits do not
@@ -419,13 +414,11 @@ def gate_fidelity(u_final: np.ndarray, u_target: np.ndarray = CZ) -> FidelityRep
     """
     if u_final.shape[-2:] != (DIM_COMP, DIM_COMP):
         raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} matrix, got {u_final.shape}")
-    if u_target.shape != (DIM_COMP, DIM_COMP):
-        raise ValueError(f"expected {DIM_COMP}x{DIM_COMP} target, got {u_target.shape}")
     # C order makes each sum run over one gate's own contiguous entries.
     u = np.ascontiguousarray(u_final).reshape(*u_final.shape[:-2], DIM_COMP * DIM_COMP)
     ri = u.view(float)  # (re, im) pairs
     unitarity = (ri * ri).sum(axis=-1)
-    overlap = np.abs((u * u_target.ravel().conj()).sum(axis=-1)) ** 2  # |Tr(T^dag U)|^2
+    overlap = np.abs((u * _CZ_CONJ).sum(axis=-1)) ** 2  # |Tr(CZ^dag U)|^2
     d = DIM_COMP
     fidelity = (unitarity + overlap) / (d * (d + 1))
     return FidelityReport(fidelity, unitarity, overlap)

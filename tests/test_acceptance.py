@@ -37,9 +37,9 @@ def test_criterion_1_constant_pulse_sweep(tmp_path):
 
 
 def test_criterion_2_fidelity_unit_suite():
-    f_cz = sim.gate_fidelity(sim.CZ, sim.CZ).fidelity
-    f_id = sim.gate_fidelity(np.eye(4, dtype=complex), sim.CZ).fidelity
-    f_leaky = sim.gate_fidelity(0.5 * sim.CZ, sim.CZ).fidelity
+    f_cz = sim.gate_fidelity(sim.CZ).fidelity
+    f_id = sim.gate_fidelity(np.eye(4, dtype=complex)).fidelity
+    f_leaky = sim.gate_fidelity(0.5 * sim.CZ).fidelity
     ok = (
         abs(f_cz - 1.0) < 1e-12
         and abs(f_id - 0.4) < 1e-12

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dotgate import cli, sim
+from dotgate.agents import PpoConfig, TdConfig
 from dotgate.env import (
     N_ACTIONS,
     PROPAGATOR_CACHE_ROWS,
@@ -112,6 +113,27 @@ class TestConfig:
             EnvConfig(**kwargs).validate()
         with pytest.raises(ValueError, match=message):
             VecGateEnv(EnvConfig(**kwargs), 1)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (EnvConfig(eps_init=(170.0, "x")), "eps_init=(170.0, 'x') must be a list of 2 numbers"),
+        (EnvConfig(step_sizes=(1.0, 0.1, "a")),
+         "step_sizes=(1.0, 0.1, 'a') must be a list of 3 numbers"),
+        (EnvConfig(ez=((1, 2), 3)), "ez=((1, 2), 3) must be a list of 2 numbers"),
+        (EnvConfig(u=(845.2, True)), "u=(845.2, True) must be a list of 2 numbers"),
+        (EnvConfig(max_steps=2.5), "max_steps=2.5 must be an integer"),
+        (TdConfig(episodes_max="5"), "episodes_max='5' must be an integer"),
+        (PpoConfig(horizon=2.5), "horizon=2.5 must be an integer"),
+        (PpoConfig(stop_on_target=1), "stop_on_target=1 must be true or false"),
+    ], ids=["eps_init", "step_sizes", "ez", "u", "max_steps", "episodes_max", "horizon",
+            "stop_on_target"])
+    def test_field_of_the_wrong_type_named(self, cfg, message):
+        # The rule YAML configs are read by, applied to configs built in Python.
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            cfg.validate()
+
+    def test_numpy_scalars_accepted(self):
+        EnvConfig(max_steps=np.int64(5), eps_init=(np.float64(170.0), 70)).validate()
+        PpoConfig(horizon=np.int32(8)).validate()
 
     def test_bounds_inside_physical_range(self):
         EnvConfig(eps_bounds=(-750.0, 750.0), tun_bounds=(0.0, 5.0)).validate()

@@ -392,7 +392,7 @@ class TestPhaseCompensation:
 
 class TestGateFidelity:
     def test_perfect_cz(self):
-        rep = sim.gate_fidelity(sim.CZ, sim.CZ)
+        rep = sim.gate_fidelity(sim.CZ)
         assert all(isinstance(v, float) for v in vars(rep).values())
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
         assert rep.unitarity_trace == pytest.approx(4.0, abs=1e-12)
@@ -400,11 +400,11 @@ class TestGateFidelity:
 
     def test_identity_vs_cz(self):
         # Tr(CZ) = 2, so (4 + 4) / 20
-        rep = sim.gate_fidelity(np.eye(4, dtype=complex), sim.CZ)
+        rep = sim.gate_fidelity(np.eye(4, dtype=complex))
         assert rep.fidelity == pytest.approx(0.4, abs=1e-12)
 
     def test_leaky_half_cz(self):
-        rep = sim.gate_fidelity(0.5 * sim.CZ, sim.CZ)
+        rep = sim.gate_fidelity(0.5 * sim.CZ)
         assert rep.fidelity == pytest.approx(0.25, abs=1e-12)
         assert rep.unitarity_trace == pytest.approx(1.0, abs=1e-12)
         assert rep.overlap == pytest.approx(4.0, abs=1e-12)
