@@ -1,35 +1,17 @@
 """Pytest set-up shared by the test modules."""
 
-import ctypes
 import platform
-from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
+
+from helpers import openblas_core
 
 # Every property test is deterministic: the same examples on every run, with
 # no wall-clock deadline and no example database carried between runs.  A
 # test's own ``@settings`` sets only its ``max_examples``.
 settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
 settings.load_profile("tier1")
-
-
-def openblas_core() -> str:
-    """The OpenBLAS core chosen at run time, as the loaded library names it.
-
-    The library is found as ``benchmarks/run.py`` finds it, in the wheel's
-    ``numpy.libs``; 'not reported' where there is none or it lacks the call.
-    """
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "not reported"
 
 
 def pytest_report_header(config):
@@ -43,7 +25,8 @@ def pytest_report_header(config):
     another host is read against these lines.  The SIMD line gives the
     build's baseline and the targets found on this CPU; the BLAS build
     string names the build's target, and the run-time core the kernels in
-    use.
+    use.  Each pin table stores the build it was recorded on, and a failing
+    pin names that build and this one (``helpers.assert_pinned``).
     """
     build = np.show_config(mode="dicts")
     blas = build["Build Dependencies"].get("blas", {})

@@ -1,11 +1,15 @@
 """Shared independent oracles used across test modules."""
 
+import ctypes
+import functools
+import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from dotgate import nn, sim
-from dotgate.env import EnvConfig
+from dotgate.env import EnvConfig, replay_schedule
 
 
 def occupation_energy(state: int, eps, u, ez) -> float:
@@ -252,3 +256,89 @@ def reference_mse_loss(pred, target):
     """nn.mse_loss through np.mean."""
     diff = pred - target
     return float(np.mean(diff**2)), 2.0 * diff / diff.size
+
+
+# -- builds: what the byte pins rest on ---------------------------------------
+
+def openblas_core() -> str:
+    """The OpenBLAS core chosen at run time, as the loaded library names it.
+
+    The library is found as ``benchmarks/run.py`` finds it, in the wheel's
+    ``numpy.libs``; 'not reported' where there is none or it lacks the call.
+    """
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "not reported"
+
+
+@functools.cache
+def build() -> str:
+    """This process's numpy version, the SIMD targets numpy found on the
+    CPU, and its BLAS version and run-time core: what a byte pin holds on."""
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"].get("blas", {})
+    simd = " ".join(info.get("SIMD Extensions", {}).get("found", [])) or "none"
+    return (f"numpy {np.__version__}, SIMD {simd}, "
+            f"blas {blas.get('name')} {blas.get('version')}, core {openblas_core()}")
+
+
+def assert_pinned(digest: str, pinned: str, recorded_on: str, what: str = "digest") -> None:
+    """Fail unless ``digest`` is the ``pinned`` one, naming ``what`` it is,
+    both digests and both builds: the one this process runs and the one the
+    pin was recorded on (a ``build()`` string)."""
+    assert digest == pinned, (
+        f"{what} {digest} on build [{build()}] differs from the pin {pinned} "
+        f"recorded on build [{recorded_on}]"
+    )
+
+
+# -- constant and windowed pulses with analytic properties --------------------
+
+# Frontier points held constant: (eps0, eps1, tunnel) GHz and duration in ns.
+# The 17 ns hold of the initial controls, the 10 ns point and the 3 ns point.
+CONSTANT_POINTS = (((170.0, 70.0, 2.5), 17), ((-525.0, -550.0, 3.25), 10),
+                   ((650.0, 100.0, 4.5), 3))
+# Windowed exchange CZs: (eps0, eps1) GHz and duration in ns.
+WINDOWS = (((170.0, 70.0), 16), ((600.0, 0.0), 8))
+SWEEP_PULSE, SWEEP_NS = (170.0, 70.0, 2.5), 200
+
+
+def window_schedule(eps, duration: int, t_max: float) -> np.ndarray:
+    """(duration, 3) controls at fixed detunings with tunnel coupling
+    t_k = t_max sin^2(pi (k + 1/2) / duration)."""
+    tunnel = t_max * np.sin(np.pi * (np.arange(duration) + 0.5) / duration) ** 2
+    return np.column_stack([np.full(duration, eps[0]), np.full(duration, eps[1]), tunnel])
+
+
+def exchange_t_max(eps, duration: int, u: float = EnvConfig().u[0]) -> float:
+    """The window amplitude whose exchange integral is 1/2: with
+    J = 4 t^2 U / (U^2 - de^2) and sum_k sin^4 = 3T/8 over T steps of 1 ns,
+    t_max = sqrt((U^2 - de^2) / (3 T U))."""
+    detuning = eps[0] - eps[1]
+    return math.sqrt((u**2 - detuning**2) / (3 * duration * u))
+
+
+def fidelity_and_leakage(controls) -> tuple[float, float]:
+    """F and leakage 1 - Tr(U4^dag U4)/4 of (T, 3) controls, replayed."""
+    report, _ = replay_schedule(controls)
+    return report.fidelity, 1.0 - report.unitarity_trace / 4
+
+
+def physics_numbers() -> dict:
+    """The numbers that must not depend on the BLAS core: the 200 ns
+    constant-sweep trace, and F and leakage of each constant point and of
+    each window at its closed-form amplitude."""
+    return {
+        "sweep": replay_schedule(np.tile(SWEEP_PULSE, (SWEEP_NS, 1)))[1],
+        "points": [fidelity_and_leakage(np.tile(c, (t, 1))) for c, t in CONSTANT_POINTS],
+        "windows": [fidelity_and_leakage(window_schedule(e, t, exchange_t_max(e, t)))
+                    for e, t in WINDOWS],
+        "core": openblas_core(),
+    }

@@ -17,6 +17,7 @@ import pytest
 
 from dotgate import cli, env, sim
 from dotgate.agents import PpoConfig, TdConfig, ppo, td
+from helpers import assert_pinned
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -86,6 +87,11 @@ WITNESSES = {
     "td_full16": "8b6286e9077ccd1d2f310316857731cfb27e67a66628a2b5cdc020ed24a98be2",
     "replay_sweep": "65ee19f7dc18dbaaa5d565b3cbf315d25d7bc606ace091f884ba06c5ae088629",
 }
+# The build the witnesses above were recorded on (helpers.build).
+WITNESSES_BUILD = (
+    "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, "
+    "blas scipy-openblas 0.3.31.188.0, core SkylakeX"
+)
 
 
 @pytest.fixture
@@ -103,4 +109,4 @@ def test_every_workload_gives_its_recorded_witness(workloads, tmp_path):
         seed = w.default_seed if w.default_seed is not None else 0
         op = w.check(w.run(w.prepare(seed, tmp_path), lambda: None))
         assert op.problems == [], name
-        assert op.witness == WITNESSES[name], name
+        assert_pinned(op.witness, WITNESSES[name], WITNESSES_BUILD, f"{name} witness")

@@ -22,6 +22,7 @@ from dotgate.config import (
     parse_config,
 )
 from dotgate.env import EnvConfig, GateEnv
+from helpers import assert_pinned
 
 # The plot-data files export_plots writes into a run directory.
 PLOT_FILES = (
@@ -258,6 +259,12 @@ class TestTrain:
             outs.append((tmp_path / name / "metrics.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
+    # The build the metrics digests below were recorded on (helpers.build).
+    METRICS_BUILD = (
+        "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, "
+        "blas scipy-openblas 0.3.31.188.0, core SkylakeX"
+    )
+
     @pytest.mark.witness
     @pytest.mark.parametrize("raw, digest", [
         ({"algorithm": "qlearning", "seed": 7,
@@ -277,7 +284,7 @@ class TestTrain:
         # and BLAS build.
         cli.run_train(config_from_dict({**raw, "output_dir": str(tmp_path)}))
         metrics = (tmp_path / "metrics.jsonl").read_bytes()
-        assert hashlib.sha256(metrics).hexdigest() == digest
+        assert_pinned(hashlib.sha256(metrics).hexdigest(), digest, self.METRICS_BUILD)
 
     def test_metrics_lines_are_strict_json(self, tmp_path):
         # 20 steps of two rows end no episode, so the best duration is inf.

@@ -1,6 +1,7 @@
 """Simulator core: Hamiltonian, evolution, projection, compensation, fidelity."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -11,15 +12,20 @@ from hypothesis import strategies as st
 from dotgate import cli, sim
 from dotgate.env import EnvConfig
 from helpers import (
+    CONSTANT_POINTS,
     NUMBER_OP,
     SZ_OP,
+    WINDOWS,
     dense,
     dense_hamiltonian,
+    exchange_t_max,
+    fidelity_and_leakage,
     jw_annihilators,
     occupation_energy,
     random_hermitian,
     random_slot_stack,
     taylor_expm,
+    window_schedule,
 )
 
 PAPER_EPS, U, EZ = (170.0, 70.0), (845.2, 845.2), (18.4, 19.7)
@@ -638,3 +644,77 @@ class TestExchangeOracle:
         trace = cli.run_replay(path, EnvConfig(), sweep_duration=30)["fidelity_trace"]
         first = next(k for k, f in enumerate(trace) if f > 0.999)
         assert first + 1 == 17
+
+
+class TestWindowedExchangeOracle:
+    """A windowed exchange CZ, t_k = t_max sin^2(pi (k + 1/2) / T) at fixed
+    detunings, calibrated on replayed F, meets the exchange model's
+    integral of J over the pulse = 1/2 (``helpers.exchange_t_max``)."""
+
+    @staticmethod
+    def calibrate(eps, duration):
+        """The t_max of the best replayed F: the best of a 31-point grid over
+        [3.5, 5.0] GHz, refined by golden-section search between its
+        neighbours."""
+        def fidelity(t_max):
+            return fidelity_and_leakage(window_schedule(eps, duration, t_max))[0]
+
+        grid = np.linspace(3.5, 5.0, 31)
+        best = int(np.argmax([fidelity(t) for t in grid]))
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        shrink = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - shrink * (b - a), a + shrink * (b - a)
+        fc, fd = fidelity(c), fidelity(d)
+        while b - a > 1e-7:
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - shrink * (b - a)
+                fc = fidelity(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + shrink * (b - a)
+                fd = fidelity(d)
+        t_max = (a + b) / 2.0
+        return t_max, fidelity(t_max)
+
+    @pytest.mark.parametrize("window, f_min", list(zip(WINDOWS, (0.99999, 0.9998))),
+                             ids=["de100_16ns", "de600_8ns"])
+    def test_calibrated_amplitude_meets_half_exchange_integral(self, window, f_min):
+        eps, duration = window
+        t_max, fidelity = self.calibrate(eps, duration)
+        assert t_max == pytest.approx(exchange_t_max(eps, duration), rel=1e-3)
+        assert fidelity > f_min
+
+
+class TestConstantPulseOracles:
+    """Analytic properties of constant pulses, replayed by ``replay_schedule``."""
+
+    @pytest.mark.parametrize("controls, duration", CONSTANT_POINTS,
+                             ids=["hold_17ns", "point_10ns", "point_3ns"])
+    def test_common_detuning_offset_moves_neither_f_nor_leakage(self, controls, duration):
+        # Adding d to both detunings adds d N to H: a phase within each
+        # conserved-N sector, which compensation and leakage do not see.
+        f0, leak0 = fidelity_and_leakage(np.tile(controls, (duration, 1)))
+        lo, hi = sim.EPS_BOUNDS
+        for offset in (-37.5, -3.0, 0.25, 1.0, 12.0, 80.0):
+            eps = controls[0] + offset, controls[1] + offset
+            if not lo <= min(eps) <= max(eps) <= hi:
+                continue
+            f, leak = fidelity_and_leakage(np.tile((*eps, controls[2]), (duration, 1)))
+            assert abs(f - f0) <= 1e-10, offset
+            assert abs(leak - leak0) <= 1e-10, offset
+
+    def test_leakage_has_period_one_over_t_in_eps0(self):
+        # At the 10 ns point U T = 8452 and (eps0 - eps1) T = 250 are
+        # integers, so leakage sits at a zero, which repeats every 1/T in eps0.
+        (eps0, eps1, tunnel), duration = CONSTANT_POINTS[1]
+
+        def leakage(shift):
+            return fidelity_and_leakage(np.tile((eps0 + shift, eps1, tunnel), (duration, 1)))[1]
+
+        base = leakage(0.0)
+        assert base < 1e-7
+        for k in (-1, 1, 2, 3):
+            assert leakage(k / duration) == pytest.approx(base, rel=0.05), k
+        for k in (-3, -1, 1, 3, 5):
+            assert leakage(k / (2 * duration)) > 1e-5, k
