@@ -102,11 +102,9 @@ def check_fields(cfg) -> None:
     """``check_type`` on every field of a config dataclass, naming the field;
     a list or tuple of the wrong length is named with the length wanted."""
     for name, kind in field_types(type(cfg)).items():
-        value = getattr(cfg, name)
-        size = len(typing.get_args(kind))
-        if typing.get_origin(kind) is tuple and isinstance(value, (list, tuple)) \
-                and len(value) != size:
-            raise ValueError(f"{name}={value!r} must have {size} entries")
+        value, entries = getattr(cfg, name), typing.get_args(kind)
+        if entries and isinstance(value, (list, tuple)) and len(value) != len(entries):
+            raise ValueError(f"{name}={value!r} must have {len(entries)} entries")
         check_type(kind, value, name)
 
 

@@ -31,10 +31,6 @@ def test_pin_mismatch_names_both_builds_and_digests():
         assert part in message
 
 
-def test_pin_match_passes():
-    assert_pinned("ab" * 32, "ab" * 32, "numpy 1.0, SIMD none, blas none 0, core Katmai")
-
-
 @pytest.fixture(scope="module")
 def in_process():
     return physics_numbers()
