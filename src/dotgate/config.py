@@ -98,7 +98,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("algorithm", "seed"):
         if key not in raw:
             raise ValueError(f"missing required field: {key}")
-    check_type(int, raw["seed"], "seed")
 
     env_section = _section(raw, "env")
     # Physical constants may live in a dedicated section; they land on

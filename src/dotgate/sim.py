@@ -349,10 +349,8 @@ def step_unitaries(h: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
-# Left-multiplies the newest step onto the accumulated unitary, slot by slot
-# for (..., k, 4, 4) slot stacks.  ``VecGateEnv._advance`` and
-# ``env.replay_schedule`` both multiply through this name, and
-# benchmarks/tracing.py wraps it.
+# The step product, slot by slot on (..., k, 4, 4) stacks: VecGateEnv._advance
+# and env.replay_schedule both call it, and benchmarks/tracing.py wraps the name.
 accumulate = np.matmul
 
 
