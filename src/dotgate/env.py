@@ -43,7 +43,6 @@ import functools
 import itertools
 import numbers
 import typing
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +51,8 @@ from . import sim
 
 N_ACTIONS = 27  # 3 choices (hold / up / down) per control, 3 controls
 
-# The most step propagators one env keeps for its discrete steps to reuse:
-# 4096 full16 rows of (4, 4, 4) complex slots are 4 MB.
+# The most rows ``_step_propagators`` leaves in any cache it fills, dropping
+# the oldest first: 4096 full16 rows of (4, 4, 4) complex slots are 4 MB.
 PROPAGATOR_CACHE_ROWS = 4096
 
 # Row k: the (eps0, eps1, tunnel) moves of action k in units of the step
@@ -312,7 +311,8 @@ def _step_propagators(controls, config: EnvConfig, slots, cache: dict) -> np.nda
     """The (N, k, 4, 4) step propagators of (N, 3) controls, each row's
     read-only one looked up in ``cache`` by the row's bytes (-0.0 and +0.0
     differ).  The distinct rows missing there are built by one ``_build``,
-    in first-occurrence order, and kept; a build that raises keeps none."""
+    in first-occurrence order, and kept; a build that raises keeps none.
+    Then the oldest keys past ``PROPAGATOR_CACHE_ROWS`` go (a hit moves none)."""
     raw, width = controls.tobytes(), controls.itemsize * controls.shape[-1]
     keys = [raw[i:i + width] for i in range(0, len(raw), width)]
     missing = list(dict.fromkeys(key for key in keys if key not in cache))
@@ -321,7 +321,10 @@ def _step_propagators(controls, config: EnvConfig, slots, cache: dict) -> np.nda
         u_step = _build(rows, config, slots)
         u_step.flags.writeable = False
         cache.update(zip(missing, u_step))
-    return np.asarray([cache[key] for key in keys])
+    u_step = np.asarray([cache[key] for key in keys])
+    while len(cache) > PROPAGATOR_CACHE_ROWS:
+        del cache[next(iter(cache))]
+    return u_step
 
 
 class VecGateEnv:
@@ -341,15 +344,15 @@ class VecGateEnv:
     numbers do not depend on the others, so every row equals a ``GateEnv``
     episode driven by the same actions, bit for bit.
 
-    Discrete moves walk back over a lattice of controls, so ``step_discrete``
-    looks its rows up in a cache keyed by a row's control bytes (see
-    ``_step_propagators``): a batch builds each distinct row this env has not
-    built yet once, and reads the others; ``step_continuous`` builds every
-    row and neither reads nor fills the cache.  It outlives ``reset``, is not
-    part of ``_initial``, is never shared between envs and holds at most
-    ``PROPAGATOR_CACHE_ROWS`` rows, dropping the oldest first.  A
-    propagator's bits do not depend on the stack it was built in, so a
-    reused row equals a rebuilt one bit for bit.
+    Each action map hands ``_advance`` its rows' step propagators:
+    ``step_continuous`` builds every row by ``_build``, and ``step_discrete``,
+    whose moves walk back over a lattice of controls, looks its rows up
+    through ``_step_propagators`` in a cache keyed by a row's control bytes,
+    building each distinct row this env has not built yet once.  The cache
+    outlives ``reset``, is not part of ``_initial``, is never shared between
+    envs and holds at most ``PROPAGATOR_CACHE_ROWS`` rows, dropping the
+    oldest first.  A propagator's bits do not depend on the stack it was
+    built in, so a reused row equals a rebuilt one bit for bit.
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
@@ -363,7 +366,7 @@ class VecGateEnv:
             np.array(b) for b in zip(config.eps_bounds, config.eps_bounds, config.tun_bounds)
         )
         self._rows = np.arange(n_envs)
-        self._propagators = OrderedDict()  # control bytes -> read-only (k, 4, 4)
+        self._propagators = {}  # control bytes -> read-only (k, 4, 4)
         self._history = np.empty((n_envs, config.max_steps, len(sim.CONTROL_NAMES)))
         # Where each observed feature sits among the floats of its source: the
         # gate, laid out as the dense 4x4 block, or the stack of all slots,
@@ -422,13 +425,13 @@ class VecGateEnv:
         obs[:, -1] = fidelity
         return obs
 
-    def _advance(self, controls, boundary_hit, reuse: bool) -> StepResult:
-        """Hold an action map's (n_envs, 3) controls for one dt, reading and
-        filling the propagator cache if ``reuse``."""
+    def _advance(self, controls, u_step, boundary_hit) -> StepResult:
+        """Hold an action map's (n_envs, 3) controls for one dt, advancing
+        each row by its step propagator of ``u_step``."""
         if self._done.any():
             raise RuntimeError("step called on a finished episode; reset first")
         cfg = self.config
-        self.u_acc = sim.accumulate(self._propagate(controls, reuse), self.u_acc)
+        self.u_acc = sim.accumulate(u_step, self.u_acc)
         self._history[self._rows, self.steps] = controls
         self.controls = controls
         self.steps = self.steps + 1
@@ -450,17 +453,6 @@ class VecGateEnv:
         }
         return StepResult(self.observation, reward, terminated, truncated, info)
 
-    def _propagate(self, controls: np.ndarray, reuse: bool) -> np.ndarray:
-        """The (n_envs, k, 4, 4) step propagators of (n_envs, 3) controls, read
-        through the cache if ``reuse``, then cut to ``PROPAGATOR_CACHE_ROWS``."""
-        if not reuse:
-            return _build(controls, self.config, self.slots)
-        cache = self._propagators
-        u_step = _step_propagators(controls, self.config, self.slots, cache)
-        while len(cache) > PROPAGATOR_CACHE_ROWS:
-            cache.popitem(last=False)
-        return u_step
-
     def step_discrete(self, actions) -> StepResult:
         """One action index in [0, 26] per row: move each control of the row
         by -delta, 0 or +delta (the action's row of ``_MOVES``), clipped to
@@ -481,7 +473,8 @@ class VecGateEnv:
                 raise ValueError(f"action index {a} of row {row} outside [0, {N_ACTIONS - 1}]")
         raw = self.controls + _MOVES.take(actions, axis=0) * self.delta[:, None]
         controls = self._clip(raw)
-        res = self._advance(controls, (controls != raw).any(axis=-1), reuse=True)
+        u_step = _step_propagators(controls, self.config, self.slots, self._propagators)
+        res = self._advance(controls, u_step, (controls != raw).any(axis=-1))
         (t0, t1), (_, s1, s2) = self.config.step_thresholds, self.config.step_sizes
         fid = res.info["fidelity"]
         if (fid > t0).any():  # t0 <= t1, so no row shrinks otherwise
@@ -515,8 +508,8 @@ class VecGateEnv:
             raise ValueError(f"continuous action {actions[row]} of row {row} is not finite")
         clipped = np.clip(actions, -1.0, 1.0)
         boundary_hit = (clipped != actions).any(axis=-1)
-        controls = self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo)
-        return self._advance(self._clip(controls), boundary_hit, reuse=False)
+        controls = self._clip(self._lo + (clipped + 1.0) * 0.5 * (self._hi - self._lo))
+        return self._advance(controls, _build(controls, self.config, self.slots), boundary_hit)
 
     def export_schedule(self, row: int) -> PulseSchedule:
         """The controls applied so far in the episode of one row."""

@@ -214,6 +214,15 @@ _CONTROL_BOUNDS = (EPS_BOUNDS, EPS_BOUNDS, TUN_BOUNDS)
 # Diagonal entries 0, 1, 2 of a flattened 4x4: they fix the virtual-Z phases.
 _DIAG3 = slice(0, 2 * DIM_COMP + 3, DIM_COMP + 1)
 
+_NUMBERS = (float, int, np.floating, np.integer)
+
+
+def _is_number(v) -> bool:
+    """Whether a ``u`` or ``ez`` entry is a number, a bool not being one.
+    ``validate`` runs on every build, and these concrete types check in a
+    third of the time an isinstance of numbers.Real takes."""
+    return type(v) is not bool and isinstance(v, _NUMBERS)
+
 
 @dataclass(frozen=True)
 class HamiltonianParams:
@@ -237,8 +246,9 @@ class HamiltonianParams:
 
         Rejects controls whose last axis is not 3, naming their shape,
         non-finite or out-of-bounds controls, naming the control and, for a
-        batch, the step (row), and negative or non-finite ``u`` and ``ez``
-        entries, naming the entry.
+        batch, the step (row), ``u`` and ``ez`` that are not a list or
+        tuple of 2 numbers (a bool is none), naming the field, and negative or
+        non-finite entries, naming the entry.
         """
         controls = np.asarray(self.controls, dtype=float)
         if controls.shape[-1:] != (3,):
@@ -257,6 +267,9 @@ class HamiltonianParams:
             step = f"step {t}: " if controls.ndim > 1 else ""
             raise ValueError(f"{step}{CONTROL_NAMES[k]}={value} {problem}")
         for name, values in (("u", self.u), ("ez", self.ez)):
+            if not (isinstance(values, (list, tuple)) and len(values) == 2
+                    and _is_number(values[0]) and _is_number(values[1])):
+                raise ValueError(f"{name}={values!r} must be a list of 2 numbers")
             for i, v in enumerate(values):
                 if not 0 <= v < np.inf:
                     raise ValueError(f"{name}[{i}]={v} must be " + ("finite" if v > 0 else ">= 0"))

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from dotgate import nn, sim
-from dotgate.env import EnvConfig, replay_schedule
+from dotgate.env import EnvConfig, GateEnv, replay_schedule
 
 
 def occupation_energy(state: int, eps, u, ez) -> float:
@@ -331,14 +331,30 @@ def fidelity_and_leakage(controls) -> tuple[float, float]:
     return report.fidelity, 1.0 - report.unitarity_trace / 4
 
 
+def replay_gap(episodes: int = 20, seed: int = 1000) -> float:
+    """The largest |replay F - episode F| over random discrete ``GateEnv``
+    episodes, drawn as acceptance criterion 3 draws them."""
+    rng, env, gap = np.random.default_rng(seed), GateEnv(), 0.0
+    for _ in range(episodes):
+        env.reset()
+        for _ in range(env.config.max_steps):
+            last = env.step_discrete([int(rng.integers(27))])
+            if last.terminated[0] or last.truncated[0]:
+                break
+        replayed, _ = replay_schedule(env.export_schedule(0))
+        gap = max(gap, abs(replayed.fidelity - float(last.info["fidelity"][0])))
+    return gap
+
+
 def physics_numbers() -> dict:
     """The numbers that must not depend on the BLAS core: the 200 ns
-    constant-sweep trace, and F and leakage of each constant point and of
-    each window at its closed-form amplitude."""
+    constant-sweep trace, F and leakage of each constant point and of each
+    window at its closed-form amplitude, and ``replay_gap``."""
     return {
         "sweep": replay_schedule(np.tile(SWEEP_PULSE, (SWEEP_NS, 1)))[1],
         "points": [fidelity_and_leakage(np.tile(c, (t, 1))) for c, t in CONSTANT_POINTS],
         "windows": [fidelity_and_leakage(window_schedule(e, t, exchange_t_max(e, t)))
                     for e, t in WINDOWS],
+        "replay_gap": replay_gap(),
         "core": openblas_core(),
     }

@@ -36,6 +36,10 @@ def in_process():
     return physics_numbers()
 
 
+def test_replay_matches_its_episode(in_process):
+    assert in_process["replay_gap"] <= 1e-12, in_process["core"]
+
+
 def _has_avx2() -> bool:
     found = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
     return bool({"AVX2", "X86_V3"} & set(found))
@@ -67,3 +71,4 @@ def test_physics_holds_on_another_blas_core(in_process, core):
     for key in ("points", "windows"):
         gap = np.abs(np.subtract(there[key], in_process[key])).max()
         assert gap <= 1e-10, f"{key}: {where}"
+    assert there["replay_gap"] <= 1e-12, where

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dotgate.env
 from dotgate import cli, sim
 from dotgate.agents import PpoConfig, TdConfig
 from dotgate.env import (
@@ -764,6 +765,26 @@ class TestReplayRuns:
         want_report, want_trace = replay_per_row(schedule)
         assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
         assert report == want_report
+
+    def test_the_cache_bound_never_changes_a_replay(self, monkeypatch):
+        # Five distinct rows in turn: a bound of 2 drops three of them, after
+        # the lookup has read the batch.
+        cycle = [(170.0, 70.0, 2.5), (-750.0, -300.0, 5.0), (650.0, 100.0, 4.5),
+                 (-525.0, -550.0, 3.25), (0.0, 0.0, 0.0)]
+        schedule = schedule_of(cycle * 12)
+        want = replay_bytes(schedule)
+        monkeypatch.setattr("dotgate.env.PROPAGATOR_CACHE_ROWS", 2)
+        caches, lookup = [], dotgate.env._step_propagators
+
+        def spied(controls, config, slots, cache):
+            caches.append(cache)
+            return lookup(controls, config, slots, cache)
+
+        monkeypatch.setattr("dotgate.env._step_propagators", spied)
+        rows = count_step_rows(monkeypatch)
+        assert replay_bytes(schedule) == want
+        assert rows == [5]
+        assert [list(cache) for cache in caches] == [[np.array(c).tobytes() for c in cycle[3:]]]
 
     def test_bad_row_inside_a_run_named_by_schedule_index(self):
         schedule = schedule_of([(170.0, 70.0, 2.5)] * 10 + [(800.0, 70.0, 2.5)] * 5)

@@ -16,6 +16,7 @@ from helpers import (
     NUMBER_OP,
     SZ_OP,
     WINDOWS,
+    build,
     dense,
     dense_hamiltonian,
     exchange_t_max,
@@ -143,6 +144,24 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError, match=field):
             sim.build_hamiltonian(sim.HamiltonianParams(**params))
 
+    @pytest.mark.parametrize("field,value", [
+        ("u", (1.0,)),
+        ("u", ("a", 1.0)),
+        ("ez", (1.0, 1.0, 5.0)),
+        ("u", (True, 1.0)),
+        ("ez", (1.0, np.True_)),
+    ])
+    def test_constants_not_two_numbers_named(self, field, value):
+        p = sim.HamiltonianParams((0.0, 0.0, 1.0), **{"u": U, "ez": EZ, field: value})
+        named = re.escape(f"{field}={value!r} must be a list of 2 numbers")
+        for call in (p.validate, lambda: sim.build_hamiltonian(p)):
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                call()
+
+    def test_numpy_scalar_constants_are_numbers(self):
+        p = sim.HamiltonianParams((0.0, 0.0, 1.0), [np.float32(845.2), 845], (np.int64(18), 19.7))
+        assert sim.build_hamiltonian(p).shape == sim.ALL_SLOTS.shape
+
     @pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 2), (3, 0)])
     def test_controls_whose_last_axis_is_not_3_named(self, shape):
         p = sim.HamiltonianParams(np.zeros(shape), u=(1, 1), ez=(1, 1))
@@ -230,6 +249,14 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="mismatch"):
             sim.accumulate(np.eye(16), np.eye(4))
 
+    # The build the bitwise equality below was recorded on (helpers.build):
+    # on the Haswell core the 4x4 and 16x16 kernels round apart.
+    BITWISE_BUILD = (
+        "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, "
+        "blas scipy-openblas 0.3.31.188.0, core SkylakeX"
+    )
+
+    @pytest.mark.witness
     @pytest.mark.parametrize("shape", [(), (1,), (8,)])
     def test_slot_product_equals_dense_product_bitwise(self, shape):
         rng = np.random.default_rng(36)
@@ -239,7 +266,22 @@ class TestAccumulate:
             assert np.array_equal(
                 dense(sim.accumulate(a, b)),
                 sim.accumulate(dense(a), dense(b)),
-            )
+            ), (f"slot and dense products differ on build [{build()}]; "
+                f"recorded equal on build [{self.BITWISE_BUILD}]")
+
+    @pytest.mark.parametrize("shape", [(), (1,), (8,)])
+    def test_slot_product_equals_dense_product_to_roundoff(self, shape):
+        # Holds on every OpenBLAS core: cross-sector entries are exact zeros in
+        # both products, and the rest agree to roundoff.
+        rng = np.random.default_rng(36)
+        cross = sim.DENSE_POSITIONS < 0
+        for _ in range(50):
+            a = random_slot_stack(rng, shape, unitary=False)
+            b = random_slot_stack(rng, shape, unitary=False)
+            slot, full = sim.accumulate(a, b), sim.accumulate(dense(a), dense(b))
+            assert not slot[..., sim.ALL_SLOTS.cross_sector].any()
+            assert not full[..., cross].any()
+            assert np.abs(dense(slot) - full).max() <= 1e-15 * np.abs(full).max()
 
 
 class TestProjection:
