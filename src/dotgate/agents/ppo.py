@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import nn
-from ..env import PulseSchedule, VecGateEnv, check_fields, improves
+from .. import nn, sim
+from ..env import PulseSchedule, VecGateEnv, improves
 
 
 N_CONTROLS = 3
@@ -59,7 +59,7 @@ class PpoConfig:
     stop_on_target: bool = True
 
     def validate(self) -> None:
-        check_fields(self)
+        sim.check_fields(self)
         if not 0 < self.lam <= 1:
             raise ValueError(f"lam={self.lam} outside (0, 1]")
         if not (np.isfinite(self.clip_eps) and self.clip_eps > 0):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import nn
-from ..env import GateEnv, N_ACTIONS, PulseSchedule, check_fields, improves
+from .. import nn, sim
+from ..env import GateEnv, N_ACTIONS, PulseSchedule, improves
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class TdConfig:
     lr_decay: float = 0.01
 
     def validate(self) -> None:
-        check_fields(self)
+        sim.check_fields(self)
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma={self.gamma} outside (0, 1]")
         if not 0 < self.epsilon_decay < 1:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import yaml
 
-from .env import EnvConfig, check_fields, check_type, field_types
 from .agents import TdConfig, PpoConfig
+from .env import EnvConfig
+from .sim import check_fields, check_type, field_types
 
 ALGORITHMS = ("qlearning", "sarsa", "ppo")
 

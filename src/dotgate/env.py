@@ -39,10 +39,7 @@ as they are.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
-import numbers
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,50 +58,6 @@ _MOVES = np.array([[(0.0, 1.0, -1.0)[k // 3**d % 3] for d in range(3)] for k in 
 
 SCHEDULE_CSV_HEADER = ["step", "eps0_ghz", "eps1_ghz", "tunnel_ghz"]
 _CSV_TYPES = (int, float, float, float)
-
-
-@functools.cache
-def field_types(cls) -> dict:
-    """The resolved type of each field of a config dataclass."""
-    return typing.get_type_hints(cls)
-
-
-# What each scalar field type admits, and how a message names one and many.
-_KINDS = {
-    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-          "an integer", "integers"),
-    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-            "a number", "numbers"),
-    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
-}
-
-
-def check_type(kind, value, where: str) -> None:
-    """Reject a value the field's type does not admit; a bool is not a
-    number, an integer field takes no float, and a ``tuple[...]`` field
-    takes a list of its length whose entries have its entry types."""
-    if typing.get_origin(kind) is tuple:
-        entries = typing.get_args(kind)
-        if not (
-            isinstance(value, (list, tuple))
-            and len(value) == len(entries)
-            and all(_KINDS[k][0](v) for k, v in zip(entries, value))
-        ):
-            raise ValueError(
-                f"{where}={value!r} must be a list of {len(entries)} {_KINDS[entries[0]][2]}"
-            )
-    elif kind in _KINDS and not _KINDS[kind][0](value):
-        raise ValueError(f"{where}={value!r} must be {_KINDS[kind][1]}")
-
-
-def check_fields(cfg) -> None:
-    """``check_type`` on every field of a config dataclass, naming the field;
-    a list or tuple of the wrong length is named with the length wanted."""
-    for name, kind in field_types(type(cfg)).items():
-        value, entries = getattr(cfg, name), typing.get_args(kind)
-        if entries and isinstance(value, (list, tuple)) and len(value) != len(entries):
-            raise ValueError(f"{name}={value!r} must have {len(entries)} entries")
-        check_type(kind, value, name)
 
 
 @dataclass(frozen=True)
@@ -135,7 +88,7 @@ class EnvConfig:
     step_thresholds: tuple[float, float] = (0.99, 0.999)
 
     def validate(self) -> None:
-        check_fields(self)
+        sim.check_fields(self)
         for name, bounds, physical, starts in (
             ("eps_bounds", self.eps_bounds, sim.EPS_BOUNDS,
              {f"eps_init[{i}]": e for i, e in enumerate(self.eps_init)}),
@@ -356,6 +309,8 @@ class VecGateEnv:
     """
 
     def __init__(self, config: EnvConfig, n_envs: int):
+        sim.check_type(EnvConfig, config, "config")
+        sim.check_type(int, n_envs, "n_envs")
         config.validate()
         if n_envs < 1:
             raise ValueError(f"n_envs={n_envs} must be >= 1")
@@ -551,8 +506,10 @@ def replay_schedule(
     pipeline runs once over all accumulated unitaries.  Every slot of these
     calls equals the environment's bit for bit, so the returned fidelities
     match the producing episode bitwise.  Returns the final report and the
-    per-step fidelity trace.
+    per-step fidelity trace.  A ``config`` that is no ``EnvConfig`` raises
+    ValueError naming it.
     """
+    sim.check_type(EnvConfig, config, "config")
     controls = np.asarray(schedule)
     if controls.ndim != 2:
         raise ValueError(f"schedule controls must have shape (T, 3), got {controls.shape}")

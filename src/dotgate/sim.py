@@ -42,13 +42,16 @@ A step's controls are a row of three floats in ``CONTROL_NAMES`` order,
 held everywhere, ``HamiltonianParams`` included, as (..., 3) arrays.
 
 Energies are linear frequencies in GHz, durations in ns, so one
-evolution step is exp(-i 2*pi H dt).
+evolution step is exp(-i 2*pi H dt).  ``check_type`` here is the one
+type rule, which checks every typed dataclass, configs included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -214,14 +217,56 @@ _CONTROL_BOUNDS = (EPS_BOUNDS, EPS_BOUNDS, TUN_BOUNDS)
 # Diagonal entries 0, 1, 2 of a flattened 4x4: they fix the virtual-Z phases.
 _DIAG3 = slice(0, 2 * DIM_COMP + 3, DIM_COMP + 1)
 
+# What each scalar field type admits, and how a message names one and many:
+# exactly the scalars the numpy step path takes, a bool being no number.
+_INTEGERS = (int, np.integer)
 _NUMBERS = (float, int, np.floating, np.integer)
+_KINDS = {
+    int: (lambda v: isinstance(v, _INTEGERS) and type(v) is not bool, "an integer", "integers"),
+    float: (lambda v: isinstance(v, _NUMBERS) and type(v) is not bool, "a number", "numbers"),
+    bool: (lambda v: type(v) is bool, "true or false", "booleans"),
+}
 
 
-def _is_number(v) -> bool:
-    """Whether a ``u`` or ``ez`` entry is a number, a bool not being one.
-    ``validate`` runs on every build, and these concrete types check in a
-    third of the time an isinstance of numbers.Real takes."""
-    return type(v) is not bool and isinstance(v, _NUMBERS)
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved type of each field of a typed dataclass."""
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _entries(kind) -> tuple:
+    """The entry types of a ``tuple[...]`` kind, () for any other kind."""
+    return typing.get_args(kind) if typing.get_origin(kind) is tuple else ()
+
+
+def check_type(kind, value, where: str) -> None:
+    """Reject a value the type ``kind`` does not admit: a number is a float,
+    an int or a numpy scalar of either, an integer an int or numpy integer,
+    a bool neither, a ``tuple[...]`` a list of its length whose entries have
+    its entry types, and a dataclass type its instances; any other type
+    admits any value."""
+    entries = _entries(kind)
+    if entries:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(entries)
+                and all(_KINDS[k][0](v) for k, v in zip(entries, value))):
+            many = _KINDS[entries[0]][2]
+            raise ValueError(f"{where}={value!r} must be a list of {len(entries)} {many}")
+    elif kind in _KINDS:
+        if not _KINDS[kind][0](value):
+            raise ValueError(f"{where}={value!r} must be {_KINDS[kind][1]}")
+    elif is_dataclass(kind) and not isinstance(value, kind):
+        raise ValueError(f"{where}={value!r} must be of type {kind.__name__}")
+
+
+def check_fields(cfg) -> None:
+    """``check_type`` on every field of a typed dataclass, naming the field;
+    a list or tuple of the wrong length is named with the length wanted."""
+    for name, kind in field_types(type(cfg)).items():
+        value, entries = getattr(cfg, name), _entries(kind)
+        if entries and isinstance(value, (list, tuple)) and len(value) != len(entries):
+            raise ValueError(f"{name}={value!r} must have {len(entries)} entries")
+        check_type(kind, value, name)
 
 
 @dataclass(frozen=True)
@@ -246,8 +291,8 @@ class HamiltonianParams:
 
         Rejects controls whose last axis is not 3, naming their shape,
         non-finite or out-of-bounds controls, naming the control and, for a
-        batch, the step (row), ``u`` and ``ez`` that are not a list or
-        tuple of 2 numbers (a bool is none), naming the field, and negative or
+        batch, the step (row), ``u`` and ``ez`` that ``check_type`` rejects as
+        a ``tuple[float, float]``, naming the field, and negative or
         non-finite entries, naming the entry.
         """
         controls = np.asarray(self.controls, dtype=float)
@@ -267,9 +312,7 @@ class HamiltonianParams:
             step = f"step {t}: " if controls.ndim > 1 else ""
             raise ValueError(f"{step}{CONTROL_NAMES[k]}={value} {problem}")
         for name, values in (("u", self.u), ("ez", self.ez)):
-            if not (isinstance(values, (list, tuple)) and len(values) == 2
-                    and _is_number(values[0]) and _is_number(values[1])):
-                raise ValueError(f"{name}={values!r} must be a list of 2 numbers")
+            check_type(tuple[float, float], values, name)
             for i, v in enumerate(values):
                 if not 0 <= v < np.inf:
                     raise ValueError(f"{name}[{i}]={v} must be " + ("finite" if v > 0 else ">= 0"))

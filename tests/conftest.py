@@ -5,7 +5,7 @@ import platform
 import numpy as np
 from hypothesis import settings
 
-from helpers import openblas_core
+from helpers import openblas_core, openblas_threads
 
 # Every property test is deterministic: the same examples on every run, with
 # no wall-clock deadline and no example database carried between runs.  A
@@ -24,9 +24,10 @@ def pytest_report_header(config):
     OpenBLAS built with DYNAMIC_ARCH picks its core.  So a pin that fails on
     another host is read against these lines.  The SIMD line gives the
     build's baseline and the targets found on this CPU; the BLAS build
-    string names the build's target, and the run-time core the kernels in
-    use.  Each pin table stores the build it was recorded on, and a failing
-    pin names that build and this one (``helpers.assert_pinned``).
+    string names the build's target, the run-time core the kernels in use,
+    and the thread count how many threads split a product.  Each pin table
+    stores the build it was recorded on, and a failing pin names that build
+    and this one (``helpers.assert_pinned``).
     """
     build = np.show_config(mode="dicts")
     blas = build["Build Dependencies"].get("blas", {})
@@ -37,5 +38,5 @@ def pytest_report_header(config):
         f"dispatched: {' '.join(simd.get('found', [])) or 'none'}",
         f"blas {blas.get('name')} {blas.get('version')}, "
         f"configuration: {blas.get('openblas configuration', 'not reported')}, "
-        f"run-time core: {openblas_core()}",
+        f"run-time core: {openblas_core()}, threads: {openblas_threads()}",
     ]

@@ -260,33 +260,51 @@ def reference_mse_loss(pred, target):
 
 # -- builds: what the byte pins rest on ---------------------------------------
 
-def openblas_core() -> str:
-    """The OpenBLAS core chosen at run time, as the loaded library names it.
+def _openblas_call(symbols, restype):
+    """The first of ``symbols`` that the loaded OpenBLAS exports, called with
+    no arguments; None where there is no library or it lacks them all.
 
     The library is found as ``benchmarks/run.py`` finds it, in the wheel's
-    ``numpy.libs``; 'not reported' where there is none or it lacks the call.
+    ``numpy.libs``.
     """
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
+        for symbol in symbols:
             fn = getattr(handle, symbol, None)
             if fn is not None:
                 fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "not reported"
+                fn.restype = restype
+                return fn()
+    return None
+
+
+def openblas_core() -> str:
+    """The OpenBLAS core chosen at run time, as the loaded library names it,
+    or 'not reported'."""
+    core = _openblas_call(("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                           "openblas_get_corename"), ctypes.c_char_p)
+    return "not reported" if core is None else core.decode()
+
+
+def openblas_threads() -> str:
+    """The number of threads the loaded OpenBLAS runs its kernels on, or
+    'not reported'.  A product split over more threads may round apart."""
+    threads = _openblas_call(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                              "openblas_get_num_threads"), ctypes.c_int)
+    return "not reported" if threads is None else str(threads)
 
 
 @functools.cache
 def build() -> str:
     """This process's numpy version, the SIMD targets numpy found on the
-    CPU, and its BLAS version and run-time core: what a byte pin holds on."""
+    CPU, and its BLAS version, run-time core and thread count: what a byte
+    pin holds on."""
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"].get("blas", {})
     simd = " ".join(info.get("SIMD Extensions", {}).get("found", [])) or "none"
     return (f"numpy {np.__version__}, SIMD {simd}, "
-            f"blas {blas.get('name')} {blas.get('version')}, core {openblas_core()}")
+            f"blas {blas.get('name')} {blas.get('version')}, core {openblas_core()}, "
+            f"threads {openblas_threads()}")
 
 
 def assert_pinned(digest: str, pinned: str, recorded_on: str, what: str = "digest") -> None:

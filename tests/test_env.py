@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import re
+import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import dotgate.env
 from dotgate import cli, sim
 from dotgate.agents import PpoConfig, TdConfig
+from dotgate.config import ExperimentConfig
 from dotgate.env import (
     N_ACTIONS,
     PROPAGATOR_CACHE_ROWS,
@@ -135,6 +138,49 @@ class TestConfig:
     def test_numpy_scalars_accepted(self):
         EnvConfig(max_steps=np.int64(5), eps_init=(np.float64(170.0), 70)).validate()
         PpoConfig(horizon=np.int32(8)).validate()
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, name) for cls in (EnvConfig, TdConfig, PpoConfig)
+        for name, kind in sim.field_types(cls).items() if float in (kind, *typing.get_args(kind))
+    ] + [(sim.HamiltonianParams, "u"), (sim.HamiltonianParams, "ez")],
+        ids=lambda v: getattr(v, "__name__", v))
+    def test_fraction_is_not_a_number(self, cls, name):
+        # The numpy step path takes floats, ints and numpy scalars; a Fraction
+        # passed as any of them would fail unnamed in numpy, or not at all.
+        if cls is sim.HamiltonianParams:
+            cfg = cls((170.0, 70.0, 2.5), u=(845.2, 845.2), ez=(18.4, 19.7))
+        else:
+            cfg = cls()
+        value = getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = (Fraction(value[0]), *value[1:])
+            message = f"{name}={value!r} must be a list of {len(value)} numbers"
+        else:
+            value = Fraction(value)
+            message = f"{name}={value!r} must be a number"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **{name: value}).validate()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: VecGateEnv(EnvConfig(), 2.5), "n_envs=2.5 must be an integer"),
+        (lambda: VecGateEnv(EnvConfig(), True), "n_envs=True must be an integer"),
+        (lambda: VecGateEnv({}, 2), "config={} must be of type EnvConfig"),
+        (lambda: GateEnv(None), "config=None must be of type EnvConfig"),
+        (lambda: replay_schedule(np.tile((170.0, 70.0, 2.5), (3, 1)), "x"),
+         "config='x' must be of type EnvConfig"),
+        (lambda: ExperimentConfig("ppo", 1, "x", TdConfig(), PpoConfig()).validate(),
+         "env='x' must be of type EnvConfig"),
+        (lambda: ExperimentConfig("ppo", 1, EnvConfig(), None, PpoConfig()).validate(),
+         "td=None must be of type TdConfig"),
+    ], ids=["n_envs_float", "n_envs_bool", "vec_config", "gate_config", "replay_config",
+            "experiment_env", "experiment_td"])
+    def test_typed_argument_named(self, call, message):
+        # The type rule of the config fields, applied to typed arguments.
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_n_envs_accepted(self):
+        assert VecGateEnv(EnvConfig(), np.int64(2)).reset().shape == (2, EnvConfig().obs_dim)
 
     def test_bounds_inside_physical_range(self):
         EnvConfig(eps_bounds=(-750.0, 750.0), tun_bounds=(0.0, 5.0)).validate()
